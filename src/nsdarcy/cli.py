@@ -19,6 +19,7 @@ algorithms get a _star suffix on the variable name.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -62,7 +63,6 @@ class ExperimentConfig:
     ichol_droptol: float = 1e-3
     out: str = "results"
     dry_run: bool = False
-    threads: int = 1
 
 
 def parse_schedule_spec(spec: str) -> list[MeshSchedule]:
@@ -135,18 +135,17 @@ def parse_config(path: str | None = None,
     if cfg.solver not in SOLVERS:
         raise ValidationError(f"solver: {cfg.solver!r} not in {SOLVERS}")
     for name in ("picard_tol", "linear_tol", "ichol_droptol"):
-        if getattr(cfg, name) <= 0:
-            raise ValidationError(f"{name}: must be positive")
+        _check_tolerance(name, getattr(cfg, name))
     parse_schedule_spec(cfg.schedule)  # validates, result rebuilt at run time
-
-    threads = os.environ.get("NSDARCY_THREADS", "1")
-    try:
-        cfg.threads = int(threads)
-    except ValueError as exc:
-        raise ValidationError(f"NSDARCY_THREADS: {exc}") from exc
-    if cfg.threads < 1:
-        raise ValidationError("NSDARCY_THREADS: must be >= 1")
     return cfg
+
+
+def _check_tolerance(name: str, value: float) -> float:
+    # NaN compares false with everything, so `value <= 0` alone lets it by
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name}: must be finite and positive, "
+                              f"got {value}")
+    return value
 
 
 @dataclass
@@ -243,8 +242,11 @@ def read_table(path: str) -> TableArtifact:
         if len(parts) != 6:
             raise ParseError(f"{path}: line {i}: expected 6 fields")
         level, h, var, norm, err, rate = parts
-        rows.append(Row(int(level), h, var, norm, float(err),
-                        None if rate == "-" else float(rate)))
+        try:
+            rows.append(Row(int(level), h, var, norm, float(err),
+                            None if rate == "-" else float(rate)))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {i}: {exc}") from exc
     return TableArtifact(rows=rows, metadata=metadata)
 
 
@@ -375,11 +377,12 @@ def parse_tol_spec(spec: str) -> dict:
         tok = tok.strip()
         if not tok:
             continue
-        if "=" not in tok:
-            out["default"] = float(tok)
-        else:
-            k, _, v = tok.partition("=")
-            out[k.strip()] = float(v)
+        key, _, value = tok.rpartition("=")
+        key = key.strip() or "default"
+        try:
+            out[key] = _check_tolerance(f"tol {key}", float(value))
+        except ValueError as exc:
+            raise ValidationError(f"tol {key}: {exc}") from exc
     if not out:
         raise ValidationError("tol: empty tolerance spec")
     return out

@@ -28,8 +28,8 @@ from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
                   build_dofmap, interpolate)
 from .mesh import CoupledMesh
-from .sparse import (BlockTriangularPreconditioner, DirectFactor,
-                     SolveReport, constrain_matrix, constrain_rhs, gmres)
+from .sparse import (BlockTriangularPreconditioner, LinearSolver,
+                     constrain_matrix, constrain_rhs, gmres, true_residual)
 
 
 @dataclass(eq=False)
@@ -125,6 +125,11 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     bc_dofs, bc_values = dirichlet_data(spaces, mms)
     mass_diag = forms.assemble_mass(dq).diagonal()
 
+    def precondition(K2):
+        return BlockTriangularPreconditioner(K2, 2 * nv, nq_, mass_diag,
+                                             params.nu, nphi=nphi,
+                                             droptol=droptol)
+
     report = PicardReport(iterations=0)
     x_prev = np.zeros(2 * nv + nq_ + nphi)
     growth = 0
@@ -138,30 +143,18 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
                      [C_phiu, None, A_p]], format="csr")
         K2 = constrain_matrix(K, bc_dofs)
         rhs2 = constrain_rhs(K, rhs0, bc_dofs, bc_values)
-        if solver == "direct":
+        if frozen is not None:
             # one factorization serves the whole iteration: later systems
             # differ only by the convection update, so the frozen factor is
             # an excellent Krylov preconditioner; refactor if it degrades
-            if frozen is None:
-                frozen = DirectFactor(K2)
-                x = frozen.solve(rhs2)
-                report.solver_reports.append(
-                    SolveReport(1, 0.0, True, "direct"))
-            else:
-                x, rep = gmres(K2, rhs2, frozen, tol=linear_tol, maxit=100)
-                if not rep.converged:
-                    frozen = DirectFactor(K2)
-                    x = frozen.solve(rhs2)
-                    rep = SolveReport(1, 0.0, True, "direct")
-                report.solver_reports.append(rep)
-        elif solver == "iterative":
-            P = BlockTriangularPreconditioner(
-                K2, 2 * nv, nq_, mass_diag, params.nu,
-                nphi=nphi, droptol=droptol)
-            x, rep = gmres(K2, rhs2, P, tol=linear_tol)
-            report.solver_reports.append(rep)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+            x, rep = gmres(K2, rhs2, frozen, tol=linear_tol, maxit=100)
+            rep.final_residual = true_residual(K2, rhs2, x)
+        if frozen is None or not rep.converged:
+            linear = LinearSolver(K2, solver, linear_tol, precondition)
+            x, rep = linear.solve(rhs2)
+            frozen = linear.factor  # None on iterative runs
+            del linear  # later iterates need the factor, not its matrix
+        report.solver_reports.append(rep)
 
         delta = float(np.linalg.norm(x - x_prev))
         report.iterations = m

@@ -14,8 +14,10 @@ points. Per level and algorithm, in order:
 "NS" is one Newton step about the previous level's velocity (matrix
 a_f + c(a,.,.) + c(.,a,.), load + c(a,a,.)); the correction re-solves with
 the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
-level the Darcy matrix and the NS saddle matrix are each factored once and
-shared by their two solves.
+level the Darcy matrix and the NS saddle matrix each get one
+`sparse.LinearSolver` (one LU factor, or one preconditioner), shared by
+their two solves; every step returns its `SolveReport` with the true
+residual.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .coupled import CoupledState, build_spaces, solve_coupled
 from .fem import DiscreteField, DofMap, interpolate
 from .mesh import CoupledMesh, build_coupled_mesh
 from .mms import error_norms
-from .sparse import (BlockTriangularPreconditioner, DirectFactor, SolveReport,
-                     constrain_matrix, constrain_rhs, gmres, ichol, pcg)
+from .sparse import (BlockTriangularPreconditioner, LinearSolver,
+                     constrain_matrix, constrain_rhs, ichol)
 
 
 class AlgorithmId(enum.Enum):
@@ -41,11 +43,6 @@ class AlgorithmId(enum.Enum):
     B = "B"
     C = "C"
     D = "D"
-
-
-class RhsMode(enum.Enum):
-    NEWTON = "newton"
-    CORRECTION = "correction"
 
 
 class MeshMismatch(Exception):
@@ -84,16 +81,14 @@ class MultilevelRun:
 class DarcyStep:
     """Porous subproblem a_p(phi, psi) = rho g (f_p, psi)
     + rho g (psi, u_src . n_f)_Gamma with outer Dirichlet data; the matrix is
-    assembled and factored once, each solve supplies a new velocity source."""
+    assembled and its solver set up once, each solve supplies a new velocity
+    source."""
 
     def __init__(self, dofmap_phi: DofMap, params: forms.ModelParams, mms,
                  solver: str = "direct", linear_tol: float = 1e-9,
                  droptol: float = 1e-3):
         self.dofmap = dofmap_phi
         self.params = params
-        self.mms = mms
-        self.solver = solver
-        self.linear_tol = linear_tol
         rho_g = params.rho * params.gravity
         self.A = forms.assemble_ap(dofmap_phi.mesh, dofmap_phi, params)
         self.volume = forms.assemble_volume_load(dofmap_phi, mms.f_porous,
@@ -101,27 +96,22 @@ class DarcyStep:
         self.bc_dofs = dofmap_phi.dirichlet_dofs
         self.bc_values = interpolate(mms.head, dofmap_phi) \
             .coefficients[self.bc_dofs]
-        self.A2 = constrain_matrix(self.A, self.bc_dofs)
-        if solver == "direct":
-            self.factor = DirectFactor(self.A2)
-        else:
-            self.precon = ichol(self.A2, droptol)
+        self.linear = LinearSolver(constrain_matrix(self.A, self.bc_dofs),
+                                   solver, linear_tol,
+                                   lambda K: ichol(K, droptol),
+                                   symmetric=True)
 
     def solve(self, velocity_source: DiscreteField):
         rhs = self.volume + forms.assemble_interface_load_darcy(
             self.dofmap, velocity_source, self.params)
-        rhs2 = constrain_rhs(self.A, rhs, self.bc_dofs, self.bc_values)
-        if self.solver == "direct":
-            x = self.factor.solve(rhs2)
-            rep = SolveReport(1, 0.0, True, "direct")
-        else:
-            x, rep = pcg(self.A2, rhs2, self.precon, tol=self.linear_tol)
+        x, rep = self.linear.solve(
+            constrain_rhs(self.A, rhs, self.bc_dofs, self.bc_values))
         return DiscreteField(self.dofmap, x), rep
 
 
 class NSStep:
     """Linearized free-flow subproblem about a fixed state a: the saddle
-    matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0] is factored once; the two
+    matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0] gets one solver; the two
     right sides differ in the convection load and the interface head."""
 
     def __init__(self, dofmap_v: DofMap, dofmap_q: DofMap,
@@ -131,11 +121,7 @@ class NSStep:
         self.dv = dofmap_v
         self.dq = dofmap_q
         self.params = params
-        self.mms = mms
         self.a = linearization_state
-        self.solver = solver
-        self.linear_tol = linear_tol
-        self.droptol = droptol
 
         A_f = forms.assemble_af(dofmap_v.mesh, dofmap_v, params)
         self.B = forms.assemble_b(dofmap_v.mesh, dofmap_v, dofmap_q)
@@ -149,23 +135,17 @@ class NSStep:
         self.bc_dofs = np.concatenate([vd, vd + nv])
         self.bc_values = np.concatenate([vel.coefficients[vd],
                                          vel.coefficients[vd + nv]])
-        self.K2 = constrain_matrix(self.K, self.bc_dofs)
-        if solver == "direct":
-            self.factor = DirectFactor(self.K2)
-        else:
-            mass_diag = forms.assemble_mass(dofmap_q).diagonal()
-            self.precon = BlockTriangularPreconditioner(
-                self.K2, 2 * nv, dofmap_q.ndof, mass_diag, params.nu,
-                droptol=droptol)
+        self.linear = LinearSolver(
+            constrain_matrix(self.K, self.bc_dofs), solver, linear_tol,
+            lambda K: BlockTriangularPreconditioner(
+                K, 2 * nv, dofmap_q.ndof,
+                forms.assemble_mass(dofmap_q).diagonal(), params.nu,
+                droptol=droptol))
 
     def _solve(self, rhs_v: np.ndarray):
         rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])
-        rhs2 = constrain_rhs(self.K, rhs, self.bc_dofs, self.bc_values)
-        if self.solver == "direct":
-            x = self.factor.solve(rhs2)
-            rep = SolveReport(1, 0.0, True, "direct")
-        else:
-            x, rep = gmres(self.K2, rhs2, self.precon, tol=self.linear_tol)
+        x, rep = self.linear.solve(
+            constrain_rhs(self.K, rhs, self.bc_dofs, self.bc_values))
         nv2 = 2 * self.dv.ndof
         return (DiscreteField(self.dv, x[:nv2].copy()),
                 DiscreteField(self.dq, x[nv2:].copy()), rep)
@@ -184,30 +164,6 @@ class NSStep:
                  + forms.assemble_interface_load_ns(self.dv, head_source,
                                                     self.params))
         return self._solve(rhs_v)
-
-
-def solve_darcy_step(mesh_p, dofmap_phi: DofMap, params: forms.ModelParams,
-                     mms, velocity_source: DiscreteField,
-                     **solver_opts) -> DiscreteField:
-    return DarcyStep(dofmap_phi, params, mms, **solver_opts) \
-        .solve(velocity_source)[0]
-
-
-def solve_ns_step(mesh_f, dofmap_v: DofMap, dofmap_q: DofMap,
-                  params: forms.ModelParams, mms,
-                  linearization_state: DiscreteField,
-                  head_source: DiscreteField,
-                  rhs_mode: RhsMode = RhsMode.NEWTON,
-                  intermediate: DiscreteField | None = None, **solver_opts):
-    step = NSStep(dofmap_v, dofmap_q, params, mms, linearization_state,
-                  **solver_opts)
-    if rhs_mode is RhsMode.NEWTON:
-        u, p, _ = step.solve_newton(head_source)
-    else:
-        if intermediate is None:
-            raise ValueError("correction mode needs the intermediate state")
-        u, p, _ = step.solve_correction(intermediate, head_source)
-    return u, p
 
 
 def advance_level(algorithm: AlgorithmId, prev: CoupledState,

@@ -31,10 +31,6 @@ class ElementFamily:
     tag: str
     components: int
 
-    @property
-    def local_dofs(self) -> int:
-        return {"P1": 3, "P2": 6, "MINI_VELOCITY": 4}[self.tag]
-
 
 P1 = ElementFamily("P1", 1)
 P2 = ElementFamily("P2", 1)
@@ -334,9 +330,6 @@ class DiscreteField:
     def eval(self, p):
         return self.eval_many(np.asarray(p, float).reshape(1, 2))[0]
 
-    def eval_grad(self, p):
-        return self.eval_grad_many(np.asarray(p, float).reshape(1, 2))[0]
-
 
 def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:
     """J^{-T} of the affine reference map for each cell; shape (m, 2, 2)."""
@@ -349,14 +342,6 @@ def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = -e2[..., 0]
     out[..., 1, 1] = e1[..., 0]
     return out / det[..., None, None]
-
-
-def eval_field(field: DiscreteField, p):
-    return field.eval(p)
-
-
-def eval_field_grad(field: DiscreteField, p):
-    return field.eval_grad(p)
 
 
 def interpolate(f, dofmap: DofMap) -> DiscreteField:

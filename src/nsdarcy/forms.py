@@ -63,18 +63,6 @@ class ConvectionMode(enum.Enum):
     NEWTON = "newton"
 
 
-@dataclass
-class SaddleSystem:
-    A: sp.csr_matrix       # velocity block: viscous + BJS (+ convection)
-    B: sp.csr_matrix       # divergence constraint, pressure rows
-    f: np.ndarray
-    g: np.ndarray
-
-    def monolithic(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        K = sp.bmat([[self.A, self.B.T], [self.B, None]], format="csr")
-        return K, np.concatenate([self.f, self.g])
-
-
 def assembly_degree(family_tag: str) -> int:
     # degree 5 covers the Mini bubble products; 6 covers Taylor-Hood
     return 6 if family_tag == "P2" else 5

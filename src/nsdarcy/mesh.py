@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class ScheduleKind(Enum):
     SQUARE = "square"
     CUBE_THEN_SQUARE = "cube_then_square"
     PAIR_LIST = "pair_list"
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 class OutOfDomain(Exception):
@@ -245,10 +239,6 @@ def build_coupled_mesh(n: int) -> CoupledMesh:
     return CoupledMesh(fluid=fluid, porous=porous, interface_pairs=pairs)
 
 
-def locate_point(mesh: TriMesh, p) -> tuple[int, np.ndarray]:
-    return mesh.locate(p)
-
-
 def make_schedule(kind, n0: int | None = None, levels: int | None = None,
                   pairs=None, cap: int = 1024) -> list[MeshSchedule]:
     """Build mesh schedules for the multilevel runs.
@@ -269,6 +259,10 @@ def make_schedule(kind, n0: int | None = None, levels: int | None = None,
             raise ValueError("need base subdivision n0 >= 2 and levels >= 1")
         subs = [n0]
         for lvl in range(levels):
+            # stop at the first entry over the cap, which the check below
+            # rejects; going on would square up to n0 ** (2 ** levels)
+            if subs[-1] > cap:
+                break
             if kind is ScheduleKind.CUBE_THEN_SQUARE and lvl == 0:
                 subs.append(subs[-1] ** 3)
             else:

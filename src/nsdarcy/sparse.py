@@ -4,6 +4,11 @@ Matrix storage and products go through scipy.sparse CSR; the factorization
 and Krylov loops live here because their behavior (drop rule, breakdown
 shift, stopping tests, preconditioner structure) is part of the method.
 
+`LinearSolver` is the one place a solve site's "direct" or "iterative"
+setting is acted on: built once per matrix, it holds a SuperLU factor or a
+Krylov method with its preconditioner, and every report it returns carries
+the true relative residual ||b - K x|| / ||b||.
+
 Saddle systems are preconditioned by a block upper-triangular operator
 
     [ Ahat  B^T  C  ]
@@ -17,14 +22,11 @@ diagonal blocks and Mhat the pressure mass diagonal scaled by 1/nu.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-
-CsrMatrix = sp.csr_matrix
 
 
 class DimensionMismatch(Exception):
@@ -59,33 +61,15 @@ class SolveReport:
     final_residual: float
     converged: bool
     method: str = ""
-    breakdown_shifts: int = 0
 
 
 class Preconditioner:
-    kind = "NONE"
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         return r
 
 
-class JacobiPreconditioner(Preconditioner):
-    kind = "JACOBI"
-
-    def __init__(self, A):
-        d = as_csr(A).diagonal()
-        if np.any(d == 0.0):
-            raise Singular("zero diagonal entry in Jacobi preconditioner")
-        self._inv = 1.0 / d
-
-    def apply(self, r):
-        return self._inv * r
-
-
 class IncompleteCholesky(Preconditioner):
     """Lower-triangular incomplete factor; apply solves L L^T z = r."""
-
-    kind = "ICHOL"
 
     def __init__(self, L: sp.csr_matrix, shifts: int, droptol: float):
         self.L = L
@@ -181,24 +165,12 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     return IncompleteCholesky(L, shifts, droptol)
 
 
-class DirectPreconditioner(Preconditioner):
-    kind = "DIRECT"
-
-    def __init__(self, A):
-        self._factor = DirectFactor(A)
-
-    def apply(self, r):
-        return self._factor.solve(r)
-
-
 class BlockTriangularPreconditioner(Preconditioner):
     """Upper block-triangular preconditioner for (extended) saddle systems.
 
     Blocks are taken from the constrained monolithic matrix: velocity block
     sizes nu_, pressure np_, optional head block nphi (coupled systems).
     """
-
-    kind = "BLOCK_TRIANGULAR"
 
     def __init__(self, K, nu_: int, np_: int, mass_diag: np.ndarray,
                  nu_viscosity: float, nphi: int = 0, droptol: float = 1e-3):
@@ -358,14 +330,53 @@ class DirectFactor:
         return x
 
     # lets a factorization of a nearby matrix serve as a Krylov preconditioner
-    kind = "LU"
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.solve(r)
 
 
 def direct_solve(A, b) -> np.ndarray:
     return DirectFactor(A).solve(b)
+
+
+def true_residual(A, b: np.ndarray, x: np.ndarray) -> float:
+    """||b - A x|| / ||b||; absolute when b = 0."""
+    bnorm = np.linalg.norm(b)
+    res = np.linalg.norm(b - A @ x)
+    return float(res / bnorm if bnorm > 0 else res)
+
+
+class LinearSolver:
+    """Solves K x = b for a sequence of right sides under one policy.
+
+    "direct" factors K once (SuperLU); `factor` then holds the reusable LU.
+    "iterative" calls precondition(K) once and runs PCG (symmetric K) or
+    GMRES to relative tolerance tol. Reports carry the true relative
+    residual; `converged` is the Krylov method's own stopping flag.
+    """
+
+    def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
+                 symmetric: bool = False):
+        self.K = K
+        self.tol = tol
+        self.symmetric = symmetric
+        self.factor = self.precon = None
+        if solver == "direct":
+            self.factor = DirectFactor(K)
+        elif solver == "iterative":
+            self.precon = precondition(K)
+        else:
+            raise ValueError(f"unknown solver {solver!r}")
+
+    def solve(self, b: np.ndarray):
+        if self.factor is not None:
+            x = self.factor.solve(b)
+            rep = SolveReport(1, 0.0, True, "direct")
+        elif self.symmetric:
+            x, rep = pcg(self.K, b, self.precon, tol=self.tol)
+        else:
+            x, rep = gmres(self.K, b, self.precon, tol=self.tol)
+        rep.final_residual = true_residual(self.K, b, x)
+        return x, rep
 
 
 def constrain_matrix(A, dofs: np.ndarray) -> sp.csr_matrix:

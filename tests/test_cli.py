@@ -1,19 +1,31 @@
+import math
 import os
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsdarcy.cli import (CSV_HEADER, ExperimentConfig, KeyMismatch,
                          ParseError, Row, TableArtifact, ValidationError,
-                         diff_tables, main, parse_config, parse_schedule_spec,
-                         parse_tol_spec, read_table, run_experiment)
+                         diff_tables, format_error, format_rate, main,
+                         parse_config, parse_schedule_spec, parse_tol_spec,
+                         read_table, run_experiment)
 
-pytestmark = pytest.mark.usefixtures("clean_threads_env")
+VARIABLES = ("u", "v", "p", "phi", "u_star", "phi_star")
+NORMS = ("L2", "H1")
+TOL_KEYS = st.one_of(
+    st.just("default"), st.sampled_from(NORMS),
+    st.builds(lambda v, n: f"{v}:{n}", st.sampled_from(VARIABLES),
+              st.sampled_from(NORMS)))
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.just(math.nan),
+                         st.just(math.inf))
 
 
-@pytest.fixture
-def clean_threads_env(monkeypatch):
-    monkeypatch.delenv("NSDARCY_THREADS", raising=False)
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def small_artifact():
@@ -33,7 +45,6 @@ class TestConfig:
         assert cfg.schedule == "square:n0=2,levels=2"
         assert (cfg.picard_tol, cfg.linear_tol, cfg.ichol_droptol) == \
             (1e-7, 1e-9, 1e-3)
-        assert cfg.threads == 1
 
     def test_file_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -62,6 +73,11 @@ class TestConfig:
         {"algorithm": "E"},
         {"solver": "multigrid"},
         {"picard_tol": "-1e-7"},
+        {"picard_tol": "nan"},
+        {"linear_tol": "nan"},
+        {"linear_tol": "inf"},
+        {"ichol_droptol": "nan"},
+        {"ichol_droptol": "0"},
         {"schedule": "bogus:n0=2,levels=1"},
         {"schedule": "square:levels=1"},
         {"schedule": "square:n0=2048,levels=1"},
@@ -69,16 +85,6 @@ class TestConfig:
     def test_rejected_values(self, overrides):
         with pytest.raises(ValidationError):
             parse_config(overrides=overrides)
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("NSDARCY_THREADS", "4")
-        assert parse_config().threads == 4
-        monkeypatch.setenv("NSDARCY_THREADS", "zero")
-        with pytest.raises(ValidationError, match="NSDARCY_THREADS"):
-            parse_config()
-        monkeypatch.setenv("NSDARCY_THREADS", "0")
-        with pytest.raises(ValidationError, match="NSDARCY_THREADS"):
-            parse_config()
 
 
 class TestScheduleSpec:
@@ -139,6 +145,39 @@ class TestTableIO:
         bad.write_text(CSV_HEADER + "\n0,1/2,u,H1,5.000E-01\n")
         with pytest.raises(ParseError, match="6 fields"):
             read_table(str(bad))
+
+    @pytest.mark.parametrize("row", ["0,1/2,u,H1,abc,-",
+                                     "x,1/2,u,H1,5.000E-01,-",
+                                     "1,1/4,u,H1,5.000E-01,fast"])
+    def test_non_numeric_field_rejected(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n" + row + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_table(str(bad))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(2, 1024),
+                              st.sampled_from(VARIABLES),
+                              st.sampled_from(NORMS), st.floats(),
+                              st.one_of(st.none(), st.floats())),
+                    max_size=12))
+    def test_roundtrip_property(self, tmp_path_factory, cells):
+        art = TableArtifact(
+            rows=[Row(lv, f"1/{n}", var, norm, err, rate)
+                  for lv, n, var, norm, err, rate in cells],
+            metadata={"algorithm": "A", "schedule": "pairs:2:4"})
+        path = tmp_path_factory.mktemp("csv") / "errors.csv"
+        art.write_csv(str(path))
+        back = read_table(str(path))
+        assert back.metadata == art.metadata
+        assert [r.key for r in back.rows] == [r.key for r in art.rows]
+        # what is read back is exactly what the file says
+        for r, b in zip(art.rows, back.rows):
+            assert same_float(b.error, float(format_error(r.error)))
+            if r.rate is None:
+                assert b.rate is None
+            else:
+                assert same_float(b.rate, float(format_rate(r.rate)))
 
 
 class TestRunExperiment:
@@ -215,6 +254,20 @@ class TestDiff:
         with pytest.raises(ValidationError):
             parse_tol_spec(" , ")
 
+    @given(st.dictionaries(TOL_KEYS, POSITIVE, min_size=1, max_size=6))
+    def test_tol_spec_roundtrip_property(self, tol):
+        spec = ", ".join(repr(v) if k == "default" else f"{k}={v!r}"
+                         for k, v in tol.items())
+        assert parse_tol_spec(spec) == tol
+
+    @given(TOL_KEYS, st.one_of(
+        NOT_POSITIVE.map(repr),
+        st.text(string.ascii_letters, min_size=1)))
+    def test_tol_spec_rejects_property(self, key, value):
+        # letters either fail to parse or spell inf/nan: both are rejected
+        with pytest.raises(ValidationError):
+            parse_tol_spec(f"{key}={value}")
+
     def test_exact_match_passes(self):
         report = diff_tables(small_artifact(), small_artifact(), 1e-12)
         assert report.passed
@@ -281,6 +334,38 @@ class TestMain:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,table\n")
         assert main(["diff", str(bad), str(bad), "--tol", "0.01"]) == 2
+
+    @pytest.mark.parametrize("tol", ["u:H1=abc", "abc", "H1=", "-0.02",
+                                     "u:H1=-0.1", "nan", "H1=inf"])
+    def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
+        path = tmp_path / "a.csv"
+        small_artifact().write_csv(str(path))
+        assert main(["diff", str(path), str(path), "--tol", tol]) == 2
+        assert "error: tol" in capsys.readouterr().err
+
+    def test_non_numeric_error_field_exits_two(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        small_artifact().write_csv(str(good))
+        bad.write_text(CSV_HEADER + "\n0,1/2,u,H1,abc,-\n")
+        assert main(["diff", str(good), str(bad), "--tol", "0.01"]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["picard_tol = nan", "linear_tol=-1",
+                                      "ichol_droptol = inf"])
+    def test_bad_solver_tolerance_exits_two(self, tmp_path, capsys, line):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--schedule",
+                     "square:n0=2,levels=1", "--out", str(out)]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_schedule_exits_two(self, tmp_path, capsys):
+        assert main(["run", "--dry-run", "--schedule",
+                     "square:n0=2,levels=1000000000",
+                     "--out", str(tmp_path / "res")]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_environment_failures_exit_three(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

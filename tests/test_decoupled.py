@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsdarcy import coupled
 from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MeshMismatch,
                                MultilevelStepFailed, NSStep, advance_level,
@@ -8,6 +9,7 @@ from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MeshMismatch,
 from nsdarcy.fem import DiscreteField, interpolate
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import error_norms
+from nsdarcy.sparse import LinearSolver
 
 ALL_ALGORITHMS = ("A", "B", "C", "D")
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
@@ -189,7 +191,7 @@ class TestSubproblemKernels:
         src = interpolate(mms.velocity, spaces.velocity)
         step.solve(src)
         step.solve(src)
-        assert step.factor.solves == 2
+        assert step.linear.factor.solves == 2
 
     def test_correction_with_own_state_matches_newton(self, params, mms):
         cm = build_coupled_mesh(4)
@@ -201,3 +203,66 @@ class TestSubproblemKernels:
         u2, p2, _ = ns.solve_correction(state.velocity, state.head)
         assert np.abs(u1.coefficients - u2.coefficients).max() <= 1e-12
         assert np.abs(p1.coefficients - p2.coefficients).max() <= 1e-12
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(K, b, x, report) of every LinearSolver solve and of every GMRES
+    solve the Picard loop runs on its frozen factor."""
+    calls = []
+    orig_solve, orig_gmres = LinearSolver.solve, coupled.gmres
+
+    def solve(self, b):
+        x, rep = orig_solve(self, b)
+        calls.append((self.K, b, x, rep))
+        return x, rep
+
+    def gmres(A, b, *args, **kwargs):
+        x, rep = orig_gmres(A, b, *args, **kwargs)
+        calls.append((A, b, x, rep))
+        return x, rep
+
+    monkeypatch.setattr(LinearSolver, "solve", solve)
+    monkeypatch.setattr(coupled, "gmres", gmres)
+    return calls
+
+
+def assert_true_residuals(reports, calls):
+    """Each report is one of the recorded solves and its final_residual is
+    ||b - K x|| / ||b|| recomputed from that solve."""
+    by_report = {id(rep): (K, b, x) for K, b, x, rep in calls}
+    for rep in reports:
+        K, b, x = by_report[id(rep)]
+        true = np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+        assert rep.final_residual == pytest.approx(true, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+class TestTrueResiduals:
+    def test_darcy_and_ns_steps(self, solver, solves, params, mms):
+        cm = build_coupled_mesh(4)
+        state, _ = solve_coupled(cm, 1, params, mms)
+        spaces = build_spaces(build_coupled_mesh(8), 1)
+        darcy = DarcyStep(spaces.head, params, mms, solver=solver)
+        ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
+                    state.velocity, solver=solver)
+        solves.clear()
+        _, rep_d = darcy.solve(state.velocity)
+        u, _, rep_n = ns.solve_newton(state.head)
+        *_, rep_c = ns.solve_correction(u, state.head)
+        assert len(solves) == 3
+        expected = (["direct"] * 3 if solver == "direct"
+                    else ["pcg", "gmres", "gmres"])
+        assert [r.method for r in (rep_d, rep_n, rep_c)] == expected
+        assert_true_residuals([rep_d, rep_n, rep_c], solves)
+
+    def test_picard_reports(self, solver, solves, params, mms):
+        _, report = solve_coupled(build_coupled_mesh(8), 1, params, mms,
+                                  solver=solver)
+        assert len(report.solver_reports) == report.iterations >= 3
+        assert all(r.converged for r in report.solver_reports)
+        if solver == "direct":
+            # the first iterate factors, the later ones reuse that factor
+            assert report.solver_reports[0].method == "direct"
+            assert {r.method for r in report.solver_reports[1:]} == {"gmres"}
+        assert_true_residuals(report.solver_reports, solves)

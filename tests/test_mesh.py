@@ -159,6 +159,12 @@ class TestSchedule:
         with pytest.raises(ScheduleOverflow):
             make_schedule(ScheduleKind.PAIR_LIST, pairs=[(2, 2048)])
 
+    @pytest.mark.parametrize("kind", ["square", "cube_then_square"])
+    def test_cap_checked_per_level(self, kind):
+        # building all levels first would square up to 2 ** (2 ** 1e9)
+        with pytest.raises(ScheduleOverflow, match="exceeds cap 1024"):
+            make_schedule(kind, n0=2, levels=10**9)
+
     def test_subdivisions_validated(self):
         with pytest.raises(ValueError):
             MeshSchedule((4, 4))

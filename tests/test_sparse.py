@@ -7,9 +7,9 @@ from nsdarcy.coupled import build_spaces, dirichlet_data
 from nsdarcy.fem import P1, build_dofmap, interpolate
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
-                            DirectFactor, NotSymmetric, Singular,
-                            constrain_dirichlet, direct_solve, gmres, ichol,
-                            pcg, spmv)
+                            DirectFactor, LinearSolver, NotSymmetric,
+                            Singular, constrain_dirichlet, direct_solve,
+                            gmres, ichol, pcg, spmv, true_residual)
 
 
 def laplacian_1d(n):
@@ -222,3 +222,61 @@ class TestCrossSolverAgreement:
         assert rep.converged
         assert np.abs(x_it - x_dir).max() <= 1e-7 * max(1.0,
                                                         np.abs(x_dir).max())
+
+
+def recomputed_residual(K, b, x):
+    return np.linalg.norm(b - K @ x) / np.linalg.norm(b)
+
+
+class TestLinearSolver:
+    @pytest.mark.parametrize("solver,method", [("direct", "direct"),
+                                               ("iterative", "pcg")])
+    def test_spd_reports_true_residual(self, solver, method, params, mms):
+        K, rhs = porous_head_system(8, params, mms)
+        linear = LinearSolver(K, solver, 1e-9, lambda A: ichol(A, 1e-3),
+                              symmetric=True)
+        x, rep = linear.solve(rhs)
+        assert rep.method == method and rep.converged
+        assert rep.final_residual == pytest.approx(
+            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("solver,method", [("direct", "direct"),
+                                               ("iterative", "gmres")])
+    def test_saddle_reports_true_residual(self, solver, method, params, mms):
+        K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(4, params, mms)
+        linear = LinearSolver(
+            K, solver, 1e-9, lambda A: BlockTriangularPreconditioner(
+                A, nu_, nq_, mdiag, params.nu, nphi=nphi))
+        x, rep = linear.solve(rhs)
+        assert rep.method == method and rep.converged
+        assert rep.final_residual == pytest.approx(
+            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+        # measured, not assumed: an LU solve leaves a rounding residual
+        assert rep.final_residual > 0.0
+
+    def test_direct_factors_once(self, rng):
+        A = random_spd(10, rng)
+        linear = LinearSolver(A, "direct")
+        for _ in range(2):
+            linear.solve(rng.standard_normal(10))
+        assert linear.factor.solves == 2
+
+    def test_iterative_builds_preconditioner_once(self, rng):
+        A = random_spd(10, rng)
+        built = []
+        linear = LinearSolver(A, "iterative", 1e-12,
+                              lambda K: built.append(K) or ichol(K, 1e-3),
+                              symmetric=True)
+        for _ in range(2):
+            linear.solve(rng.standard_normal(10))
+        assert len(built) == 1 and built[0] is A
+        assert linear.factor is None
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver"):
+            LinearSolver(sp.eye(3, format="csr"), "multigrid")
+
+    def test_zero_rhs_residual_is_absolute(self):
+        A = sp.eye(3, format="csr")
+        assert true_residual(A, np.zeros(3), np.zeros(3)) == 0.0
+        assert true_residual(A, np.zeros(3), np.ones(3)) == np.sqrt(3.0)
