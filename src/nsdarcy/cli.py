@@ -88,10 +88,22 @@ def parse_schedule_spec(spec: str) -> list[MeshSchedule]:
         raise ValidationError(f"schedule: bad spec {spec!r} ({exc})") from exc
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _parse_bool(value) -> bool:
+    try:
+        return _BOOLEANS[str(value).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, "
+                         f"got {value!r}") from None
+
+
 _CONFIG_KEYS = {
     "algorithm": str, "order": int, "schedule": str, "solver": str,
     "picard_tol": float, "linear_tol": float, "ichol_droptol": float,
-    "out": str,
+    "out": str, "dry_run": _parse_bool,
 }
 
 
@@ -117,9 +129,6 @@ def parse_config(path: str | None = None,
 
     cfg = ExperimentConfig()
     for key, value in raw.items():
-        if key == "dry_run":
-            cfg.dry_run = bool(value)
-            continue
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"unknown config key {key!r}")
         try:

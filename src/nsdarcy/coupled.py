@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
-                  build_dofmap, interpolate)
+                  build_dofmap, cell_bubbles, interpolate)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
                      constrain_matrix, constrain_rhs, gmres, true_residual)
@@ -130,6 +130,7 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
                                              params.nu, nphi=nphi,
                                              droptol=droptol)
 
+    bubbles = cell_bubbles(dv)
     report = PicardReport(iterations=0)
     x_prev = np.zeros(2 * nv + nq_ + nphi)
     growth = 0
@@ -150,7 +151,8 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
             x, rep = gmres(K2, rhs2, frozen, tol=linear_tol, maxit=100)
             rep.final_residual = true_residual(K2, rhs2, x)
         if frozen is None or not rep.converged:
-            linear = LinearSolver(K2, solver, linear_tol, precondition)
+            linear = LinearSolver(K2, solver, linear_tol, precondition,
+                                  local=bubbles)
             x, rep = linear.solve(rhs2)
             frozen = linear.factor  # None on iterative runs
             del linear  # later iterates need the factor, not its matrix

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .coupled import CoupledState, build_spaces, solve_coupled
-from .fem import DiscreteField, DofMap, interpolate
+from .fem import DiscreteField, DofMap, cell_bubbles, interpolate
 from .mesh import CoupledMesh, build_coupled_mesh
 from .mms import error_norms
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
@@ -140,7 +140,8 @@ class NSStep:
             lambda K: BlockTriangularPreconditioner(
                 K, 2 * nv, dofmap_q.ndof,
                 forms.assemble_mass(dofmap_q).diagonal(), params.nu,
-                droptol=droptol))
+                droptol=droptol),
+            local=cell_bubbles(dofmap_v))
 
     def _solve(self, rhs_v: np.ndarray):
         rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])

@@ -278,6 +278,16 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
                   dof_coords=coords, boundary_dofs=bdofs, boundary_tags=btags)
 
 
+def cell_bubbles(dofmap: DofMap) -> np.ndarray | None:
+    """Coefficient ids (nc, 2) of the two bubble components of each Mini
+    cell, or None for a family without bubbles. A bubble vanishes on every
+    edge, so only the volume terms of its own cell couple it to anything."""
+    if dofmap.family.tag != "MINI_VELOCITY":
+        return None
+    bubble = dofmap.cell_dofs[:, 3]
+    return np.column_stack([bubble, bubble + dofmap.ndof])
+
+
 @dataclass(eq=False)
 class DiscreteField:
     dofmap: DofMap

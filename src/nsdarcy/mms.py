@@ -24,8 +24,8 @@ from math import log
 
 import numpy as np
 
-from .fem import quad_rule_tri
-from .forms import ModelParams, _basis_and_grads, _quad_points
+from .fem import quad_rule_tri, ref_basis_many
+from .forms import ModelParams, _geometry, _quad_points
 
 PI = np.pi
 
@@ -110,7 +110,8 @@ def _field_errors(coeffs, dofmap, exact, exact_grad, quad_degree):
     analytic value/gradient callables; gradient part skipped when
     exact_grad is None."""
     quad = quad_rule_tri(quad_degree)
-    vals, gphys, det = _basis_and_grads(dofmap, quad)
+    vals, gref = ref_basis_many(dofmap.family, quad.points)
+    jinv_t, det = _geometry(dofmap.mesh)
     phys = _quad_points(dofmap.mesh, quad)
     x, y = phys[..., 0], phys[..., 1]
     gathered = coeffs[dofmap.cell_dofs]                        # (nc, nloc)
@@ -119,7 +120,10 @@ def _field_errors(coeffs, dofmap, exact, exact_grad, quad_degree):
     l2 = float(np.sqrt(np.einsum("q,c,cq->", quad.weights, det, diff2)))
     if exact_grad is None:
         return l2, None
-    gnum = np.einsum("cl,clqd->cqd", gathered, gphys)
+    # every cell map is affine: contract with the reference gradients, then
+    # map the (nc, nq, 2) result by each cell's J^{-T}
+    gnum = np.matmul(np.einsum("cl,lqe->cqe", gathered, gref),
+                     jinv_t.transpose(0, 2, 1))
     gx, gy = exact_grad(x, y)
     gdiff2 = (gnum[..., 0] - gx) ** 2 + (gnum[..., 1] - gy) ** 2
     h1 = float(np.sqrt(np.einsum("q,c,cq->", quad.weights, det, gdiff2)))

@@ -306,25 +306,87 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
 
 
 class DirectFactor:
-    """Reusable sparse LU factorization (partial pivoting via SuperLU)."""
+    """Reusable sparse LU factorization (partial pivoting via SuperLU).
 
-    def __init__(self, A):
+    `local`, a (groups, k) array of unknown ids, names unknowns that couple
+    only with the other unknowns of their own row (the bubbles of one Mini
+    cell). With D the block-diagonal local-local block and I the remaining
+    unknowns, they are eliminated first (static condensation): SuperLU
+    factors only S = A_II - A_IL D^{-1} A_LI, and `solve` condenses the
+    right side, solves with S and recovers x_L = D^{-1} (b_L - A_LI x_I).
+    `solve` takes and returns full-length vectors either way; `shape` is
+    the full shape and `_lu.shape` the factored one.
+    """
+
+    def __init__(self, A, local: np.ndarray | None = None):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
+        self.shape = A.shape
+        self.solves = 0
+        self._lidx = None
+        if local is not None:
+            A = self._condense(A, np.asarray(local))
         try:
             self._lu = spla.splu(A.tocsc())
         except RuntimeError as exc:
             raise Singular(str(exc)) from exc
-        self.shape = A.shape
-        self.solves = 0
+
+    def _condense(self, A: sp.csr_matrix, local: np.ndarray) -> sp.csr_matrix:
+        """Inverts the local blocks, keeps what back-substitution needs and
+        returns the Schur complement on the remaining unknowns."""
+        groups, k = local.shape
+        lidx = local.ravel()
+        keep = np.ones(A.shape[0], dtype=bool)
+        keep[lidx] = False
+        if np.count_nonzero(~keep) != lidx.size:
+            raise ValueError("local unknowns are listed more than once")
+        iidx = np.flatnonzero(keep)
+
+        A_L = A[lidx]
+        A_LL = A_L[:, lidx].tocoo()
+        group = A_LL.row // k
+        same = group == A_LL.col // k
+        if np.any(A_LL.data[~same]):
+            raise ValueError("local unknowns couple across groups")
+        D = np.zeros((groups, k, k))
+        D[group[same], A_LL.row[same] % k, A_LL.col[same] % k] = \
+            A_LL.data[same]
+        try:
+            Dinv = np.linalg.inv(D)
+        except np.linalg.LinAlgError as exc:
+            raise Singular(f"singular local block: {exc}") from exc
+
+        block = np.arange(lidx.size).reshape(groups, k)
+        Dinv_sp = sp.csr_matrix(
+            (Dinv.ravel(),
+             (np.broadcast_to(block[:, :, None], Dinv.shape).ravel(),
+              np.broadcast_to(block[:, None, :], Dinv.shape).ravel())),
+            shape=(lidx.size, lidx.size))
+        A_I = A[iidx]
+        self._lidx, self._iidx, self._Dinv = lidx, iidx, Dinv
+        self._A_IL = A_I[:, lidx]
+        self._A_LI = A_L[:, iidx]
+        return as_csr(A_I[:, iidx] - self._A_IL @ (Dinv_sp @ self._A_LI))
+
+    def _local_solve(self, r: np.ndarray) -> np.ndarray:
+        """D^{-1} r, one small block per group."""
+        return np.matmul(self._Dinv, r.reshape(self._Dinv.shape[:2] + (1,))
+                         ).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
         self.solves += 1
-        x = self._lu.solve(b)
+        if self._lidx is None:
+            x = self._lu.solve(b)
+        else:
+            lidx, iidx = self._lidx, self._iidx
+            x = np.empty_like(b)
+            x[iidx] = self._lu.solve(
+                b[iidx] - self._A_IL @ self._local_solve(b[lidx]))
+            x[lidx] = self._local_solve(b[lidx] - self._A_LI @ x[iidx])
         if not np.all(np.isfinite(x)):
             raise Singular("non-finite solution from LU solve")
         return x
@@ -348,20 +410,22 @@ def true_residual(A, b: np.ndarray, x: np.ndarray) -> float:
 class LinearSolver:
     """Solves K x = b for a sequence of right sides under one policy.
 
-    "direct" factors K once (SuperLU); `factor` then holds the reusable LU.
-    "iterative" calls precondition(K) once and runs PCG (symmetric K) or
-    GMRES to relative tolerance tol. Reports carry the true relative
-    residual; `converged` is the Krylov method's own stopping flag.
+    "direct" factors K once (SuperLU), eliminating the cell-local unknowns
+    `local` first when given (see DirectFactor); `factor` then holds the
+    reusable LU. "iterative" calls precondition(K) once and runs PCG
+    (symmetric K) or GMRES to relative tolerance tol on all of K. Reports
+    carry the true relative residual on K; `converged` is the Krylov
+    method's own stopping flag.
     """
 
     def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
-                 symmetric: bool = False):
+                 symmetric: bool = False, local: np.ndarray | None = None):
         self.K = K
         self.tol = tol
         self.symmetric = symmetric
         self.factor = self.precon = None
         if solver == "direct":
-            self.factor = DirectFactor(K)
+            self.factor = DirectFactor(K, local)
         elif solver == "iterative":
             self.precon = precondition(K)
         else:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdarcy.cli import (CSV_HEADER, ExperimentConfig, KeyMismatch,
+from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
+                         KeyMismatch,
                          ParseError, Row, TableArtifact, ValidationError,
                          diff_tables, format_error, format_rate, main,
                          parse_config, parse_schedule_spec, parse_tol_spec,
@@ -22,6 +23,99 @@ TOL_KEYS = st.one_of(
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.just(math.nan),
                          st.just(math.inf))
+CAP = 1024
+BOOLEAN_WORDS = {"true": True, "yes": True, "1": True,
+                 "false": False, "no": False, "0": False}
+
+
+def any_case(word):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper()))
+                       for c in word)).map("".join)
+
+
+# (text, value) of a boolean config value, in any letter case
+BOOLEAN_TEXT = st.sampled_from(sorted(BOOLEAN_WORDS)).flatmap(
+    lambda w: any_case(w).map(lambda text: (text, BOOLEAN_WORDS[w])))
+
+
+@st.composite
+def schedule_specs(draw):
+    """A schedule spec within the cap and the subdivisions it stands for."""
+    kind = draw(st.sampled_from(("square", "cube_then_square", "pairs")))
+    if kind == "pairs":
+        scheds = draw(st.lists(
+            st.lists(st.integers(2, CAP), min_size=1, max_size=4,
+                     unique=True).map(sorted), min_size=1, max_size=5))
+        return "pairs:" + ",".join(":".join(map(str, s)) for s in scheds), \
+            scheds
+    levels = draw(st.integers(1, 3 if kind == "square" else 2))
+    power = 2 ** levels if kind == "square" else 3 * 2 ** (levels - 1)
+    n0 = draw(st.integers(2, max(n for n in range(2, 33) if n ** power <= CAP)))
+    subs = [n0]
+    for lvl in range(levels):
+        subs.append(subs[-1] ** (3 if kind == "cube_then_square" and lvl == 0
+                                 else 2))
+    return f"{kind}:n0={n0},levels={levels}", [subs]
+
+
+def valid_pairs(subs):
+    return (all(2 <= n <= CAP for n in subs)
+            and all(b > a for a, b in zip(subs, subs[1:])))
+
+
+BAD_SCHEDULES = st.one_of(
+    st.text(string.ascii_lowercase, min_size=1)
+    .filter(lambda k: k not in ("square", "cube_then_square", "pairs"))
+    .map(lambda k: f"{k}:n0=2,levels=1"),
+    st.lists(st.integers(-4, 2 * CAP), min_size=1, max_size=4)
+    .filter(lambda s: not valid_pairs(s))
+    .map(lambda s: "pairs:" + ":".join(map(str, s))),
+    st.tuples(st.sampled_from(("square", "cube_then_square")),
+              st.integers(-4, 40), st.integers(-3, 3))
+    .filter(lambda t: t[1] < 2 or t[2] < 1)
+    .map(lambda t: f"{t[0]}:n0={t[1]},levels={t[2]}"),
+    st.tuples(st.sampled_from(("square", "cube_then_square")),
+              st.integers(2, 40), st.integers(1, 6))
+    .filter(lambda t: t[1] ** (2 ** t[2] if t[0] == "square"
+                               else 3 * 2 ** (t[2] - 1)) > CAP)
+    .map(lambda t: f"{t[0]}:n0={t[1]},levels={t[2]}"),
+    st.sampled_from(["pairs:", "pairs:2:x", "pairs:2,,4", "square:",
+                     "square:n0=two,levels=1", "square:levels=1",
+                     "square:n0=2", "square:n0=2,levels=1,depth=3",
+                     "square:n0=2;levels=1", "cube_then_square:n0=2.5,"
+                     "levels=1"]))
+
+# (config file text, parsed value) per key
+CONFIG_VALUES = st.fixed_dictionaries({}, optional={
+    "algorithm": st.sampled_from(ALGORITHMS).map(lambda v: (v, v)),
+    "order": st.sampled_from((1, 2)).map(lambda v: (str(v), v)),
+    "solver": st.sampled_from(SOLVERS).map(lambda v: (v, v)),
+    "picard_tol": POSITIVE.map(lambda v: (repr(v), v)),
+    "linear_tol": POSITIVE.map(lambda v: (repr(v), v)),
+    "ichol_droptol": POSITIVE.map(lambda v: (repr(v), v)),
+    "schedule": schedule_specs().map(lambda t: (t[0], t[0])),
+    "out": st.text(string.ascii_letters + string.digits + "/._-",
+                   min_size=1).map(lambda v: (v, v)),
+    "dry_run": BOOLEAN_TEXT,
+})
+BAD_CONFIG_LINES = st.one_of(
+    st.text(string.ascii_lowercase + "_", min_size=1)
+    .filter(lambda k: k not in ExperimentConfig.__dataclass_fields__)
+    .map(lambda k: f"{k} = 1"),
+    st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__))
+    .map(lambda k: f"{k} 1"),
+    st.integers().filter(lambda v: v not in (1, 2)).map(
+        lambda v: f"order = {v}"),
+    st.text(string.ascii_letters, min_size=1)
+    .filter(lambda v: v not in ALGORITHMS).map(lambda v: f"algorithm={v}"),
+    st.text(string.ascii_letters, min_size=1)
+    .filter(lambda v: v not in SOLVERS).map(lambda v: f"solver={v}"),
+    st.tuples(st.sampled_from(("picard_tol", "linear_tol", "ichol_droptol")),
+              NOT_POSITIVE).map(lambda t: f"{t[0]} = {t[1]!r}"),
+    st.text(string.ascii_letters + string.digits, min_size=1)
+    .filter(lambda v: v.lower() not in BOOLEAN_WORDS)
+    .map(lambda v: f"dry_run = {v}"),
+    BAD_SCHEDULES.map(lambda v: f"schedule = {v}"))
 
 
 def same_float(a, b):
@@ -87,6 +181,50 @@ class TestConfig:
             parse_config(overrides=overrides)
 
 
+    @pytest.mark.parametrize("text,value", [("false", False), ("No", False),
+                                            ("0", False), ("true", True),
+                                            ("YES", True), ("1", True)])
+    def test_dry_run_in_config_file(self, tmp_path, text, value):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"dry_run = {text}\n")
+        assert parse_config(str(cfg_file)).dry_run is value
+
+    def test_dry_run_false_runs_the_study(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("dry_run = false\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg_file), "--schedule",
+                     "square:n0=2,levels=1", "--out", str(out)]) == 0
+        assert (out / "errors.csv").is_file()
+
+    def test_bad_dry_run_value_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("dry_run = maybe\n")
+        assert main(["run", "--config", str(cfg_file), "--dry-run"]) == 2
+        assert "dry_run" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(CONFIG_VALUES)
+    def test_config_roundtrip_property(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        path.write_text("".join(f"{k} = {text}\n"
+                                for k, (text, _) in values.items()))
+        expected = ExperimentConfig(**{k: v for k, (_, v) in values.items()})
+        assert parse_config(str(path)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(CONFIG_VALUES, BAD_CONFIG_LINES)
+    def test_bad_config_line_exits_two_property(self, tmp_path_factory,
+                                                values, bad):
+        path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+        path.write_text("".join(f"{k} = {text}\n"
+                                for k, (text, _) in values.items())
+                        + bad + "\n")
+        with pytest.raises((ParseError, ValidationError)):
+            parse_config(str(path))
+        assert main(["run", "--config", str(path), "--dry-run"]) == 2
+
+
 class TestScheduleSpec:
     def test_square(self):
         (sched,) = parse_schedule_spec("square:n0=2,levels=2")
@@ -106,6 +244,18 @@ class TestScheduleSpec:
     def test_bad_specs(self, spec):
         with pytest.raises(ValidationError):
             parse_schedule_spec(spec)
+
+    @given(schedule_specs())
+    def test_roundtrip_property(self, spec_and_subs):
+        spec, subs = spec_and_subs
+        assert [list(s) for s in parse_schedule_spec(spec)] == subs
+
+    @settings(deadline=None)
+    @given(BAD_SCHEDULES)
+    def test_malformed_specs_exit_two_property(self, spec):
+        with pytest.raises(ValidationError):
+            parse_schedule_spec(spec)
+        assert main(["run", "--dry-run", "--schedule", spec]) == 2
 
 
 class TestTableIO:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsdarcy import coupled
+from nsdarcy import coupled, sparse
 from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MeshMismatch,
                                MultilevelStepFailed, NSStep, advance_level,
@@ -266,3 +266,57 @@ class TestTrueResiduals:
             assert report.solver_reports[0].method == "direct"
             assert {r.method for r in report.solver_reports[1:]} == {"gmres"}
         assert_true_residuals(report.solver_reports, solves)
+
+
+@pytest.fixture
+def superlu_inputs(monkeypatch):
+    """(matrix given to LinearSolver, matrix given to SuperLU) of every
+    direct factorization."""
+    pairs, given = [], []
+    orig_init, orig_splu = LinearSolver.__init__, sparse.spla.splu
+
+    def init(self, K, *args, **kwargs):
+        given.append(K)
+        orig_init(self, K, *args, **kwargs)
+
+    def splu(A, *args, **kwargs):
+        pairs.append((given[-1], A))
+        return orig_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(LinearSolver, "__init__", init)
+    monkeypatch.setattr(sparse.spla, "splu", splu)
+    return pairs
+
+
+class TestBubbleCondensation:
+    def test_mini_factors_exclude_the_bubbles(self, superlu_inputs, solves,
+                                              params, mms):
+        cm = build_coupled_mesh(8)
+        state, _ = solve_coupled(cm, 1, params, mms)
+        spaces = build_spaces(cm, 1)
+        ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
+                    state.velocity)
+        bubbles = 2 * cm.fluid.num_cells
+        assert len(superlu_inputs) == 2   # Picard's first iterate, NS step
+        for K, A in superlu_inputs:
+            assert A.shape[0] == K.shape[0] - bubbles
+        assert ns.linear.factor._lu.shape[0] == ns.K.shape[0] - bubbles
+        solves.clear()
+        u, _, rep = ns.solve_newton(state.head)
+        (K, b, x, _), = solves
+        assert K.shape == ns.K.shape and x.shape == b.shape
+        assert_true_residuals([rep], solves)
+
+    def test_taylor_hood_and_darcy_factor_the_given_matrix(
+            self, superlu_inputs, params, mms):
+        cm = build_coupled_mesh(4)
+        state, _ = solve_coupled(cm, 2, params, mms)
+        spaces = build_spaces(cm, 2)
+        NSStep(spaces.velocity, spaces.pressure, params, mms, state.velocity)
+        DarcyStep(build_spaces(cm, 1).head, params, mms)
+        assert len(superlu_inputs) == 3
+        for K, A in superlu_inputs:
+            K = K.tocsc()
+            assert A.shape == K.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A, attr), getattr(K, attr))

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from nsdarcy import forms
 from nsdarcy.coupled import build_spaces, dirichlet_data
-from nsdarcy.fem import P1, build_dofmap, interpolate
+from nsdarcy.fem import P1, build_dofmap, cell_bubbles, interpolate
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
@@ -280,3 +280,57 @@ class TestLinearSolver:
         A = sp.eye(3, format="csr")
         assert true_residual(A, np.zeros(3), np.zeros(3)) == 0.0
         assert true_residual(A, np.zeros(3), np.ones(3)) == np.sqrt(3.0)
+
+
+def local_group_system(rng, n=40, groups=8, k=2):
+    """Random nonsymmetric system whose `local` unknowns couple with each
+    other only inside their own group, as the Mini bubbles of one cell do."""
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    M += n * np.eye(n)
+    local = rng.permutation(n)[:groups * k].reshape(groups, k)
+    group = np.full(n, -1)
+    group[local.ravel()] = np.repeat(np.arange(groups), k)
+    M[(group[:, None] >= 0) & (group[None, :] >= 0)
+      & (group[:, None] != group[None, :])] = 0.0
+    return M, local
+
+
+class TestCondensedFactor:
+    def test_matches_uncondensed_solve(self, rng):
+        M, local = local_group_system(rng)
+        A = sp.csr_matrix(M)
+        b = rng.standard_normal(M.shape[0])
+        f = DirectFactor(A, local)
+        assert f.shape == A.shape
+        assert f._lu.shape == (M.shape[0] - local.size,) * 2
+        x = f.solve(b)
+        ref = DirectFactor(A).solve(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(f.apply(b) - x).max() == 0.0
+
+    @pytest.mark.parametrize("defect", ["cross_group", "listed_twice"])
+    def test_rejects_local_unknowns_that_are_not_local(self, rng, defect):
+        M, local = local_group_system(rng)
+        if defect == "cross_group":
+            M[local[0, 0], local[1, 1]] = 1.0
+        else:
+            local[1, 0] = local[0, 0]
+        with pytest.raises(ValueError):
+            DirectFactor(sp.csr_matrix(M), local)
+
+    def test_singular_local_block_raises(self, rng):
+        M, local = local_group_system(rng)
+        M[np.ix_(local[2], local[2])] = 1.0
+        with pytest.raises(Singular, match="local block"):
+            DirectFactor(sp.csr_matrix(M), local)
+
+    def test_mini_coupled_system_factors_without_bubbles(self, params, mms):
+        K, rhs, *_ = coupled_system(4, params, mms)
+        dv = build_spaces(build_coupled_mesh(4), order=1).velocity
+        linear = LinearSolver(K, "direct", local=cell_bubbles(dv))
+        assert linear.factor._lu.shape[0] == K.shape[0] - 2 * dv.mesh.num_cells
+        x, rep = linear.solve(rhs)
+        assert x.shape == rhs.shape
+        assert rep.final_residual == pytest.approx(
+            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+        assert np.abs(x - direct_solve(K, rhs)).max() <= 1e-10 * np.abs(x).max()
