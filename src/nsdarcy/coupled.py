@@ -112,11 +112,11 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     dv, dq, dphi = spaces
     nv, nq_, nphi = dv.ndof, dq.ndof, dphi.ndof
 
-    A_f = forms.assemble_af(coupled_mesh.fluid, dv, params)
-    B = forms.assemble_b(coupled_mesh.fluid, dv, dq)
+    A_f = forms.assemble_af(dv, params)
+    B = forms.assemble_b(dv, dq)
     C_vphi, C_phiu = forms.assemble_interface_coupling(
         coupled_mesh, dv, dphi, params)
-    A_p = forms.assemble_ap(coupled_mesh.porous, dphi, params)
+    A_p = forms.assemble_ap(dphi, params)
     rho_g = params.rho * params.gravity
     rhs0 = np.concatenate([
         forms.assemble_volume_load(dv, mms.f_fluid),

@@ -35,7 +35,7 @@ from .fem import DiscreteField, DofMap, cell_bubbles, interpolate
 from .mesh import CoupledMesh, build_coupled_mesh
 from .mms import error_norms
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
-                     constrain_matrix, constrain_rhs, ichol)
+                     constrain_dirichlet, ichol)
 
 
 class AlgorithmId(enum.Enum):
@@ -78,6 +78,16 @@ class MultilevelRun:
         return [lv.final for lv in self.levels]
 
 
+def _pin(load: np.ndarray, lift: np.ndarray, dofs: np.ndarray,
+         values: np.ndarray) -> np.ndarray:
+    """constrain_rhs(A, load, dofs, values) from the stored lift -A x0,
+    which is constrain_rhs of a zero load: load + (-A x0) equals
+    load - A x0 bitwise, so A need not be kept."""
+    out = load + lift
+    out[dofs] = values
+    return out
+
+
 class DarcyStep:
     """Porous subproblem a_p(phi, psi) = rho g (f_p, psi)
     + rho g (psi, u_src . n_f)_Gamma with outer Dirichlet data; the matrix is
@@ -90,14 +100,15 @@ class DarcyStep:
         self.dofmap = dofmap_phi
         self.params = params
         rho_g = params.rho * params.gravity
-        self.A = forms.assemble_ap(dofmap_phi.mesh, dofmap_phi, params)
         self.volume = forms.assemble_volume_load(dofmap_phi, mms.f_porous,
                                                  weight=rho_g)
         self.bc_dofs = dofmap_phi.dirichlet_dofs
         self.bc_values = interpolate(mms.head, dofmap_phi) \
             .coefficients[self.bc_dofs]
-        self.linear = LinearSolver(constrain_matrix(self.A, self.bc_dofs),
-                                   solver, linear_tol,
+        K, self.lift = constrain_dirichlet(
+            forms.assemble_ap(dofmap_phi, params), np.zeros(dofmap_phi.ndof),
+            self.bc_dofs, self.bc_values)
+        self.linear = LinearSolver(K, solver, linear_tol,
                                    lambda K: ichol(K, droptol),
                                    symmetric=True)
 
@@ -105,7 +116,7 @@ class DarcyStep:
         rhs = self.volume + forms.assemble_interface_load_darcy(
             self.dofmap, velocity_source, self.params)
         x, rep = self.linear.solve(
-            constrain_rhs(self.A, rhs, self.bc_dofs, self.bc_values))
+            _pin(rhs, self.lift, self.bc_dofs, self.bc_values))
         return DiscreteField(self.dofmap, x), rep
 
 
@@ -123,11 +134,12 @@ class NSStep:
         self.params = params
         self.a = linearization_state
 
-        A_f = forms.assemble_af(dofmap_v.mesh, dofmap_v, params)
-        self.B = forms.assemble_b(dofmap_v.mesh, dofmap_v, dofmap_q)
         N, self.newton_load = forms.assemble_convection(
             dofmap_v, linearization_state, forms.ConvectionMode.NEWTON, params)
-        self.K = sp.bmat([[A_f + N, self.B.T], [self.B, None]], format="csr")
+        B = forms.assemble_b(dofmap_v, dofmap_q)
+        K = sp.bmat([[forms.assemble_af(dofmap_v, params) + N, B.T],
+                     [B, None]], format="csr")
+        del N, B   # only the constrained matrix outlives the set-up
         self.volume = forms.assemble_volume_load(dofmap_v, mms.f_fluid)
         nv = dofmap_v.ndof
         vd = dofmap_v.dirichlet_dofs
@@ -135,8 +147,10 @@ class NSStep:
         self.bc_dofs = np.concatenate([vd, vd + nv])
         self.bc_values = np.concatenate([vel.coefficients[vd],
                                          vel.coefficients[vd + nv]])
+        K, self.lift = constrain_dirichlet(K, np.zeros(K.shape[0]),
+                                           self.bc_dofs, self.bc_values)
         self.linear = LinearSolver(
-            constrain_matrix(self.K, self.bc_dofs), solver, linear_tol,
+            K, solver, linear_tol,
             lambda K: BlockTriangularPreconditioner(
                 K, 2 * nv, dofmap_q.ndof,
                 forms.assemble_mass(dofmap_q).diagonal(), params.nu,
@@ -146,7 +160,7 @@ class NSStep:
     def _solve(self, rhs_v: np.ndarray):
         rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])
         x, rep = self.linear.solve(
-            constrain_rhs(self.K, rhs, self.bc_dofs, self.bc_values))
+            _pin(rhs, self.lift, self.bc_dofs, self.bc_values))
         nv2 = 2 * self.dv.ndof
         return (DiscreteField(self.dv, x[:nv2].copy()),
                 DiscreteField(self.dq, x[nv2:].copy()), rep)

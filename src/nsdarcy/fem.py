@@ -77,11 +77,6 @@ def ref_basis_many(family: ElementFamily, bary: np.ndarray):
     raise ValueError(f"unknown element family {tag}")
 
 
-def ref_basis(family: ElementFamily, bary):
-    vals, grads = ref_basis_many(family, np.asarray(bary, float).reshape(1, 3))
-    return vals[:, 0], grads[:, 0, :]
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     points: np.ndarray   # (nq, 3) barycentric for triangles, (nq,) in [0,1] for edges
@@ -175,15 +170,16 @@ def quad_rule_edge(npts: int) -> QuadratureRule:
                           degree=2 * npts - 1)
 
 
-# Barycentric coordinates along local edge k at parameter t in [0, 1], walking
-# the edge in the cell's counterclockwise vertex order.
-def edge_bary(local_edge: int, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (3,))
-    i = int(local_edge)
-    out[..., i] = 1.0 - t
-    out[..., (i + 1) % 3] = t
-    return out
+def edge_bary(local_edge, t) -> np.ndarray:
+    """Barycentric coordinates (..., nq, 3) at parameters t (..., nq) in
+    [0, 1] along local edge k, walking the edge in the cell's
+    counterclockwise vertex order; local_edge is one index or an array of
+    them, one per row of t."""
+    t = np.asarray(t, dtype=float)[..., None]
+    k = np.asarray(local_edge)[..., None, None]
+    corner = np.arange(3)
+    return (np.where(corner == k, 1.0 - t, 0.0)
+            + np.where(corner == (k + 1) % 3, t, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,9 +332,6 @@ class DiscreteField:
             out[:, d, :] = np.einsum(
                 "ml,lme->me", self.component_view(d)[dofs], gphys)
         return out
-
-    def eval(self, p):
-        return self.eval_many(np.asarray(p, float).reshape(1, 2))[0]
 
 
 def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:

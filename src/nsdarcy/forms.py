@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DiscreteField, DofMap, _inverse_transpose, edge_bary,
-                  quad_rule_edge, quad_rule_tri, ref_basis_many)
+from .fem import (DiscreteField, DofMap, QuadratureRule, _inverse_transpose,
+                  edge_bary, quad_rule_edge, quad_rule_tri, ref_basis_many)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
 
 EDGE_QUAD_POINTS = 5
@@ -68,142 +69,174 @@ def assembly_degree(family_tag: str) -> int:
     return 6 if family_tag == "P2" else 5
 
 
-def _geometry(mesh: TriMesh):
-    verts = mesh.vertices[mesh.cells]                       # (nc, 3, 2)
+@dataclass(frozen=True, eq=False)
+class CellRule:
+    """Quadrature on every cell of a dof map's mesh: rule weights (nq,),
+    det (nc,), the family's reference values (nloc, nq) and gradients
+    (nloc, nq, 2), J^{-T} (nc, 2, 2); physical points and basis gradients
+    are built on first use."""
+    dofmap: DofMap
+    quad: QuadratureRule
+    weights: np.ndarray
+    det: np.ndarray
+    vals: np.ndarray
+    gref: np.ndarray
+    jinv_t: np.ndarray
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Physical quadrature points (nc, nq, 2)."""
+        mesh = self.dofmap.mesh
+        return np.einsum("qk,ckd->cqd", self.quad.points,
+                         mesh.vertices[mesh.cells])
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Physical basis gradients (nc, nloc, nq, 2)."""
+        return np.einsum("cde,lqe->clqd", self.jinv_t, self.gref)
+
+
+def cell_rule(dofmap: DofMap, degree: int | None = None) -> CellRule:
+    """The rule of the given degree (default: assembly_degree) on the cells
+    of dofmap's mesh; every cell map is affine."""
+    quad = quad_rule_tri(degree or assembly_degree(dofmap.family.tag))
+    verts = dofmap.mesh.vertices[dofmap.mesh.cells]         # (nc, 3, 2)
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    return _inverse_transpose(verts), det
-
-
-def _basis_and_grads(dofmap: DofMap, quad):
-    """Scalar basis values (nloc, nq) and physical gradients (nc, nloc, nq, 2)."""
     vals, gref = ref_basis_many(dofmap.family, quad.points)
-    jinv_t, det = _geometry(dofmap.mesh)
-    gphys = np.einsum("cde,lqe->clqd", jinv_t, gref)
-    return vals, gphys, det
+    return CellRule(dofmap=dofmap, quad=quad, weights=quad.weights,
+                    det=e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0],
+                    vals=vals, gref=gref, jinv_t=_inverse_transpose(verts))
 
 
-def _quad_points(mesh: TriMesh, quad) -> np.ndarray:
-    """Physical quadrature point coordinates, shape (nc, nq, 2)."""
-    verts = mesh.vertices[mesh.cells]
-    return np.einsum("qk,ckd->cqd", quad.points, verts)
+@dataclass(frozen=True, eq=False)
+class EdgeRule:
+    """Gauss rule on a list of boundary edges: adjacent cells (ne,), the
+    cell basis values (ne, nloc, nq), weights (nq,) and edge lengths (ne,),
+    whose product is the line measure, and physical points (ne, nq, 2)."""
+    cells: np.ndarray
+    vals: np.ndarray
+    weights: np.ndarray
+    length: np.ndarray
+    points: np.ndarray
 
 
-def _scatter(dofmap: DofMap, local: np.ndarray, shape) -> sp.csr_matrix:
-    rows = np.broadcast_to(dofmap.cell_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(dofmap.cell_dofs[:, None, :], local.shape)
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+def edge_rule(dofmap: DofMap, edges: np.ndarray, t=None) -> EdgeRule:
+    """EDGE_QUAD_POINTS-point Gauss rule on the given boundary edges of
+    dofmap's mesh. Given per-edge parameters t (ne, nq) in [0, 1] along each
+    edge's stored orientation, basis values and points are taken there
+    instead of at the Gauss points; the weights stay the Gauss weights."""
+    mesh = dofmap.mesh
+    erule = quad_rule_edge(EDGE_QUAD_POINTS)
+    t = erule.points if t is None else t
+    verts = mesh.vertices[mesh.edge_vertices[edges]]          # (ne, 2, 2)
+    v0, d = verts[:, 0], verts[:, 1] - verts[:, 0]
+    bary = edge_bary(mesh.edge_local[edges], t)               # (ne, nq, 3)
+    vals, _ = ref_basis_many(dofmap.family, bary.reshape(-1, 3))
+    return EdgeRule(
+        cells=mesh.edge_cells[edges],
+        vals=vals.reshape(vals.shape[:1] + bary.shape[:2]).transpose(1, 0, 2),
+        weights=erule.weights, length=np.linalg.norm(d, axis=1),
+        points=v0[:, None] + np.asarray(t)[..., None] * d[:, None])
+
+
+def _interface_edges(mesh: TriMesh) -> np.ndarray:
+    return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
+
+
+def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray,
+             shape) -> sp.csr_matrix:
+    """Sum the blocks local[..., i, j] into entries (rows[..., i],
+    cols[..., j])."""
+    r = np.broadcast_to(rows[..., :, None], local.shape)
+    c = np.broadcast_to(cols[..., None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (r.ravel(), c.ravel())),
                          shape=shape).tocsr()
+
+
+def _load(n: int, dofs: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Length-n vector summing local[..., i] into entry dofs[..., i], in
+    order."""
+    return np.bincount(dofs.ravel(), local.ravel(), minlength=n)
+
+
+def _cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
+    """Entries weight * (f_e, basis_i) for the components f_e (nc, nq) in
+    fields, stacked one block of ndof per component."""
+    dm = rule.dofmap
+    local = [weight * np.einsum("q,c,iq,cq->ci", rule.weights, rule.det,
+                                rule.vals, f) for f in fields]
+    dofs = [dm.cell_dofs + e * dm.ndof for e in range(len(fields))]
+    return _load(len(fields) * dm.ndof, np.concatenate(dofs),
+                 np.concatenate(local))
 
 
 def _symmetrize(A: sp.csr_matrix) -> sp.csr_matrix:
     return (0.5 * (A + A.T)).tocsr()
 
 
-def assemble_ap(mesh_p: TriMesh, dofmap_phi: DofMap, params: ModelParams,
-                degree: int | None = None) -> sp.csr_matrix:
+def assemble_ap(dofmap_phi: DofMap, params: ModelParams) -> sp.csr_matrix:
     """Darcy stiffness (rho g / n) K (grad phi_j, grad phi_i); symmetric."""
-    quad = quad_rule_tri(degree or assembly_degree(dofmap_phi.family.tag))
-    _, gphys, det = _basis_and_grads(dofmap_phi, quad)
+    rule = cell_rule(dofmap_phi)
     loc = params.darcy_coefficient * np.einsum(
-        "q,c,ciqd,cjqd->cij", quad.weights, det, gphys, gphys)
-    n = dofmap_phi.ndof
-    return _symmetrize(_scatter(dofmap_phi, loc, (n, n)))
+        "q,c,ciqd,cjqd->cij", rule.weights, rule.det, rule.grads, rule.grads)
+    cd, n = dofmap_phi.cell_dofs, dofmap_phi.ndof
+    return _symmetrize(_scatter(cd, cd, loc, (n, n)))
 
 
-def assemble_af(mesh_f: TriMesh, dofmap_v: DofMap, params: ModelParams,
-                degree: int | None = None) -> sp.csr_matrix:
+def assemble_af(dofmap_v: DofMap, params: ModelParams) -> sp.csr_matrix:
     """Viscous block nu (grad u, grad v) plus the slip penalty on the
     interface, nu alpha/sqrt(nu K) (u.tau)(v.tau); block-diagonal over the
     two velocity components, tangential term on component 0 only."""
-    quad = quad_rule_tri(degree or assembly_degree(dofmap_v.family.tag))
-    _, gphys, det = _basis_and_grads(dofmap_v, quad)
-    loc = params.nu * np.einsum("q,c,ciqd,cjqd->cij",
-                                quad.weights, det, gphys, gphys)
-    nd = dofmap_v.ndof
-    rows = np.broadcast_to(dofmap_v.cell_dofs[:, :, None], loc.shape).ravel()
-    cols = np.broadcast_to(dofmap_v.cell_dofs[:, None, :], loc.shape).ravel()
-    data = np.concatenate([loc.ravel(), loc.ravel()])
-    i_idx = np.concatenate([rows, rows + nd])
-    j_idx = np.concatenate([cols, cols + nd])
-
-    erule = quad_rule_edge(EDGE_QUAD_POINTS)
-    coeff = params.bjs_coefficient
-    mesh = dofmap_v.mesh
-    ebits = []
-    for e in np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]:
-        cell = mesh.edge_cells[e]
-        bary = edge_bary(mesh.edge_local[e], erule.points)
-        vals, _ = ref_basis_many(dofmap_v.family, bary)     # (nloc, nq)
-        v0, v1 = mesh.vertices[mesh.edge_vertices[e]]
-        length = np.linalg.norm(v1 - v0)
-        mloc = coeff * length * np.einsum("q,iq,jq->ij", erule.weights,
-                                          vals, vals)
-        dofs = dofmap_v.cell_dofs[cell]
-        er = np.broadcast_to(dofs[:, None], mloc.shape).ravel()
-        ec = np.broadcast_to(dofs[None, :], mloc.shape).ravel()
-        ebits.append((er, ec, mloc.ravel()))
-    if ebits:
-        i_idx = np.concatenate([i_idx] + [b[0] for b in ebits])
-        j_idx = np.concatenate([j_idx] + [b[1] for b in ebits])
-        data = np.concatenate([data] + [b[2] for b in ebits])
-
-    A = sp.coo_matrix((data, (i_idx, j_idx)), shape=(2 * nd, 2 * nd)).tocsr()
+    rule = cell_rule(dofmap_v)
+    loc = params.nu * np.einsum("q,c,ciqd,cjqd->cij", rule.weights,
+                                rule.det, rule.grads, rule.grads)
+    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    slip = (params.bjs_coefficient * edges.length)[:, None, None] \
+        * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
+    cd, nd = dofmap_v.cell_dofs, dofmap_v.ndof
+    dofs = np.concatenate([cd, cd + nd, cd[edges.cells]])
+    A = _scatter(dofs, dofs, np.concatenate([loc, loc, slip]),
+                 (2 * nd, 2 * nd))
     return _symmetrize(A)
 
 
-def assemble_b(mesh_f: TriMesh, dofmap_v: DofMap, dofmap_q: DofMap,
-               degree: int | None = None) -> sp.csr_matrix:
+def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
     """Divergence constraint, entry (q_i, v_j) = -(q_i, d v_j / d x_d)."""
-    quad = quad_rule_tri(degree or assembly_degree(dofmap_v.family.tag))
-    qvals, _ = ref_basis_many(dofmap_q.family, quad.points)
-    _, gphys, det = _basis_and_grads(dofmap_v, quad)
+    rule = cell_rule(dofmap_v)
+    qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
     # loc[c, i, j, d] for pressure i, velocity j, component d
-    loc = -np.einsum("q,c,iq,cjqd->cijd", quad.weights, det, qvals, gphys)
-    nq_, nv = dofmap_q.ndof, dofmap_v.ndof
-    rows = np.broadcast_to(dofmap_q.cell_dofs[:, :, None], loc.shape[:3])
-    cols = np.broadcast_to(dofmap_v.cell_dofs[:, None, :], loc.shape[:3])
-    i_idx = np.concatenate([rows.ravel(), rows.ravel()])
-    j_idx = np.concatenate([cols.ravel(), cols.ravel() + nv])
-    data = np.concatenate([loc[..., 0].ravel(), loc[..., 1].ravel()])
-    return sp.coo_matrix((data, (i_idx, j_idx)),
-                         shape=(nq_, 2 * nv)).tocsr()
+    loc = -np.einsum("q,c,iq,cjqd->cijd", rule.weights, rule.det, qvals,
+                     rule.grads)
+    cq, cv, nv = dofmap_q.cell_dofs, dofmap_v.cell_dofs, dofmap_v.ndof
+    return _scatter(np.concatenate([cq, cq]), np.concatenate([cv, cv + nv]),
+                    np.concatenate([loc[..., 0], loc[..., 1]]),
+                    (dofmap_q.ndof, 2 * nv))
 
 
 def assemble_mass(dofmap: DofMap, degree: int | None = None) -> sp.csr_matrix:
-    quad = quad_rule_tri(degree or assembly_degree(dofmap.family.tag))
-    vals, _ = ref_basis_many(dofmap.family, quad.points)
-    _, det = _geometry(dofmap.mesh)
-    loc = np.einsum("q,c,iq,jq->cij", quad.weights, det, vals, vals)
-    n = dofmap.ndof
-    return _symmetrize(_scatter(dofmap, loc, (n, n)))
+    rule = cell_rule(dofmap, degree)
+    loc = np.einsum("q,c,iq,jq->cij", rule.weights, rule.det, rule.vals,
+                    rule.vals)
+    cd, n = dofmap.cell_dofs, dofmap.ndof
+    return _symmetrize(_scatter(cd, cd, loc, (n, n)))
 
 
-def _same_mesh(field: DiscreteField, mesh: TriMesh) -> bool:
-    fm = field.dofmap.mesh
-    return fm is mesh or (fm.n == mesh.n and fm.subdomain is mesh.subdomain
-                          and fm.origin == mesh.origin)
-
-
-def _state_on_quad(field: DiscreteField, mesh: TriMesh, quad,
-                   phys: np.ndarray, want_grad: bool):
+def _state_on_quad(field: DiscreteField, rule: CellRule, want_grad: bool):
     """Velocity state values (nc, nq, 2) and gradients (nc, nq, 2, 2) at the
-    target quadrature points; same-mesh states are evaluated directly, coarse
-    states through point location."""
-    nc, nq = phys.shape[:2]
-    if _same_mesh(field, mesh):
-        dm = field.dofmap
-        vals, gref = ref_basis_many(dm.family, quad.points)
+    rule's points; a state of the rule's own space is evaluated with the
+    rule's basis, any other through point location."""
+    dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh
+    if dm.family == rule.dofmap.family and (fm is mesh or (
+            fm.n == mesh.n and fm.subdomain is mesh.subdomain
+            and fm.origin == mesh.origin)):
         gathered = field.coefficients.reshape(2, -1)[:, dm.cell_dofs]  # (2,nc,nl)
-        v = np.einsum("dcl,lq->cqd", gathered, vals)
+        v = np.einsum("dcl,lq->cqd", gathered, rule.vals)
         if not want_grad:
             return v, None
-        jinv_t, _ = _geometry(mesh)
-        gphys = np.einsum("cde,lqe->clqd", jinv_t, gref)
-        g = np.einsum("ecl,clqd->cqed", gathered, gphys)
-        return v, g
-    flat = phys.reshape(-1, 2)
+        return v, np.einsum("ecl,clqd->cqed", gathered, rule.grads)
+    nc, nq = rule.points.shape[:2]
+    flat = rule.points.reshape(-1, 2)
     v = field.eval_many(flat).reshape(nc, nq, 2)
     g = field.eval_grad_many(flat).reshape(nc, nq, 2, 2) if want_grad else None
     return v, g
@@ -219,44 +252,30 @@ def assemble_convection(dofmap_v: DofMap, state: DiscreteField,
     with entries c(state, state, basis_i) as the second element (PLAIN
     returns None there).
     """
-    mesh = dofmap_v.mesh
-    quad = quad_rule_tri(degree or assembly_degree(dofmap_v.family.tag))
-    vals, gphys, det = _basis_and_grads(dofmap_v, quad)
-    phys = _quad_points(mesh, quad)
+    rule = cell_rule(dofmap_v, degree)
     newton = mode is ConvectionMode.NEWTON
-    a_vals, a_grads = _state_on_quad(state, mesh, quad, phys, want_grad=newton)
-    rho = params.rho
-    nd = dofmap_v.ndof
+    a_vals, a_grads = _state_on_quad(state, rule, want_grad=newton)
+    w, det, vals, rho = rule.weights, rule.det, rule.vals, params.rho
 
-    # (a . grad basis_j, basis_i), identical on both diagonal blocks
-    n1 = rho * np.einsum("q,c,iq,cjqd,cqd->cij",
-                         quad.weights, det, vals, gphys, a_vals)
-    rows = np.broadcast_to(dofmap_v.cell_dofs[:, :, None], n1.shape).ravel()
-    cols = np.broadcast_to(dofmap_v.cell_dofs[:, None, :], n1.shape).ravel()
-    i_idx = [rows, rows + nd]
-    j_idx = [cols, cols + nd]
-    data = [n1.ravel(), n1.ravel()]
-
+    # (a . grad basis_j, basis_i), identical on both diagonal blocks;
+    # blocks are (row component, column component, local matrices)
+    n1 = rho * np.einsum("q,c,iq,cjqd,cqd->cij", w, det, vals, rule.grads,
+                         a_vals)
+    blocks = [(0, 0, n1), (1, 1, n1)]
     load = None
     if newton:
         # (basis_j . grad state_e, basis_i): couples the components
-        for e in range(2):
-            for d in range(2):
-                n2 = rho * np.einsum("q,c,iq,jq,cq->cij", quad.weights, det,
-                                     vals, vals, a_grads[:, :, e, d])
-                i_idx.append(rows + e * nd)
-                j_idx.append(cols + d * nd)
-                data.append(n2.ravel())
-        load = np.zeros(2 * nd)
+        blocks += [(e, d, rho * np.einsum("q,c,iq,jq,cq->cij", w, det, vals,
+                                          vals, a_grads[:, :, e, d]))
+                   for e in range(2) for d in range(2)]
         conv = np.einsum("cqd,cqed->cqe", a_vals, a_grads)  # (a.grad)a
-        for e in range(2):
-            le = rho * np.einsum("q,c,iq,cq->ci",
-                                 quad.weights, det, vals, conv[:, :, e])
-            np.add.at(load, dofmap_v.cell_dofs + e * nd, le)
+        load = _cell_load(rule, rho, (conv[:, :, 0], conv[:, :, 1]))
 
-    N = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(i_idx), np.concatenate(j_idx))),
-                      shape=(2 * nd, 2 * nd)).tocsr()
+    cd, nd = dofmap_v.cell_dofs, dofmap_v.ndof
+    N = _scatter(np.concatenate([cd + e * nd for e, _, _ in blocks]),
+                 np.concatenate([cd + d * nd for _, d, _ in blocks]),
+                 np.concatenate([loc for _, _, loc in blocks]),
+                 (2 * nd, 2 * nd))
     return N, load
 
 
@@ -265,41 +284,25 @@ def assemble_correction_load(dofmap_v: DofMap, coarse_state: DiscreteField,
                              degree: int | None = None) -> np.ndarray:
     """Load with entries c(a, s, v_i) + c(s, a - s, v_i) for the correction
     solve; a = coarse_state (evaluated cross-mesh), s = intermediate."""
-    mesh = dofmap_v.mesh
-    quad = quad_rule_tri(degree or assembly_degree(dofmap_v.family.tag))
-    vals, _, det = _basis_and_grads(dofmap_v, quad)
-    phys = _quad_points(mesh, quad)
-    a_vals, a_grads = _state_on_quad(coarse_state, mesh, quad, phys, True)
-    s_vals, s_grads = _state_on_quad(intermediate, mesh, quad, phys, True)
-
+    rule = cell_rule(dofmap_v, degree)
+    a_vals, a_grads = _state_on_quad(coarse_state, rule, True)
+    s_vals, s_grads = _state_on_quad(intermediate, rule, True)
     integrand = (np.einsum("cqd,cqed->cqe", a_vals, s_grads)
                  + np.einsum("cqd,cqed->cqe", s_vals, a_grads - s_grads))
-    nd = dofmap_v.ndof
-    load = np.zeros(2 * nd)
-    for e in range(2):
-        le = params.rho * np.einsum("q,c,iq,cq->ci", quad.weights, det,
-                                    vals, integrand[:, :, e])
-        np.add.at(load, dofmap_v.cell_dofs + e * nd, le)
-    return load
+    return _cell_load(rule, params.rho, (integrand[:, :, 0],
+                                         integrand[:, :, 1]))
 
 
 def trilinear_c(a: DiscreteField, v: DiscreteField, w: DiscreteField,
                 params: ModelParams, degree: int = 5) -> float:
     """Quadrature value of c(a, v, w) = rho ((a.grad) v, w) on v's mesh."""
-    mesh = v.dofmap.mesh
-    quad = quad_rule_tri(degree)
-    _, det = _geometry(mesh)
-    phys = _quad_points(mesh, quad)
-    a_vals, _ = _state_on_quad(a, mesh, quad, phys, False)
-    _, v_grads = _state_on_quad(v, mesh, quad, phys, True)
-    w_vals, _ = _state_on_quad(w, mesh, quad, phys, False)
+    rule = cell_rule(v.dofmap, degree)
+    a_vals, _ = _state_on_quad(a, rule, False)
+    _, v_grads = _state_on_quad(v, rule, True)
+    w_vals, _ = _state_on_quad(w, rule, False)
     conv = np.einsum("cqd,cqed->cqe", a_vals, v_grads)
     return params.rho * float(np.einsum("q,c,cqe,cqe->",
-                                        quad.weights, det, conv, w_vals))
-
-
-def _interface_edges(mesh: TriMesh) -> np.ndarray:
-    return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
+                                        rule.weights, rule.det, conv, w_vals))
 
 
 def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
@@ -307,32 +310,19 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
     """Skew coupling pair: C_vphi with entries rho g (phi_j, v_i . n_f)_Gamma
     and C_phiu = -C_vphi^T (entrywise, so the quadratic form cancels
     exactly). With n_f = (0, -1) only vertical velocity dofs appear."""
-    fluid, porous = coupled_mesh.fluid, coupled_mesh.porous
-    erule = quad_rule_edge(EDGE_QUAD_POINTS)
-    rho_g = params.rho * params.gravity
-    nd = dofmap_v.ndof
-    i_idx, j_idx, data = [], [], []
-    for ef, ep in coupled_mesh.interface_pairs:
-        fv = fluid.vertices[fluid.edge_vertices[ef]]
-        pv = porous.vertices[porous.edge_vertices[ep]]
-        length = np.linalg.norm(fv[1] - fv[0])
-        x_q = fv[0, 0] + erule.points * (fv[1, 0] - fv[0, 0])
-        s_q = (x_q - pv[0, 0]) / (pv[1, 0] - pv[0, 0])
-        fbary = edge_bary(fluid.edge_local[ef], erule.points)
-        pbary = edge_bary(porous.edge_local[ep], s_q)
-        v_vals, _ = ref_basis_many(dofmap_v.family, fbary)
-        phi_vals, _ = ref_basis_many(dofmap_phi.family, pbary)
-        # v . n_f = -v_y
-        mloc = -rho_g * length * np.einsum("q,iq,jq->ij", erule.weights,
-                                           v_vals, phi_vals)
-        vd = dofmap_v.cell_dofs[fluid.edge_cells[ef]] + nd
-        pd = dofmap_phi.cell_dofs[porous.edge_cells[ep]]
-        i_idx.append(np.broadcast_to(vd[:, None], mloc.shape).ravel())
-        j_idx.append(np.broadcast_to(pd[None, :], mloc.shape).ravel())
-        data.append(mloc.ravel())
-    C_vphi = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(i_idx), np.concatenate(j_idx))),
-        shape=(2 * nd, dofmap_phi.ndof)).tocsr()
+    ef, ep = np.array(coupled_mesh.interface_pairs).reshape(-1, 2).T
+    fluid = edge_rule(dofmap_v, ef)
+    # the porous edges run the other way: take their parameter from x
+    porous = coupled_mesh.porous
+    pv = porous.vertices[porous.edge_vertices[ep], 0]             # (ne, 2)
+    s = (fluid.points[..., 0] - pv[:, :1]) / (pv[:, 1:] - pv[:, :1])
+    head = edge_rule(dofmap_phi, ep, s)
+    # v . n_f = -v_y
+    loc = (-params.rho * params.gravity * fluid.length)[:, None, None] \
+        * np.einsum("q,eiq,ejq->eij", fluid.weights, fluid.vals, head.vals)
+    C_vphi = _scatter(dofmap_v.cell_dofs[fluid.cells] + dofmap_v.ndof,
+                      dofmap_phi.cell_dofs[head.cells], loc,
+                      (2 * dofmap_v.ndof, dofmap_phi.ndof))
     C_phiu = (-C_vphi.T).tocsr()
     return C_vphi, C_phiu
 
@@ -342,63 +332,34 @@ def assemble_interface_load_darcy(dofmap_phi: DofMap,
                                   params: ModelParams) -> np.ndarray:
     """Entries rho g (psi_i, u_src . n_f)_Gamma; the source velocity lives on
     a fluid mesh (any level) and is evaluated at the edge quadrature points."""
-    mesh = dofmap_phi.mesh
-    erule = quad_rule_edge(EDGE_QUAD_POINTS)
-    rho_g = params.rho * params.gravity
-    load = np.zeros(dofmap_phi.ndof)
-    for e in _interface_edges(mesh):
-        v0, v1 = mesh.vertices[mesh.edge_vertices[e]]
-        length = np.linalg.norm(v1 - v0)
-        bary = edge_bary(mesh.edge_local[e], erule.points)
-        vals, _ = ref_basis_many(dofmap_phi.family, bary)
-        phys = v0 + erule.points[:, None] * (v1 - v0)
-        u = velocity_source.eval_many(phys)
-        flux = -u[:, 1]  # u . n_f
-        le = rho_g * length * np.einsum("q,iq,q->i", erule.weights, vals, flux)
-        np.add.at(load, dofmap_phi.cell_dofs[mesh.edge_cells[e]], le)
-    return load
+    edges = edge_rule(dofmap_phi, _interface_edges(dofmap_phi.mesh))
+    u = velocity_source.eval_many(edges.points.reshape(-1, 2))
+    flux = -u[:, 1].reshape(edges.points.shape[:2])  # u . n_f
+    le = (params.rho * params.gravity * edges.length)[:, None] \
+        * np.einsum("q,eiq,eq->ei", edges.weights, edges.vals, flux)
+    return _load(dofmap_phi.ndof, dofmap_phi.cell_dofs[edges.cells], le)
 
 
 def assemble_interface_load_ns(dofmap_v: DofMap, head_source: DiscreteField,
                                params: ModelParams) -> np.ndarray:
     """Entries -rho g (phi_src, v_i . n_f)_Gamma = +rho g (phi_src, v_iy)."""
-    mesh = dofmap_v.mesh
-    erule = quad_rule_edge(EDGE_QUAD_POINTS)
-    rho_g = params.rho * params.gravity
+    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    phi = head_source.eval_many(edges.points.reshape(-1, 2)) \
+        .reshape(edges.points.shape[:2])
+    le = (params.rho * params.gravity * edges.length)[:, None] \
+        * np.einsum("q,eiq,eq->ei", edges.weights, edges.vals, phi)
     nd = dofmap_v.ndof
-    load = np.zeros(2 * nd)
-    for e in _interface_edges(mesh):
-        v0, v1 = mesh.vertices[mesh.edge_vertices[e]]
-        length = np.linalg.norm(v1 - v0)
-        bary = edge_bary(mesh.edge_local[e], erule.points)
-        vals, _ = ref_basis_many(dofmap_v.family, bary)
-        phys = v0 + erule.points[:, None] * (v1 - v0)
-        phi = head_source.eval_many(phys)
-        le = rho_g * length * np.einsum("q,iq,q->i", erule.weights, vals, phi)
-        np.add.at(load, dofmap_v.cell_dofs[mesh.edge_cells[e]] + nd, le)
-    return load
+    return _load(2 * nd, dofmap_v.cell_dofs[edges.cells] + nd, le)
 
 
 def assemble_volume_load(dofmap: DofMap, f, weight: float = 1.0,
                          degree: int | None = None) -> np.ndarray:
     """Entries weight * (f, basis_i); f(x, y) returns one array for scalar
     families or a pair of arrays for vector families."""
-    quad = quad_rule_tri(degree or assembly_degree(dofmap.family.tag))
-    vals, _ = ref_basis_many(dofmap.family, quad.points)
-    _, det = _geometry(dofmap.mesh)
-    phys = _quad_points(dofmap.mesh, quad)
-    x, y = phys[..., 0], phys[..., 1]
-    nd = dofmap.ndof
+    rule = cell_rule(dofmap, degree)
+    x, y = rule.points[..., 0], rule.points[..., 1]
+    fq = f(x, y)
     if dofmap.family.components == 1:
-        fq = np.broadcast_to(f(x, y), x.shape)
-        load = np.zeros(nd)
-        le = weight * np.einsum("q,c,iq,cq->ci", quad.weights, det, vals, fq)
-        np.add.at(load, dofmap.cell_dofs, le)
-        return load
-    fx, fy = f(x, y)
-    load = np.zeros(2 * nd)
-    for e, fq in enumerate((fx, fy)):
-        fq = np.broadcast_to(fq, x.shape)
-        le = weight * np.einsum("q,c,iq,cq->ci", quad.weights, det, vals, fq)
-        np.add.at(load, dofmap.cell_dofs + e * nd, le)
-    return load
+        fq = (fq,)
+    return _cell_load(rule, weight,
+                      [np.broadcast_to(fe, x.shape) for fe in fq])

@@ -78,13 +78,6 @@ class TriMesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
-    def cell_vertices(self, cell: int) -> np.ndarray:
-        return self.vertices[self.cells[cell]]
-
-    def locate(self, p) -> tuple[int, np.ndarray]:
-        cells, bary = self.locate_many(np.asarray(p, dtype=float).reshape(1, 2))
-        return int(cells[0]), bary[0]
-
     def locate_many(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized point location by grid arithmetic (no search).
 

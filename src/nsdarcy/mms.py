@@ -24,8 +24,7 @@ from math import log
 
 import numpy as np
 
-from .fem import quad_rule_tri, ref_basis_many
-from .forms import ModelParams, _geometry, _quad_points
+from .forms import CellRule, ModelParams, cell_rule
 
 PI = np.pi
 
@@ -105,52 +104,52 @@ REPORTED_KEYS = (("u", "L2"), ("u", "H1"), ("v", "L2"), ("v", "H1"),
                  ("p", "L2"), ("phi", "L2"), ("phi", "H1"))
 
 
-def _field_errors(coeffs, dofmap, exact, exact_grad, quad_degree):
-    """L2 and H1-seminorm errors of a scalar coefficient vector against
-    analytic value/gradient callables; gradient part skipped when
-    exact_grad is None."""
-    quad = quad_rule_tri(quad_degree)
-    vals, gref = ref_basis_many(dofmap.family, quad.points)
-    jinv_t, det = _geometry(dofmap.mesh)
-    phys = _quad_points(dofmap.mesh, quad)
-    x, y = phys[..., 0], phys[..., 1]
-    gathered = coeffs[dofmap.cell_dofs]                        # (nc, nloc)
-    num = np.einsum("cl,lq->cq", gathered, vals)
-    diff2 = (num - exact(x, y)) ** 2
-    l2 = float(np.sqrt(np.einsum("q,c,cq->", quad.weights, det, diff2)))
-    if exact_grad is None:
-        return l2, None
+def _l2_error(rule: CellRule, coeffs, exact) -> float:
+    """L2 error of a scalar coefficient vector of the rule's space against
+    exact values (nc, nq) at the rule's points."""
+    num = np.einsum("cl,lq->cq", coeffs[rule.dofmap.cell_dofs], rule.vals)
+    diff2 = (num - exact) ** 2
+    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det, diff2)))
+
+
+def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
+    """H1-seminorm error against the pair of exact gradient components."""
     # every cell map is affine: contract with the reference gradients, then
     # map the (nc, nq, 2) result by each cell's J^{-T}
-    gnum = np.matmul(np.einsum("cl,lqe->cqe", gathered, gref),
-                     jinv_t.transpose(0, 2, 1))
-    gx, gy = exact_grad(x, y)
+    gnum = np.matmul(
+        np.einsum("cl,lqe->cqe", coeffs[rule.dofmap.cell_dofs], rule.gref),
+        rule.jinv_t.transpose(0, 2, 1))
+    gx, gy = exact_grad
     gdiff2 = (gnum[..., 0] - gx) ** 2 + (gnum[..., 1] - gy) ** 2
-    h1 = float(np.sqrt(np.einsum("q,c,cq->", quad.weights, det, gdiff2)))
-    return l2, h1
+    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det,
+                                   gdiff2)))
 
 
 def error_norms(state, mms: ManufacturedProblem, quad_degree: int = 8,
                 stage: str = "fe", algorithm: str | None = None) -> ErrorReport:
     """Componentwise L2/H1-seminorm errors of a coupled state (velocity
-    components u, v; pressure p, L2 only; head phi)."""
+    components u, v; pressure p, L2 only; head phi). The exact velocity and
+    its gradient are evaluated once, at the rule both components share."""
     dv = state.velocity.dofmap
     nd = dv.ndof
-    errs = {}
-    u1 = lambda x, y: mms.velocity(x, y)[0]
-    u2 = lambda x, y: mms.velocity(x, y)[1]
-    g1 = lambda x, y: mms.velocity_grad(x, y)[0]
-    g2 = lambda x, y: mms.velocity_grad(x, y)[1]
-    errs[("u", "L2")], errs[("u", "H1")] = _field_errors(
-        state.velocity.coefficients[:nd], dv, u1, g1, quad_degree)
-    errs[("v", "L2")], errs[("v", "H1")] = _field_errors(
-        state.velocity.coefficients[nd:], dv, u2, g2, quad_degree)
-    errs[("p", "L2")], _ = _field_errors(
-        state.pressure.coefficients, state.pressure.dofmap,
-        mms.pressure, None, quad_degree)
-    errs[("phi", "L2")], errs[("phi", "H1")] = _field_errors(
-        state.head.coefficients, state.head.dofmap,
-        mms.head, mms.head_grad, quad_degree)
+    parts = (state.velocity.coefficients[:nd], state.velocity.coefficients[nd:])
+    rule = cell_rule(dv, quad_degree)
+    xy = (rule.points[..., 0], rule.points[..., 1])
+    l2 = [_l2_error(rule, c, e) for c, e in zip(parts, mms.velocity(*xy))]
+    h1 = [_h1_error(rule, c, g)
+          for c, g in zip(parts, mms.velocity_grad(*xy))]
+    errs = {("u", "L2"): l2[0], ("u", "H1"): h1[0],
+            ("v", "L2"): l2[1], ("v", "H1"): h1[1]}
+    rule = cell_rule(state.pressure.dofmap, quad_degree)
+    xy = (rule.points[..., 0], rule.points[..., 1])
+    errs[("p", "L2")] = _l2_error(rule, state.pressure.coefficients,
+                                  mms.pressure(*xy))
+    rule = cell_rule(state.head.dofmap, quad_degree)
+    xy = (rule.points[..., 0], rule.points[..., 1])
+    errs[("phi", "L2")] = _l2_error(rule, state.head.coefficients,
+                                    mms.head(*xy))
+    errs[("phi", "H1")] = _h1_error(rule, state.head.coefficients,
+                                    mms.head_grad(*xy))
     order = 2 if dv.family.tag == "P2" else 1
     return ErrorReport(n=dv.mesh.n, order=order, stage=stage,
                        algorithm=algorithm, errors=errs)

@@ -48,13 +48,6 @@ def as_csr(A) -> sp.csr_matrix:
     return A
 
 
-def spmv(A, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if A.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"matrix {A.shape} times vector {x.shape}")
-    return A @ x
-
-
 @dataclass
 class SolveReport:
     iterations: int
@@ -394,10 +387,6 @@ class DirectFactor:
     # lets a factorization of a nearby matrix serve as a Krylov preconditioner
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.solve(r)
-
-
-def direct_solve(A, b) -> np.ndarray:
-    return DirectFactor(A).solve(b)
 
 
 def true_residual(A, b: np.ndarray, x: np.ndarray) -> float:

@@ -23,9 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from nsdarcy.coupled import build_spaces, dirichlet_data, split_state
-from nsdarcy.fem import quad_rule_tri
-from nsdarcy.forms import (_basis_and_grads, _quad_points, _scatter,
-                           assemble_mass)
+from nsdarcy.forms import _load, _scatter, assemble_mass, cell_rule
 from nsdarcy.mms import REPORTED_KEYS, error_norms
 
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
@@ -39,22 +37,19 @@ def _project(dofmap, exact, exact_grad, x, fixed):
     """Fill the free entries of the scalar coefficient vector x with the
     minimizer of the L2 error (exact_grad None) or the H1-seminorm error
     against the analytic field; entries where fixed is True stay as given."""
-    n = dofmap.ndof
-    quad = quad_rule_tri(QUAD_DEGREE)
-    vals, gphys, det = _basis_and_grads(dofmap, quad)
-    phys = _quad_points(dofmap.mesh, quad)
-    px, py = phys[..., 0], phys[..., 1]
-    wdet = np.einsum("q,c->cq", quad.weights, det)
+    n, cd = dofmap.ndof, dofmap.cell_dofs
+    rule = cell_rule(dofmap, QUAD_DEGREE)
+    px, py = rule.points[..., 0], rule.points[..., 1]
+    wdet = np.einsum("q,c->cq", rule.weights, rule.det)
     if exact_grad is None:
         G = assemble_mass(dofmap, QUAD_DEGREE)
-        load = np.einsum("cq,iq,cq->ci", wdet, vals, exact(px, py))
+        load = np.einsum("cq,iq,cq->ci", wdet, rule.vals, exact(px, py))
     else:
-        stiff = np.einsum("cq,ciqd,cjqd->cij", wdet, gphys, gphys)
-        G = _scatter(dofmap, stiff, (n, n))
-        load = np.einsum("cq,ciqd,cqd->ci", wdet, gphys,
+        stiff = np.einsum("cq,ciqd,cjqd->cij", wdet, rule.grads, rule.grads)
+        G = _scatter(cd, cd, stiff, (n, n))
+        load = np.einsum("cq,ciqd,cqd->ci", wdet, rule.grads,
                          np.stack(exact_grad(px, py), axis=-1))
-    b = np.zeros(n)
-    np.add.at(b, dofmap.cell_dofs, load)
+    b = _load(n, cd, load)
     free = ~fixed
     rhs = b[free] - G[free][:, fixed] @ x[fixed]
     x[free] = spsolve(G[free][:, free].tocsc(), rhs)

@@ -68,7 +68,7 @@ class TestDiscreteSolution:
         cm = build_coupled_mesh(8)
         state, _ = solve_coupled(cm, 1, params, mms)
         dv, dq, _ = build_spaces(cm, 1)
-        B = forms.assemble_b(cm.fluid, dv, dq)
+        B = forms.assemble_b(dv, dq)
         assert np.abs(B @ state.velocity.coefficients).max() <= 1e-9
 
     def test_monolithic_residual_at_convergence(self, params, mms):
@@ -76,11 +76,11 @@ class TestDiscreteSolution:
         state, _ = solve_coupled(cm, 1, params, mms)
         spaces = build_spaces(cm, 1)
         dv, dq, dphi = spaces
-        A_f = forms.assemble_af(cm.fluid, dv, params)
-        B = forms.assemble_b(cm.fluid, dv, dq)
+        A_f = forms.assemble_af(dv, params)
+        B = forms.assemble_b(dv, dq)
         C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
                                                            params)
-        A_p = forms.assemble_ap(cm.porous, dphi, params)
+        A_p = forms.assemble_ap(dphi, params)
         N1, _ = forms.assemble_convection(dv, state.velocity,
                                           forms.ConvectionMode.PLAIN, params)
         K = sp.bmat([[A_f + N1, B.T, C_vphi],

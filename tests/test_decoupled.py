@@ -1,15 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nsdarcy import coupled, sparse
+from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MeshMismatch,
-                               MultilevelStepFailed, NSStep, advance_level,
-                               compare_runs, run_multilevel)
+                               MultilevelStepFailed, NSStep, _pin,
+                               advance_level, compare_runs, run_multilevel)
 from nsdarcy.fem import DiscreteField, interpolate
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import error_norms
-from nsdarcy.sparse import LinearSolver
+from nsdarcy.sparse import LinearSolver, constrain_rhs
 
 ALL_ALGORITHMS = ("A", "B", "C", "D")
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
@@ -205,6 +208,59 @@ class TestSubproblemKernels:
         assert np.abs(p1.coefficients - p2.coefficients).max() <= 1e-12
 
 
+class TestStoredLift:
+    """The steps keep -A x0 of the Dirichlet data instead of A itself."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_right_sides_equal_constrain_rhs(self, order, params, mms, rng):
+        cm = build_coupled_mesh(4)
+        state, _ = solve_coupled(cm, order, params, mms)
+        dv, dq, dphi = build_spaces(cm, order)
+        darcy = DarcyStep(dphi, params, mms)
+        ns = NSStep(dv, dq, params, mms, state.velocity)
+        N, _ = forms.assemble_convection(dv, state.velocity,
+                                         forms.ConvectionMode.NEWTON, params)
+        B = forms.assemble_b(dv, dq)
+        K = sp.bmat([[forms.assemble_af(dv, params) + N, B.T], [B, None]],
+                    format="csr")
+        for step, A in ((darcy, forms.assemble_ap(dphi, params)), (ns, K)):
+            b = rng.standard_normal(A.shape[0])
+            assert np.array_equal(
+                _pin(b, step.lift, step.bc_dofs, step.bc_values),
+                constrain_rhs(A, b, step.bc_dofs, step.bc_values))
+
+    def test_unconstrained_matrices_are_freed_before_factoring(
+            self, params, mms, monkeypatch):
+        cm = build_coupled_mesh(4)
+        state, _ = solve_coupled(cm, 1, params, mms)
+        dv, dq, dphi = build_spaces(cm, 1)
+        made, alive_at_splu = [], []
+        orig_splu = sparse.spla.splu
+
+        def track(owner, name):
+            build = getattr(owner, name)
+
+            def tracked(*args, **kwargs):
+                out = build(*args, **kwargs)
+                A = out[0] if isinstance(out, tuple) else out
+                made.append(weakref.ref(A))
+                return out
+            monkeypatch.setattr(owner, name, tracked)
+
+        def splu(A, *args, **kwargs):
+            alive_at_splu.append(sum(ref() is not None for ref in made))
+            return orig_splu(A, *args, **kwargs)
+
+        for name in ("assemble_ap", "assemble_af", "assemble_b",
+                     "assemble_convection"):
+            track(forms, name)
+        track(sp, "bmat")
+        monkeypatch.setattr(sparse.spla, "splu", splu)
+        DarcyStep(dphi, params, mms)
+        NSStep(dv, dq, params, mms, state.velocity)
+        assert len(made) == 5 and alive_at_splu == [0, 0]
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """(K, b, x, report) of every LinearSolver solve and of every GMRES
@@ -300,11 +356,11 @@ class TestBubbleCondensation:
         assert len(superlu_inputs) == 2   # Picard's first iterate, NS step
         for K, A in superlu_inputs:
             assert A.shape[0] == K.shape[0] - bubbles
-        assert ns.linear.factor._lu.shape[0] == ns.K.shape[0] - bubbles
+        assert ns.linear.factor._lu.shape[0] == ns.linear.K.shape[0] - bubbles
         solves.clear()
         u, _, rep = ns.solve_newton(state.head)
         (K, b, x, _), = solves
-        assert K.shape == ns.K.shape and x.shape == b.shape
+        assert K.shape == ns.linear.K.shape and x.shape == b.shape
         assert_true_residuals([rep], solves)
 
     def test_taylor_hood_and_darcy_factor_the_given_matrix(

@@ -6,7 +6,7 @@ import pytest
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          UnsupportedDegree, build_dofmap, edge_bary,
                          interpolate, quad_rule_edge, quad_rule_tri,
-                         ref_basis, ref_basis_many)
+                         ref_basis_many)
 from nsdarcy.mesh import BoundaryTag, Subdomain, build_tri_mesh
 
 CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
@@ -25,7 +25,7 @@ def fluid_mesh(n):
 
 class TestReferenceBasis:
     def test_p1_centroid(self):
-        vals, _ = ref_basis(P1, CENTROID)
+        vals, _ = ref_basis_many(P1, CENTROID[None])
         assert np.allclose(vals, 1 / 3, atol=1e-15)
 
     def test_p1_nodal(self):
@@ -37,11 +37,10 @@ class TestReferenceBasis:
         assert np.allclose(vals, np.eye(6), atol=1e-14)
 
     def test_bubble_centroid_and_edges(self):
-        vals, _ = ref_basis(MINI_VELOCITY, CENTROID)
-        assert abs(vals[3] - 1.0) <= 1e-15
-        for mid in P2_NODES[3:]:
-            vals, _ = ref_basis(MINI_VELOCITY, mid)
-            assert abs(vals[3]) <= 1e-15
+        vals, _ = ref_basis_many(MINI_VELOCITY, CENTROID[None])
+        assert abs(vals[3, 0] - 1.0) <= 1e-15
+        vals, _ = ref_basis_many(MINI_VELOCITY, P2_NODES[3:])
+        assert np.abs(vals[3]).max() <= 1e-15
 
     def test_partition_of_unity(self, rng):
         bary = rng.dirichlet(np.ones(3), size=20)
@@ -156,7 +155,7 @@ class TestInterpolation:
     def test_p1_reproduces_linear(self):
         dm = build_dofmap(porous_mesh(2), P1)
         field = interpolate(lambda x, y: x + y, dm)
-        assert abs(field.eval((0.4, 0.7)) - 1.1) <= 1e-14
+        assert abs(field.eval_many(np.array([[0.4, 0.7]]))[0] - 1.1) <= 1e-14
 
     def test_p2_reproduces_quadratic(self, rng):
         dm = build_dofmap(porous_mesh(3), P2)
@@ -180,7 +179,7 @@ class TestInterpolation:
     def test_vector_interpolation_at_interface(self, mms):
         dm = build_dofmap(fluid_mesh(2), MINI_VELOCITY)
         field = interpolate(mms.velocity, dm)
-        val = field.eval((0.5, 1.0))
+        val = field.eval_many(np.array([[0.5, 1.0]]))[0]
         expected = (0.0, -np.cos(np.pi / 4) * (np.pi / 4))
         assert np.allclose(val, expected, atol=1e-14)
 

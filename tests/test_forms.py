@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nsdarcy import forms
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
-                         build_dofmap, interpolate, quad_rule_tri)
-from nsdarcy.forms import ConvectionMode, ModelParams, trilinear_c
+                         build_dofmap, edge_bary, interpolate, quad_rule_edge,
+                         quad_rule_tri, ref_basis_many)
+from nsdarcy.forms import (EDGE_QUAD_POINTS, ConvectionMode, ModelParams,
+                           edge_rule, trilinear_c)
 from nsdarcy.mesh import (BoundaryTag, Subdomain, build_coupled_mesh,
                           build_tri_mesh)
 
@@ -29,11 +32,10 @@ def cellwise_quadrature(dofmap, degree, integrand):
     w * |J| * integrand(x, y, basis values, basis physical gradients)."""
     mesh = dofmap.mesh
     quad = quad_rule_tri(degree)
-    from nsdarcy.fem import ref_basis_many
     vals, rgrads = ref_basis_many(dofmap.family, quad.points)
     total = 0.0
     for c in range(mesh.num_cells):
-        v = mesh.cell_vertices(c)
+        v = mesh.vertices[mesh.cells[c]]
         J = np.array([v[1] - v[0], v[2] - v[0]]).T
         det = abs(np.linalg.det(J))
         Jit = np.linalg.inv(J).T
@@ -49,18 +51,18 @@ def cellwise_quadrature(dofmap, degree, integrand):
 class TestDarcyStiffness:
     def test_symmetry_exact(self, params):
         dm = porous_dofmap(3)
-        A = forms.assemble_ap(dm.mesh, dm, params)
+        A = forms.assemble_ap(dm, params)
         assert abs(A - A.T).max() == 0.0
 
     def test_constant_in_kernel(self, params):
         dm = porous_dofmap(3)
-        A = forms.assemble_ap(dm.mesh, dm, params)
+        A = forms.assemble_ap(dm, params)
         res = A @ np.ones(dm.ndof)
         assert np.abs(res).max() <= 1e-13
 
     def test_linear_field_energy(self, params):
         dm = porous_dofmap(4)
-        A = forms.assemble_ap(dm.mesh, dm, params)
+        A = forms.assemble_ap(dm, params)
         phi = interpolate(lambda x, y: y, dm).coefficients
         assert abs(phi @ A @ phi - 1.0) <= 1e-13
 
@@ -68,7 +70,7 @@ class TestDarcyStiffness:
     def test_positive_definite_after_elimination(self, n, params):
         from nsdarcy.sparse import constrain_matrix
         dm = porous_dofmap(n)
-        A = forms.assemble_ap(dm.mesh, dm, params)
+        A = forms.assemble_ap(dm, params)
         A2 = constrain_matrix(A, dm.dirichlet_dofs)
         eigs = np.linalg.eigvalsh(A2.toarray())
         assert eigs.min() > 0
@@ -78,7 +80,7 @@ class TestViscousMatrix:
     @pytest.mark.parametrize("family", [MINI_VELOCITY, P2_VELOCITY])
     def test_symmetry_exact(self, family, params):
         dm = fluid_dofmap(3, family)
-        A = forms.assemble_af(dm.mesh, dm, params)
+        A = forms.assemble_af(dm, params)
         assert abs(A - A.T).max() == 0.0
 
     @pytest.mark.parametrize("family", [MINI_VELOCITY, P2_VELOCITY])
@@ -86,15 +88,15 @@ class TestViscousMatrix:
         # (y-1, 0) lies in both spaces and has zero tangential trace on
         # the interface, so the BJS term adds nothing: energy = nu = 1
         dm = fluid_dofmap(4, family)
-        A = forms.assemble_af(dm.mesh, dm, params)
+        A = forms.assemble_af(dm, params)
         u = interpolate(lambda x, y: (y - 1.0, np.zeros_like(x)),
                         dm).coefficients
         assert abs(u @ A @ u - 1.0) <= 1e-12
 
     def test_slip_coefficient_touches_only_interface_rows(self):
         dm = fluid_dofmap(3, P2_VELOCITY)
-        A1 = forms.assemble_af(dm.mesh, dm, ModelParams(alpha_bjs=1.0))
-        A0 = forms.assemble_af(dm.mesh, dm, ModelParams(alpha_bjs=0.5))
+        A1 = forms.assemble_af(dm, ModelParams(alpha_bjs=1.0))
+        A0 = forms.assemble_af(dm, ModelParams(alpha_bjs=0.5))
         D = (A1 - A0).tocoo()
         live = np.unique(np.concatenate([D.row[D.data != 0],
                                          D.col[D.data != 0]]))
@@ -106,7 +108,7 @@ class TestViscousMatrix:
         # (x, 0) has tangential trace x on the interface:
         # BJS adds nu alpha / sqrt(nu K) * int_0^1 x^2 = 1/3
         dm = fluid_dofmap(4, P2_VELOCITY)
-        A = forms.assemble_af(dm.mesh, dm, params)
+        A = forms.assemble_af(dm, params)
         u = interpolate(lambda x, y: (x, np.zeros_like(x)), dm).coefficients
         assert abs(u @ A @ u - (1.0 + 1.0 / 3.0)) <= 1e-12
 
@@ -117,7 +119,7 @@ class TestDivergenceMatrix:
     def test_constant_velocity_divergence_free(self, family, qfam):
         dv = fluid_dofmap(3, family)
         dq = fluid_dofmap(3, qfam)
-        B = forms.assemble_b(dv.mesh, dv, dq)
+        B = forms.assemble_b(dv, dq)
         u = interpolate(lambda x, y: (np.ones_like(x), 2 * np.ones_like(x)),
                         dv).coefficients
         assert np.abs(B @ u).max() <= 1e-13
@@ -125,7 +127,7 @@ class TestDivergenceMatrix:
     def test_unit_divergence(self):
         dv = fluid_dofmap(3, MINI_VELOCITY)
         dq = fluid_dofmap(3, P1)
-        B = forms.assemble_b(dv.mesh, dv, dq)
+        B = forms.assemble_b(dv, dq)
         u = interpolate(lambda x, y: (x, np.zeros_like(x)), dv).coefficients
         q = np.ones(dq.ndof)
         assert abs(q @ B @ u - (-1.0)) <= 1e-13
@@ -133,18 +135,17 @@ class TestDivergenceMatrix:
     def test_matches_quadrature_oracle(self, rng):
         dv = fluid_dofmap(2, MINI_VELOCITY)
         dq = fluid_dofmap(2, P1)
-        B = forms.assemble_b(dv.mesh, dv, dq)
+        B = forms.assemble_b(dv, dq)
         u = random_field(dv, rng)
         q = random_field(dq, rng)
 
         # direct quadrature of -int q div(u) using field evaluation
         quad = quad_rule_tri(6)
-        from nsdarcy.fem import ref_basis_many
         qvals, _ = ref_basis_many(dq.family, quad.points)
         mesh = dv.mesh
         total = 0.0
         for c in range(mesh.num_cells):
-            v = mesh.cell_vertices(c)
+            v = mesh.vertices[mesh.cells[c]]
             det = abs(np.linalg.det(np.array([v[1] - v[0],
                                               v[2] - v[0]]).T))
             pts = (quad.points[:, 0, None] * v[0]
@@ -244,7 +245,100 @@ class TestInterfaceCoupling:
         assert np.allclose(dphi.dof_coords[cols, 1], 1.0)
 
 
+def interface_edges(mesh):
+    return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
+
+
+class TestEdgeRule:
+    @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY])
+    def test_interface_measure(self, family):
+        dm = fluid_dofmap(3, family)
+        rule = edge_rule(dm, interface_edges(dm.mesh))
+        measure = rule.weights[None, :] * rule.length[:, None]
+        assert abs(measure.sum() - 1.0) <= 1e-15
+        x = rule.points[..., 0]
+        assert abs((measure * x ** 9).sum() - 0.1) <= 1e-15
+        assert np.all(rule.points[..., 1] == 1.0)
+
+    @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY])
+    def test_values_are_the_reference_basis_per_edge(self, family, rng):
+        dm = porous_dofmap(3, family)
+        mesh = dm.mesh
+        edges = np.arange(mesh.edge_vertices.shape[0])   # every side
+        gauss = quad_rule_edge(EDGE_QUAD_POINTS).points
+        t = rng.random((edges.size, gauss.size))
+        for params_t, rule in ((np.broadcast_to(gauss, t.shape),
+                                edge_rule(dm, edges)),
+                               (t, edge_rule(dm, edges, t))):
+            for k, e in enumerate(edges):
+                vals, _ = ref_basis_many(
+                    dm.family, edge_bary(mesh.edge_local[e], params_t[k]))
+                assert np.array_equal(rule.vals[k], vals)
+                v0, v1 = mesh.vertices[mesh.edge_vertices[e]]
+                assert np.array_equal(rule.points[k],
+                                      v0 + params_t[k][:, None] * (v1 - v0))
+            assert np.array_equal(rule.cells, mesh.edge_cells[edges])
+
+    @pytest.mark.parametrize("fam_v,fam_p", [(MINI_VELOCITY, P1),
+                                             (P2_VELOCITY, P2)])
+    def test_coupling_matches_per_edge_loop(self, fam_v, fam_p, params):
+        # one edge at a time: the porous basis is evaluated at the fluid
+        # quadrature points mapped to the porous edge's own parameter
+        cm = build_coupled_mesh(5)
+        dv = build_dofmap(cm.fluid, fam_v)
+        dphi = build_dofmap(cm.porous, fam_p)
+        fluid, porous = cm.fluid, cm.porous
+        erule = quad_rule_edge(EDGE_QUAD_POINTS)
+        rho_g = params.rho * params.gravity
+        rows, cols, data = [], [], []
+        for ef, ep in cm.interface_pairs:
+            fv = fluid.vertices[fluid.edge_vertices[ef]]
+            pv = porous.vertices[porous.edge_vertices[ep]]
+            length = np.linalg.norm(fv[1] - fv[0])
+            x_q = fv[0, 0] + erule.points * (fv[1, 0] - fv[0, 0])
+            s_q = (x_q - pv[0, 0]) / (pv[1, 0] - pv[0, 0])
+            v_vals, _ = ref_basis_many(
+                fam_v, edge_bary(fluid.edge_local[ef], erule.points))
+            phi_vals, _ = ref_basis_many(
+                fam_p, edge_bary(porous.edge_local[ep], s_q))
+            mloc = -rho_g * length * np.einsum("q,iq,jq->ij", erule.weights,
+                                               v_vals, phi_vals)
+            vd = dv.cell_dofs[fluid.edge_cells[ef]] + dv.ndof
+            pd = dphi.cell_dofs[porous.edge_cells[ep]]
+            rows.append(np.repeat(vd, pd.size))
+            cols.append(np.tile(pd, vd.size))
+            data.append(mloc.ravel())
+        oracle = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=(dv.num_coefficients, dphi.ndof)).toarray()
+        C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
+                                                           params)
+        assert np.array_equal(C_vphi.toarray(), oracle)
+        assert np.array_equal(C_phiu.toarray(), -oracle.T)
+
+
 class TestInterfaceLoads:
+    def test_each_load_evaluates_its_source_once(self, params, rng,
+                                                 monkeypatch):
+        cm = build_coupled_mesh(6)
+        dv = build_dofmap(cm.fluid, MINI_VELOCITY)
+        dphi = build_dofmap(cm.porous, P1)
+        calls = []
+        eval_many = DiscreteField.eval_many
+
+        def counted(field, pts):
+            calls.append(len(pts))
+            return eval_many(field, pts)
+
+        monkeypatch.setattr(DiscreteField, "eval_many", counted)
+        forms.assemble_interface_load_darcy(dphi, random_field(dv, rng),
+                                            params)
+        assert calls == [6 * EDGE_QUAD_POINTS]
+        calls.clear()
+        forms.assemble_interface_load_ns(dv, random_field(dphi, rng), params)
+        assert calls == [6 * EDGE_QUAD_POINTS]
+
     def test_zero_sources(self, params):
         cm = build_coupled_mesh(2)
         dv = build_dofmap(cm.fluid, MINI_VELOCITY)

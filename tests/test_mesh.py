@@ -29,7 +29,7 @@ class TestBuild:
     def test_cells_counterclockwise(self):
         mesh = build_tri_mesh(3, Subdomain.POROUS, (0.0, 0.0))
         for c in range(mesh.num_cells):
-            v = mesh.cell_vertices(c)
+            v = mesh.vertices[mesh.cells[c]]
             cross = ((v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
                      - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1]))
             assert cross > 0
@@ -37,8 +37,7 @@ class TestBuild:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_cell_areas_sum_to_one(self, n):
         mesh = build_tri_mesh(n, Subdomain.FLUID, (0.0, 1.0))
-        total = sum(tri_area(mesh.cell_vertices(c))
-                    for c in range(mesh.num_cells))
+        total = sum(tri_area(v) for v in mesh.vertices[mesh.cells])
         assert abs(total - 1.0) <= 1e-13
 
     def test_rebuild_is_bit_identical(self):
@@ -86,19 +85,19 @@ class TestBoundary:
 class TestLocate:
     def test_centroid_of_first_cell(self):
         mesh = build_tri_mesh(2, Subdomain.POROUS, (0.0, 0.0))
-        centroid = mesh.cell_vertices(0).mean(axis=0)
-        cell, bary = mesh.locate(centroid)
-        assert cell == 0
-        assert np.allclose(bary, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
+        centroid = mesh.vertices[mesh.cells[0]].mean(axis=0)
+        cells, bary = mesh.locate_many(centroid[None])
+        assert cells[0] == 0
+        assert np.allclose(bary[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
 
     def test_vertex_tie_takes_lowest_cell(self):
         mesh = build_tri_mesh(2, Subdomain.POROUS, (0.0, 0.0))
-        cell, bary = mesh.locate((0.5, 0.5))
+        cells, bary = mesh.locate_many(np.array([[0.5, 0.5]]))
         containing = [c for c in range(mesh.num_cells)
                       if any(np.allclose(v, (0.5, 0.5))
-                             for v in mesh.cell_vertices(c))]
-        assert cell == min(containing)
-        pt = bary @ mesh.cell_vertices(cell)
+                             for v in mesh.vertices[mesh.cells[c]])]
+        assert cells[0] == min(containing)
+        pt = bary[0] @ mesh.vertices[mesh.cells[cells[0]]]
         assert np.allclose(pt, (0.5, 0.5), atol=1e-14)
 
     def test_roundtrip_random_points(self, rng):
@@ -121,17 +120,17 @@ class TestLocate:
 
     def test_domain_corners_locate(self):
         mesh = build_tri_mesh(4, Subdomain.POROUS, (0.0, 0.0))
-        for corner in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            cell, bary = mesh.locate(corner)
-            pt = bary @ mesh.cell_vertices(cell)
-            assert np.allclose(pt, corner, atol=1e-14)
+        corners = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float)
+        cells, bary = mesh.locate_many(corners)
+        pts = np.einsum("pk,pkd->pd", bary, mesh.vertices[mesh.cells[cells]])
+        assert np.allclose(pts, corners, atol=1e-14)
 
     def test_outside_point_rejected(self):
         mesh = build_tri_mesh(2, Subdomain.POROUS, (0.0, 0.0))
         with pytest.raises(OutOfDomain):
-            mesh.locate((-0.1, 0.5))
+            mesh.locate_many(np.array([[-0.1, 0.5]]))
         with pytest.raises(OutOfDomain):
-            mesh.locate((0.5, 1.5))
+            mesh.locate_many(np.array([[0.5, 1.5]]))
 
 
 class TestSchedule:

@@ -4,12 +4,12 @@ import scipy.sparse as sp
 
 from nsdarcy import forms
 from nsdarcy.coupled import build_spaces, dirichlet_data
-from nsdarcy.fem import P1, build_dofmap, cell_bubbles, interpolate
+from nsdarcy.fem import P1, build_dofmap, cell_bubbles
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
-                            Singular, constrain_dirichlet, direct_solve,
-                            gmres, ichol, pcg, spmv, true_residual)
+                            Singular, constrain_dirichlet, gmres, ichol, pcg,
+                            true_residual)
 
 
 def laplacian_1d(n):
@@ -25,7 +25,7 @@ def random_spd(n, rng, density=0.3):
 def porous_head_system(n, params, mms):
     """Dirichlet-constrained SPD system for the porous head alone."""
     dm = build_dofmap(build_tri_mesh(n, Subdomain.POROUS, (0.0, 0.0)), P1)
-    A = forms.assemble_ap(dm.mesh, dm, params)
+    A = forms.assemble_ap(dm, params)
     rho_g = params.rho * params.gravity
     load = forms.assemble_volume_load(dm, mms.f_porous, weight=rho_g)
     fixed = dm.dirichlet_dofs
@@ -38,10 +38,10 @@ def coupled_system(n, params, mms):
     cm = build_coupled_mesh(n)
     spaces = build_spaces(cm, order=1)
     dv, dq, dphi = spaces
-    A_f = forms.assemble_af(cm.fluid, dv, params)
-    B = forms.assemble_b(cm.fluid, dv, dq)
+    A_f = forms.assemble_af(dv, params)
+    B = forms.assemble_b(dv, dq)
     C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi, params)
-    A_p = forms.assemble_ap(cm.porous, dphi, params)
+    A_p = forms.assemble_ap(dphi, params)
     rho_g = params.rho * params.gravity
     rhs = np.concatenate([
         forms.assemble_volume_load(dv, mms.f_fluid),
@@ -54,25 +54,6 @@ def coupled_system(n, params, mms):
     K2, rhs2 = constrain_dirichlet(K, rhs, bc_dofs, bc_values)
     sizes = (2 * dv.ndof, dq.ndof, dphi.ndof)
     return K2, rhs2, sizes, forms.assemble_mass(dq).diagonal()
-
-
-class TestSpmv:
-    def test_identity(self, rng):
-        x = rng.standard_normal(7)
-        assert np.array_equal(spmv(sp.eye(7, format="csr"), x), x)
-
-    def test_diagonal(self):
-        A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-        assert np.array_equal(spmv(A, np.ones(3)), [1.0, 2.0, 3.0])
-
-    def test_against_dense(self, rng):
-        A = sp.random(50, 50, density=0.1, random_state=rng, format="csr")
-        x = rng.standard_normal(50)
-        assert np.abs(spmv(A, x) - A.toarray() @ x).max() <= 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            spmv(sp.eye(3, format="csr"), np.ones(4))
 
 
 class TestIncompleteCholesky:
@@ -166,22 +147,21 @@ class TestGmres:
 class TestDirectSolve:
     def test_identity(self, rng):
         b = rng.standard_normal(6)
-        assert np.abs(direct_solve(sp.eye(6, format="csr"), b)).max() \
-            <= np.abs(b).max()
-        assert np.allclose(direct_solve(sp.eye(6, format="csr"), b), b,
-                           atol=1e-14)
+        x = DirectFactor(sp.eye(6, format="csr")).solve(b)
+        assert np.abs(x).max() <= np.abs(b).max()
+        assert np.allclose(x, b, atol=1e-14)
 
     def test_permutation(self, rng):
         perm = rng.permutation(8)
         P = sp.csr_matrix((np.ones(8), (np.arange(8), perm)), shape=(8, 8))
         b = rng.standard_normal(8)
-        x = direct_solve(P, b)
+        x = DirectFactor(P).solve(b)
         assert np.allclose(P @ x, b, atol=1e-14)
         assert np.allclose(x[perm], b, atol=1e-14)
 
     def test_coupled_system_matches_gmres(self, params, mms):
         K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(4, params, mms)
-        x_dir = direct_solve(K, rhs)
+        x_dir = DirectFactor(K).solve(rhs)
         P = BlockTriangularPreconditioner(K, nu_, nq_, mdiag, params.nu,
                                           nphi=nphi)
         x_it, rep = gmres(K, rhs, P, tol=1e-12, maxit=2000)
@@ -189,10 +169,14 @@ class TestDirectSolve:
         scale = max(1.0, np.abs(x_dir).max())
         assert np.abs(x_it - x_dir).max() <= 1e-8 * scale
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            DirectFactor(sp.eye(3, format="csr")).solve(np.ones(4))
+
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(Singular):
-            direct_solve(A, np.ones(2))
+            DirectFactor(A).solve(np.ones(2))
 
     def test_factor_reuse_counts_solves(self, rng):
         A = random_spd(10, rng)
@@ -206,7 +190,7 @@ class TestCrossSolverAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_pcg_vs_direct_on_head_systems(self, n, params, mms):
         K, rhs = porous_head_system(n, params, mms)
-        x_dir = direct_solve(K, rhs)
+        x_dir = DirectFactor(K).solve(rhs)
         x_it, rep = pcg(K, rhs, ichol(K, 1e-3), tol=1e-11)
         assert rep.converged
         assert np.abs(x_it - x_dir).max() <= 1e-7 * max(1.0,
@@ -215,7 +199,7 @@ class TestCrossSolverAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_gmres_vs_direct_on_saddle_systems(self, n, params, mms):
         K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(n, params, mms)
-        x_dir = direct_solve(K, rhs)
+        x_dir = DirectFactor(K).solve(rhs)
         P = BlockTriangularPreconditioner(K, nu_, nq_, mdiag, params.nu,
                                           nphi=nphi)
         x_it, rep = gmres(K, rhs, P, tol=1e-11, maxit=3000)
@@ -333,4 +317,5 @@ class TestCondensedFactor:
         assert x.shape == rhs.shape
         assert rep.final_residual == pytest.approx(
             recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
-        assert np.abs(x - direct_solve(K, rhs)).max() <= 1e-10 * np.abs(x).max()
+        x_full = DirectFactor(K).solve(rhs)
+        assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x).max()

@@ -1,0 +1,40 @@
+"""The benchmark's tracer wraps package functions by name; a rename in the
+package must fail here rather than break every traced benchmark run."""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """Executes the tracer's source in a fresh module; nothing is written
+    next to it."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), vars(module))
+    return module
+
+
+def test_every_trace_target_resolves():
+    targets = load_tracing()._targets({})
+    assert targets
+    missing = []
+    for mod_name, owner, attr, span, _ in targets:
+        module = importlib.import_module("nsdarcy." + mod_name)
+        holder = module if owner is None else getattr(module, owner, None)
+        if not callable(getattr(holder, attr, None)):
+            missing.append(f"{mod_name}.{owner + '.' if owner else ''}{attr}"
+                           f" ({span})")
+    assert not missing, "tracer targets not in the package: " + \
+        ", ".join(missing)
+
+
+def test_a_missing_target_is_reported(monkeypatch):
+    from nsdarcy import forms
+    monkeypatch.delattr(forms, "assemble_af")
+    with pytest.raises(AssertionError, match="forms.assemble_af"):
+        test_every_trace_target_resolves()
