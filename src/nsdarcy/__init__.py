@@ -5,7 +5,7 @@ algorithms, verified against a built-in closed-form solution."""
 __version__ = "0.1.0"
 
 from .coupled import CoupledState, PicardDiverged, solve_coupled
-from .decoupled import AlgorithmId, MultilevelRun, compare_runs, run_multilevel
+from .decoupled import AlgorithmId, MultilevelRun, run_multilevel
 from .forms import ModelParams
 from .mesh import MeshSchedule, ScheduleKind, build_coupled_mesh, make_schedule
 from .mms import ErrorReport, error_norms, manufactured_problem, rate_table
@@ -21,7 +21,6 @@ __all__ = [
     "PicardDiverged",
     "ScheduleKind",
     "build_coupled_mesh",
-    "compare_runs",
     "error_norms",
     "make_schedule",
     "manufactured_problem",

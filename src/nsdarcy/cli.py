@@ -27,8 +27,9 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .coupled import solve_coupled
+from .coupled import FAMILIES, solve_coupled
 from .decoupled import run_multilevel
+from .fem import dof_count
 from .forms import ModelParams
 from .mesh import MeshSchedule, ScheduleKind, ScheduleOverflow, make_schedule
 from .mms import (REPORTED_KEYS, error_norms, manufactured_problem,
@@ -323,24 +324,11 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
             run = run_multilevel(config.algorithm, sched, config.order,
                                  params, mms, picard_tol=config.picard_tol,
                                  **opts)
-            if pair_mode:
-                lv = run.levels[-1]
-                finals.append((i, error_norms(lv.final, mms, stage="final",
-                                              algorithm=config.algorithm)))
+            for lv in run.levels[-1:] if pair_mode else run.levels:
+                level = i if pair_mode else lv.level
+                finals.append((level, error_norms(lv.final, mms)))
                 if lv.intermediate is not None:
-                    stars.append((i, error_norms(
-                        lv.intermediate, mms, stage="intermediate",
-                        algorithm=config.algorithm)))
-            else:
-                for lv in run.levels:
-                    stage = "fe" if lv.level == 0 else "final"
-                    finals.append((lv.level, error_norms(
-                        lv.final, mms, stage=stage,
-                        algorithm=config.algorithm)))
-                    if lv.intermediate is not None:
-                        stars.append((lv.level, error_norms(
-                            lv.intermediate, mms, stage="intermediate",
-                            algorithm=config.algorithm)))
+                    stars.append((level, error_norms(lv.intermediate, mms)))
 
     artifact = TableArtifact(rows=_rows_for_stage(finals)
                              + _rows_for_stage(stars, "_star"),
@@ -364,18 +352,17 @@ def _metadata(config: ExperimentConfig) -> dict:
 
 
 def _dry_run_text(config: ExperimentConfig, schedules: list) -> str:
-    from .coupled import build_spaces
-    from .mesh import build_coupled_mesh
+    """Schedule and dof counts, from closed forms: no mesh is built."""
+    vfam, qfam, hfam = FAMILIES[config.order]
     lines = [f"algorithm={config.algorithm} order={config.order} "
              f"solver={config.solver}"]
     for i, sched in enumerate(schedules):
         lines.append(f"schedule {i}: subdivisions {list(sched)}")
         for level, n in enumerate(sched):
-            sp = build_spaces(build_coupled_mesh(n), config.order)
             lines.append(
                 f"  level {level}: n={n} h=1/{n} "
-                f"velocity={sp.velocity.num_coefficients} "
-                f"pressure={sp.pressure.ndof} head={sp.head.ndof}")
+                f"velocity={vfam.components * dof_count(vfam, n)} "
+                f"pressure={dof_count(qfam, n)} head={dof_count(hfam, n)}")
     return "\n".join(lines)
 
 

@@ -26,10 +26,10 @@ import scipy.sparse as sp
 
 from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
-                  build_dofmap, cell_bubbles, interpolate)
+                  build_dofmap, cell_bubbles, dirichlet_trace)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
-                     constrain_matrix, constrain_rhs, gmres, true_residual)
+                     constrain_dirichlet, gmres, pin, true_residual)
 
 
 @dataclass(eq=False)
@@ -63,34 +63,46 @@ class Spaces(NamedTuple):
     head: DofMap
 
 
+# (velocity, pressure, head) element families per order: Mini/P1/P1 for
+# order 1, Taylor-Hood P2/P1 with a P2 head for order 2
+FAMILIES = {1: (MINI_VELOCITY, P1, P1), 2: (P2_VELOCITY, P1, P2)}
+
+
 def build_spaces(coupled_mesh: CoupledMesh, order: int) -> Spaces:
-    """Mini/P1/P1 for order 1, Taylor-Hood P2/P1 with P2 head for order 2."""
-    if order == 1:
-        vfam, hfam = MINI_VELOCITY, P1
-    elif order == 2:
-        vfam, hfam = P2_VELOCITY, P2
-    else:
+    if order not in FAMILIES:
         raise ValueError(f"order must be 1 or 2, got {order}")
+    vfam, qfam, hfam = FAMILIES[order]
     return Spaces(velocity=build_dofmap(coupled_mesh.fluid, vfam),
-                  pressure=build_dofmap(coupled_mesh.fluid, P1),
+                  pressure=build_dofmap(coupled_mesh.fluid, qfam),
                   head=build_dofmap(coupled_mesh.porous, hfam))
 
 
 def dirichlet_data(spaces: Spaces, mms) -> tuple[np.ndarray, np.ndarray]:
-    """Monolithic dof ids and exact-trace values on the outer boundaries;
-    interface dofs stay free (they carry the natural conditions)."""
-    dv, dq, dphi = spaces
-    nv = dv.ndof
-    vel = interpolate(mms.velocity, dv)
-    head = interpolate(mms.head, dphi)
-    vdofs = dv.dirichlet_dofs
-    pdofs = dphi.dirichlet_dofs
-    off_phi = 2 * nv + dq.ndof
-    dofs = np.concatenate([vdofs, vdofs + nv, pdofs + off_phi])
-    values = np.concatenate([vel.coefficients[vdofs],
-                             vel.coefficients[vdofs + nv],
-                             head.coefficients[pdofs]])
-    return dofs, values
+    """Monolithic ids and exact-trace values of the outer-boundary
+    velocity and head coefficients (see fem.dirichlet_trace)."""
+    vdofs, vvals = dirichlet_trace(spaces.velocity, mms.velocity)
+    hdofs, hvals = dirichlet_trace(spaces.head, mms.head)
+    off_phi = spaces.velocity.num_coefficients + spaces.pressure.ndof
+    return (np.concatenate([vdofs, hdofs + off_phi]),
+            np.concatenate([vvals, hvals]))
+
+
+def saddle_preconditioner(dv: DofMap, dq: DofMap, params: forms.ModelParams,
+                          droptol: float):
+    """precondition(K) for a LinearSolver on a velocity-pressure(-head)
+    saddle matrix K, nphi from its shape; the pressure-mass diagonal is
+    assembled on the first call and reused (direct solves never call it)."""
+    mass_diag = None
+
+    def precondition(K):
+        nonlocal mass_diag
+        if mass_diag is None:
+            mass_diag = forms.assemble_mass(dq).diagonal()
+        nu_ = dv.num_coefficients
+        return BlockTriangularPreconditioner(
+            K, nu_, dq.ndof, mass_diag, params.nu,
+            nphi=K.shape[0] - nu_ - dq.ndof, droptol=droptol)
+    return precondition
 
 
 def split_state(spaces: Spaces, x: np.ndarray) -> CoupledState:
@@ -110,7 +122,7 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     update norm grows three times in a row or maxit is exhausted."""
     spaces = build_spaces(coupled_mesh, order)
     dv, dq, dphi = spaces
-    nv, nq_, nphi = dv.ndof, dq.ndof, dphi.ndof
+    nv = dv.ndof
 
     A_f = forms.assemble_af(dv, params)
     B = forms.assemble_b(dv, dq)
@@ -120,19 +132,14 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     rho_g = params.rho * params.gravity
     rhs0 = np.concatenate([
         forms.assemble_volume_load(dv, mms.f_fluid),
-        np.zeros(nq_),
+        np.zeros(dq.ndof),
         forms.assemble_volume_load(dphi, mms.f_porous, weight=rho_g)])
     bc_dofs, bc_values = dirichlet_data(spaces, mms)
-    mass_diag = forms.assemble_mass(dq).diagonal()
-
-    def precondition(K2):
-        return BlockTriangularPreconditioner(K2, 2 * nv, nq_, mass_diag,
-                                             params.nu, nphi=nphi,
-                                             droptol=droptol)
-
+    zeros = np.zeros_like(rhs0)
+    precondition = saddle_preconditioner(dv, dq, params, droptol)
     bubbles = cell_bubbles(dv)
     report = PicardReport(iterations=0)
-    x_prev = np.zeros(2 * nv + nq_ + nphi)
+    x_prev = np.zeros_like(rhs0)
     growth = 0
     frozen = None
     for m in range(1, maxit + 1):
@@ -142,8 +149,8 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
         K = sp.bmat([[A_f + N1, B.T, C_vphi],
                      [B, None, None],
                      [C_phiu, None, A_p]], format="csr")
-        K2 = constrain_matrix(K, bc_dofs)
-        rhs2 = constrain_rhs(K, rhs0, bc_dofs, bc_values)
+        K2, lift = constrain_dirichlet(K, zeros, bc_dofs, bc_values)
+        rhs2 = pin(rhs0, lift, bc_dofs, bc_values)
         if frozen is not None:
             # one factorization serves the whole iteration: later systems
             # differ only by the convection update, so the frozen factor is

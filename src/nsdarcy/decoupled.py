@@ -30,12 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
-from .coupled import CoupledState, build_spaces, solve_coupled
-from .fem import DiscreteField, DofMap, cell_bubbles, interpolate
+from .coupled import (CoupledState, build_spaces, saddle_preconditioner,
+                      solve_coupled)
+from .fem import DiscreteField, DofMap, cell_bubbles, dirichlet_trace
 from .mesh import CoupledMesh, build_coupled_mesh
-from .mms import error_norms
-from .sparse import (BlockTriangularPreconditioner, LinearSolver,
-                     constrain_dirichlet, ichol)
+from .sparse import LinearSolver, constrain_dirichlet, ichol, pin
 
 
 class AlgorithmId(enum.Enum):
@@ -43,10 +42,6 @@ class AlgorithmId(enum.Enum):
     B = "B"
     C = "C"
     D = "D"
-
-
-class MeshMismatch(Exception):
-    pass
 
 
 class MultilevelStepFailed(Exception):
@@ -73,20 +68,6 @@ class MultilevelRun:
     solve_log: list = field(default_factory=list)   # (level, step, method, its)
     timings: list = field(default_factory=list)     # seconds per level
 
-    @property
-    def final_states(self) -> list:
-        return [lv.final for lv in self.levels]
-
-
-def _pin(load: np.ndarray, lift: np.ndarray, dofs: np.ndarray,
-         values: np.ndarray) -> np.ndarray:
-    """constrain_rhs(A, load, dofs, values) from the stored lift -A x0,
-    which is constrain_rhs of a zero load: load + (-A x0) equals
-    load - A x0 bitwise, so A need not be kept."""
-    out = load + lift
-    out[dofs] = values
-    return out
-
 
 class DarcyStep:
     """Porous subproblem a_p(phi, psi) = rho g (f_p, psi)
@@ -102,9 +83,7 @@ class DarcyStep:
         rho_g = params.rho * params.gravity
         self.volume = forms.assemble_volume_load(dofmap_phi, mms.f_porous,
                                                  weight=rho_g)
-        self.bc_dofs = dofmap_phi.dirichlet_dofs
-        self.bc_values = interpolate(mms.head, dofmap_phi) \
-            .coefficients[self.bc_dofs]
+        self.bc_dofs, self.bc_values = dirichlet_trace(dofmap_phi, mms.head)
         K, self.lift = constrain_dirichlet(
             forms.assemble_ap(dofmap_phi, params), np.zeros(dofmap_phi.ndof),
             self.bc_dofs, self.bc_values)
@@ -116,7 +95,7 @@ class DarcyStep:
         rhs = self.volume + forms.assemble_interface_load_darcy(
             self.dofmap, velocity_source, self.params)
         x, rep = self.linear.solve(
-            _pin(rhs, self.lift, self.bc_dofs, self.bc_values))
+            pin(rhs, self.lift, self.bc_dofs, self.bc_values))
         return DiscreteField(self.dofmap, x), rep
 
 
@@ -141,26 +120,18 @@ class NSStep:
                      [B, None]], format="csr")
         del N, B   # only the constrained matrix outlives the set-up
         self.volume = forms.assemble_volume_load(dofmap_v, mms.f_fluid)
-        nv = dofmap_v.ndof
-        vd = dofmap_v.dirichlet_dofs
-        vel = interpolate(mms.velocity, dofmap_v)
-        self.bc_dofs = np.concatenate([vd, vd + nv])
-        self.bc_values = np.concatenate([vel.coefficients[vd],
-                                         vel.coefficients[vd + nv]])
+        self.bc_dofs, self.bc_values = dirichlet_trace(dofmap_v, mms.velocity)
         K, self.lift = constrain_dirichlet(K, np.zeros(K.shape[0]),
                                            self.bc_dofs, self.bc_values)
         self.linear = LinearSolver(
             K, solver, linear_tol,
-            lambda K: BlockTriangularPreconditioner(
-                K, 2 * nv, dofmap_q.ndof,
-                forms.assemble_mass(dofmap_q).diagonal(), params.nu,
-                droptol=droptol),
+            saddle_preconditioner(dofmap_v, dofmap_q, params, droptol),
             local=cell_bubbles(dofmap_v))
 
     def _solve(self, rhs_v: np.ndarray):
         rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])
         x, rep = self.linear.solve(
-            _pin(rhs, self.lift, self.bc_dofs, self.bc_values))
+            pin(rhs, self.lift, self.bc_dofs, self.bc_values))
         nv2 = 2 * self.dv.ndof
         return (DiscreteField(self.dv, x[:nv2].copy()),
                 DiscreteField(self.dq, x[nv2:].copy()), rep)
@@ -185,8 +156,7 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState,
                   coupled_mesh: CoupledMesh, order: int,
                   params: forms.ModelParams, mms, solver: str = "direct",
                   linear_tol: float = 1e-9, droptol: float = 1e-3,
-                  c_order: str = "ns_first", level: int = 1,
-                  log: list | None = None) -> LevelSolution:
+                  level: int = 1, log: list | None = None) -> LevelSolution:
     """One fine level of the chosen algorithm from the previous level's
     final state; the single-level kernel behind run_multilevel."""
     algorithm = AlgorithmId(algorithm)
@@ -222,13 +192,10 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState,
         inter = CoupledState(u_star, p_star, phi_star)
         final = CoupledState(u_h, p_h, phi_h)
     elif algorithm is AlgorithmId.C:
-        # one-shot, no corrections; the two solves share no data
-        if c_order == "ns_first":
-            u_h, p_h = run("ns_newton", ns.solve_newton, prev.head)
-            phi_h = run("darcy", darcy.solve, prev.velocity)
-        else:
-            phi_h = run("darcy", darcy.solve, prev.velocity)
-            u_h, p_h = run("ns_newton", ns.solve_newton, prev.head)
+        # one-shot, no corrections; the two solves share no data, so
+        # their order does not matter
+        u_h, p_h = run("ns_newton", ns.solve_newton, prev.head)
+        phi_h = run("darcy", darcy.solve, prev.velocity)
         inter = None
         final = CoupledState(u_h, p_h, phi_h)
     elif algorithm is AlgorithmId.D:
@@ -246,8 +213,7 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState,
 def run_multilevel(algorithm, schedule, order: int,
                    params: forms.ModelParams, mms, solver: str = "direct",
                    linear_tol: float = 1e-9, droptol: float = 1e-3,
-                   picard_tol: float = 1e-7,
-                   c_order: str = "ns_first") -> MultilevelRun:
+                   picard_tol: float = 1e-7) -> MultilevelRun:
     """Coarse coupled solve on the first schedule entry, then one decoupled
     pass of the chosen algorithm per finer level."""
     algorithm = AlgorithmId(algorithm)
@@ -272,30 +238,9 @@ def run_multilevel(algorithm, schedule, order: int,
         sol = advance_level(algorithm, prev, build_coupled_mesh(n), order,
                             params, mms, solver=solver,
                             linear_tol=linear_tol, droptol=droptol,
-                            c_order=c_order, level=level, log=run.solve_log)
+                            level=level, log=run.solve_log)
         run.levels.append(sol)
         run.timings.append(time.perf_counter() - t0)
         prev = sol.final
     return run
 
-
-def compare_runs(run: MultilevelRun, reference: list, mms,
-                 quad_degree: int = 8) -> list:
-    """Per-level error ratios (multilevel final / coupled reference) for each
-    reported variable and norm; reference states must sit on the same meshes
-    in schedule order."""
-    if len(reference) != len(run.levels):
-        raise MeshMismatch(f"{len(run.levels)} levels vs "
-                           f"{len(reference)} reference states")
-    out = []
-    for lv, ref in zip(run.levels, reference):
-        if ref.n != lv.n:
-            raise MeshMismatch(f"level {lv.level}: n={lv.n} vs "
-                               f"reference n={ref.n}")
-        if ref.velocity.dofmap.family.tag != lv.final.velocity.dofmap.family.tag:
-            raise MeshMismatch(f"level {lv.level}: element families differ")
-        e_run = error_norms(lv.final, mms, quad_degree)
-        e_ref = error_norms(ref, mms, quad_degree)
-        out.append({k: e_run.errors[k] / e_ref.errors[k]
-                    for k in e_run.errors})
-    return out

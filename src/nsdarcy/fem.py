@@ -274,6 +274,13 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
                   dof_coords=coords, boundary_dofs=bdofs, boundary_tags=btags)
 
 
+def dof_count(family: ElementFamily, n: int) -> int:
+    """Scalar dofs of `family` on an n x n subdomain mesh, without building
+    it: (n+1)^2 vertices, plus 3n^2 + 2n edges (P2) or 2n^2 cells (Mini)."""
+    extra = {"P1": 0, "P2": 3 * n * n + 2 * n, "MINI_VELOCITY": 2 * n * n}
+    return (n + 1) ** 2 + extra[family.tag]
+
+
 def cell_bubbles(dofmap: DofMap) -> np.ndarray | None:
     """Coefficient ids (nc, 2) of the two bubble components of each Mini
     cell, or None for a family without bubbles. A bubble vanishes on every
@@ -369,3 +376,12 @@ def interpolate(f, dofmap: DofMap) -> DiscreteField:
     coeffs[:dofmap.ndof][nodal] = np.broadcast_to(fx, (nodal.sum(),))
     coeffs[dofmap.ndof:][nodal] = np.broadcast_to(fy, (nodal.sum(),))
     return DiscreteField(dofmap, coeffs)
+
+
+def dirichlet_trace(dofmap: DofMap, f) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient ids of the outer-boundary dofs of every component and the
+    nodal values of f there; interface dofs stay free (natural conditions)."""
+    dofs = dofmap.dirichlet_dofs
+    ids = np.concatenate([dofs + d * dofmap.ndof
+                          for d in range(dofmap.family.components)])
+    return ids, interpolate(f, dofmap).coefficients[ids]

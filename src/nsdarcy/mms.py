@@ -86,9 +86,6 @@ def manufactured_problem(params: ModelParams | None = None) -> ManufacturedProbl
 @dataclass
 class ErrorReport:
     n: int
-    order: int
-    stage: str = "fe"              # fe | intermediate | final
-    algorithm: str | None = None   # None for the coupled baseline
     errors: dict = field(default_factory=dict)
 
     @property
@@ -125,8 +122,8 @@ def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
                                    gdiff2)))
 
 
-def error_norms(state, mms: ManufacturedProblem, quad_degree: int = 8,
-                stage: str = "fe", algorithm: str | None = None) -> ErrorReport:
+def error_norms(state, mms: ManufacturedProblem,
+                quad_degree: int = 8) -> ErrorReport:
     """Componentwise L2/H1-seminorm errors of a coupled state (velocity
     components u, v; pressure p, L2 only; head phi). The exact velocity and
     its gradient are evaluated once, at the rule both components share."""
@@ -150,9 +147,7 @@ def error_norms(state, mms: ManufacturedProblem, quad_degree: int = 8,
                                     mms.head(*xy))
     errs[("phi", "H1")] = _h1_error(rule, state.head.coefficients,
                                     mms.head_grad(*xy))
-    order = 2 if dv.family.tag == "P2" else 1
-    return ErrorReport(n=dv.mesh.n, order=order, stage=stage,
-                       algorithm=algorithm, errors=errs)
+    return ErrorReport(n=dv.mesh.n, errors=errs)
 
 
 @dataclass

@@ -247,16 +247,15 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
     P = P or Preconditioner()
     n = b.shape[0]
     x = np.zeros(n)
-    r0 = P.apply(b)
-    beta0 = np.linalg.norm(r0)
+    r = P.apply(b)   # the preconditioned residual at x = 0
+    beta0 = np.linalg.norm(r)
     if beta0 == 0.0:
         return x, SolveReport(0, 0.0, True, "gmres")
 
-    total = 0
+    total, exhausted = 0, False
     while True:
-        r = P.apply(b - A @ x)
         rel = np.linalg.norm(r) / beta0
-        if rel <= tol or total >= maxit:
+        if rel <= tol or total >= maxit or exhausted:
             return x, SolveReport(total, rel, rel <= tol, "gmres")
         m = min(restart, maxit - total, n)
         V = np.empty((m + 1, n))
@@ -266,7 +265,6 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         sn = np.empty(m)
         g = np.zeros(m + 1)
         g[0] = rel * beta0
-        exhausted = False
         for j in range(m):
             w = P.apply(A @ V[j])
             for i in range(j + 1):
@@ -292,10 +290,7 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
                 break
         y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
         x = x + V[:j + 1].T @ y
-        if exhausted:
-            r = P.apply(b - A @ x)
-            rel = np.linalg.norm(r) / beta0
-            return x, SolveReport(total, rel, rel <= tol, "gmres")
+        r = P.apply(b - A @ x)
 
 
 class DirectFactor:
@@ -457,4 +452,14 @@ def constrain_rhs(A, b: np.ndarray, dofs: np.ndarray,
 
 
 def constrain_dirichlet(A, b, dofs, values):
+    """With b = 0 the right side is the lift -A x0 that `pin` takes."""
     return constrain_matrix(A, dofs), constrain_rhs(A, b, dofs, values)
+
+
+def pin(load: np.ndarray, lift: np.ndarray, dofs: np.ndarray,
+        values: np.ndarray) -> np.ndarray:
+    """constrain_rhs(A, load, dofs, values) from the lift -A x0: load + lift
+    equals load - A x0 bitwise, so A need not be kept."""
+    out = load + lift
+    out[dofs] = values
+    return out

@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 from best_approximation import (BAND, ENERGY_KEYS, best_errors,
                                 outside_band, quasi_optimality)
+from run_comparison import compare_runs
 from test_sparse import coupled_system, porous_head_system
 
 from nsdarcy import forms
 from nsdarcy.coupled import solve_coupled
-from nsdarcy.decoupled import compare_runs, run_multilevel
+from nsdarcy.decoupled import run_multilevel
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          build_dofmap, quad_rule_tri)
 from nsdarcy.forms import trilinear_c

@@ -13,6 +13,7 @@ from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
                          diff_tables, format_error, format_rate, main,
                          parse_config, parse_schedule_spec, parse_tol_spec,
                          read_table, run_experiment)
+from nsdarcy import decoupled, mesh
 
 VARIABLES = ("u", "v", "p", "phi", "u_star", "phi_star")
 NORMS = ("L2", "H1")
@@ -384,6 +385,23 @@ class TestRunExperiment:
         printed = capsys.readouterr().out
         assert "level 0: n=2" in printed
         assert "velocity=" in printed and "head=" in printed
+
+    def test_dry_run_builds_no_mesh(self, monkeypatch, capsys):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a dry run built a mesh")
+
+        for module in (mesh, decoupled):
+            monkeypatch.setattr(module, "build_coupled_mesh", no_mesh)
+        monkeypatch.setattr(mesh, "build_tri_mesh", no_mesh)
+        cfg = parse_config(overrides={"order": 2,
+                                      "schedule": "pairs:2:32:1024,3:6"})
+        cfg.dry_run = True
+        assert run_experiment(cfg).rows == []
+        lines = capsys.readouterr().out.splitlines()
+        # counts as printed when the meshes were built
+        assert ("  level 2: n=1024 h=1/1024 velocity=8396802 "
+                "pressure=1050625 head=4198401") in lines
+        assert "  level 0: n=3 h=1/3 velocity=98 pressure=16 head=49" in lines
 
     def test_rerun_is_byte_reproducible(self, tmp_path):
         bodies = []

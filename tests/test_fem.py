@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
-                         UnsupportedDegree, build_dofmap, edge_bary,
-                         interpolate, quad_rule_edge, quad_rule_tri,
-                         ref_basis_many)
+                         UnsupportedDegree, build_dofmap, dirichlet_trace,
+                         dof_count, edge_bary, interpolate, quad_rule_edge,
+                         quad_rule_tri, ref_basis_many)
 from nsdarcy.mesh import BoundaryTag, Subdomain, build_tri_mesh
 
 CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
@@ -141,6 +141,31 @@ class TestDofMap:
         iface = set(dm.dofs_with_tag(BoundaryTag.INTERFACE))
         assert not dirichlet & iface
         assert dirichlet | iface == set(dm.boundary_dofs)
+
+    @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY, P2_VELOCITY],
+                             ids=["P1", "P2", "MINI", "P2_VELOCITY"])
+    def test_closed_form_count(self, family):
+        for n in range(1, 13):
+            for mesh in (fluid_mesh(n), porous_mesh(n)):
+                assert dof_count(family, n) == build_dofmap(mesh, family).ndof
+
+    @pytest.mark.parametrize("family,f", [
+        (P2, lambda x, y: x + 3 * y * y),
+        (MINI_VELOCITY, lambda x, y: (x + y, x * y - 1))])
+    def test_dirichlet_trace(self, family, f):
+        dm = build_dofmap(fluid_mesh(3), family)
+        ids, values = dirichlet_trace(dm, f)
+
+        def outer(xy):   # the closed outer boundary x = 0, x = 1, y = 2
+            return (np.isclose(xy[:, 0], 0.0) | np.isclose(xy[:, 0], 1.0)
+                    | np.isclose(xy[:, 1], 2.0))
+
+        xy = dm.dof_coords[ids % dm.ndof]
+        assert outer(xy).all()
+        assert len(ids) == family.components * outer(dm.dof_coords).sum()
+        exact = np.atleast_2d(f(xy[:, 0], xy[:, 1]))   # (components, m)
+        assert np.array_equal(values,
+                              exact[ids // dm.ndof, np.arange(len(ids))])
 
     def test_rebuild_is_deterministic(self):
         a = build_dofmap(fluid_mesh(3), MINI_VELOCITY)

@@ -183,10 +183,9 @@ class TestErrorNorms:
             assert abs(a - b) <= 1e-3 * a
 
     def test_report_metadata(self, mms):
-        report = error_norms(zero_state(2, 1), mms, stage="fe")
+        report = error_norms(zero_state(2, 1), mms)
         assert report.n == 2
         assert report.h == 0.5
-        assert report.stage == "fe"
         assert all(v >= 0 for v in report.errors.values())
 
 
@@ -206,9 +205,8 @@ class TestInterpolantRates:
 class TestRateTable:
     def test_exact_halving_arithmetic(self):
         reports = [
-            ErrorReport(n=n, order=1, stage="fe", algorithm=None,
-                        errors={key: (4e-2 if n == 8 else 1e-2)
-                                for key in REPORTED_KEYS})
+            ErrorReport(n=n, errors={key: (4e-2 if n == 8 else 1e-2)
+                                     for key in REPORTED_KEYS})
             for n in (8, 16)]
         table = rate_table(reports)
         assert table.rate("u", "H1", 0) is None
@@ -216,8 +214,7 @@ class TestRateTable:
 
     def test_reference_first_order_energy_rates(self):
         reports = [
-            ErrorReport(n=n, order=1, stage="fe", algorithm=None,
-                        errors={("phi", "H1"): e})
+            ErrorReport(n=n, errors={("phi", "H1"): e})
             for n, e in sorted(MINI_FE_PHI_H1.items())]
         table = rate_table(reports)
         for i in (1, 2):
@@ -225,8 +222,7 @@ class TestRateTable:
 
     def test_reference_second_order_l2_rates(self):
         reports = [
-            ErrorReport(n=n, order=2, stage="fe", algorithm=None,
-                        errors={("phi", "L2"): e})
+            ErrorReport(n=n, errors={("phi", "L2"): e})
             for n, e in sorted(TH_FE_PHI_L2.items())]
         table = rate_table(reports)
         for i in (1, 2, 3):

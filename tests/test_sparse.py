@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from nsdarcy import forms
-from nsdarcy.coupled import build_spaces, dirichlet_data
+from nsdarcy.coupled import build_spaces, dirichlet_data, solve_coupled
+from nsdarcy.decoupled import DarcyStep, NSStep
 from nsdarcy.fem import P1, build_dofmap, cell_bubbles
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
-                            Singular, constrain_dirichlet, gmres, ichol, pcg,
+                            Preconditioner, Singular, constrain_dirichlet,
+                            constrain_rhs, gmres, ichol, pcg, pin,
                             true_residual)
 
 
@@ -142,6 +144,61 @@ class TestGmres:
         A = laplacian_1d(400)
         x, rep = gmres(A, np.ones(400), None, tol=1e-14, restart=5, maxit=10)
         assert not rep.converged
+
+    def test_one_cycle_applies_the_preconditioner_k_plus_2_times(self, rng):
+        # P b once for the initial residual, once per iteration, once for
+        # the residual after the cycle
+        class Counting(Preconditioner):
+            applies = 0
+
+            def apply(self, r):
+                self.applies += 1
+                return r
+
+        M = np.eye(40) + 0.5 * rng.standard_normal((40, 40)) / np.sqrt(40)
+        P = Counting()
+        x, rep = gmres(sp.csr_matrix(M), rng.standard_normal(40), P,
+                       tol=1e-8, restart=50)
+        assert rep.converged and 0 < rep.iterations < 40
+        assert P.applies == rep.iterations + 2
+
+
+class TestPin:
+    """pin with the lift constrain_dirichlet(A, 0, ...) returns equals
+    constrain_rhs(A, load, ...) bitwise on each matrix the solvers
+    constrain: the Darcy and NS steps' stored lifts and the Picard matrix."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_equals_constrain_rhs(self, order, params, mms, rng):
+        cm = build_coupled_mesh(4)
+        state, _ = solve_coupled(cm, order, params, mms)
+        spaces = build_spaces(cm, order)
+        dv, dq, dphi = spaces
+        darcy = DarcyStep(dphi, params, mms)
+        ns = NSStep(dv, dq, params, mms, state.velocity)
+        A_f = forms.assemble_af(dv, params)
+        A_p = forms.assemble_ap(dphi, params)
+        B = forms.assemble_b(dv, dq)
+        N, _ = forms.assemble_convection(dv, state.velocity,
+                                         forms.ConvectionMode.NEWTON, params)
+        N1, _ = forms.assemble_convection(dv, state.velocity,
+                                          forms.ConvectionMode.PLAIN, params)
+        C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
+                                                           params)
+        picard = sp.bmat([[A_f + N1, B.T, C_vphi],
+                          [B, None, None],
+                          [C_phiu, None, A_p]], format="csr")
+        dofs, values = dirichlet_data(spaces, mms)
+        _, lift = constrain_dirichlet(picard, np.zeros(picard.shape[0]),
+                                      dofs, values)
+        cases = [(A_p, darcy.lift, darcy.bc_dofs, darcy.bc_values),
+                 (sp.bmat([[A_f + N, B.T], [B, None]], format="csr"),
+                  ns.lift, ns.bc_dofs, ns.bc_values),
+                 (picard, lift, dofs, values)]
+        for A, lift, dofs, values in cases:
+            b = rng.standard_normal(A.shape[0])
+            assert np.array_equal(pin(b, lift, dofs, values),
+                                  constrain_rhs(A, b, dofs, values))
 
 
 class TestDirectSolve:
