@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
@@ -483,6 +484,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # solver and IO failures
         print("---- failure ----", file=sys.stderr)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(traceback.format_exc(), end="", file=sys.stderr)
         print("-----------------", file=sys.stderr)
         return 3
 

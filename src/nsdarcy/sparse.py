@@ -22,6 +22,8 @@ diagonal blocks and Mhat the pressure mass diagonal scaled by 1/nu.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +66,9 @@ class Preconditioner:
 class IncompleteCholesky(Preconditioner):
     """Lower-triangular incomplete factor; apply solves L L^T z = r."""
 
-    def __init__(self, L: sp.csr_matrix, shifts: int, droptol: float):
+    def __init__(self, L: sp.csr_matrix, shifts: int):
         self.L = L
         self.shifts = shifts
-        self.droptol = droptol
         # SuperLU of a triangular matrix under natural ordering is the matrix
         # itself; it provides compiled forward and transposed solves.
         self._lu = spla.splu(L.tocsc(), permc_spec="NATURAL",
@@ -86,6 +87,15 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     |y_k| < droptol*sqrt(|A_ii|) are dropped as they are produced and then
     contribute no updates. A nonpositive pivot is replaced by |A_ii| and
     counted as a breakdown shift.
+
+    The arithmetic order is fixed, and `tests/ichol_reference.py` pins it
+    bit for bit: the columns k of row i are taken in ascending order, and
+    each w[j] is updated as w[j] - y_k*l_jk over the finished rows j of
+    column k in ascending order. The loop runs on Python floats and ints.
+    L is collected row by row in typed arrays, and the finished columns are
+    linked lists through flat lists, so no container is made per row or
+    column of L: for memory, and because the garbage collector walks every
+    live container.
     """
     A = as_csr(A)
     n = A.shape[0]
@@ -96,32 +106,36 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     if skew.nnz and skew.max() > 1e-12 * scale:
         raise NotSymmetric(f"max |A - A^T| = {skew.max():.3e}")
 
-    indptr, indices, data = A.indptr, A.indices, A.data
-    diag = A.diagonal()
-    row_cols: list[np.ndarray] = []
-    row_vals: list[np.ndarray] = []
-    ldiag = np.empty(n)
-    # column structure of the finished rows, for the scatter updates
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    col_vals: list[list[float]] = [[] for _ in range(n)]
+    diag = A.diagonal().tolist()
+    lower = sp.tril(A, -1, format="csr")   # keeps stored zeros
+    lptr = lower.indptr.tolist()
+    lind, ldata = lower.indices, lower.data
+    ptr, cols, vals = array("q", [0]), array("q"), array("d")
+    ldiag = [0.0] * n
+    # column k of the finished rows as a linked list: its entries are
+    # p = head[k], nxt[p], ... up to tail[k] (nxt is -1 there), entry p
+    # sitting in row row_of[p] with value val_of[p]
+    head, tail = [-1] * n, [-1] * n
+    row_of: list[int] = []
+    val_of: list[float] = []
+    nxt: list[int] = []
     shifts = 0
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    w = np.zeros(n)
+    w = [0.0] * n
     for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        cols0 = indices[lo:hi]
-        keep0 = cols0 < i
-        active = cols0[keep0].tolist()
-        w[active] = data[lo:hi][keep0]
+        lo, hi = lptr[i], lptr[i + 1]
+        active = lind[lo:hi].tolist()
+        for k, v in zip(active, ldata[lo:hi].tolist()):
+            w[k] = v
         heapq.heapify(active)
-        pivot = diag[i]
-        drop = droptol * np.sqrt(abs(diag[i]))
+        a_ii = diag[i]
+        pivot = a_ii
+        drop = droptol * math.sqrt(abs(a_ii))
 
-        kept_c: list[int] = []
-        kept_v: list[float] = []
         seen = -1
         while active:
-            k = heapq.heappop(active)
+            k = heappop(active)
             if k == seen:
                 continue
             seen = k
@@ -129,33 +143,44 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
             w[k] = 0.0
             if abs(y) < drop:
                 continue
-            kept_c.append(k)
-            kept_v.append(y)
             pivot -= y * y
             # column k holds only rows finished before i
-            for j, ljk in zip(col_rows[k], col_vals[k]):
-                if w[j] == 0.0:
-                    heapq.heappush(active, j)
-                w[j] -= y * ljk
+            p = head[k]
+            while p >= 0:
+                j = row_of[p]
+                wj = w[j]
+                if wj == 0.0:
+                    heappush(active, j)
+                w[j] = wj - y * val_of[p]
+                p = nxt[p]
+            p = len(row_of)
+            row_of.append(i)
+            val_of.append(y)
+            nxt.append(-1)
+            if tail[k] >= 0:
+                nxt[tail[k]] = p
+            else:
+                head[k] = p
+            tail[k] = p
+            cols.append(k)
+            vals.append(y)
 
         if pivot <= 0.0:
-            pivot = abs(diag[i])
+            pivot = abs(a_ii)
             shifts += 1
             if pivot == 0.0:
                 raise Singular(f"zero diagonal at row {i}")
-        ldiag[i] = np.sqrt(pivot)
-        for c, v in zip(kept_c, kept_v):
-            col_rows[c].append(i)
-            col_vals[c].append(v)
-        row_cols.append(np.array(kept_c + [i], dtype=np.int64))
-        row_vals.append(np.array(kept_v + [ldiag[i]]))
+        ldiag[i] = math.sqrt(pivot)
+        cols.append(i)
+        vals.append(ldiag[i])
+        ptr.append(len(cols))
 
-    nnz = np.array([len(c) for c in row_cols])
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nnz, out=ptr[1:])
-    L = sp.csr_matrix((np.concatenate(row_vals), np.concatenate(row_cols), ptr),
-                      shape=(n, n))
-    return IncompleteCholesky(L, shifts, droptol)
+    # the column lists are the largest objects here; free them before the
+    # triangular LU of L is built, or they set the study's peak RSS
+    del row_of, val_of, nxt, head, tail, w
+    L = sp.csr_matrix((np.frombuffer(vals), np.frombuffer(cols, np.int64),
+                       np.frombuffer(ptr, np.int64)), shape=(n, n))
+    return IncompleteCholesky(L, shifts)
 
 
 class BlockTriangularPreconditioner(Preconditioner):

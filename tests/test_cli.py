@@ -13,7 +13,7 @@ from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
                          diff_tables, format_error, format_rate, main,
                          parse_config, parse_schedule_spec, parse_tol_spec,
                          read_table, run_experiment)
-from nsdarcy import decoupled, mesh
+from nsdarcy import cli, decoupled, mesh
 
 VARIABLES = ("u", "v", "p", "phi", "u_star", "phi_star")
 NORMS = ("L2", "H1")
@@ -539,6 +539,19 @@ class TestMain:
         missing = str(tmp_path / "nope.csv")
         assert main(["diff", missing, missing, "--tol", "0.01"]) == 3
         assert "failure" in capsys.readouterr().err
+
+    def test_solver_failure_exits_three_with_traceback(self, tmp_path,
+                                                      capsys, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(cli, "solve_coupled", failing_solve)
+        assert main(["run", "--schedule", "square:n0=2,levels=1",
+                     "--out", str(tmp_path / "res")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("---- failure ----\n"
+                              "RuntimeError: no convergence\n")
+        assert "Traceback" in err and "failing_solve" in err
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "res"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ichol_reference import ichol_reference
 
-from nsdarcy import forms
+from nsdarcy import decoupled, forms, sparse
 from nsdarcy.coupled import build_spaces, dirichlet_data, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
 from nsdarcy.fem import P1, build_dofmap, cell_bubbles
@@ -87,6 +90,112 @@ class TestIncompleteCholesky:
         A = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(NotSymmetric):
             ichol(A)
+
+    def test_nonpositive_pivot_is_shifted_to_the_diagonal(self):
+        # row 1: y = 2, pivot 1 - 4 < 0, replaced by |A_11| = 1
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        fac = ichol(A, droptol=0.0)
+        assert fac.shifts == 1
+        assert np.array_equal(fac.L.toarray(), [[1.0, 0.0], [2.0, 1.0]])
+
+    def test_zero_diagonal_with_nonpositive_pivot_is_singular(self):
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(Singular, match="row 1"):
+            ichol(A, droptol=0.0)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            ichol(sp.csr_matrix((2, 3)))
+
+
+def assert_same_factor(A, droptol):
+    """ichol and the reference loop agree bit for bit, or raise alike."""
+    try:
+        L_ref, shifts_ref = ichol_reference(A, droptol)
+    except Singular as exc:
+        with pytest.raises(Singular, match=str(exc)):
+            ichol(A, droptol)
+        return
+    fac = ichol(A, droptol)
+    assert np.array_equal(fac.L.indptr, L_ref.indptr)
+    assert np.array_equal(fac.L.indices, L_ref.indices)
+    assert np.array_equal(fac.L.data.view(np.int64),
+                          L_ref.data.view(np.int64))
+    assert fac.shifts == shifts_ref
+
+
+@st.composite
+def symmetric_sparse(draw):
+    """Small symmetric matrices with duplicate, zero and negative entries, so
+    that stored zeros sit in the lower triangle and some pivots break down.
+    Magnitudes stay in [1/64, 16] or 0, so that no factor overflows."""
+    n = draw(st.integers(1, 9))
+    index = st.integers(0, n - 1)
+    value = st.one_of(st.integers(-16, 16).map(lambda k: k / 4),
+                      st.floats(1 / 64, 16.0), st.floats(-16.0, -1 / 64))
+    entries = draw(st.lists(st.tuples(index, index,
+                                      st.one_of(st.just(0.0), value)),
+                            max_size=3 * n))
+    diag = draw(st.lists(value, min_size=n, max_size=n))
+    rows = [i for i, _, _ in entries] + [j for _, j, _ in entries]
+    cols = [j for _, j, _ in entries] + [i for i, _, _ in entries]
+    vals = [v for _, _, v in entries] * 2
+    A = sp.coo_matrix((vals + diag, (rows + list(range(n)),
+                                     cols + list(range(n)))), shape=(n, n))
+    return A.tocsr()
+
+
+class TestIcholMatchesReference:
+    """`ichol` against the loop it replaced (tests/ichol_reference.py)."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def step_inputs(self, request, params, mms):
+        """Every matrix the iterative Darcy and NS steps factor at n=8: the
+        head matrix and the symmetrized velocity block."""
+        order = request.param
+        cm = build_coupled_mesh(8)
+        state, _ = solve_coupled(cm, order, params, mms)
+        spaces = build_spaces(cm, order)
+        seen = []
+
+        def record(A, droptol=1e-3):
+            seen.append((sparse.as_csr(A), droptol))
+            return ichol(A, droptol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "ichol", record)
+            mp.setattr(decoupled, "ichol", record)
+            DarcyStep(spaces.head, params, mms, solver="iterative")
+            NSStep(spaces.velocity, spaces.pressure, params, mms,
+                   state.velocity, solver="iterative")
+        assert [A.shape[0] for A, _ in seen] == \
+            [spaces.head.ndof, spaces.velocity.num_coefficients]
+        return seen
+
+    def test_step_matrices(self, step_inputs):
+        for A, droptol in step_inputs:
+            assert_same_factor(A, droptol)
+
+    @pytest.mark.parametrize("droptol", [0.0, 1e-3, 0.9])
+    def test_random_spd(self, droptol, rng):
+        assert_same_factor(random_spd(40, rng), droptol)
+
+    def test_unsorted_coo_with_duplicates(self, rng):
+        A = random_spd(30, rng).tocoo()
+        # every entry split into two summands, all in shuffled order
+        part = rng.uniform(0.2, 0.8, A.nnz) * A.data
+        order = rng.permutation(2 * A.nnz)
+        coo = sp.coo_matrix(
+            (np.concatenate([part, A.data - part])[order],
+             (np.tile(A.row, 2)[order], np.tile(A.col, 2)[order])),
+            shape=A.shape)
+        for droptol in (0.0, 1e-3):
+            assert_same_factor(coo, droptol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_sparse(), st.sampled_from([0.0, 1e-3, 0.3, 0.9]))
+    def test_small_symmetric_matrices(self, A, droptol):
+        assert_same_factor(A, droptol)
 
 
 class TestPcg:
