@@ -319,7 +319,7 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
             state, _ = solve_coupled(build_coupled_mesh(n), config.order,
                                      params, mms,
                                      picard_tol=config.picard_tol, **opts)
-            finals.append((level, error_norms(state, mms)))
+            finals.append((level, error_norms([state], mms)[0]))
     else:
         for i, sched in enumerate(schedules):
             run = run_multilevel(config.algorithm, sched, config.order,
@@ -327,9 +327,12 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
                                  **opts)
             for lv in run.levels[-1:] if pair_mode else run.levels:
                 level = i if pair_mode else lv.level
-                finals.append((level, error_norms(lv.final, mms)))
-                if lv.intermediate is not None:
-                    stars.append((level, error_norms(lv.intermediate, mms)))
+                # the intermediate state shares the final one's spaces
+                final, *star = error_norms(
+                    [s for s in (lv.final, lv.intermediate) if s is not None],
+                    mms)
+                finals.append((level, final))
+                stars += [(level, r) for r in star]
 
     artifact = TableArtifact(rows=_rows_for_stage(finals)
                              + _rows_for_stage(stars, "_star"),

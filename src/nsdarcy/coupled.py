@@ -144,8 +144,9 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     frozen = None
     for m in range(1, maxit + 1):
         u_field = DiscreteField(dv, x_prev[:2 * nv])
-        N1, _ = forms.assemble_convection(dv, u_field,
-                                          forms.ConvectionMode.PLAIN, params)
+        N1, _ = forms.assemble_convection(
+            forms.quad_state(u_field, forms.cell_rule(dv), grads=False),
+            forms.ConvectionMode.PLAIN, params)
         K = sp.bmat([[A_f + N1, B.T, C_vphi],
                      [B, None, None],
                      [C_phiu, None, A_p]], format="csr")

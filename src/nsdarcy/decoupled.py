@@ -102,7 +102,9 @@ class DarcyStep:
 class NSStep:
     """Linearized free-flow subproblem about a fixed state a: the saddle
     matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0] gets one solver; the two
-    right sides differ in the convection load and the interface head."""
+    right sides differ in the convection load and the interface head. The
+    state a is evaluated once, at the fine quadrature points, and serves
+    both the Newton matrix and the correction load."""
 
     def __init__(self, dofmap_v: DofMap, dofmap_q: DofMap,
                  params: forms.ModelParams, mms,
@@ -111,10 +113,11 @@ class NSStep:
         self.dv = dofmap_v
         self.dq = dofmap_q
         self.params = params
-        self.a = linearization_state
+        self.a = forms.quad_state(linearization_state,
+                                  forms.cell_rule(dofmap_v))
 
         N, self.newton_load = forms.assemble_convection(
-            dofmap_v, linearization_state, forms.ConvectionMode.NEWTON, params)
+            self.a, forms.ConvectionMode.NEWTON, params)
         B = forms.assemble_b(dofmap_v, dofmap_q)
         K = sp.bmat([[forms.assemble_af(dofmap_v, params) + N, B.T],
                      [B, None]], format="csr")
@@ -144,7 +147,7 @@ class NSStep:
 
     def solve_correction(self, intermediate: DiscreteField,
                          head_source: DiscreteField):
-        corr = forms.assemble_correction_load(self.dv, self.a, intermediate,
+        corr = forms.assemble_correction_load(self.a, intermediate,
                                               self.params)
         rhs_v = (self.volume + corr
                  + forms.assemble_interface_load_ns(self.dv, head_source,

@@ -310,35 +310,54 @@ class DiscreteField:
         nd = self.dofmap.ndof
         return self.coefficients[d * nd:(d + 1) * nd]
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at points; shape (m,) scalar or (m, 2) vector."""
-        cells, bary = self.dofmap.mesh.locate_many(pts)
+    def eval_many(self, pts: np.ndarray, located=None) -> np.ndarray:
+        """Field values at points; shape (m,) scalar or (m, 2) vector.
+        `located` is what the mesh's `locate_many(pts)` returns, for a
+        caller that has it already."""
+        cells, bary = located or self.dofmap.mesh.locate_many(pts)
         vals, _ = ref_basis_many(self.dofmap.family, bary)    # (nloc, m)
         dofs = self.dofmap.cell_dofs[cells]                   # (m, nloc)
-        if self.components == 1:
-            return np.einsum("ml,lm->m", self.coefficients[dofs], vals)
-        out = np.empty((pts.shape[0], 2))
-        for d in range(2):
-            out[:, d] = np.einsum("ml,lm->m", self.component_view(d)[dofs], vals)
-        return out
+        comps = [self.component_view(d)[dofs]
+                 for d in range(self.components)]             # (m, nloc)
+        out = [sum_in_order(c[:, l] * vals[l] for l in range(len(vals)))
+               for c in comps]
+        return out[0] if self.components == 1 else np.stack(out, axis=1)
 
-    def eval_grad_many(self, pts: np.ndarray) -> np.ndarray:
+    def eval_grad_many(self, pts: np.ndarray, located=None) -> np.ndarray:
         """Physical gradients; shape (m, 2) scalar or (m, 2, 2) with
-        entry [d, e] = d(component d)/d(x_e) for vector fields."""
+        entry [d, e] = d(component d)/d(x_e) for vector fields. `located`
+        as for eval_many."""
         mesh = self.dofmap.mesh
-        cells, bary = mesh.locate_many(pts)
+        cells, bary = located or mesh.locate_many(pts)
         _, gref = ref_basis_many(self.dofmap.family, bary)    # (nloc, m, 2)
-        v = mesh.vertices[mesh.cells[cells]]                  # (m, 3, 2)
-        jinv_t = _inverse_transpose(v)
-        gphys = np.einsum("mde,lme->lmd", jinv_t, gref)       # (nloc, m, 2)
+        jinv_t = _inverse_transpose(mesh.vertices[mesh.cells[cells]])
         dofs = self.dofmap.cell_dofs[cells]
-        if self.components == 1:
-            return np.einsum("ml,lmd->md", self.coefficients[dofs], gphys)
-        out = np.empty((pts.shape[0], 2, 2))
-        for d in range(2):
-            out[:, d, :] = np.einsum(
-                "ml,lme->me", self.component_view(d)[dofs], gphys)
-        return out
+        comps = [self.component_view(d)[dofs]
+                 for d in range(self.components)]             # (m, nloc)
+        out = [np.zeros((len(cells), 2)) for _ in comps]
+        for l in range(len(gref)):
+            # physical gradient of basis l at every point, (m, 2)
+            gphys = sum_in_order(jinv_t[:, :, e] * gref[l, :, e, None]
+                                 for e in range(2))
+            for c, o in zip(comps, out):
+                o += c[:, l, None] * gphys
+        return out[0] if self.components == 1 else np.stack(out, axis=1)
+
+
+def sum_in_order(terms) -> np.ndarray:
+    """The sum of the arrays `terms` yields, each added in turn to the
+    running total: the rounding of numpy.einsum's loop over one summed
+    index. einsum starts from +0.0, so a total of -0.0 terms is +0.0 here
+    too. Every term must be a new array; the first one is overwritten.
+    Each term is released before the next one is made, so at most one term
+    is alive beside the total."""
+    it = iter(terms)
+    total = next(it)
+    total += 0.0
+    for t in it:
+        total += t
+        del t
+    return total
 
 
 def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import (DiscreteField, DofMap, QuadratureRule, _inverse_transpose,
-                  edge_bary, quad_rule_edge, quad_rule_tri, ref_basis_many)
+                  edge_bary, quad_rule_edge, quad_rule_tri, ref_basis_many,
+                  sum_in_order)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
 
 EDGE_QUAD_POINTS = 5
@@ -73,8 +73,14 @@ def assembly_degree(family_tag: str) -> int:
 class CellRule:
     """Quadrature on every cell of a dof map's mesh: rule weights (nq,),
     det (nc,), the family's reference values (nloc, nq) and gradients
-    (nloc, nq, 2), J^{-T} (nc, 2, 2); physical points and basis gradients
-    are built on first use."""
+    (nloc, nq, 2), J^{-T} (nc, 2, 2). Physical points and basis gradients
+    are built on each call and not kept, so that a rule held across a
+    factorization holds no large array.
+
+    The kernels below contract with explicit loops over the summed indices
+    (quadrature point, then component), in the order and with the
+    rounding of the numpy.einsum calls they replaced, so every assembled
+    value is bitwise what einsum gave (tests/quadrature_reference.py)."""
     dofmap: DofMap
     quad: QuadratureRule
     weights: np.ndarray
@@ -83,17 +89,43 @@ class CellRule:
     gref: np.ndarray
     jinv_t: np.ndarray
 
-    @cached_property
     def points(self) -> np.ndarray:
         """Physical quadrature points (nc, nq, 2)."""
         mesh = self.dofmap.mesh
-        return np.einsum("qk,ckd->cqd", self.quad.points,
-                         mesh.vertices[mesh.cells])
+        bary, verts = self.quad.points, mesh.vertices[mesh.cells]
+        return sum_in_order(bary[:, k, None] * verts[:, None, k]
+                            for k in range(3))
 
-    @cached_property
     def grads(self) -> np.ndarray:
         """Physical basis gradients (nc, nloc, nq, 2)."""
-        return np.einsum("cde,lqe->clqd", self.jinv_t, self.gref)
+        out = np.empty((len(self.det),) + self.gref.shape)
+        for l, g in enumerate(self.gref):
+            out[:, l] = sum_in_order(self.jinv_t[:, None, :, e] * g[:, None, e]
+                                     for e in range(2))
+        return out
+
+    @property
+    def wdet(self) -> list:
+        """w_q * det per quadrature point q, each (nc,)."""
+        return [w * self.det for w in self.weights]
+
+    def mass(self) -> np.ndarray:
+        """(basis_j, basis_i) per cell, (nc, nloc, nloc)."""
+        v = self.vals
+        return sum_in_order((wd[:, None] * v[:, q])[:, :, None] * v[:, q]
+                            for q, wd in enumerate(self.wdet))
+
+    def stiffness(self) -> np.ndarray:
+        """(grad basis_j, grad basis_i) per cell, (nc, nloc, nloc)."""
+        g = self.grads()
+        return sum_in_order(
+            (wd[:, None, None] * g[:, :, None, q, d]) * g[:, None, :, q, d]
+            for q, wd in enumerate(self.wdet) for d in range(2))
+
+    def load(self, f: np.ndarray) -> np.ndarray:
+        """(f, basis_i) per cell for values f (nc, nq), (nc, nloc)."""
+        return sum_in_order((wd[:, None] * self.vals[:, q]) * f[:, q, None]
+                            for q, wd in enumerate(self.wdet))
 
 
 def cell_rule(dofmap: DofMap, degree: int | None = None) -> CellRule:
@@ -164,8 +196,7 @@ def _cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
     """Entries weight * (f_e, basis_i) for the components f_e (nc, nq) in
     fields, stacked one block of ndof per component."""
     dm = rule.dofmap
-    local = [weight * np.einsum("q,c,iq,cq->ci", rule.weights, rule.det,
-                                rule.vals, f) for f in fields]
+    local = [weight * rule.load(f) for f in fields]
     dofs = [dm.cell_dofs + e * dm.ndof for e in range(len(fields))]
     return _load(len(fields) * dm.ndof, np.concatenate(dofs),
                  np.concatenate(local))
@@ -178,8 +209,7 @@ def _symmetrize(A: sp.csr_matrix) -> sp.csr_matrix:
 def assemble_ap(dofmap_phi: DofMap, params: ModelParams) -> sp.csr_matrix:
     """Darcy stiffness (rho g / n) K (grad phi_j, grad phi_i); symmetric."""
     rule = cell_rule(dofmap_phi)
-    loc = params.darcy_coefficient * np.einsum(
-        "q,c,ciqd,cjqd->cij", rule.weights, rule.det, rule.grads, rule.grads)
+    loc = params.darcy_coefficient * rule.stiffness()
     cd, n = dofmap_phi.cell_dofs, dofmap_phi.ndof
     return _symmetrize(_scatter(cd, cd, loc, (n, n)))
 
@@ -189,8 +219,7 @@ def assemble_af(dofmap_v: DofMap, params: ModelParams) -> sp.csr_matrix:
     interface, nu alpha/sqrt(nu K) (u.tau)(v.tau); block-diagonal over the
     two velocity components, tangential term on component 0 only."""
     rule = cell_rule(dofmap_v)
-    loc = params.nu * np.einsum("q,c,ciqd,cjqd->cij", rule.weights,
-                                rule.det, rule.grads, rule.grads)
+    loc = params.nu * rule.stiffness()
     edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
     slip = (params.bjs_coefficient * edges.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
@@ -206,8 +235,9 @@ def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
     rule = cell_rule(dofmap_v)
     qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
     # loc[c, i, j, d] for pressure i, velocity j, component d
-    loc = -np.einsum("q,c,iq,cjqd->cijd", rule.weights, rule.det, qvals,
-                     rule.grads)
+    g = rule.grads()
+    loc = -sum_in_order((wd[:, None] * qvals[:, q])[:, :, None, None]
+                        * g[:, None, :, q] for q, wd in enumerate(rule.wdet))
     cq, cv, nv = dofmap_q.cell_dofs, dofmap_v.cell_dofs, dofmap_v.ndof
     return _scatter(np.concatenate([cq, cq]), np.concatenate([cv, cv + nv]),
                     np.concatenate([loc[..., 0], loc[..., 1]]),
@@ -215,63 +245,92 @@ def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
 
 
 def assemble_mass(dofmap: DofMap, degree: int | None = None) -> sp.csr_matrix:
-    rule = cell_rule(dofmap, degree)
-    loc = np.einsum("q,c,iq,jq->cij", rule.weights, rule.det, rule.vals,
-                    rule.vals)
+    loc = cell_rule(dofmap, degree).mass()
     cd, n = dofmap.cell_dofs, dofmap.ndof
     return _symmetrize(_scatter(cd, cd, loc, (n, n)))
 
 
-def _state_on_quad(field: DiscreteField, rule: CellRule, want_grad: bool):
-    """Velocity state values (nc, nq, 2) and gradients (nc, nq, 2, 2) at the
-    rule's points; a state of the rule's own space is evaluated with the
-    rule's basis, any other through point location."""
+@dataclass(frozen=True, eq=False)
+class QuadState:
+    """A velocity field at a cell rule's points: values (nc, nq, 2) and,
+    unless left out, gradients (nc, nq, 2, 2) with entry [e, d] =
+    d(component e)/d(x_d)."""
+    rule: CellRule
+    vals: np.ndarray
+    grads: np.ndarray | None
+
+
+def quad_state(field: DiscreteField, rule: CellRule,
+               grads: bool = True) -> QuadState:
+    """The velocity `field` at the rule's points; a field of the rule's own
+    space is evaluated with the rule's basis, any other through one point
+    location shared by its values and gradients."""
     dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh
     if dm.family == rule.dofmap.family and (fm is mesh or (
             fm.n == mesh.n and fm.subdomain is mesh.subdomain
             and fm.origin == mesh.origin)):
         gathered = field.coefficients.reshape(2, -1)[:, dm.cell_dofs]  # (2,nc,nl)
-        v = np.einsum("dcl,lq->cqd", gathered, rule.vals)
-        if not want_grad:
-            return v, None
-        return v, np.einsum("ecl,clqd->cqed", gathered, rule.grads)
-    nc, nq = rule.points.shape[:2]
-    flat = rule.points.reshape(-1, 2)
-    v = field.eval_many(flat).reshape(nc, nq, 2)
-    g = field.eval_grad_many(flat).reshape(nc, nq, 2, 2) if want_grad else None
-    return v, g
+        nloc = len(rule.vals)
+        v = sum_in_order(gathered[:, :, l].T[:, None, :]
+                         * rule.vals[l, None, :, None] for l in range(nloc))
+        if not grads:
+            return QuadState(rule, v, None)
+        basis = rule.grads()
+        g = sum_in_order(gathered[:, :, l].T[:, None, :, None]
+                         * basis[:, l, :, None, :] for l in range(nloc))
+        return QuadState(rule, v, g)
+    points = rule.points()
+    nc, nq = points.shape[:2]
+    flat = points.reshape(-1, 2)
+    located = fm.locate_many(flat)
+    v = field.eval_many(flat, located).reshape(nc, nq, 2)
+    g = field.eval_grad_many(flat, located).reshape(nc, nq, 2, 2) \
+        if grads else None
+    return QuadState(rule, v, g)
 
 
-def assemble_convection(dofmap_v: DofMap, state: DiscreteField,
-                        mode: ConvectionMode, params: ModelParams,
-                        degree: int | None = None):
-    """Convection operator linearized about `state`.
+def _convect(a: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """(a . grad) b per point, (nc, nq, 2), for values a (nc, nq, 2) and
+    gradients grads (nc, nq, 2, 2) of b."""
+    return sum_in_order(a[:, :, None, d] * grads[:, :, :, d]
+                        for d in range(2))
+
+
+def assemble_convection(state: QuadState, mode: ConvectionMode,
+                        params: ModelParams):
+    """Convection operator linearized about `state`, on its rule's space.
 
     PLAIN: matrix with entries c(state, basis_j, basis_i) -- the fixed-point
     operator. NEWTON: adds c(basis_j, state, basis_i) and returns the load
     with entries c(state, state, basis_i) as the second element (PLAIN
     returns None there).
     """
-    rule = cell_rule(dofmap_v, degree)
+    rule = state.rule
     newton = mode is ConvectionMode.NEWTON
-    a_vals, a_grads = _state_on_quad(state, rule, want_grad=newton)
-    w, det, vals, rho = rule.weights, rule.det, rule.vals, params.rho
+    a_vals, a_grads = state.vals, state.grads
+    vals, g, rho = rule.vals, rule.grads(), params.rho
 
     # (a . grad basis_j, basis_i), identical on both diagonal blocks;
     # blocks are (row component, column component, local matrices)
-    n1 = rho * np.einsum("q,c,iq,cjqd,cqd->cij", w, det, vals, rule.grads,
-                         a_vals)
+    n1 = rho * sum_in_order(
+        ((wd[:, None] * vals[:, q])[:, :, None] * g[:, None, :, q, d])
+        * a_vals[:, q, d, None, None]
+        for q, wd in enumerate(rule.wdet) for d in range(2))
     blocks = [(0, 0, n1), (1, 1, n1)]
     load = None
     if newton:
-        # (basis_j . grad state_e, basis_i): couples the components
-        blocks += [(e, d, rho * np.einsum("q,c,iq,jq,cq->cij", w, det, vals,
-                                          vals, a_grads[:, :, e, d]))
-                   for e in range(2) for d in range(2)]
-        conv = np.einsum("cqd,cqed->cqe", a_vals, a_grads)  # (a.grad)a
+        # (basis_j . grad state_e, basis_i): couples the components; the
+        # four blocks [e, d] share the product of the two basis values
+        nb = sum_in_order(
+            ((wd[:, None] * vals[:, q])[:, :, None] * vals[:, q])
+            * a_grads[:, q].transpose(1, 2, 0)[..., None, None]
+            for q, wd in enumerate(rule.wdet))
+        blocks += [(e, d, rho * nb[e, d]) for e in range(2) for d in range(2)]
+        conv = _convect(a_vals, a_grads)  # (a.grad)a
         load = _cell_load(rule, rho, (conv[:, :, 0], conv[:, :, 1]))
 
-    cd, nd = dofmap_v.cell_dofs, dofmap_v.ndof
+    dm = rule.dofmap
+    cd, nd = dm.cell_dofs, dm.ndof
     N = _scatter(np.concatenate([cd + e * nd for e, _, _ in blocks]),
                  np.concatenate([cd + d * nd for _, d, _ in blocks]),
                  np.concatenate([loc for _, _, loc in blocks]),
@@ -279,16 +338,16 @@ def assemble_convection(dofmap_v: DofMap, state: DiscreteField,
     return N, load
 
 
-def assemble_correction_load(dofmap_v: DofMap, coarse_state: DiscreteField,
-                             intermediate: DiscreteField, params: ModelParams,
-                             degree: int | None = None) -> np.ndarray:
+def assemble_correction_load(coarse_state: QuadState,
+                             intermediate: DiscreteField,
+                             params: ModelParams) -> np.ndarray:
     """Load with entries c(a, s, v_i) + c(s, a - s, v_i) for the correction
-    solve; a = coarse_state (evaluated cross-mesh), s = intermediate."""
-    rule = cell_rule(dofmap_v, degree)
-    a_vals, a_grads = _state_on_quad(coarse_state, rule, True)
-    s_vals, s_grads = _state_on_quad(intermediate, rule, True)
-    integrand = (np.einsum("cqd,cqed->cqe", a_vals, s_grads)
-                 + np.einsum("cqd,cqed->cqe", s_vals, a_grads - s_grads))
+    solve, on the rule's space; a = coarse_state, s = intermediate."""
+    rule = coarse_state.rule
+    a_vals, a_grads = coarse_state.vals, coarse_state.grads
+    s = quad_state(intermediate, rule)
+    integrand = (_convect(a_vals, s.grads)
+                 + _convect(s.vals, a_grads - s.grads))
     return _cell_load(rule, params.rho, (integrand[:, :, 0],
                                          integrand[:, :, 1]))
 
@@ -297,10 +356,9 @@ def trilinear_c(a: DiscreteField, v: DiscreteField, w: DiscreteField,
                 params: ModelParams, degree: int = 5) -> float:
     """Quadrature value of c(a, v, w) = rho ((a.grad) v, w) on v's mesh."""
     rule = cell_rule(v.dofmap, degree)
-    a_vals, _ = _state_on_quad(a, rule, False)
-    _, v_grads = _state_on_quad(v, rule, True)
-    w_vals, _ = _state_on_quad(w, rule, False)
-    conv = np.einsum("cqd,cqed->cqe", a_vals, v_grads)
+    conv = _convect(quad_state(a, rule, grads=False).vals,
+                    quad_state(v, rule).grads)
+    w_vals = quad_state(w, rule, grads=False).vals
     return params.rho * float(np.einsum("q,c,cqe,cqe->",
                                         rule.weights, rule.det, conv, w_vals))
 
@@ -357,7 +415,8 @@ def assemble_volume_load(dofmap: DofMap, f, weight: float = 1.0,
     """Entries weight * (f, basis_i); f(x, y) returns one array for scalar
     families or a pair of arrays for vector families."""
     rule = cell_rule(dofmap, degree)
-    x, y = rule.points[..., 0], rule.points[..., 1]
+    points = rule.points()
+    x, y = points[..., 0], points[..., 1]
     fq = f(x, y)
     if dofmap.family.components == 1:
         fq = (fq,)

@@ -24,6 +24,7 @@ from math import log
 
 import numpy as np
 
+from .fem import sum_in_order
 from .forms import CellRule, ModelParams, cell_rule
 
 PI = np.pi
@@ -101,11 +102,18 @@ REPORTED_KEYS = (("u", "L2"), ("u", "H1"), ("v", "L2"), ("v", "H1"),
                  ("p", "L2"), ("phi", "L2"), ("phi", "H1"))
 
 
+def _values(rule: CellRule, coeffs, table) -> np.ndarray:
+    """sum_l coeffs[cell_dofs[c, l]] * table[l] per cell c, for a scalar
+    coefficient vector of the rule's space and a basis table (nloc, ...)."""
+    local = coeffs[rule.dofmap.cell_dofs]
+    return sum_in_order(local[:, l].reshape((-1,) + (1,) * (table.ndim - 1))
+                        * table[l] for l in range(len(table)))
+
+
 def _l2_error(rule: CellRule, coeffs, exact) -> float:
     """L2 error of a scalar coefficient vector of the rule's space against
     exact values (nc, nq) at the rule's points."""
-    num = np.einsum("cl,lq->cq", coeffs[rule.dofmap.cell_dofs], rule.vals)
-    diff2 = (num - exact) ** 2
+    diff2 = (_values(rule, coeffs, rule.vals) - exact) ** 2
     return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det, diff2)))
 
 
@@ -113,41 +121,60 @@ def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
     """H1-seminorm error against the pair of exact gradient components."""
     # every cell map is affine: contract with the reference gradients, then
     # map the (nc, nq, 2) result by each cell's J^{-T}
-    gnum = np.matmul(
-        np.einsum("cl,lqe->cqe", coeffs[rule.dofmap.cell_dofs], rule.gref),
-        rule.jinv_t.transpose(0, 2, 1))
+    gnum = np.matmul(_values(rule, coeffs, rule.gref),
+                     rule.jinv_t.transpose(0, 2, 1))
     gx, gy = exact_grad
     gdiff2 = (gnum[..., 0] - gx) ** 2 + (gnum[..., 1] - gy) ** 2
     return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det,
                                    gdiff2)))
 
 
-def error_norms(state, mms: ManufacturedProblem,
-                quad_degree: int = 8) -> ErrorReport:
-    """Componentwise L2/H1-seminorm errors of a coupled state (velocity
-    components u, v; pressure p, L2 only; head phi). The exact velocity and
-    its gradient are evaluated once, at the rule both components share."""
-    dv = state.velocity.dofmap
+def error_norms(states, mms: ManufacturedProblem,
+                quad_degree: int = 8) -> list:
+    """Componentwise L2/H1-seminorm errors of coupled states that share
+    their spaces (velocity components u, v; pressure p, L2 only; head phi),
+    one ErrorReport per state. The exact fields are evaluated once, at one
+    rule per space; the two velocity components share theirs. Exact values
+    are dropped before the exact gradient is evaluated, to keep the peak
+    memory of one field."""
+    first = states[0]
+    spaces = (first.velocity.dofmap, first.pressure.dofmap,
+              first.head.dofmap)
+    for s in states:
+        if (s.velocity.dofmap, s.pressure.dofmap, s.head.dofmap) != spaces:
+            raise ValueError("error_norms needs states on the same spaces")
+    dv, dp, dh = spaces
     nd = dv.ndof
-    parts = (state.velocity.coefficients[:nd], state.velocity.coefficients[nd:])
+    errs = [{} for _ in states]
+
     rule = cell_rule(dv, quad_degree)
-    xy = (rule.points[..., 0], rule.points[..., 1])
-    l2 = [_l2_error(rule, c, e) for c, e in zip(parts, mms.velocity(*xy))]
-    h1 = [_h1_error(rule, c, g)
-          for c, g in zip(parts, mms.velocity_grad(*xy))]
-    errs = {("u", "L2"): l2[0], ("u", "H1"): h1[0],
-            ("v", "L2"): l2[1], ("v", "H1"): h1[1]}
-    rule = cell_rule(state.pressure.dofmap, quad_degree)
-    xy = (rule.points[..., 0], rule.points[..., 1])
-    errs[("p", "L2")] = _l2_error(rule, state.pressure.coefficients,
-                                  mms.pressure(*xy))
-    rule = cell_rule(state.head.dofmap, quad_degree)
-    xy = (rule.points[..., 0], rule.points[..., 1])
-    errs[("phi", "L2")] = _l2_error(rule, state.head.coefficients,
-                                    mms.head(*xy))
-    errs[("phi", "H1")] = _h1_error(rule, state.head.coefficients,
-                                    mms.head_grad(*xy))
-    return ErrorReport(n=dv.mesh.n, errors=errs)
+    xy = tuple(rule.points().transpose(2, 0, 1))
+    parts = [(s.velocity.coefficients[:nd], s.velocity.coefficients[nd:])
+             for s in states]
+    exact = mms.velocity(*xy)
+    for e, p in zip(errs, parts):
+        e[("u", "L2")], e[("v", "L2")] = (_l2_error(rule, c, x)
+                                          for c, x in zip(p, exact))
+    del exact
+    exact_grad = mms.velocity_grad(*xy)
+    for e, p in zip(errs, parts):
+        e[("u", "H1")], e[("v", "H1")] = (_h1_error(rule, c, g)
+                                          for c, g in zip(p, exact_grad))
+    del exact_grad
+    rule = cell_rule(dp, quad_degree)
+    exact = mms.pressure(*rule.points().transpose(2, 0, 1))
+    for e, s in zip(errs, states):
+        e[("p", "L2")] = _l2_error(rule, s.pressure.coefficients, exact)
+    rule = cell_rule(dh, quad_degree)
+    xy = tuple(rule.points().transpose(2, 0, 1))
+    exact = mms.head(*xy)
+    for e, s in zip(errs, states):
+        e[("phi", "L2")] = _l2_error(rule, s.head.coefficients, exact)
+    del exact
+    exact_grad = mms.head_grad(*xy)
+    for e, s in zip(errs, states):
+        e[("phi", "H1")] = _h1_error(rule, s.head.coefficients, exact_grad)
+    return [ErrorReport(n=dv.mesh.n, errors=e) for e in errs]
 
 
 @dataclass

@@ -70,10 +70,14 @@ class IncompleteCholesky(Preconditioner):
         self.L = L
         self.shifts = shifts
         # SuperLU of a triangular matrix under natural ordering is the matrix
-        # itself; it provides compiled forward and transposed solves.
-        self._lu = spla.splu(L.tocsc(), permc_spec="NATURAL",
-                             options={"DiagPivotThresh": 0.0,
-                                      "SymmetricMode": False})
+        # itself; it provides compiled forward and transposed solves. Its
+        # pivot ratios can still overflow when a diagonal entry is tiny.
+        try:
+            self._lu = spla.splu(L.tocsc(), permc_spec="NATURAL",
+                                 options={"DiagPivotThresh": 0.0,
+                                          "SymmetricMode": False})
+        except RuntimeError as exc:
+            raise Singular(f"incomplete factor: {exc}") from exc
 
     def apply(self, r):
         y = self._lu.solve(r, trans="N")
@@ -86,7 +90,8 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     Row i of L solves L[:i,:i] y = A[i,:i]; entries with
     |y_k| < droptol*sqrt(|A_ii|) are dropped as they are produced and then
     contribute no updates. A nonpositive pivot is replaced by |A_ii| and
-    counted as a breakdown shift.
+    counted as a breakdown shift. A factor with a non-finite entry (a NaN
+    pivot, or overflow after a tiny one) raises Singular.
 
     The arithmetic order is fixed, and `tests/ichol_reference.py` pins it
     bit for bit: the columns k of row i are taken in ascending order, and
@@ -180,6 +185,11 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     del row_of, val_of, nxt, head, tail, w
     L = sp.csr_matrix((np.frombuffer(vals), np.frombuffer(cols, np.int64),
                        np.frombuffer(ptr, np.int64)), shape=(n, n))
+    # a NaN pivot passes the shift test, and a tiny one overflows the row
+    finite = np.isfinite(L.data)
+    if not finite.all():
+        row = np.searchsorted(L.indptr, np.argmin(finite), side="right") - 1
+        raise Singular(f"non-finite factor entry in row {row}")
     return IncompleteCholesky(L, shifts)
 
 

@@ -39,15 +39,16 @@ def _project(dofmap, exact, exact_grad, x, fixed):
     against the analytic field; entries where fixed is True stay as given."""
     n, cd = dofmap.ndof, dofmap.cell_dofs
     rule = cell_rule(dofmap, QUAD_DEGREE)
-    px, py = rule.points[..., 0], rule.points[..., 1]
+    px, py = rule.points().transpose(2, 0, 1)
     wdet = np.einsum("q,c->cq", rule.weights, rule.det)
     if exact_grad is None:
         G = assemble_mass(dofmap, QUAD_DEGREE)
         load = np.einsum("cq,iq,cq->ci", wdet, rule.vals, exact(px, py))
     else:
-        stiff = np.einsum("cq,ciqd,cjqd->cij", wdet, rule.grads, rule.grads)
+        grads = rule.grads()
+        stiff = np.einsum("cq,ciqd,cjqd->cij", wdet, grads, grads)
         G = _scatter(cd, cd, stiff, (n, n))
-        load = np.einsum("cq,ciqd,cqd->ci", wdet, rule.grads,
+        load = np.einsum("cq,ciqd,cqd->ci", wdet, grads,
                          np.stack(exact_grad(px, py), axis=-1))
     b = _load(n, cd, load)
     free = ~fixed
@@ -93,7 +94,7 @@ def best_errors(coupled_mesh, order, mms):
     reports = {}
     for norm in ("H1", "L2"):
         state = best_approximation(coupled_mesh, order, mms, norm)
-        reports[norm] = error_norms(state, mms, QUAD_DEGREE)
+        reports[norm] = error_norms([state], mms, QUAD_DEGREE)[0]
     return {key: reports[key[1]].get(*key) for key in REPORTED_KEYS}
 
 

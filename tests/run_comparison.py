@@ -23,8 +23,8 @@ def compare_runs(run, reference: list, mms, quad_degree: int = 8) -> list:
                                f"reference n={ref.n}")
         if ref.velocity.dofmap.family.tag != lv.final.velocity.dofmap.family.tag:
             raise MeshMismatch(f"level {lv.level}: element families differ")
-        e_run = error_norms(lv.final, mms, quad_degree)
-        e_ref = error_norms(ref, mms, quad_degree)
+        e_run = error_norms([lv.final], mms, quad_degree)[0]
+        e_ref = error_norms([ref], mms, quad_degree)[0]
         out.append({k: e_run.errors[k] / e_ref.errors[k]
                     for k in e_run.errors})
     return out

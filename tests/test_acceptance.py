@@ -83,7 +83,7 @@ def test_criterion_1_fe_convergence_rates(coupled, mms):
     t0 = time.perf_counter()
     dev_energy = dev_h1 = dev_l2 = 0.0
     for order, ns in ((1, (8, 16, 32)), (2, (6, 16, 32))):
-        reps = [error_norms(coupled(order, n)[0], mms) for n in ns]
+        reps = [error_norms([coupled(order, n)[0]], mms)[0] for n in ns]
         energy = [np.sqrt(sum(r.get(*k) ** 2 for k in ENERGY_KEYS))
                   for r in reps]
         for i in range(1, len(ns)):
@@ -111,7 +111,7 @@ def test_criterion_2_absolute_error_magnitudes(coupled, mms):
             (2, 16, TABLE_TH_16)]
     checked, outside, columns = [], [], []
     for order, n, table in rows:
-        fe = error_norms(coupled(order, n)[0], mms).errors
+        fe = error_norms([coupled(order, n)[0]], mms)[0].errors
         best = best_errors(build_coupled_mesh(n), order, mms)
         ratios = quasi_optimality(fe, best)
         checked += ratios.values()
@@ -158,8 +158,8 @@ def test_criterion_4_b_matches_a(params, mms):
         run_a = run_multilevel("A", list(pair), 1, params, mms)
         run_b = run_multilevel("B", list(pair), 1, params, mms)
         for lva, lvb in zip(run_a.levels, run_b.levels):
-            ea = error_norms(lva.final, mms)
-            eb = error_norms(lvb.final, mms)
+            ea = error_norms([lva.final], mms)[0]
+            eb = error_norms([lvb.final], mms)[0]
             worst = max(worst, max(abs(ea.errors[k] / eb.errors[k] - 1.0)
                                    for k in ENERGY_KEYS))
     ok = worst <= 0.01

@@ -14,6 +14,7 @@ from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
                          parse_config, parse_schedule_spec, parse_tol_spec,
                          read_table, run_experiment)
 from nsdarcy import cli, decoupled, mesh
+from nsdarcy.mms import ManufacturedProblem
 
 VARIABLES = ("u", "v", "p", "phi", "u_star", "phi_star")
 NORMS = ("L2", "H1")
@@ -402,6 +403,27 @@ class TestRunExperiment:
         assert ("  level 2: n=1024 h=1/1024 velocity=8396802 "
                 "pressure=1050625 head=4198401") in lines
         assert "  level 0: n=3 h=1/3 velocity=98 pressure=16 head=49" in lines
+
+    def test_a_level_evaluates_the_exact_fields_once(self, tmp_path,
+                                                     monkeypatch):
+        """The final and intermediate states of a level share one error
+        pass, so the exact velocity gradient is evaluated once per level."""
+        calls = []
+        orig = ManufacturedProblem.velocity_grad
+
+        def velocity_grad(self, x, y):
+            calls.append(x.shape)
+            return orig(self, x, y)
+
+        monkeypatch.setattr(ManufacturedProblem, "velocity_grad",
+                            velocity_grad)
+        cfg = parse_config(overrides={"algorithm": "A",
+                                      "schedule": "pairs:2:4",
+                                      "out": str(tmp_path / "res")})
+        art = run_experiment(cfg)
+        # level 0 (coupled, final only) and level 1 (final and intermediate)
+        assert len(art.rows) == 7 + 14
+        assert len(calls) == 2
 
     def test_rerun_is_byte_reproducible(self, tmp_path):
         bodies = []

@@ -81,8 +81,9 @@ class TestDiscreteSolution:
         C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
                                                            params)
         A_p = forms.assemble_ap(dphi, params)
-        N1, _ = forms.assemble_convection(dv, state.velocity,
-                                          forms.ConvectionMode.PLAIN, params)
+        N1, _ = forms.assemble_convection(
+            forms.quad_state(state.velocity, forms.cell_rule(dv)),
+            forms.ConvectionMode.PLAIN, params)
         K = sp.bmat([[A_f + N1, B.T, C_vphi],
                      [B, None, None],
                      [C_phiu, None, A_p]], format="csr")
@@ -115,8 +116,8 @@ class TestDiscreteSolution:
                           solver="cg")
 
     def test_energy_errors_decrease_under_refinement(self, params, mms):
-        reports = [error_norms(solve_coupled(build_coupled_mesh(n), 1,
-                                             params, mms)[0], mms)
+        reports = [error_norms([solve_coupled(build_coupled_mesh(n), 1,
+                                              params, mms)[0]], mms)[0]
                    for n in (4, 8, 16)]
         for key in ENERGY_KEYS:
             errs = [r.get(*key) for r in reports]
@@ -126,7 +127,7 @@ class TestDiscreteSolution:
         # reference energy errors at n=8; factor-level agreement only, the
         # mesh family (diagonal orientation) shifts the constants
         state, _ = solve_coupled(build_coupled_mesh(8), 1, params, mms)
-        report = error_norms(state, mms)
+        report = error_norms([state], mms)[0]
         for key, ref in MINI_N8_REFERENCE.items():
             r = report.get(*key) / ref
             assert 0.5 <= r <= 2.0, (key, r)

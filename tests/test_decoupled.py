@@ -10,7 +10,7 @@ from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
 from nsdarcy.fem import DiscreteField, interpolate
-from nsdarcy.mesh import build_coupled_mesh
+from nsdarcy.mesh import TriMesh, build_coupled_mesh
 from nsdarcy.mms import error_norms
 from nsdarcy.sparse import LinearSolver
 
@@ -144,8 +144,8 @@ class TestAccuracy:
         # the two correction orders differ only in fourth-order remainders
         run_a = run_multilevel("A", [2, 8], 1, params, mms)
         run_b = run_multilevel("B", [2, 8], 1, params, mms)
-        err_a = error_norms(run_a.levels[1].final, mms)
-        err_b = error_norms(run_b.levels[1].final, mms)
+        err_a = error_norms([run_a.levels[1].final], mms)[0]
+        err_b = error_norms([run_b.levels[1].final], mms)[0]
         for key in ENERGY_KEYS:
             assert abs(err_a.errors[key] / err_b.errors[key] - 1.0) <= 0.01
 
@@ -190,7 +190,7 @@ class TestSubproblemKernels:
                 DiscreteField(spaces.pressure,
                               np.zeros(spaces.pressure.ndof)),
                 phi)
-            errs.append(error_norms(carrier, mms).get("phi", "H1"))
+            errs.append(error_norms([carrier], mms)[0].get("phi", "H1"))
         rate = np.log2(errs[0] / errs[1])
         assert 0.8 <= rate <= 1.5
 
@@ -249,6 +249,36 @@ class TestStoredLift:
         DarcyStep(dphi, params, mms)
         NSStep(dv, dq, params, mms, state.velocity)
         assert len(made) == 5 and alive_at_splu == [0, 0]
+
+
+class TestCoarseStateEvaluation:
+    def test_one_level_evaluates_its_coarse_state_once(self, params, mms,
+                                                       monkeypatch):
+        """The Newton matrix and the correction load share one evaluation
+        of the coarse velocity at the fine quadrature points."""
+        coarse, _ = solve_coupled(build_coupled_mesh(2), 1, params, mms)
+        a = coarse.velocity
+        calls = []
+
+        def count(owner, name, is_coarse):
+            orig = getattr(owner, name)
+
+            def counted(obj, *args, **kwargs):
+                if is_coarse(obj):
+                    calls.append(name)
+                return orig(obj, *args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(DiscreteField, "eval_many", lambda f: f is a)
+        count(DiscreteField, "eval_grad_many", lambda f: f is a)
+        count(TriMesh, "locate_many", lambda m: m is a.dofmap.mesh)
+        cm = build_coupled_mesh(4)
+        dv, dq, dphi = build_spaces(cm, 1)
+        ns = NSStep(dv, dq, params, mms, a)
+        head = interpolate(mms.head, dphi)
+        u_star, _, _ = ns.solve_newton(head)
+        ns.solve_correction(u_star, head)
+        assert sorted(calls) == ["eval_grad_many", "eval_many", "locate_many"]
 
 
 @pytest.fixture

@@ -22,6 +22,11 @@ def fluid_dofmap(n, family=MINI_VELOCITY):
                         family)
 
 
+def on_rule(field, dofmap, degree=None):
+    """field at the points of dofmap's cell rule."""
+    return forms.quad_state(field, forms.cell_rule(dofmap, degree))
+
+
 def random_field(dofmap, rng, scale=1.0):
     return DiscreteField(
         dofmap, scale * rng.standard_normal(dofmap.num_coefficients))
@@ -162,8 +167,8 @@ class TestConvection:
     def test_zero_state_gives_zero(self, params):
         dv = fluid_dofmap(2)
         zero = DiscreteField(dv, np.zeros(dv.num_coefficients))
-        N, load = forms.assemble_convection(dv, zero, ConvectionMode.NEWTON,
-                                            params)
+        N, load = forms.assemble_convection(on_rule(zero, dv),
+                                            ConvectionMode.NEWTON, params)
         assert abs(N).max() == 0.0
         assert np.abs(load).max() == 0.0
 
@@ -171,16 +176,17 @@ class TestConvection:
         dv = fluid_dofmap(3)
         a = random_field(dv, rng)
         a2 = DiscreteField(dv, 2.0 * a.coefficients)
-        N1, _ = forms.assemble_convection(dv, a, ConvectionMode.PLAIN, params)
-        N2, _ = forms.assemble_convection(dv, a2, ConvectionMode.PLAIN,
-                                          params)
+        N1, _ = forms.assemble_convection(on_rule(a, dv),
+                                          ConvectionMode.PLAIN, params)
+        N2, _ = forms.assemble_convection(on_rule(a2, dv),
+                                          ConvectionMode.PLAIN, params)
         assert abs(N2 - 2.0 * N1).max() <= 1e-13
 
     def test_newton_matrix_action(self, params, rng):
         dv = fluid_dofmap(3)
         a, v, w = (random_field(dv, rng) for _ in range(3))
-        N, load = forms.assemble_convection(dv, a, ConvectionMode.NEWTON,
-                                            params, degree=8)
+        N, load = forms.assemble_convection(on_rule(a, dv, 8),
+                                            ConvectionMode.NEWTON, params)
         lhs = w.coefficients @ N @ v.coefficients
         rhs = trilinear_c(a, v, w, params, degree=8) \
             + trilinear_c(v, a, w, params, degree=8)
@@ -443,23 +449,23 @@ class TestCorrectionLoad:
     def test_equal_states_reduce_to_newton_load(self, params, rng):
         dv = fluid_dofmap(3)
         a = random_field(dv, rng)
-        corr = forms.assemble_correction_load(dv, a, a, params)
-        _, newton = forms.assemble_convection(dv, a, ConvectionMode.NEWTON,
-                                              params)
+        corr = forms.assemble_correction_load(on_rule(a, dv), a, params)
+        _, newton = forms.assemble_convection(on_rule(a, dv),
+                                              ConvectionMode.NEWTON, params)
         assert np.abs(corr - newton).max() <= 1e-13
 
     def test_zero_intermediate(self, params, rng):
         dv = fluid_dofmap(3)
         a = random_field(dv, rng)
         zero = DiscreteField(dv, np.zeros(dv.num_coefficients))
-        corr = forms.assemble_correction_load(dv, a, zero, params)
+        corr = forms.assemble_correction_load(on_rule(a, dv), zero, params)
         assert np.abs(corr).max() == 0.0
 
     def test_against_trilinear_oracle(self, params, rng):
         dv = fluid_dofmap(4)
         a = random_field(dv, rng)
         s = random_field(dv, rng)
-        corr = forms.assemble_correction_load(dv, a, s, params, degree=8)
+        corr = forms.assemble_correction_load(on_rule(a, dv, 8), s, params)
         a_minus_s = DiscreteField(dv, a.coefficients - s.coefficients)
         w = random_field(dv, rng)
         oracle = trilinear_c(a, s, w, params, degree=8) \

@@ -150,7 +150,7 @@ class TestErrorNorms:
     def test_zero_state_recovers_analytic_norms(self, mms):
         # n = 8 keeps the degree-8 quadrature error of the trigonometric
         # integrands below the 1e-12 comparison threshold
-        report = error_norms(zero_state(8, 1), mms)
+        report = error_norms([zero_state(8, 1)], mms)[0]
         for key, sq in ANALYTIC_SQ.items():
             got = report.get(*key)
             assert got >= 0
@@ -160,7 +160,7 @@ class TestErrorNorms:
         # the reference FE errors at n=16 bound the interpolant's order
         # of magnitude; mesh-constant differences keep this a factor
         # comparison rather than a digit match
-        report = error_norms(interpolant_state(16, 2, mms), mms)
+        report = error_norms([interpolant_state(16, 2, mms)], mms)[0]
         for key, ref in TH_FE_N16.items():
             r = report.get(*key) / ref
             # nodal pressure interpolation trails the Galerkin pressure by
@@ -169,21 +169,21 @@ class TestErrorNorms:
             assert 0.2 <= r <= upper, (key, r)
 
     def test_interpolant_beats_coarser_interpolant(self, mms):
-        coarse = error_norms(interpolant_state(8, 2, mms), mms)
-        fine = error_norms(interpolant_state(16, 2, mms), mms)
+        coarse = error_norms([interpolant_state(8, 2, mms)], mms)[0]
+        fine = error_norms([interpolant_state(16, 2, mms)], mms)[0]
         for key in REPORTED_KEYS:
             assert fine.get(*key) < coarse.get(*key)
 
     def test_quadrature_degree_invariance(self, mms):
         state = interpolant_state(8, 1, mms)
-        r8 = error_norms(state, mms, quad_degree=8)
-        r10 = error_norms(state, mms, quad_degree=10)
+        r8 = error_norms([state], mms, quad_degree=8)[0]
+        r10 = error_norms([state], mms, quad_degree=10)[0]
         for key in REPORTED_KEYS:
             a, b = r8.get(*key), r10.get(*key)
             assert abs(a - b) <= 1e-3 * a
 
     def test_report_metadata(self, mms):
-        report = error_norms(zero_state(2, 1), mms)
+        report = error_norms([zero_state(2, 1)], mms)[0]
         assert report.n == 2
         assert report.h == 0.5
         assert all(v >= 0 for v in report.errors.values())
@@ -193,7 +193,7 @@ class TestInterpolantRates:
     @pytest.mark.parametrize("order,meshes", [(1, [4, 8, 16]),
                                               (2, [4, 8, 16])])
     def test_energy_and_l2_orders(self, order, meshes, mms):
-        reports = [error_norms(interpolant_state(n, order, mms), mms)
+        reports = [error_norms([interpolant_state(n, order, mms)], mms)[0]
                    for n in meshes]
         table = rate_table(reports)
         for var in ("u", "v", "phi"):
@@ -229,8 +229,8 @@ class TestRateTable:
             assert abs(table.rate("phi", "L2", i) - 3.0) <= 0.2
 
     def test_insufficient_data(self, mms):
-        one = error_norms(zero_state(2, 1), mms)
+        one = error_norms([zero_state(2, 1)], mms)[0]
         with pytest.raises(InsufficientData):
             rate_table([one])
         with pytest.raises(InsufficientData):
-            rate_table([one, error_norms(zero_state(2, 1), mms)])
+            rate_table([one, error_norms([zero_state(2, 1)], mms)[0]])

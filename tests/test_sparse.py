@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ichol_reference import ichol_reference
@@ -107,13 +108,43 @@ class TestIncompleteCholesky:
         with pytest.raises(DimensionMismatch):
             ichol(sp.csr_matrix((2, 3)))
 
+    def test_nan_pivot_is_singular(self):
+        # NaN passes the shift test (NaN <= 0 is false)
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, np.nan]]))
+        with pytest.raises(Singular, match="non-finite factor entry in row 1"):
+            ichol(A, droptol=0.0)
+
+    def test_overflow_after_a_tiny_pivot_is_singular(self):
+        # l_00 = sqrt(5e-324) ~ 2e-162, so l_10 ~ 4e161 and its square
+        # overflows; the shifted factor is finite, but not invertible
+        A = sp.csr_matrix(np.array([[5e-324, 1.0], [1.0, 2.0]]))
+        with pytest.raises(Singular):
+            ichol(A, droptol=0.0)
+
+
+def superlu_inverts(L):
+    """Whether SuperLU factors the triangular L under natural ordering, as
+    the preconditioner's solves need; decided apart from IncompleteCholesky."""
+    try:
+        spla.splu(L.tocsc(), permc_spec="NATURAL",
+                  options={"DiagPivotThresh": 0.0, "SymmetricMode": False})
+    except RuntimeError:
+        return False
+    return True
+
 
 def assert_same_factor(A, droptol):
-    """ichol and the reference loop agree bit for bit, or raise alike."""
+    """ichol and the reference loop agree bit for bit, or raise alike; where
+    the reference factor is not finite, or SuperLU cannot invert it, ichol
+    raises Singular."""
     try:
         L_ref, shifts_ref = ichol_reference(A, droptol)
     except Singular as exc:
         with pytest.raises(Singular, match=str(exc)):
+            ichol(A, droptol)
+        return
+    if not (np.isfinite(L_ref.data).all() and superlu_inverts(L_ref)):
+        with pytest.raises(Singular):
             ichol(A, droptol)
         return
     fac = ichol(A, droptol)
@@ -128,15 +159,19 @@ def assert_same_factor(A, droptol):
 def symmetric_sparse(draw):
     """Small symmetric matrices with duplicate, zero and negative entries, so
     that stored zeros sit in the lower triangle and some pivots break down.
-    Magnitudes stay in [1/64, 16] or 0, so that no factor overflows."""
+    Off-diagonal magnitudes stay in [1/64, 16] or 0; diagonal entries may
+    also be tiny or subnormal, so that some factors overflow."""
     n = draw(st.integers(1, 9))
     index = st.integers(0, n - 1)
     value = st.one_of(st.integers(-16, 16).map(lambda k: k / 4),
                       st.floats(1 / 64, 16.0), st.floats(-16.0, -1 / 64))
+    tiny = st.one_of(st.just(5e-324), st.floats(5e-324, 1e-300),
+                     st.floats(1e-170, 1e-150))
     entries = draw(st.lists(st.tuples(index, index,
                                       st.one_of(st.just(0.0), value)),
                             max_size=3 * n))
-    diag = draw(st.lists(value, min_size=n, max_size=n))
+    diag = draw(st.lists(st.one_of(value, tiny, tiny.map(lambda x: -x)),
+                         min_size=n, max_size=n))
     rows = [i for i, _, _ in entries] + [j for _, j, _ in entries]
     cols = [j for _, j, _ in entries] + [i for i, _, _ in entries]
     vals = [v for _, _, v in entries] * 2
@@ -288,10 +323,11 @@ class TestPin:
         A_f = forms.assemble_af(dv, params)
         A_p = forms.assemble_ap(dphi, params)
         B = forms.assemble_b(dv, dq)
-        N, _ = forms.assemble_convection(dv, state.velocity,
-                                         forms.ConvectionMode.NEWTON, params)
-        N1, _ = forms.assemble_convection(dv, state.velocity,
-                                          forms.ConvectionMode.PLAIN, params)
+        a = forms.quad_state(state.velocity, forms.cell_rule(dv))
+        N, _ = forms.assemble_convection(a, forms.ConvectionMode.NEWTON,
+                                         params)
+        N1, _ = forms.assemble_convection(a, forms.ConvectionMode.PLAIN,
+                                          params)
         C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
                                                            params)
         picard = sp.bmat([[A_f + N1, B.T, C_vphi],
