@@ -262,12 +262,15 @@ def read_table(path: str) -> TableArtifact:
 
 
 def _revision() -> str:
+    """Short git revision of the package's own checkout, or "unknown"; a
+    git that is missing or hangs must not lose a finished study."""
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=5)
+                             capture_output=True, text=True, timeout=5,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 

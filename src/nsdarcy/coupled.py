@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
-                  build_dofmap, cell_bubbles, dirichlet_trace)
+                  build_dofmap, cell_bubbles, dirichlet_trace, grid_points)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
                      constrain_dirichlet, gmres, pin, true_residual)
@@ -137,7 +137,7 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
     bc_dofs, bc_values = dirichlet_data(spaces, mms)
     zeros = np.zeros_like(rhs0)
     precondition = saddle_preconditioner(dv, dq, params, droptol)
-    bubbles = cell_bubbles(dv)
+    bubbles, points = cell_bubbles(dv), grid_points(dv, dq, dphi)
     report = PicardReport(iterations=0)
     x_prev = np.zeros_like(rhs0)
     growth = 0
@@ -160,7 +160,7 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
             rep.final_residual = true_residual(K2, rhs2, x)
         if frozen is None or not rep.converged:
             linear = LinearSolver(K2, solver, linear_tol, precondition,
-                                  local=bubbles)
+                                  local=bubbles, points=points)
             x, rep = linear.solve(rhs2)
             frozen = linear.factor  # None on iterative runs
             del linear  # later iterates need the factor, not its matrix

@@ -32,7 +32,8 @@ import scipy.sparse as sp
 from . import forms
 from .coupled import (CoupledState, build_spaces, saddle_preconditioner,
                       solve_coupled)
-from .fem import DiscreteField, DofMap, cell_bubbles, dirichlet_trace
+from .fem import (DiscreteField, DofMap, cell_bubbles, dirichlet_trace,
+                  grid_points)
 from .mesh import CoupledMesh, build_coupled_mesh
 from .sparse import LinearSolver, constrain_dirichlet, ichol, pin
 
@@ -89,7 +90,8 @@ class DarcyStep:
             self.bc_dofs, self.bc_values)
         self.linear = LinearSolver(K, solver, linear_tol,
                                    lambda K: ichol(K, droptol),
-                                   symmetric=True)
+                                   symmetric=True,
+                                   points=grid_points(dofmap_phi))
 
     def solve(self, velocity_source: DiscreteField):
         rhs = self.volume + forms.assemble_interface_load_darcy(
@@ -129,7 +131,8 @@ class NSStep:
         self.linear = LinearSolver(
             K, solver, linear_tol,
             saddle_preconditioner(dofmap_v, dofmap_q, params, droptol),
-            local=cell_bubbles(dofmap_v))
+            local=cell_bubbles(dofmap_v),
+            points=grid_points(dofmap_v, dofmap_q))
 
     def _solve(self, rhs_v: np.ndarray):
         rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])

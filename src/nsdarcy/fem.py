@@ -291,6 +291,16 @@ def cell_bubbles(dofmap: DofMap) -> np.ndarray | None:
     return np.column_stack([bubble, bubble + dofmap.ndof])
 
 
+def grid_points(*dofmaps: DofMap) -> np.ndarray:
+    """Integer coordinates rint(2 n x) (N, 2) of the coefficients of the
+    dof maps, stacked in their order and per vector component, as a direct
+    solve's `points` take them: vertices land on even, P2 edge midpoints
+    on half-grid lines, and the fluid and porous meshes share one grid."""
+    return np.vstack([np.tile(np.rint(2 * d.mesh.n * d.dof_coords),
+                              (d.family.components, 1))
+                      for d in dofmaps]).astype(np.int64)
+
+
 @dataclass(eq=False)
 class DiscreteField:
     dofmap: DofMap

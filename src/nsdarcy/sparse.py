@@ -328,8 +328,70 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         r = P.apply(b - A @ x)
 
 
+# SuperLU's diagonal pivot threshold for the ordered factors: the diagonal
+# is the pivot unless it is below this fraction of its column's largest
+# entry. At 1e-3 Mini's O(h^2) pressure diagonal is already passed over
+# (coupled n=128: 1.6x the fill), from 0.1 up the row swaps undo the
+# ordering (Taylor-Hood coupled n=32: 4x the fill), and at 0 a tiny
+# diagonal would be taken as the pivot.
+DIAG_PIVOT_THRESH = 1e-4
+
+
+# nested dissection stops at this many unknowns
+ND_LEAF = 64
+
+
+def nested_dissection(g: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Grid nested-dissection order (George 1973) of unknowns at integer
+    grid points g (N, 2), as a permutation of range(N).
+
+    The unknowns marked in the boolean mask `first` come first. The rest
+    are dissected: the bounding box is cut across its longer side at an
+    even grid line near its middle, both halves are ordered recursively,
+    and the unknowns on the line (the separator) follow them. At most
+    ND_LEAF unknowns, or a box with no even line inside, are ordered by
+    (y, x). Every sort is stable, so unknowns at one point keep their
+    given order.
+    """
+    g = np.asarray(g, dtype=np.int64)
+    first = np.asarray(first, dtype=bool)
+    out = [np.flatnonzero(first)]
+
+    def by_yx(idx):
+        return idx[np.lexsort((g[idx, 0], g[idx, 1]))]
+
+    def dissect(idx):
+        if idx.size > ND_LEAF:
+            pts = g[idx]
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            axis = int(hi[1] - lo[1] > hi[0] - lo[0])
+            lo, hi = lo[axis], hi[axis]
+            # the even line nearest the middle, moved off the box's edge
+            line = 2 * ((lo + hi + 2) // 4)
+            line += 2 * (line <= lo) - 2 * (line >= hi)
+            if lo < line < hi:
+                c = pts[:, axis]
+                dissect(idx[c < line])
+                dissect(idx[c > line])
+                out.append(by_yx(idx[c == line]))
+                return
+        out.append(by_yx(idx))
+
+    dissect(np.flatnonzero(~first))
+    return np.concatenate(out)
+
+
+def decoupled_rows(A: sp.csr_matrix) -> np.ndarray:
+    """Boolean mask of the rows with no nonzero off the diagonal, such as
+    the identity rows Dirichlet elimination leaves: eliminated first, they
+    cause no fill."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    off = (A.indices != rows) & (A.data != 0)
+    return np.bincount(rows[off], minlength=A.shape[0]) == 0
+
+
 class DirectFactor:
-    """Reusable sparse LU factorization (partial pivoting via SuperLU).
+    """Reusable sparse LU factorization (SuperLU).
 
     `local`, a (groups, k) array of unknown ids, names unknowns that couple
     only with the other unknowns of their own row (the bubbles of one Mini
@@ -337,34 +399,55 @@ class DirectFactor:
     unknowns, they are eliminated first (static condensation): SuperLU
     factors only S = A_II - A_IL D^{-1} A_LI, and `solve` condenses the
     right side, solves with S and recovers x_L = D^{-1} (b_L - A_LI x_I).
+
+    `points`, integer grid coordinates (N, 2) of every unknown, orders the
+    factored unknowns by `nested_dissection`, `decoupled_rows` first, and
+    SuperLU keeps that order and the diagonal pivots it can
+    (DIAG_PIVOT_THRESH). Without it SuperLU orders by COLAMD with partial
+    pivoting. `_iidx` lists the factored unknowns in factor order.
+
     `solve` takes and returns full-length vectors either way; `shape` is
     the full shape and `_lu.shape` the factored one.
     """
 
-    def __init__(self, A, local: np.ndarray | None = None):
+    def __init__(self, A, local: np.ndarray | None = None,
+                 points: np.ndarray | None = None):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
         self.shape = A.shape
         self.solves = 0
         self._lidx = None
+        keep = np.ones(A.shape[0], dtype=bool)
         if local is not None:
-            A = self._condense(A, np.asarray(local))
+            local = np.asarray(local)
+            keep[local.ravel()] = False
+            if np.count_nonzero(~keep) != local.size:
+                raise ValueError("local unknowns are listed more than once")
+        iidx = np.flatnonzero(keep)
+        opts = {}
+        if points is not None:
+            iidx = iidx[nested_dissection(np.asarray(points)[iidx],
+                                          decoupled_rows(A)[iidx])]
+            opts = dict(permc_spec="NATURAL",
+                        diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                        options={"SymmetricMode": True})
+        self._iidx = iidx
+        if local is not None:
+            A = self._condense(A, local)
+        elif points is not None:
+            A = A[iidx][:, iidx]
         try:
-            self._lu = spla.splu(A.tocsc())
+            self._lu = spla.splu(A.tocsc(), **opts)
         except RuntimeError as exc:
             raise Singular(str(exc)) from exc
 
     def _condense(self, A: sp.csr_matrix, local: np.ndarray) -> sp.csr_matrix:
         """Inverts the local blocks, keeps what back-substitution needs and
-        returns the Schur complement on the remaining unknowns."""
+        returns the Schur complement on the unknowns `_iidx`, in their
+        order."""
         groups, k = local.shape
-        lidx = local.ravel()
-        keep = np.ones(A.shape[0], dtype=bool)
-        keep[lidx] = False
-        if np.count_nonzero(~keep) != lidx.size:
-            raise ValueError("local unknowns are listed more than once")
-        iidx = np.flatnonzero(keep)
+        lidx, iidx = local.ravel(), self._iidx
 
         A_L = A[lidx]
         A_LL = A_L[:, lidx].tocoo()
@@ -387,7 +470,7 @@ class DirectFactor:
               np.broadcast_to(block[:, None, :], Dinv.shape).ravel())),
             shape=(lidx.size, lidx.size))
         A_I = A[iidx]
-        self._lidx, self._iidx, self._Dinv = lidx, iidx, Dinv
+        self._lidx, self._Dinv = lidx, Dinv
         self._A_IL = A_I[:, lidx]
         self._A_LI = A_L[:, iidx]
         return as_csr(A_I[:, iidx] - self._A_IL @ (Dinv_sp @ self._A_LI))
@@ -402,11 +485,11 @@ class DirectFactor:
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
         self.solves += 1
-        if self._lidx is None:
-            x = self._lu.solve(b)
+        lidx, iidx = self._lidx, self._iidx
+        x = np.empty_like(b)
+        if lidx is None:
+            x[iidx] = self._lu.solve(b[iidx])
         else:
-            lidx, iidx = self._lidx, self._iidx
-            x = np.empty_like(b)
             x[iidx] = self._lu.solve(
                 b[iidx] - self._A_IL @ self._local_solve(b[lidx]))
             x[lidx] = self._local_solve(b[lidx] - self._A_LI @ x[iidx])
@@ -430,21 +513,23 @@ class LinearSolver:
     """Solves K x = b for a sequence of right sides under one policy.
 
     "direct" factors K once (SuperLU), eliminating the cell-local unknowns
-    `local` first when given (see DirectFactor); `factor` then holds the
-    reusable LU. "iterative" calls precondition(K) once and runs PCG
-    (symmetric K) or GMRES to relative tolerance tol on all of K. Reports
+    `local` first and ordering by the unknowns' grid `points` when given
+    (see DirectFactor); `factor` then holds the reusable LU. "iterative"
+    calls precondition(K) once and runs PCG (symmetric K) or GMRES to
+    relative tolerance tol on all of K, unordered. Reports
     carry the true relative residual on K; `converged` is the Krylov
     method's own stopping flag.
     """
 
     def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
-                 symmetric: bool = False, local: np.ndarray | None = None):
+                 symmetric: bool = False, local: np.ndarray | None = None,
+                 points: np.ndarray | None = None):
         self.K = K
         self.tol = tol
         self.symmetric = symmetric
         self.factor = self.precon = None
         if solver == "direct":
-            self.factor = DirectFactor(K, local)
+            self.factor = DirectFactor(K, local, points)
         elif solver == "iterative":
             self.precon = precondition(K)
         else:

@@ -581,3 +581,26 @@ class TestMain:
                      "--dry-run", "--out", str(out)]) == 0
         assert "subdivisions [3, 9]" in capsys.readouterr().out
         assert not out.exists()
+
+    def test_hanging_git_keeps_the_study(self, tmp_path, monkeypatch):
+        def hanging_git(cmd, **kwargs):
+            raise cli.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        monkeypatch.setattr(cli.subprocess, "run", hanging_git)
+        out = tmp_path / "res"
+        assert main(["run", "--schedule", "pairs:2:4",
+                     "--out", str(out)]) == 0
+        art = read_table(str(out / "errors.csv"))
+        assert art.metadata["revision"] == "unknown" and art.rows
+
+    def test_revision_is_the_package_checkout(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_git(cmd, **kwargs):
+            seen.append(kwargs.get("cwd"))
+            return cli.subprocess.CompletedProcess(cmd, 0, "abc1234\n", "")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_git)
+        monkeypatch.chdir(tmp_path)   # as if run inside another repository
+        assert cli._revision() == "abc1234"
+        assert seen == [os.path.dirname(os.path.abspath(cli.__file__))]

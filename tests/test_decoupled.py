@@ -9,7 +9,7 @@ from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
-from nsdarcy.fem import DiscreteField, interpolate
+from nsdarcy.fem import DiscreteField, grid_points, interpolate
 from nsdarcy.mesh import TriMesh, build_coupled_mesh
 from nsdarcy.mms import error_norms
 from nsdarcy.sparse import LinearSolver
@@ -378,22 +378,23 @@ class TestTrueResiduals:
 
 @pytest.fixture
 def superlu_inputs(monkeypatch):
-    """(matrix given to LinearSolver, matrix given to SuperLU) of every
-    direct factorization."""
-    pairs, given = [], []
+    """(matrix given to LinearSolver, matrix given to SuperLU, points given
+    to LinearSolver, the DirectFactor) of every direct factorization."""
+    found, given = [], []
     orig_init, orig_splu = LinearSolver.__init__, sparse.spla.splu
 
     def init(self, K, *args, **kwargs):
-        given.append(K)
+        given.append((K, kwargs.get("points")))
         orig_init(self, K, *args, **kwargs)
+        found[-1] += (self.factor,)
 
     def splu(A, *args, **kwargs):
-        pairs.append((given[-1], A))
+        found.append((given[-1][0], A, given[-1][1]))
         return orig_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(LinearSolver, "__init__", init)
     monkeypatch.setattr(sparse.spla, "splu", splu)
-    return pairs
+    return found
 
 
 class TestBubbleCondensation:
@@ -406,7 +407,7 @@ class TestBubbleCondensation:
                     state.velocity)
         bubbles = 2 * cm.fluid.num_cells
         assert len(superlu_inputs) == 2   # Picard's first iterate, NS step
-        for K, A in superlu_inputs:
+        for K, A, _, _ in superlu_inputs:
             assert A.shape[0] == K.shape[0] - bubbles
         assert ns.linear.factor._lu.shape[0] == ns.linear.K.shape[0] - bubbles
         solves.clear()
@@ -417,14 +418,22 @@ class TestBubbleCondensation:
 
     def test_taylor_hood_and_darcy_factor_the_given_matrix(
             self, superlu_inputs, params, mms):
+        """Not condensed: SuperLU gets K itself, in the nested-dissection
+        order of the dof maps' grid points in stacking order."""
         cm = build_coupled_mesh(4)
         state, _ = solve_coupled(cm, 2, params, mms)
-        spaces = build_spaces(cm, 2)
-        NSStep(spaces.velocity, spaces.pressure, params, mms, state.velocity)
+        dv, dq, dphi = build_spaces(cm, 2)
+        NSStep(dv, dq, params, mms, state.velocity)
         DarcyStep(build_spaces(cm, 1).head, params, mms)
+        sites = [grid_points(dv, dq, dphi), grid_points(dv, dq),
+                 grid_points(build_spaces(cm, 1).head)]
         assert len(superlu_inputs) == 3
-        for K, A in superlu_inputs:
-            K = K.tocsc()
+        for (K, A, points, factor), expect in zip(superlu_inputs, sites):
+            assert np.array_equal(points, expect)
+            p = factor._iidx
+            assert np.array_equal(p, sparse.nested_dissection(
+                points, sparse.decoupled_rows(K)))
+            K = K[p][:, p].tocsc()
             assert A.shape == K.shape
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(A, attr), getattr(K, attr))

@@ -9,13 +9,13 @@ from ichol_reference import ichol_reference
 from nsdarcy import decoupled, forms, sparse
 from nsdarcy.coupled import build_spaces, dirichlet_data, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
-from nsdarcy.fem import P1, build_dofmap, cell_bubbles
+from nsdarcy.fem import P1, build_dofmap, cell_bubbles, grid_points, interpolate
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
                             Preconditioner, Singular, constrain_dirichlet,
-                            constrain_rhs, gmres, ichol, pcg, pin,
-                            true_residual)
+                            constrain_rhs, gmres, ichol, nested_dissection,
+                            pcg, pin, true_residual)
 
 
 def laplacian_1d(n):
@@ -39,10 +39,10 @@ def porous_head_system(n, params, mms):
     return constrain_dirichlet(A, load, fixed, vals)
 
 
-def coupled_system(n, params, mms):
+def coupled_system(n, params, mms, order=1):
     """First fixed-point iterate of the monolithic system (zero convection)."""
     cm = build_coupled_mesh(n)
-    spaces = build_spaces(cm, order=1)
+    spaces = build_spaces(cm, order)
     dv, dq, dphi = spaces
     A_f = forms.assemble_af(dv, params)
     B = forms.assemble_b(dv, dq)
@@ -521,3 +521,114 @@ class TestCondensedFactor:
             recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
         x_full = DirectFactor(K).solve(rhs)
         assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x).max()
+
+
+def direct_system(kind, order, n, params, mms):
+    """(K, local, points) of one direct solve site on an n mesh: the first
+    Picard iterate, an NS step about the interpolated exact velocity, or a
+    Darcy step."""
+    cm = build_coupled_mesh(n)
+    dv, dq, dphi = build_spaces(cm, order)
+    if kind == "picard":
+        K = coupled_system(n, params, mms, order)[0]
+        return K, cell_bubbles(dv), grid_points(dv, dq, dphi)
+    if kind == "ns":
+        ns = NSStep(dv, dq, params, mms, interpolate(mms.velocity, dv))
+        return ns.linear.K, cell_bubbles(dv), grid_points(dv, dq)
+    return DarcyStep(dphi, params, mms).linear.K, None, grid_points(dphi)
+
+
+def last_separator(g, perm):
+    """(axis, line) of the grid line holding the trailing unknowns of
+    `perm` and every other unknown of `perm` on that line, with unknowns
+    on both sides of it; None if there is no such line."""
+    for axis in (0, 1):
+        c = g[perm, axis]
+        on = c == c[-1]
+        trailing = np.argmin(on[::-1]) if not on.all() else on.size
+        if (trailing == np.count_nonzero(on) and np.any(c < c[-1])
+                and np.any(c > c[-1])):
+            return axis, c[-1]
+    return None
+
+
+@st.composite
+def grid_point_sets(draw):
+    n = draw(st.integers(1, 600))   # most sets get dissected
+    span = draw(st.integers(0, 40))
+    g = draw(st.lists(st.tuples(st.integers(-span, span),
+                                st.integers(-span, span)),
+                      min_size=n, max_size=n))
+    first = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(g, dtype=np.int64).reshape(n, 2), np.array(first)
+
+
+DIRECT_SITES = [(kind, order) for kind in ("picard", "ns", "darcy")
+                for order in (1, 2)]
+
+
+class TestNestedDissection:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_point_sets())
+    def test_permutation_with_first_rows_first_and_stable(self, case):
+        g, first = case
+        p = nested_dissection(g, first)
+        assert np.array_equal(np.sort(p), np.arange(len(g)))
+        assert np.array_equal(p[:first.sum()], np.flatnonzero(first))
+        assert np.array_equal(p, nested_dissection(g, first))
+        # the unknowns at one point, first or not, keep their given order
+        pos = np.empty_like(p)
+        pos[p] = np.arange(len(p))
+        _, at = np.unique(g, axis=0, return_inverse=True)
+        group = 2 * at.ravel() + first
+        by_group = np.lexsort((np.arange(len(g)), group))
+        same = np.diff(group[by_group]) == 0
+        assert np.all(np.diff(pos[by_group])[same] > 0)
+
+    @pytest.mark.parametrize("kind,order", DIRECT_SITES)
+    def test_first_split_decouples_its_halves(self, kind, order, params,
+                                              mms):
+        K, local, points = direct_system(kind, order, 16, params, mms)
+        perm = DirectFactor(K, local, points)._iidx
+        split = last_separator(points, perm[~sparse.decoupled_rows(K)[perm]])
+        assert split is not None
+        axis, line = split
+        c = points[:, axis]
+        lo, hi = np.flatnonzero(c < line), np.flatnonzero(c > line)
+        coupling = sp.csr_matrix(K[lo][:, hi])
+        coupling.eliminate_zeros()
+        assert coupling.nnz == 0
+
+    @pytest.mark.parametrize("kind,order", DIRECT_SITES)
+    def test_ordered_solve_matches_unordered(self, kind, order, params, mms,
+                                             rng):
+        K, local, points = direct_system(kind, order, 16, params, mms)
+        b = rng.standard_normal(K.shape[0])
+        x = DirectFactor(K, local, points).solve(b)
+        ref = DirectFactor(K, local).solve(b)
+        assert true_residual(K, b, x) <= 1e-12
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind,order", [(k, o) for k, o in DIRECT_SITES
+                                            if k != "darcy"])
+    def test_less_fill_than_colamd(self, kind, order, params, mms):
+        K, local, points = direct_system(kind, order, 32, params, mms)
+
+        def fill(f):
+            return f._lu.L.nnz + f._lu.U.nnz
+        assert (fill(DirectFactor(K, local, points))
+                < fill(DirectFactor(K, local)))
+
+    def test_tiny_first_diagonal_is_not_the_pivot(self, rng):
+        """With a pivot threshold of 0 SuperLU would divide by 1e-20."""
+        m = 12
+        lap = laplacian_1d(m)
+        K = sp.lil_matrix(sp.kronsum(lap, lap))
+        iy, ix = np.divmod(np.arange(m * m), m)
+        points = 2 * np.column_stack([ix, iy])
+        head = nested_dissection(points, np.zeros(m * m, dtype=bool))[0]
+        K[head, head] = 1e-20
+        K = K.tocsr()
+        b = rng.standard_normal(m * m)
+        x = DirectFactor(K, points=points).solve(b)
+        assert true_residual(K, b, x) <= 1e-12
