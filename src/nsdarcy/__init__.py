@@ -4,7 +4,8 @@ algorithms, verified against a built-in closed-form solution."""
 
 __version__ = "0.1.0"
 
-from .coupled import CoupledState, PicardDiverged, solve_coupled
+from .coupled import (CoupledState, Level, PicardDiverged, SolveOptions,
+                      build_level, solve_coupled)
 from .decoupled import AlgorithmId, MultilevelRun, run_multilevel
 from .forms import ModelParams
 from .mesh import MeshSchedule, ScheduleKind, build_coupled_mesh, make_schedule
@@ -15,12 +16,15 @@ __all__ = [
     "AlgorithmId",
     "CoupledState",
     "ErrorReport",
+    "Level",
     "MeshSchedule",
     "ModelParams",
     "MultilevelRun",
     "PicardDiverged",
     "ScheduleKind",
+    "SolveOptions",
     "build_coupled_mesh",
+    "build_level",
     "error_norms",
     "make_schedule",
     "manufactured_problem",

@@ -28,7 +28,7 @@ import traceback
 from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
-from .coupled import FAMILIES, solve_coupled
+from .coupled import FAMILIES, SolveOptions, build_level, solve_coupled
 from .decoupled import run_multilevel
 from .fem import dof_count
 from .forms import ModelParams
@@ -52,6 +52,7 @@ class KeyMismatch(Exception):
 ALGORITHMS = ("coupled", "A", "B", "C", "D")
 SOLVERS = ("direct", "iterative")
 CSV_HEADER = "level,h,variable,norm,error,rate"
+_SOLVE_DEFAULTS = SolveOptions()
 
 
 @dataclass
@@ -59,10 +60,10 @@ class ExperimentConfig:
     algorithm: str = "coupled"
     order: int = 1
     schedule: str = "square:n0=2,levels=2"
-    solver: str = "direct"
-    picard_tol: float = 1e-7
-    linear_tol: float = 1e-9
-    ichol_droptol: float = 1e-3
+    solver: str = _SOLVE_DEFAULTS.solver
+    picard_tol: float = _SOLVE_DEFAULTS.picard_tol
+    linear_tol: float = _SOLVE_DEFAULTS.linear_tol
+    ichol_droptol: float = _SOLVE_DEFAULTS.droptol
     out: str = "results"
     dry_run: bool = False
 
@@ -308,8 +309,8 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
         return TableArtifact(rows=[], metadata=meta)
 
     from .mesh import build_coupled_mesh
-    opts = dict(solver=config.solver, linear_tol=config.linear_tol,
-                droptol=config.ichol_droptol)
+    opts = SolveOptions(config.solver, config.linear_tol,
+                        config.ichol_droptol, config.picard_tol)
     finals: list = []
     stars: list = []
     if config.algorithm == "coupled":
@@ -319,15 +320,14 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
         else:
             sweep = list(enumerate(schedules[0].subdivisions))
         for level, n in sweep:
-            state, _ = solve_coupled(build_coupled_mesh(n), config.order,
-                                     params, mms,
-                                     picard_tol=config.picard_tol, **opts)
+            state, _ = solve_coupled(build_level(build_coupled_mesh(n),
+                                                 config.order, params, mms),
+                                     opts)
             finals.append((level, error_norms([state], mms)[0]))
     else:
         for i, sched in enumerate(schedules):
             run = run_multilevel(config.algorithm, sched, config.order,
-                                 params, mms, picard_tol=config.picard_tol,
-                                 **opts)
+                                 params, mms, opts)
             for lv in run.levels[-1:] if pair_mode else run.levels:
                 level = i if pair_mode else lv.level
                 # the intermediate state shares the final one's spaces

@@ -14,6 +14,9 @@ together) drops below picard_tol.
 Used standalone for reference errors and as the coarse-level solve of all
 multilevel algorithms. No pressure pinning is needed: the interface coupling
 acts as a natural condition fixing the pressure level.
+
+Every solve on a mesh poses its system from that mesh's `Level`, built once
+by `build_level`; the solver settings travel as one `SolveOptions`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, LinearSolver,
                      constrain_dirichlet, gmres, pin, true_residual)
+
+PICARD_MAXIT = 50   # iterations before solve_coupled gives up
 
 
 @dataclass(eq=False)
@@ -57,6 +62,17 @@ class PicardDiverged(Exception):
         self.report = report
 
 
+@dataclass(frozen=True)
+class SolveOptions:
+    """Settings of every solve in a study: "direct" or "iterative" linear
+    solves, the Krylov tolerance, ichol's drop tolerance and the Picard
+    update tolerance."""
+    solver: str = "direct"
+    linear_tol: float = 1e-9
+    droptol: float = 1e-3
+    picard_tol: float = 1e-7
+
+
 class Spaces(NamedTuple):
     velocity: DofMap
     pressure: DofMap
@@ -77,21 +93,47 @@ def build_spaces(coupled_mesh: CoupledMesh, order: int) -> Spaces:
                   head=build_dofmap(coupled_mesh.porous, hfam))
 
 
-def dirichlet_data(spaces: Spaces, mms) -> tuple[np.ndarray, np.ndarray]:
-    """Monolithic ids and exact-trace values of the outer-boundary
-    velocity and head coefficients (see fem.dirichlet_trace)."""
-    vdofs, vvals = dirichlet_trace(spaces.velocity, mms.velocity)
-    hdofs, hvals = dirichlet_trace(spaces.head, mms.head)
-    off_phi = spaces.velocity.num_coefficients + spaces.pressure.ndof
-    return (np.concatenate([vdofs, hdofs + off_phi]),
-            np.concatenate([vvals, hvals]))
+@dataclass(eq=False)
+class Level:
+    """What every solve on one mesh shares: the spaces, the volume loads
+    (f_f, v) and rho g (f_p, psi), and the outer Dirichlet traces of
+    velocity and head as fem.dirichlet_trace gives them."""
+    mesh: CoupledMesh
+    spaces: Spaces
+    params: forms.ModelParams
+    fluid_load: np.ndarray
+    porous_load: np.ndarray
+    velocity_trace: tuple
+    head_trace: tuple
+
+    def monolithic_trace(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both traces with ids in the [u, p, phi] system."""
+        (vdofs, vvals), (hdofs, hvals) = self.velocity_trace, self.head_trace
+        off_phi = self.spaces.velocity.num_coefficients \
+            + self.spaces.pressure.ndof
+        return (np.concatenate([vdofs, hdofs + off_phi]),
+                np.concatenate([vvals, hvals]))
 
 
-def saddle_preconditioner(dv: DofMap, dq: DofMap, params: forms.ModelParams,
-                          droptol: float):
+def build_level(coupled_mesh: CoupledMesh, order: int,
+                params: forms.ModelParams, mms) -> Level:
+    spaces = build_spaces(coupled_mesh, order)
+    dv, _, dphi = spaces
+    return Level(
+        coupled_mesh, spaces, params,
+        fluid_load=forms.assemble_volume_load(dv, mms.f_fluid),
+        porous_load=forms.assemble_volume_load(
+            dphi, mms.f_porous, weight=params.rho * params.gravity),
+        velocity_trace=dirichlet_trace(dv, mms.velocity),
+        head_trace=dirichlet_trace(dphi, mms.head))
+
+
+def saddle_preconditioner(level: Level, droptol: float):
     """precondition(K) for a LinearSolver on a velocity-pressure(-head)
-    saddle matrix K, nphi from its shape; the pressure-mass diagonal is
-    assembled on the first call and reused (direct solves never call it)."""
+    saddle matrix K of the level, nphi from its shape; the pressure-mass
+    diagonal is assembled on the first call and reused (direct solves never
+    call it)."""
+    dv, dq, _ = level.spaces
     mass_diag = None
 
     def precondition(K):
@@ -100,7 +142,7 @@ def saddle_preconditioner(dv: DofMap, dq: DofMap, params: forms.ModelParams,
             mass_diag = forms.assemble_mass(dq).diagonal()
         nu_ = dv.num_coefficients
         return BlockTriangularPreconditioner(
-            K, nu_, dq.ndof, mass_diag, params.nu,
+            K, nu_, dq.ndof, mass_diag, level.params.nu,
             nphi=K.shape[0] - nu_ - dq.ndof, droptol=droptol)
     return precondition
 
@@ -114,53 +156,53 @@ def split_state(spaces: Spaces, x: np.ndarray) -> CoupledState:
         head=DiscreteField(dphi, x[2 * nv + nq:].copy()))
 
 
-def solve_coupled(coupled_mesh: CoupledMesh, order: int,
-                  params: forms.ModelParams, mms, picard_tol: float = 1e-7,
-                  maxit: int = 50, solver: str = "direct",
-                  linear_tol: float = 1e-9, droptol: float = 1e-3):
+def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     """Returns (CoupledState, PicardReport); raises PicardDiverged when the
-    update norm grows three times in a row or maxit is exhausted."""
-    spaces = build_spaces(coupled_mesh, order)
-    dv, dq, dphi = spaces
+    update norm grows three times in a row or PICARD_MAXIT iterations pass
+    without convergence."""
+    dv, dq, dphi = level.spaces
+    params = level.params
     nv = dv.ndof
 
-    A_f = forms.assemble_af(dv, params)
+    # the blocks that do not change, stacked once: each iteration adds N1
+    # to K0, and only K0 is kept
     B = forms.assemble_b(dv, dq)
-    C_vphi, C_phiu = forms.assemble_interface_coupling(
-        coupled_mesh, dv, dphi, params)
-    A_p = forms.assemble_ap(dphi, params)
-    rho_g = params.rho * params.gravity
-    rhs0 = np.concatenate([
-        forms.assemble_volume_load(dv, mms.f_fluid),
-        np.zeros(dq.ndof),
-        forms.assemble_volume_load(dphi, mms.f_porous, weight=rho_g)])
-    bc_dofs, bc_values = dirichlet_data(spaces, mms)
+    C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
+                                                       params)
+    K0 = sp.bmat([[forms.assemble_af(dv, params), B.T, C_vphi],
+                  [B, None, None],
+                  [C_phiu, None, forms.assemble_ap(dphi, params)]],
+                 format="csr")
+    del B, C_vphi, C_phiu
+    rhs0 = np.concatenate([level.fluid_load, np.zeros(dq.ndof),
+                           level.porous_load])
+    bc_dofs, bc_values = level.monolithic_trace()
     zeros = np.zeros_like(rhs0)
-    precondition = saddle_preconditioner(dv, dq, params, droptol)
+    precondition = saddle_preconditioner(level, opts.droptol)
     bubbles, points = cell_bubbles(dv), grid_points(dv, dq, dphi)
+    rule = forms.cell_rule(dv)
     report = PicardReport(iterations=0)
     x_prev = np.zeros_like(rhs0)
     growth = 0
     frozen = None
-    for m in range(1, maxit + 1):
+    for m in range(1, PICARD_MAXIT + 1):
         u_field = DiscreteField(dv, x_prev[:2 * nv])
         N1, _ = forms.assemble_convection(
-            forms.quad_state(u_field, forms.cell_rule(dv), grads=False),
+            forms.quad_state(u_field, rule, grads=False),
             forms.ConvectionMode.PLAIN, params)
-        K = sp.bmat([[A_f + N1, B.T, C_vphi],
-                     [B, None, None],
-                     [C_phiu, None, A_p]], format="csr")
-        K2, lift = constrain_dirichlet(K, zeros, bc_dofs, bc_values)
+        N1.resize(K0.shape)
+        K2, lift = constrain_dirichlet(K0 + N1, zeros, bc_dofs, bc_values)
+        del N1
         rhs2 = pin(rhs0, lift, bc_dofs, bc_values)
         if frozen is not None:
             # one factorization serves the whole iteration: later systems
             # differ only by the convection update, so the frozen factor is
             # an excellent Krylov preconditioner; refactor if it degrades
-            x, rep = gmres(K2, rhs2, frozen, tol=linear_tol, maxit=100)
+            x, rep = gmres(K2, rhs2, frozen, tol=opts.linear_tol, maxit=100)
             rep.final_residual = true_residual(K2, rhs2, x)
         if frozen is None or not rep.converged:
-            linear = LinearSolver(K2, solver, linear_tol, precondition,
-                                  local=bubbles, points=points)
+            linear = LinearSolver(K2, opts.solver, opts.linear_tol,
+                                  precondition, local=bubbles, points=points)
             x, rep = linear.solve(rhs2)
             frozen = linear.factor  # None on iterative runs
             del linear  # later iterates need the factor, not its matrix
@@ -169,9 +211,9 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
         delta = float(np.linalg.norm(x - x_prev))
         report.iterations = m
         report.update_norms.append(delta)
-        if delta < picard_tol:
+        if delta < opts.picard_tol:
             report.converged = True
-            return split_state(spaces, x), report
+            return split_state(level.spaces, x), report
         if m > 1 and delta > report.update_norms[-2]:
             growth += 1
             if growth >= 3:
@@ -181,6 +223,6 @@ def solve_coupled(coupled_mesh: CoupledMesh, order: int,
         else:
             growth = 0
         x_prev = x
-    raise PicardDiverged(f"no convergence in {maxit} iterations "
+    raise PicardDiverged(f"no convergence in {PICARD_MAXIT} iterations "
                          f"(last update {report.update_norms[-1]:.3e})",
                          report)

@@ -30,11 +30,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
-from .coupled import (CoupledState, build_spaces, saddle_preconditioner,
-                      solve_coupled)
-from .fem import (DiscreteField, DofMap, cell_bubbles, dirichlet_trace,
-                  grid_points)
-from .mesh import CoupledMesh, build_coupled_mesh
+from .coupled import (CoupledState, Level, SolveOptions, build_level,
+                      saddle_preconditioner, solve_coupled)
+from .fem import DiscreteField, cell_bubbles, grid_points
+from .mesh import build_coupled_mesh
 from .sparse import LinearSolver, constrain_dirichlet, ichol, pin
 
 
@@ -76,29 +75,23 @@ class DarcyStep:
     assembled and its solver set up once, each solve supplies a new velocity
     source."""
 
-    def __init__(self, dofmap_phi: DofMap, params: forms.ModelParams, mms,
-                 solver: str = "direct", linear_tol: float = 1e-9,
-                 droptol: float = 1e-3):
-        self.dofmap = dofmap_phi
-        self.params = params
-        rho_g = params.rho * params.gravity
-        self.volume = forms.assemble_volume_load(dofmap_phi, mms.f_porous,
-                                                 weight=rho_g)
-        self.bc_dofs, self.bc_values = dirichlet_trace(dofmap_phi, mms.head)
+    def __init__(self, level: Level, opts: SolveOptions = SolveOptions()):
+        self.level = level
+        dphi = level.spaces.head
         K, self.lift = constrain_dirichlet(
-            forms.assemble_ap(dofmap_phi, params), np.zeros(dofmap_phi.ndof),
-            self.bc_dofs, self.bc_values)
-        self.linear = LinearSolver(K, solver, linear_tol,
-                                   lambda K: ichol(K, droptol),
-                                   symmetric=True,
-                                   points=grid_points(dofmap_phi))
+            forms.assemble_ap(dphi, level.params), np.zeros(dphi.ndof),
+            *level.head_trace)
+        self.linear = LinearSolver(K, opts.solver, opts.linear_tol,
+                                   lambda K: ichol(K, opts.droptol),
+                                   symmetric=True, points=grid_points(dphi))
 
     def solve(self, velocity_source: DiscreteField):
-        rhs = self.volume + forms.assemble_interface_load_darcy(
-            self.dofmap, velocity_source, self.params)
+        dphi, params = self.level.spaces.head, self.level.params
+        rhs = self.level.porous_load + forms.assemble_interface_load_darcy(
+            dphi, velocity_source, params)
         x, rep = self.linear.solve(
-            pin(rhs, self.lift, self.bc_dofs, self.bc_values))
-        return DiscreteField(self.dofmap, x), rep
+            pin(rhs, self.lift, *self.level.head_trace))
+        return DiscreteField(dphi, x), rep
 
 
 class NSStep:
@@ -108,80 +101,65 @@ class NSStep:
     state a is evaluated once, at the fine quadrature points, and serves
     both the Newton matrix and the correction load."""
 
-    def __init__(self, dofmap_v: DofMap, dofmap_q: DofMap,
-                 params: forms.ModelParams, mms,
-                 linearization_state: DiscreteField, solver: str = "direct",
-                 linear_tol: float = 1e-9, droptol: float = 1e-3):
-        self.dv = dofmap_v
-        self.dq = dofmap_q
-        self.params = params
-        self.a = forms.quad_state(linearization_state,
-                                  forms.cell_rule(dofmap_v))
+    def __init__(self, level: Level, linearization_state: DiscreteField,
+                 opts: SolveOptions = SolveOptions()):
+        self.level = level
+        dv, dq, _ = level.spaces
+        self.a = forms.quad_state(linearization_state, forms.cell_rule(dv))
 
         N, self.newton_load = forms.assemble_convection(
-            self.a, forms.ConvectionMode.NEWTON, params)
-        B = forms.assemble_b(dofmap_v, dofmap_q)
-        K = sp.bmat([[forms.assemble_af(dofmap_v, params) + N, B.T],
+            self.a, forms.ConvectionMode.NEWTON, level.params)
+        B = forms.assemble_b(dv, dq)
+        K = sp.bmat([[forms.assemble_af(dv, level.params) + N, B.T],
                      [B, None]], format="csr")
         del N, B   # only the constrained matrix outlives the set-up
-        self.volume = forms.assemble_volume_load(dofmap_v, mms.f_fluid)
-        self.bc_dofs, self.bc_values = dirichlet_trace(dofmap_v, mms.velocity)
         K, self.lift = constrain_dirichlet(K, np.zeros(K.shape[0]),
-                                           self.bc_dofs, self.bc_values)
+                                           *level.velocity_trace)
         self.linear = LinearSolver(
-            K, solver, linear_tol,
-            saddle_preconditioner(dofmap_v, dofmap_q, params, droptol),
-            local=cell_bubbles(dofmap_v),
-            points=grid_points(dofmap_v, dofmap_q))
+            K, opts.solver, opts.linear_tol,
+            saddle_preconditioner(level, opts.droptol),
+            local=cell_bubbles(dv), points=grid_points(dv, dq))
 
-    def _solve(self, rhs_v: np.ndarray):
-        rhs = np.concatenate([rhs_v, np.zeros(self.dq.ndof)])
+    def _solve(self, load: np.ndarray, head_source: DiscreteField):
+        dv, dq, _ = self.level.spaces
+        rhs_v = (self.level.fluid_load + load
+                 + forms.assemble_interface_load_ns(dv, head_source,
+                                                    self.level.params))
+        rhs = np.concatenate([rhs_v, np.zeros(dq.ndof)])
         x, rep = self.linear.solve(
-            pin(rhs, self.lift, self.bc_dofs, self.bc_values))
-        nv2 = 2 * self.dv.ndof
-        return (DiscreteField(self.dv, x[:nv2].copy()),
-                DiscreteField(self.dq, x[nv2:].copy()), rep)
+            pin(rhs, self.lift, *self.level.velocity_trace))
+        nv2 = 2 * dv.ndof
+        return (DiscreteField(dv, x[:nv2].copy()),
+                DiscreteField(dq, x[nv2:].copy()), rep)
 
     def solve_newton(self, head_source: DiscreteField):
-        rhs_v = (self.volume + self.newton_load
-                 + forms.assemble_interface_load_ns(self.dv, head_source,
-                                                    self.params))
-        return self._solve(rhs_v)
+        return self._solve(self.newton_load, head_source)
 
     def solve_correction(self, intermediate: DiscreteField,
                          head_source: DiscreteField):
-        corr = forms.assemble_correction_load(self.a, intermediate,
-                                              self.params)
-        rhs_v = (self.volume + corr
-                 + forms.assemble_interface_load_ns(self.dv, head_source,
-                                                    self.params))
-        return self._solve(rhs_v)
+        return self._solve(forms.assemble_correction_load(
+            self.a, intermediate, self.level.params), head_source)
 
 
-def advance_level(algorithm: AlgorithmId, prev: CoupledState,
-                  coupled_mesh: CoupledMesh, order: int,
-                  params: forms.ModelParams, mms, solver: str = "direct",
-                  linear_tol: float = 1e-9, droptol: float = 1e-3,
-                  level: int = 1, log: list | None = None) -> LevelSolution:
-    """One fine level of the chosen algorithm from the previous level's
-    final state; the single-level kernel behind run_multilevel."""
+def advance_level(algorithm: AlgorithmId, prev: CoupledState, level: Level,
+                  opts: SolveOptions = SolveOptions(), index: int = 1,
+                  log: list | None = None) -> LevelSolution:
+    """Level number `index` of the chosen algorithm, from the previous
+    level's final state; the single-level kernel behind run_multilevel."""
     algorithm = AlgorithmId(algorithm)
-    spaces = build_spaces(coupled_mesh, order)
-    opts = dict(solver=solver, linear_tol=linear_tol, droptol=droptol)
     log = log if log is not None else []
 
     def run(step_name, fn, *args):
         try:
             out = fn(*args)
         except Exception as exc:
-            raise MultilevelStepFailed(level, step_name, exc) from exc
+            raise MultilevelStepFailed(index, step_name, exc) from exc
         rep = out[-1]
-        log.append((level, step_name, rep.method, rep.iterations))
+        log.append((index, step_name, rep.method, rep.iterations))
         return out[:-1] if len(out) > 2 else out[0]
 
-    darcy = DarcyStep(spaces.head, params, mms, **opts)
-    ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
-                prev.velocity, **opts)
+    darcy = DarcyStep(level, opts)
+    ns = NSStep(level, prev.velocity, opts)
 
     if algorithm is AlgorithmId.A:
         phi_star = run("darcy", darcy.solve, prev.velocity)
@@ -204,22 +182,19 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState,
         phi_h = run("darcy", darcy.solve, prev.velocity)
         inter = None
         final = CoupledState(u_h, p_h, phi_h)
-    elif algorithm is AlgorithmId.D:
+    else:  # D; AlgorithmId() has rejected anything else
         phi_star = run("darcy", darcy.solve, prev.velocity)
         u_star, p_star = run("ns_newton", ns.solve_newton, phi_star)
         u_h, p_h = run("ns_correct", ns.solve_correction, u_star, phi_star)
         inter = CoupledState(u_star, p_star, phi_star)
         final = CoupledState(u_h, p_h, phi_star)  # head stays uncorrected
-    else:
-        raise ValueError(f"unknown algorithm {algorithm}")
-    return LevelSolution(level=level, n=coupled_mesh.n,
+    return LevelSolution(level=index, n=level.mesh.n,
                          intermediate=inter, final=final)
 
 
 def run_multilevel(algorithm, schedule, order: int,
-                   params: forms.ModelParams, mms, solver: str = "direct",
-                   linear_tol: float = 1e-9, droptol: float = 1e-3,
-                   picard_tol: float = 1e-7) -> MultilevelRun:
+                   params: forms.ModelParams, mms,
+                   opts: SolveOptions = SolveOptions()) -> MultilevelRun:
     """Coarse coupled solve on the first schedule entry, then one decoupled
     pass of the chosen algorithm per finer level."""
     algorithm = AlgorithmId(algorithm)
@@ -229,24 +204,21 @@ def run_multilevel(algorithm, schedule, order: int,
                          "fine level")
     run = MultilevelRun(algorithm=algorithm, schedule=subs, order=order)
 
+    def level(n):
+        return build_level(build_coupled_mesh(n), order, params, mms)
+
     t0 = time.perf_counter()
-    cmesh = build_coupled_mesh(subs[0])
-    state, rep = solve_coupled(cmesh, order, params, mms, solver=solver,
-                               picard_tol=picard_tol, linear_tol=linear_tol,
-                               droptol=droptol)
+    state, rep = solve_coupled(level(subs[0]), opts)
     run.levels.append(LevelSolution(0, subs[0], None, state))
     run.solve_log.append((0, "coupled", "picard", rep.iterations))
     run.timings.append(time.perf_counter() - t0)
 
     prev = state
-    for level, n in enumerate(subs[1:], start=1):
+    for index, n in enumerate(subs[1:], start=1):
         t0 = time.perf_counter()
-        sol = advance_level(algorithm, prev, build_coupled_mesh(n), order,
-                            params, mms, solver=solver,
-                            linear_tol=linear_tol, droptol=droptol,
-                            level=level, log=run.solve_log)
+        sol = advance_level(algorithm, prev, level(n), opts, index,
+                            run.solve_log)
         run.levels.append(sol)
         run.timings.append(time.perf_counter() - t0)
         prev = sol.final
     return run
-

@@ -196,9 +196,6 @@ class DofMap:
     def num_coefficients(self) -> int:
         return self.ndof * self.family.components
 
-    def dofs_with_tag(self, tag: BoundaryTag) -> np.ndarray:
-        return self.boundary_dofs[self.boundary_tags == int(tag)]
-
     @property
     def dirichlet_dofs(self) -> np.ndarray:
         """Outer-boundary dofs; interface dofs stay free (natural conditions)."""

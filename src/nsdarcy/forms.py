@@ -352,17 +352,6 @@ def assemble_correction_load(coarse_state: QuadState,
                                          integrand[:, :, 1]))
 
 
-def trilinear_c(a: DiscreteField, v: DiscreteField, w: DiscreteField,
-                params: ModelParams, degree: int = 5) -> float:
-    """Quadrature value of c(a, v, w) = rho ((a.grad) v, w) on v's mesh."""
-    rule = cell_rule(v.dofmap, degree)
-    conv = _convect(quad_state(a, rule, grads=False).vals,
-                    quad_state(v, rule).grads)
-    w_vals = quad_state(w, rule, grads=False).vals
-    return params.rho * float(np.einsum("q,c,cqe,cqe->",
-                                        rule.weights, rule.det, conv, w_vals))
-
-
 def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
                                 dofmap_phi: DofMap, params: ModelParams):
     """Skew coupling pair: C_vphi with entries rho g (phi_j, v_i . n_f)_Gamma

@@ -403,15 +403,15 @@ class DirectFactor:
     `points`, integer grid coordinates (N, 2) of every unknown, orders the
     factored unknowns by `nested_dissection`, `decoupled_rows` first, and
     SuperLU keeps that order and the diagonal pivots it can
-    (DIAG_PIVOT_THRESH). Without it SuperLU orders by COLAMD with partial
-    pivoting. `_iidx` lists the factored unknowns in factor order.
+    (DIAG_PIVOT_THRESH). `_iidx` lists the factored unknowns in factor
+    order.
 
     `solve` takes and returns full-length vectors either way; `shape` is
     the full shape and `_lu.shape` the factored one.
     """
 
-    def __init__(self, A, local: np.ndarray | None = None,
-                 points: np.ndarray | None = None):
+    def __init__(self, A, points: np.ndarray,
+                 local: np.ndarray | None = None):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
@@ -425,20 +425,14 @@ class DirectFactor:
             if np.count_nonzero(~keep) != local.size:
                 raise ValueError("local unknowns are listed more than once")
         iidx = np.flatnonzero(keep)
-        opts = {}
-        if points is not None:
-            iidx = iidx[nested_dissection(np.asarray(points)[iidx],
-                                          decoupled_rows(A)[iidx])]
-            opts = dict(permc_spec="NATURAL",
-                        diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                        options={"SymmetricMode": True})
-        self._iidx = iidx
-        if local is not None:
-            A = self._condense(A, local)
-        elif points is not None:
-            A = A[iidx][:, iidx]
+        self._iidx = iidx[nested_dissection(np.asarray(points)[iidx],
+                                            decoupled_rows(A)[iidx])]
+        A = (self._condense(A, local) if local is not None
+             else A[self._iidx][:, self._iidx])
         try:
-            self._lu = spla.splu(A.tocsc(), **opts)
+            self._lu = spla.splu(A.tocsc(), permc_spec="NATURAL",
+                                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                 options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise Singular(str(exc)) from exc
 
@@ -513,8 +507,8 @@ class LinearSolver:
     """Solves K x = b for a sequence of right sides under one policy.
 
     "direct" factors K once (SuperLU), eliminating the cell-local unknowns
-    `local` first and ordering by the unknowns' grid `points` when given
-    (see DirectFactor); `factor` then holds the reusable LU. "iterative"
+    `local` first and ordering by the unknowns' grid `points` (see
+    DirectFactor); `factor` then holds the reusable LU. "iterative"
     calls precondition(K) once and runs PCG (symmetric K) or GMRES to
     relative tolerance tol on all of K, unordered. Reports
     carry the true relative residual on K; `converged` is the Krylov
@@ -523,13 +517,13 @@ class LinearSolver:
 
     def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
                  symmetric: bool = False, local: np.ndarray | None = None,
-                 points: np.ndarray | None = None):
+                 *, points: np.ndarray):
         self.K = K
         self.tol = tol
         self.symmetric = symmetric
         self.factor = self.precon = None
         if solver == "direct":
-            self.factor = DirectFactor(K, local, points)
+            self.factor = DirectFactor(K, points, local)
         elif solver == "iterative":
             self.precon = precondition(K)
         else:

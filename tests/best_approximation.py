@@ -11,7 +11,8 @@ against numbers measured on other meshes.
 "Same space" means the affine set the coupled solution lives in: the
 velocity space (Mini with its bubble, or P2) and head space that
 `build_spaces` picks, with the outer Dirichlet dofs pinned to the
-interpolated trace of `dirichlet_data`; the pressure space is unconstrained.
+interpolated trace of `fem.dirichlet_trace`; the pressure space is
+unconstrained.
 Projections integrate with the rule `error_norms` measures with, so each
 one is the exact minimizer of the error as measured, and the coupled
 solution can never come out below it.
@@ -22,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from nsdarcy.coupled import build_spaces, dirichlet_data, split_state
+from nsdarcy.coupled import build_spaces, split_state
+from nsdarcy.fem import dirichlet_trace
 from nsdarcy.forms import _load, _scatter, assemble_mass, cell_rule
 from nsdarcy.mms import REPORTED_KEYS, error_norms
 
@@ -65,9 +67,11 @@ def best_approximation(coupled_mesh, order, mms, norm):
     dv, dq, dphi = spaces
     x = np.zeros(2 * dv.ndof + dq.ndof + dphi.ndof)
     fixed = np.zeros(x.size, dtype=bool)
-    bc_dofs, bc_values = dirichlet_data(spaces, mms)
-    x[bc_dofs] = bc_values
-    fixed[bc_dofs] = True
+    for dofmap, exact, offset in ((dv, mms.velocity, 0),
+                                  (dphi, mms.head, 2 * dv.ndof + dq.ndof)):
+        ids, values = dirichlet_trace(dofmap, exact)
+        x[offset + ids] = values
+        fixed[offset + ids] = True
     h1 = norm == "H1"
     blocks = (
         (dv, lambda px, py: mms.velocity(px, py)[0],

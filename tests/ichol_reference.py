@@ -19,6 +19,7 @@ from nsdarcy.sparse import (DimensionMismatch, NotSymmetric, Singular,
                             as_csr)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ichol_reference(A, droptol: float = 1e-3) -> tuple[sp.csr_matrix, int]:
     """Row-wise incomplete Cholesky with drop tolerance; returns (L, shifts).
 
@@ -26,6 +27,10 @@ def ichol_reference(A, droptol: float = 1e-3) -> tuple[sp.csr_matrix, int]:
     |y_k| < droptol*sqrt(|A_ii|) are dropped as they are produced and then
     contribute no updates. A nonpositive pivot is replaced by |A_ii| and
     counted as a breakdown shift.
+
+    After a tiny pivot a row overflows to inf, and inf - inf gives NaN,
+    silently, as with the Python floats of `sparse.ichol`; the caller
+    expects `Singular` where this factor is not finite.
     """
     A = as_csr(A)
     n = A.shape[0]

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 from run_comparison import MeshMismatch, compare_runs
 
-from nsdarcy import coupled, forms, sparse
-from nsdarcy.coupled import CoupledState, build_spaces, solve_coupled
+from nsdarcy import coupled, decoupled, fem, forms, sparse
+from nsdarcy.coupled import (CoupledState, SolveOptions, build_level,
+                             solve_coupled)
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
 from nsdarcy.fem import DiscreteField, grid_points, interpolate
@@ -30,6 +31,10 @@ class BrokenField:
         raise RuntimeError("boom")
 
 
+def level(n, order, params, mms):
+    return build_level(build_coupled_mesh(n), order, params, mms)
+
+
 def state_vector(state):
     return np.concatenate([state.velocity.coefficients,
                            state.pressure.coefficients,
@@ -49,9 +54,9 @@ class TestSubspaceConsistency:
     @pytest.mark.parametrize("n,order", [(4, 1), (3, 2)])
     def test_coupled_solution_is_fixed_point(self, algorithm, n, order,
                                              params, mms):
-        cm = build_coupled_mesh(n)
-        state, _ = solve_coupled(cm, order, params, mms, picard_tol=1e-12)
-        sol = advance_level(algorithm, state, cm, order, params, mms)
+        lv = level(n, order, params, mms)
+        state, _ = solve_coupled(lv, SolveOptions(picard_tol=1e-12))
+        sol = advance_level(algorithm, state, lv)
         assert np.abs(state_vector(sol.final)
                       - state_vector(state)).max() <= 1e-8
 
@@ -91,20 +96,47 @@ class TestAlgorithmStructure:
         # each other, so the order of the two cannot change it
         run = run_multilevel("C", [2, 4, 8], 1, params, mms)
         for prev, lv in zip(run.levels, run.levels[1:]):
-            dv, dq, dphi = build_spaces(build_coupled_mesh(lv.n), 1)
-            phi, _ = DarcyStep(dphi, params, mms).solve(prev.final.velocity)
-            u, p, _ = NSStep(dv, dq, params, mms, prev.final.velocity) \
+            fine = level(lv.n, 1, params, mms)
+            phi, _ = DarcyStep(fine).solve(prev.final.velocity)
+            u, p, _ = NSStep(fine, prev.final.velocity) \
                 .solve_newton(prev.final.head)
             assert np.array_equal(state_vector(lv.final),
                                   state_vector(CoupledState(u, p, phi)))
 
     def test_run_matches_manual_advance(self, params, mms):
         run = run_multilevel("A", [2, 4], 1, params, mms)
-        coarse, _ = solve_coupled(build_coupled_mesh(2), 1, params, mms)
-        sol = advance_level("A", coarse, build_coupled_mesh(4), 1, params,
-                            mms)
+        coarse, _ = solve_coupled(level(2, 1, params, mms))
+        sol = advance_level("A", coarse, level(4, 1, params, mms))
         assert np.abs(state_vector(run.levels[1].final)
                       - state_vector(sol.final)).max() <= 1e-13
+
+    def test_level_data_is_built_once(self, params, mms, monkeypatch):
+        """Per level, one build_spaces call, and one volume load and one
+        Dirichlet trace of each of the velocity and head spaces."""
+        calls = []
+
+        def record(home, name):
+            orig = getattr(home, name)
+
+            def recorded(first, *args, **kwargs):
+                out = orig(first, *args, **kwargs)
+                calls.append((name, first, out))
+                return out
+            # rebound wherever it was imported, as a new caller would see it
+            for module in (fem, forms, coupled, decoupled):
+                if getattr(module, name, None) is orig:
+                    monkeypatch.setattr(module, name, recorded)
+
+        for home, name in ((coupled, "build_spaces"),
+                           (forms, "assemble_volume_load"),
+                           (fem, "dirichlet_trace")):
+            record(home, name)
+        run_multilevel("A", [2, 4, 8], 1, params, mms)
+        spaces = [out for name, _, out in calls if name == "build_spaces"]
+        assert [s.velocity.mesh.n for s in spaces] == [2, 4, 8]
+        for name in ("assemble_volume_load", "dirichlet_trace"):
+            assert [first for n, first, _ in calls if n == name] == \
+                [d for s in spaces for d in (s.velocity, s.head)]
 
     def test_bookkeeping(self, params, mms):
         run = run_multilevel(AlgorithmId.B, [2, 4], 2, params, mms)
@@ -119,11 +151,10 @@ class TestAlgorithmStructure:
             run_multilevel("A", [4], 1, params, mms)
 
     def test_step_failure_is_attributed(self, params, mms):
-        cm = build_coupled_mesh(2)
-        state, _ = solve_coupled(cm, 1, params, mms)
+        state, _ = solve_coupled(level(2, 1, params, mms))
         broken = CoupledState(state.velocity, state.pressure, BrokenField())
         with pytest.raises(MultilevelStepFailed) as err:
-            advance_level("B", broken, build_coupled_mesh(4), 1, params, mms)
+            advance_level("B", broken, level(4, 1, params, mms))
         assert err.value.level == 1
         assert err.value.step == "ns_newton"
         assert isinstance(err.value.__cause__, RuntimeError)
@@ -132,7 +163,7 @@ class TestAlgorithmStructure:
 class TestAccuracy:
     def test_two_level_tracks_coupled(self, params, mms):
         run = run_multilevel("A", [2, 8], 1, params, mms)
-        reference = [solve_coupled(build_coupled_mesh(n), 1, params, mms)[0]
+        reference = [solve_coupled(level(n, 1, params, mms))[0]
                      for n in (2, 8)]
         ratios = compare_runs(run, reference, mms)
         for key in ENERGY_KEYS:
@@ -177,12 +208,12 @@ class TestSubproblemKernels:
     def test_darcy_step_converges_with_exact_flux(self, params, mms):
         errs = []
         for n in (8, 16):
-            cm = build_coupled_mesh(n)
-            spaces = build_spaces(cm, 1)
+            lv = level(n, 1, params, mms)
+            spaces = lv.spaces
             src = interpolate(mms.velocity, spaces.velocity)
             # feed the interpolated exact velocity; its trace is exact to
             # interpolation error, so the head keeps the O(h) energy rate
-            phi, rep = DarcyStep(spaces.head, params, mms).solve(src)
+            phi, rep = DarcyStep(lv).solve(src)
             assert rep.converged
             carrier = CoupledState(
                 DiscreteField(spaces.velocity,
@@ -195,24 +226,51 @@ class TestSubproblemKernels:
         assert 0.8 <= rate <= 1.5
 
     def test_darcy_step_reuses_factorization(self, params, mms):
-        cm = build_coupled_mesh(4)
-        spaces = build_spaces(cm, 1)
-        step = DarcyStep(spaces.head, params, mms)
-        src = interpolate(mms.velocity, spaces.velocity)
+        lv = level(4, 1, params, mms)
+        step = DarcyStep(lv)
+        src = interpolate(mms.velocity, lv.spaces.velocity)
         step.solve(src)
         step.solve(src)
         assert step.linear.factor.solves == 2
 
     def test_correction_with_own_state_matches_newton(self, params, mms):
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, 1, params, mms)
-        spaces = build_spaces(cm, 1)
-        ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
-                    state.velocity)
+        lv = level(4, 1, params, mms)
+        state, _ = solve_coupled(lv)
+        ns = NSStep(lv, state.velocity)
         u1, p1, _ = ns.solve_newton(state.head)
         u2, p2, _ = ns.solve_correction(state.velocity, state.head)
         assert np.abs(u1.coefficients - u2.coefficients).max() <= 1e-12
         assert np.abs(p1.coefficients - p2.coefficients).max() <= 1e-12
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """(weak references to the matrices that the block assembly functions
+    and sp.bmat return, how many of them are alive at each SuperLU
+    call)."""
+    made, alive = [], []
+    orig_splu = sparse.spla.splu
+
+    def track(owner, name):
+        build = getattr(owner, name)
+
+        def tracked(*args, **kwargs):
+            out = build(*args, **kwargs)
+            A = out[0] if isinstance(out, tuple) else out
+            made.append(weakref.ref(A))
+            return out
+        monkeypatch.setattr(owner, name, tracked)
+
+    def splu(A, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return orig_splu(A, *args, **kwargs)
+
+    for name in ("assemble_ap", "assemble_af", "assemble_b",
+                 "assemble_interface_coupling", "assemble_convection"):
+        track(forms, name)
+    track(sp, "bmat")
+    monkeypatch.setattr(sparse.spla, "splu", splu)
+    return made, alive
 
 
 class TestStoredLift:
@@ -220,35 +278,23 @@ class TestStoredLift:
     their right sides equal constrain_rhs is tested in test_sparse.py."""
 
     def test_unconstrained_matrices_are_freed_before_factoring(
-            self, params, mms, monkeypatch):
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, 1, params, mms)
-        dv, dq, dphi = build_spaces(cm, 1)
-        made, alive_at_splu = [], []
-        orig_splu = sparse.spla.splu
-
-        def track(owner, name):
-            build = getattr(owner, name)
-
-            def tracked(*args, **kwargs):
-                out = build(*args, **kwargs)
-                A = out[0] if isinstance(out, tuple) else out
-                made.append(weakref.ref(A))
-                return out
-            monkeypatch.setattr(owner, name, tracked)
-
-        def splu(A, *args, **kwargs):
-            alive_at_splu.append(sum(ref() is not None for ref in made))
-            return orig_splu(A, *args, **kwargs)
-
-        for name in ("assemble_ap", "assemble_af", "assemble_b",
-                     "assemble_convection"):
-            track(forms, name)
-        track(sp, "bmat")
-        monkeypatch.setattr(sparse.spla, "splu", splu)
-        DarcyStep(dphi, params, mms)
-        NSStep(dv, dq, params, mms, state.velocity)
+            self, assembled, params, mms):
+        lv = level(4, 1, params, mms)
+        state, _ = solve_coupled(lv)
+        made, alive_at_splu = assembled
+        made.clear()
+        alive_at_splu.clear()
+        DarcyStep(lv)
+        NSStep(lv, state.velocity)
         assert len(made) == 5 and alive_at_splu == [0, 0]
+
+    def test_picard_keeps_only_its_stacked_blocks(self, assembled, params,
+                                                  mms):
+        """Of the blocks and the convection operator, only the matrix they
+        were stacked into once is alive when the first iterate factors."""
+        solve_coupled(level(4, 1, params, mms))
+        made, alive_at_splu = assembled
+        assert len(made) > 5 and alive_at_splu == [1]
 
 
 class TestCoarseStateEvaluation:
@@ -256,7 +302,7 @@ class TestCoarseStateEvaluation:
                                                        monkeypatch):
         """The Newton matrix and the correction load share one evaluation
         of the coarse velocity at the fine quadrature points."""
-        coarse, _ = solve_coupled(build_coupled_mesh(2), 1, params, mms)
+        coarse, _ = solve_coupled(level(2, 1, params, mms))
         a = coarse.velocity
         calls = []
 
@@ -272,10 +318,9 @@ class TestCoarseStateEvaluation:
         count(DiscreteField, "eval_many", lambda f: f is a)
         count(DiscreteField, "eval_grad_many", lambda f: f is a)
         count(TriMesh, "locate_many", lambda m: m is a.dofmap.mesh)
-        cm = build_coupled_mesh(4)
-        dv, dq, dphi = build_spaces(cm, 1)
-        ns = NSStep(dv, dq, params, mms, a)
-        head = interpolate(mms.head, dphi)
+        lv = level(4, 1, params, mms)
+        ns = NSStep(lv, a)
+        head = interpolate(mms.head, lv.spaces.head)
         u_star, _, _ = ns.solve_newton(head)
         ns.solve_correction(u_star, head)
         assert sorted(calls) == ["eval_grad_many", "eval_many", "locate_many"]
@@ -299,18 +344,17 @@ class TestSaddlePreconditioner:
     """Only the block-triangular preconditioner reads the pressure mass."""
 
     def test_direct_solves_never_assemble_it(self, mass_calls, params, mms):
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, 1, params, mms)
-        dv, dq, _ = build_spaces(cm, 1)
-        NSStep(dv, dq, params, mms, state.velocity).solve_newton(state.head)
+        lv = level(4, 1, params, mms)
+        state, _ = solve_coupled(lv)
+        NSStep(lv, state.velocity).solve_newton(state.head)
         assert mass_calls == []
 
     def test_iterative_picard_assembles_it_once(self, mass_calls, params,
                                                 mms):
-        cm = build_coupled_mesh(4)
-        _, report = solve_coupled(cm, 1, params, mms, solver="iterative")
+        lv = level(4, 1, params, mms)
+        _, report = solve_coupled(lv, SolveOptions(solver="iterative"))
         assert report.iterations >= 3
-        assert len(mass_calls) == 1 and mass_calls[0].mesh is cm.fluid
+        assert len(mass_calls) == 1 and mass_calls[0].mesh is lv.mesh.fluid
 
 
 @pytest.fixture
@@ -348,12 +392,10 @@ def assert_true_residuals(reports, calls):
 @pytest.mark.parametrize("solver", ["direct", "iterative"])
 class TestTrueResiduals:
     def test_darcy_and_ns_steps(self, solver, solves, params, mms):
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, 1, params, mms)
-        spaces = build_spaces(build_coupled_mesh(8), 1)
-        darcy = DarcyStep(spaces.head, params, mms, solver=solver)
-        ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
-                    state.velocity, solver=solver)
+        state, _ = solve_coupled(level(4, 1, params, mms))
+        fine, opts = level(8, 1, params, mms), SolveOptions(solver=solver)
+        darcy = DarcyStep(fine, opts)
+        ns = NSStep(fine, state.velocity, opts)
         solves.clear()
         _, rep_d = darcy.solve(state.velocity)
         u, _, rep_n = ns.solve_newton(state.head)
@@ -365,8 +407,8 @@ class TestTrueResiduals:
         assert_true_residuals([rep_d, rep_n, rep_c], solves)
 
     def test_picard_reports(self, solver, solves, params, mms):
-        _, report = solve_coupled(build_coupled_mesh(8), 1, params, mms,
-                                  solver=solver)
+        _, report = solve_coupled(level(8, 1, params, mms),
+                                  SolveOptions(solver=solver))
         assert len(report.solver_reports) == report.iterations >= 3
         assert all(r.converged for r in report.solver_reports)
         if solver == "direct":
@@ -400,12 +442,10 @@ def superlu_inputs(monkeypatch):
 class TestBubbleCondensation:
     def test_mini_factors_exclude_the_bubbles(self, superlu_inputs, solves,
                                               params, mms):
-        cm = build_coupled_mesh(8)
-        state, _ = solve_coupled(cm, 1, params, mms)
-        spaces = build_spaces(cm, 1)
-        ns = NSStep(spaces.velocity, spaces.pressure, params, mms,
-                    state.velocity)
-        bubbles = 2 * cm.fluid.num_cells
+        lv = level(8, 1, params, mms)
+        state, _ = solve_coupled(lv)
+        ns = NSStep(lv, state.velocity)
+        bubbles = 2 * lv.mesh.fluid.num_cells
         assert len(superlu_inputs) == 2   # Picard's first iterate, NS step
         for K, A, _, _ in superlu_inputs:
             assert A.shape[0] == K.shape[0] - bubbles
@@ -420,13 +460,13 @@ class TestBubbleCondensation:
             self, superlu_inputs, params, mms):
         """Not condensed: SuperLU gets K itself, in the nested-dissection
         order of the dof maps' grid points in stacking order."""
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, 2, params, mms)
-        dv, dq, dphi = build_spaces(cm, 2)
-        NSStep(dv, dq, params, mms, state.velocity)
-        DarcyStep(build_spaces(cm, 1).head, params, mms)
+        th, mini = level(4, 2, params, mms), level(4, 1, params, mms)
+        state, _ = solve_coupled(th)
+        dv, dq, dphi = th.spaces
+        NSStep(th, state.velocity)
+        DarcyStep(mini)
         sites = [grid_points(dv, dq, dphi), grid_points(dv, dq),
-                 grid_points(build_spaces(cm, 1).head)]
+                 grid_points(mini.spaces.head)]
         assert len(superlu_inputs) == 3
         for (K, A, points, factor), expect in zip(superlu_inputs, sites):
             assert np.array_equal(points, expect)

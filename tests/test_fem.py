@@ -121,7 +121,7 @@ class TestDofMap:
         assert dm.num_coefficients == 9
         # the interface is the open segment (0,1) x {1}: the two corner
         # vertices stay with the outer Dirichlet boundary
-        iface = dm.dofs_with_tag(BoundaryTag.INTERFACE)
+        iface = dm.boundary_dofs[dm.boundary_tags == BoundaryTag.INTERFACE]
         assert len(iface) == 1
         assert np.allclose(dm.dof_coords[iface], [[0.5, 1.0]])
         assert len(dm.dirichlet_dofs) == 7
@@ -138,7 +138,8 @@ class TestDofMap:
     def test_dirichlet_excludes_interface(self):
         dm = build_dofmap(fluid_mesh(3), P2_VELOCITY)
         dirichlet = set(dm.dirichlet_dofs)
-        iface = set(dm.dofs_with_tag(BoundaryTag.INTERFACE))
+        iface = set(dm.boundary_dofs[
+            dm.boundary_tags == BoundaryTag.INTERFACE])
         assert not dirichlet & iface
         assert dirichlet | iface == set(dm.boundary_dofs)
 

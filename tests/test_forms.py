@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from trilinear import trilinear_c
 
 from nsdarcy import forms
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          build_dofmap, edge_bary, interpolate, quad_rule_edge,
                          quad_rule_tri, ref_basis_many)
 from nsdarcy.forms import (EDGE_QUAD_POINTS, ConvectionMode, ModelParams,
-                           edge_rule, trilinear_c)
+                           edge_rule)
 from nsdarcy.mesh import (BoundaryTag, Subdomain, build_coupled_mesh,
                           build_tri_mesh)
 
@@ -369,7 +370,8 @@ class TestInterfaceLoads:
         dphi = porous_dofmap(2)
         load = forms.assemble_interface_load_darcy(dphi, ExactVelocity(),
                                                    params)
-        for dof in dphi.dofs_with_tag(BoundaryTag.INTERFACE):
+        for dof in dphi.boundary_dofs[
+                dphi.boundary_tags == BoundaryTag.INTERFACE]:
             x0 = dphi.dof_coords[dof, 0]
             oracle, _ = quad(
                 lambda x: max(0.0, 1.0 - 2.0 * abs(x - x0))

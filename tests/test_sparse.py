@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ichol_reference import ichol_reference
 
 from nsdarcy import decoupled, forms, sparse
-from nsdarcy.coupled import build_spaces, dirichlet_data, solve_coupled
+from nsdarcy.coupled import SolveOptions, build_level, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
 from nsdarcy.fem import P1, build_dofmap, cell_bubbles, grid_points, interpolate
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
@@ -21,6 +21,12 @@ from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
 def laplacian_1d(n):
     return sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                     [-1, 0, 1], format="csr")
+
+
+def chain(n):
+    """Grid points (n, 2) on one line: `points` for a matrix that has no
+    grid of its own."""
+    return np.column_stack([np.arange(n), np.zeros(n, dtype=np.int64)])
 
 
 def random_spd(n, rng, density=0.3):
@@ -41,22 +47,18 @@ def porous_head_system(n, params, mms):
 
 def coupled_system(n, params, mms, order=1):
     """First fixed-point iterate of the monolithic system (zero convection)."""
-    cm = build_coupled_mesh(n)
-    spaces = build_spaces(cm, order)
-    dv, dq, dphi = spaces
+    lv = build_level(build_coupled_mesh(n), order, params, mms)
+    dv, dq, dphi = lv.spaces
     A_f = forms.assemble_af(dv, params)
     B = forms.assemble_b(dv, dq)
-    C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi, params)
+    C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
+                                                       params)
     A_p = forms.assemble_ap(dphi, params)
-    rho_g = params.rho * params.gravity
-    rhs = np.concatenate([
-        forms.assemble_volume_load(dv, mms.f_fluid),
-        np.zeros(dq.ndof),
-        forms.assemble_volume_load(dphi, mms.f_porous, weight=rho_g)])
+    rhs = np.concatenate([lv.fluid_load, np.zeros(dq.ndof), lv.porous_load])
     K = sp.bmat([[A_f, B.T, C_vphi],
                  [B, None, None],
                  [C_phiu, None, A_p]], format="csr")
-    bc_dofs, bc_values = dirichlet_data(spaces, mms)
+    bc_dofs, bc_values = lv.monolithic_trace()
     K2, rhs2 = constrain_dirichlet(K, rhs, bc_dofs, bc_values)
     sizes = (2 * dv.ndof, dq.ndof, dphi.ndof)
     return K2, rhs2, sizes, forms.assemble_mass(dq).diagonal()
@@ -188,9 +190,9 @@ class TestIcholMatchesReference:
         """Every matrix the iterative Darcy and NS steps factor at n=8: the
         head matrix and the symmetrized velocity block."""
         order = request.param
-        cm = build_coupled_mesh(8)
-        state, _ = solve_coupled(cm, order, params, mms)
-        spaces = build_spaces(cm, order)
+        lv = build_level(build_coupled_mesh(8), order, params, mms)
+        state, _ = solve_coupled(lv)
+        spaces, opts = lv.spaces, SolveOptions(solver="iterative")
         seen = []
 
         def record(A, droptol=1e-3):
@@ -200,9 +202,8 @@ class TestIcholMatchesReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "ichol", record)
             mp.setattr(decoupled, "ichol", record)
-            DarcyStep(spaces.head, params, mms, solver="iterative")
-            NSStep(spaces.velocity, spaces.pressure, params, mms,
-                   state.velocity, solver="iterative")
+            DarcyStep(lv, opts)
+            NSStep(lv, state.velocity, opts)
         assert [A.shape[0] for A, _ in seen] == \
             [spaces.head.ndof, spaces.velocity.num_coefficients]
         return seen
@@ -314,12 +315,11 @@ class TestPin:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_equals_constrain_rhs(self, order, params, mms, rng):
-        cm = build_coupled_mesh(4)
-        state, _ = solve_coupled(cm, order, params, mms)
-        spaces = build_spaces(cm, order)
-        dv, dq, dphi = spaces
-        darcy = DarcyStep(dphi, params, mms)
-        ns = NSStep(dv, dq, params, mms, state.velocity)
+        lv = build_level(build_coupled_mesh(4), order, params, mms)
+        state, _ = solve_coupled(lv)
+        dv, dq, dphi = lv.spaces
+        darcy = DarcyStep(lv)
+        ns = NSStep(lv, state.velocity)
         A_f = forms.assemble_af(dv, params)
         A_p = forms.assemble_ap(dphi, params)
         B = forms.assemble_b(dv, dq)
@@ -328,17 +328,17 @@ class TestPin:
                                          params)
         N1, _ = forms.assemble_convection(a, forms.ConvectionMode.PLAIN,
                                           params)
-        C_vphi, C_phiu = forms.assemble_interface_coupling(cm, dv, dphi,
+        C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
                                                            params)
         picard = sp.bmat([[A_f + N1, B.T, C_vphi],
                           [B, None, None],
                           [C_phiu, None, A_p]], format="csr")
-        dofs, values = dirichlet_data(spaces, mms)
+        dofs, values = lv.monolithic_trace()
         _, lift = constrain_dirichlet(picard, np.zeros(picard.shape[0]),
                                       dofs, values)
-        cases = [(A_p, darcy.lift, darcy.bc_dofs, darcy.bc_values),
+        cases = [(A_p, darcy.lift, *lv.head_trace),
                  (sp.bmat([[A_f + N, B.T], [B, None]], format="csr"),
-                  ns.lift, ns.bc_dofs, ns.bc_values),
+                  ns.lift, *lv.velocity_trace),
                  (picard, lift, dofs, values)]
         for A, lift, dofs, values in cases:
             b = rng.standard_normal(A.shape[0])
@@ -349,7 +349,7 @@ class TestPin:
 class TestDirectSolve:
     def test_identity(self, rng):
         b = rng.standard_normal(6)
-        x = DirectFactor(sp.eye(6, format="csr")).solve(b)
+        x = DirectFactor(sp.eye(6, format="csr"), chain(6)).solve(b)
         assert np.abs(x).max() <= np.abs(b).max()
         assert np.allclose(x, b, atol=1e-14)
 
@@ -357,13 +357,13 @@ class TestDirectSolve:
         perm = rng.permutation(8)
         P = sp.csr_matrix((np.ones(8), (np.arange(8), perm)), shape=(8, 8))
         b = rng.standard_normal(8)
-        x = DirectFactor(P).solve(b)
+        x = DirectFactor(P, chain(8)).solve(b)
         assert np.allclose(P @ x, b, atol=1e-14)
         assert np.allclose(x[perm], b, atol=1e-14)
 
     def test_coupled_system_matches_gmres(self, params, mms):
         K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(4, params, mms)
-        x_dir = DirectFactor(K).solve(rhs)
+        x_dir = spla.spsolve(K.tocsc(), rhs)
         P = BlockTriangularPreconditioner(K, nu_, nq_, mdiag, params.nu,
                                           nphi=nphi)
         x_it, rep = gmres(K, rhs, P, tol=1e-12, maxit=2000)
@@ -373,16 +373,16 @@ class TestDirectSolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            DirectFactor(sp.eye(3, format="csr")).solve(np.ones(4))
+            DirectFactor(sp.eye(3, format="csr"), chain(3)).solve(np.ones(4))
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(Singular):
-            DirectFactor(A).solve(np.ones(2))
+            DirectFactor(A, chain(2)).solve(np.ones(2))
 
     def test_factor_reuse_counts_solves(self, rng):
         A = random_spd(10, rng)
-        f = DirectFactor(A)
+        f = DirectFactor(A, chain(10))
         for k in range(3):
             f.solve(rng.standard_normal(10))
         assert f.solves == 3
@@ -392,7 +392,7 @@ class TestCrossSolverAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_pcg_vs_direct_on_head_systems(self, n, params, mms):
         K, rhs = porous_head_system(n, params, mms)
-        x_dir = DirectFactor(K).solve(rhs)
+        x_dir = spla.spsolve(K.tocsc(), rhs)
         x_it, rep = pcg(K, rhs, ichol(K, 1e-3), tol=1e-11)
         assert rep.converged
         assert np.abs(x_it - x_dir).max() <= 1e-7 * max(1.0,
@@ -401,7 +401,7 @@ class TestCrossSolverAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_gmres_vs_direct_on_saddle_systems(self, n, params, mms):
         K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(n, params, mms)
-        x_dir = DirectFactor(K).solve(rhs)
+        x_dir = spla.spsolve(K.tocsc(), rhs)
         P = BlockTriangularPreconditioner(K, nu_, nq_, mdiag, params.nu,
                                           nphi=nphi)
         x_it, rep = gmres(K, rhs, P, tol=1e-11, maxit=3000)
@@ -420,7 +420,7 @@ class TestLinearSolver:
     def test_spd_reports_true_residual(self, solver, method, params, mms):
         K, rhs = porous_head_system(8, params, mms)
         linear = LinearSolver(K, solver, 1e-9, lambda A: ichol(A, 1e-3),
-                              symmetric=True)
+                              symmetric=True, points=chain(K.shape[0]))
         x, rep = linear.solve(rhs)
         assert rep.method == method and rep.converged
         assert rep.final_residual == pytest.approx(
@@ -432,7 +432,8 @@ class TestLinearSolver:
         K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(4, params, mms)
         linear = LinearSolver(
             K, solver, 1e-9, lambda A: BlockTriangularPreconditioner(
-                A, nu_, nq_, mdiag, params.nu, nphi=nphi))
+                A, nu_, nq_, mdiag, params.nu, nphi=nphi),
+            points=chain(K.shape[0]))
         x, rep = linear.solve(rhs)
         assert rep.method == method and rep.converged
         assert rep.final_residual == pytest.approx(
@@ -442,7 +443,7 @@ class TestLinearSolver:
 
     def test_direct_factors_once(self, rng):
         A = random_spd(10, rng)
-        linear = LinearSolver(A, "direct")
+        linear = LinearSolver(A, "direct", points=chain(10))
         for _ in range(2):
             linear.solve(rng.standard_normal(10))
         assert linear.factor.solves == 2
@@ -452,7 +453,7 @@ class TestLinearSolver:
         built = []
         linear = LinearSolver(A, "iterative", 1e-12,
                               lambda K: built.append(K) or ichol(K, 1e-3),
-                              symmetric=True)
+                              symmetric=True, points=chain(10))
         for _ in range(2):
             linear.solve(rng.standard_normal(10))
         assert len(built) == 1 and built[0] is A
@@ -460,7 +461,8 @@ class TestLinearSolver:
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
-            LinearSolver(sp.eye(3, format="csr"), "multigrid")
+            LinearSolver(sp.eye(3, format="csr"), "multigrid",
+                         points=chain(3))
 
     def test_zero_rhs_residual_is_absolute(self):
         A = sp.eye(3, format="csr")
@@ -486,11 +488,11 @@ class TestCondensedFactor:
         M, local = local_group_system(rng)
         A = sp.csr_matrix(M)
         b = rng.standard_normal(M.shape[0])
-        f = DirectFactor(A, local)
+        f = DirectFactor(A, chain(M.shape[0]), local)
         assert f.shape == A.shape
         assert f._lu.shape == (M.shape[0] - local.size,) * 2
         x = f.solve(b)
-        ref = DirectFactor(A).solve(b)
+        ref = spla.spsolve(A.tocsc(), b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(f.apply(b) - x).max() == 0.0
 
@@ -502,24 +504,26 @@ class TestCondensedFactor:
         else:
             local[1, 0] = local[0, 0]
         with pytest.raises(ValueError):
-            DirectFactor(sp.csr_matrix(M), local)
+            DirectFactor(sp.csr_matrix(M), chain(M.shape[0]), local)
 
     def test_singular_local_block_raises(self, rng):
         M, local = local_group_system(rng)
         M[np.ix_(local[2], local[2])] = 1.0
         with pytest.raises(Singular, match="local block"):
-            DirectFactor(sp.csr_matrix(M), local)
+            DirectFactor(sp.csr_matrix(M), chain(M.shape[0]), local)
 
     def test_mini_coupled_system_factors_without_bubbles(self, params, mms):
         K, rhs, *_ = coupled_system(4, params, mms)
-        dv = build_spaces(build_coupled_mesh(4), order=1).velocity
-        linear = LinearSolver(K, "direct", local=cell_bubbles(dv))
+        dv, dq, dphi = build_level(build_coupled_mesh(4), 1, params,
+                                   mms).spaces
+        linear = LinearSolver(K, "direct", local=cell_bubbles(dv),
+                              points=grid_points(dv, dq, dphi))
         assert linear.factor._lu.shape[0] == K.shape[0] - 2 * dv.mesh.num_cells
         x, rep = linear.solve(rhs)
         assert x.shape == rhs.shape
         assert rep.final_residual == pytest.approx(
             recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
-        x_full = DirectFactor(K).solve(rhs)
+        x_full = spla.spsolve(K.tocsc(), rhs)
         assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x).max()
 
 
@@ -527,15 +531,15 @@ def direct_system(kind, order, n, params, mms):
     """(K, local, points) of one direct solve site on an n mesh: the first
     Picard iterate, an NS step about the interpolated exact velocity, or a
     Darcy step."""
-    cm = build_coupled_mesh(n)
-    dv, dq, dphi = build_spaces(cm, order)
+    lv = build_level(build_coupled_mesh(n), order, params, mms)
+    dv, dq, dphi = lv.spaces
     if kind == "picard":
         K = coupled_system(n, params, mms, order)[0]
         return K, cell_bubbles(dv), grid_points(dv, dq, dphi)
     if kind == "ns":
-        ns = NSStep(dv, dq, params, mms, interpolate(mms.velocity, dv))
+        ns = NSStep(lv, interpolate(mms.velocity, dv))
         return ns.linear.K, cell_bubbles(dv), grid_points(dv, dq)
-    return DarcyStep(dphi, params, mms).linear.K, None, grid_points(dphi)
+    return DarcyStep(lv).linear.K, None, grid_points(dphi)
 
 
 def last_separator(g, perm):
@@ -589,7 +593,7 @@ class TestNestedDissection:
     def test_first_split_decouples_its_halves(self, kind, order, params,
                                               mms):
         K, local, points = direct_system(kind, order, 16, params, mms)
-        perm = DirectFactor(K, local, points)._iidx
+        perm = DirectFactor(K, points, local)._iidx
         split = last_separator(points, perm[~sparse.decoupled_rows(K)[perm]])
         assert split is not None
         axis, line = split
@@ -604,20 +608,24 @@ class TestNestedDissection:
                                              rng):
         K, local, points = direct_system(kind, order, 16, params, mms)
         b = rng.standard_normal(K.shape[0])
-        x = DirectFactor(K, local, points).solve(b)
-        ref = DirectFactor(K, local).solve(b)
+        x = DirectFactor(K, points, local).solve(b)
+        ref = spla.spsolve(K.tocsc(), b)
         assert true_residual(K, b, x) <= 1e-12
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @pytest.mark.parametrize("kind,order", [(k, o) for k, o in DIRECT_SITES
                                             if k != "darcy"])
     def test_less_fill_than_colamd(self, kind, order, params, mms):
+        """Against SciPy's own COLAMD factor of the matrix SuperLU gets:
+        the Mini bubbles condensed, Taylor-Hood whole."""
         K, local, points = direct_system(kind, order, 32, params, mms)
+        ordered = DirectFactor(K, points, local)
+        S = (K if local is None
+             else ordered._condense(sparse.as_csr(K), local))
 
-        def fill(f):
-            return f._lu.L.nnz + f._lu.U.nnz
-        assert (fill(DirectFactor(K, local, points))
-                < fill(DirectFactor(K, local)))
+        def fill(lu):
+            return lu.L.nnz + lu.U.nnz
+        assert fill(ordered._lu) < fill(spla.splu(S.tocsc()))
 
     def test_tiny_first_diagonal_is_not_the_pivot(self, rng):
         """With a pivot threshold of 0 SuperLU would divide by 1e-20."""
@@ -630,5 +638,5 @@ class TestNestedDissection:
         K[head, head] = 1e-20
         K = K.tocsr()
         b = rng.standard_normal(m * m)
-        x = DirectFactor(K, points=points).solve(b)
+        x = DirectFactor(K, points).solve(b)
         assert true_residual(K, b, x) <= 1e-12
