@@ -15,13 +15,14 @@ Used standalone for reference errors and as the coarse-level solve of all
 multilevel algorithms. No pressure pinning is needed: the interface coupling
 acts as a natural condition fixing the pressure level.
 
-Every solve on a mesh poses its system from that mesh's `Level`, built once
-by `build_level`; the solver settings travel as one `SolveOptions`.
+Every solve on a mesh poses its block system as a `System` on the mesh's
+`Level`; the solver settings travel as one `SolveOptions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,9 @@ from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
                   build_dofmap, cell_bubbles, dirichlet_trace, grid_points)
 from .mesh import CoupledMesh
-from .sparse import (BlockTriangularPreconditioner, LinearSolver,
-                     constrain_dirichlet, gmres, pin, true_residual)
+from .sparse import (BlockTriangularPreconditioner, DimensionMismatch,
+                     LinearSolver, constrain_dirichlet, gmres, ichol,
+                     true_residual)
 
 PICARD_MAXIT = 50   # iterations before solve_coupled gives up
 
@@ -106,13 +108,11 @@ class Level:
     velocity_trace: tuple
     head_trace: tuple
 
-    def monolithic_trace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both traces with ids in the [u, p, phi] system."""
-        (vdofs, vvals), (hdofs, hvals) = self.velocity_trace, self.head_trace
-        off_phi = self.spaces.velocity.num_coefficients \
-            + self.spaces.pressure.ndof
-        return (np.concatenate([vdofs, hdofs + off_phi]),
-                np.concatenate([vvals, hvals]))
+    @cached_property
+    def pressure_mass(self) -> np.ndarray:
+        """Pressure-mass diagonal of the block-triangular preconditioner,
+        assembled on first use: direct solves never need it."""
+        return forms.assemble_mass(self.spaces.pressure).diagonal()
 
 
 def build_level(coupled_mesh: CoupledMesh, order: int,
@@ -128,32 +128,59 @@ def build_level(coupled_mesh: CoupledMesh, order: int,
         head_trace=dirichlet_trace(dphi, mms.head))
 
 
-def saddle_preconditioner(level: Level, droptol: float):
-    """precondition(K) for a LinearSolver on a velocity-pressure(-head)
-    saddle matrix K of the level, nphi from its shape; the pressure-mass
-    diagonal is assembled on the first call and reused (direct solves never
-    call it)."""
-    dv, dq, _ = level.spaces
-    mass_diag = None
+class System:
+    """One solve site's block system on a level: K stacks the coefficients
+    of the spaces named in `fields`, in that order, such as ("velocity",
+    "pressure", "head"). The level's outer Dirichlet trace is eliminated
+    from K once and the lift -K x0 kept, so every right side is pinned
+    without the unconstrained K."""
 
-    def precondition(K):
-        nonlocal mass_diag
-        if mass_diag is None:
-            mass_diag = forms.assemble_mass(dq).diagonal()
-        nu_ = dv.num_coefficients
-        return BlockTriangularPreconditioner(
-            K, nu_, dq.ndof, mass_diag, level.params.nu,
-            nphi=K.shape[0] - nu_ - dq.ndof, droptol=droptol)
-    return precondition
+    def __init__(self, level: Level, fields: tuple, K):
+        self.level = level
+        self.dofmaps = [getattr(level.spaces, f) for f in fields]
+        self.sizes = [d.num_coefficients for d in self.dofmaps]
+        n = sum(self.sizes)
+        if K.shape != (n, n):
+            raise DimensionMismatch(f"K is {K.shape}, {fields} stack {n}")
+        traces = {"velocity": level.velocity_trace, "head": level.head_trace}
+        offsets = np.cumsum([0] + self.sizes[:-1])
+        ids, values = zip(*[(traces[f][0] + off, traces[f][1])
+                            for f, off in zip(fields, offsets) if f in traces])
+        self.dofs, self.values = np.concatenate(ids), np.concatenate(values)
+        self.K, self.lift = constrain_dirichlet(K, np.zeros(n), self.dofs,
+                                                self.values)
 
+    def rhs(self, *loads) -> np.ndarray:
+        """constrain_rhs(K, b, ...) of the block loads b, one per field
+        (None for a zero block), as b + lift: that is b - K x0 bitwise."""
+        b = np.concatenate([np.zeros(size) if load is None else load
+                            for size, load in zip(self.sizes, loads)])
+        b += self.lift
+        b[self.dofs] = self.values
+        return b
 
-def split_state(spaces: Spaces, x: np.ndarray) -> CoupledState:
-    dv, dq, dphi = spaces
-    nv, nq = dv.ndof, dq.ndof
-    return CoupledState(
-        velocity=DiscreteField(dv, x[:2 * nv].copy()),
-        pressure=DiscreteField(dq, x[2 * nv:2 * nv + nq].copy()),
-        head=DiscreteField(dphi, x[2 * nv + nq:].copy()))
+    def solver(self, opts: SolveOptions) -> LinearSolver:
+        """The site's LinearSolver: a direct factor condenses the first
+        space's bubbles; PCG with ichol on the head alone, otherwise GMRES
+        with the block-triangular preconditioner."""
+        level, sizes = self.level, self.sizes
+        if len(sizes) == 1:
+            precondition = partial(ichol, droptol=opts.droptol)
+        else:
+            def precondition(K):
+                return BlockTriangularPreconditioner(
+                    K, sizes[0], sizes[1], level.pressure_mass,
+                    level.params.nu, nphi=sum(sizes[2:]),
+                    droptol=opts.droptol)
+        return LinearSolver(self.K, opts.solver, opts.linear_tol,
+                            precondition, symmetric=len(sizes) == 1,
+                            local=cell_bubbles(self.dofmaps[0]),
+                            points=grid_points(*self.dofmaps))
+
+    def split(self, x: np.ndarray) -> list[DiscreteField]:
+        """x cut into one field per stacked space."""
+        return [DiscreteField(d, part.copy()) for d, part in
+                zip(self.dofmaps, np.split(x, np.cumsum(self.sizes)[:-1]))]
 
 
 def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
@@ -162,7 +189,6 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     without convergence."""
     dv, dq, dphi = level.spaces
     params = level.params
-    nv = dv.ndof
 
     # the blocks that do not change, stacked once: each iteration adds N1
     # to K0, and only K0 is kept
@@ -174,36 +200,30 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
                   [C_phiu, None, forms.assemble_ap(dphi, params)]],
                  format="csr")
     del B, C_vphi, C_phiu
-    rhs0 = np.concatenate([level.fluid_load, np.zeros(dq.ndof),
-                           level.porous_load])
-    bc_dofs, bc_values = level.monolithic_trace()
-    zeros = np.zeros_like(rhs0)
-    precondition = saddle_preconditioner(level, opts.droptol)
-    bubbles, points = cell_bubbles(dv), grid_points(dv, dq, dphi)
     rule = forms.cell_rule(dv)
     report = PicardReport(iterations=0)
-    x_prev = np.zeros_like(rhs0)
+    x_prev = np.zeros(K0.shape[0])
     growth = 0
     frozen = None
     for m in range(1, PICARD_MAXIT + 1):
-        u_field = DiscreteField(dv, x_prev[:2 * nv])
+        u_field = DiscreteField(dv, x_prev[:dv.num_coefficients])
         N1, _ = forms.assemble_convection(
             forms.quad_state(u_field, rule, grads=False),
             forms.ConvectionMode.PLAIN, params)
         N1.resize(K0.shape)
-        K2, lift = constrain_dirichlet(K0 + N1, zeros, bc_dofs, bc_values)
+        system = System(level, ("velocity", "pressure", "head"), K0 + N1)
         del N1
-        rhs2 = pin(rhs0, lift, bc_dofs, bc_values)
+        rhs = system.rhs(level.fluid_load, None, level.porous_load)
         if frozen is not None:
             # one factorization serves the whole iteration: later systems
             # differ only by the convection update, so the frozen factor is
             # an excellent Krylov preconditioner; refactor if it degrades
-            x, rep = gmres(K2, rhs2, frozen, tol=opts.linear_tol, maxit=100)
-            rep.final_residual = true_residual(K2, rhs2, x)
+            x, rep = gmres(system.K, rhs, frozen, tol=opts.linear_tol,
+                           maxit=100)
+            rep.final_residual = true_residual(system.K, rhs, x)
         if frozen is None or not rep.converged:
-            linear = LinearSolver(K2, opts.solver, opts.linear_tol,
-                                  precondition, local=bubbles, points=points)
-            x, rep = linear.solve(rhs2)
+            linear = system.solver(opts)
+            x, rep = linear.solve(rhs)
             frozen = linear.factor  # None on iterative runs
             del linear  # later iterates need the factor, not its matrix
         report.solver_reports.append(rep)
@@ -213,7 +233,7 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         report.update_norms.append(delta)
         if delta < opts.picard_tol:
             report.converged = True
-            return split_state(level.spaces, x), report
+            return CoupledState(*system.split(x)), report
         if m > 1 and delta > report.update_norms[-2]:
             growth += 1
             if growth >= 3:

@@ -30,11 +30,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
-from .coupled import (CoupledState, Level, SolveOptions, build_level,
-                      saddle_preconditioner, solve_coupled)
-from .fem import DiscreteField, cell_bubbles, grid_points
+from .coupled import (CoupledState, Level, SolveOptions, System, build_level,
+                      solve_coupled)
+from .fem import DiscreteField
 from .mesh import build_coupled_mesh
-from .sparse import LinearSolver, constrain_dirichlet, ichol, pin
 
 
 class AlgorithmId(enum.Enum):
@@ -77,21 +76,15 @@ class DarcyStep:
 
     def __init__(self, level: Level, opts: SolveOptions = SolveOptions()):
         self.level = level
-        dphi = level.spaces.head
-        K, self.lift = constrain_dirichlet(
-            forms.assemble_ap(dphi, level.params), np.zeros(dphi.ndof),
-            *level.head_trace)
-        self.linear = LinearSolver(K, opts.solver, opts.linear_tol,
-                                   lambda K: ichol(K, opts.droptol),
-                                   symmetric=True, points=grid_points(dphi))
+        self.system = System(level, ("head",), forms.assemble_ap(
+            level.spaces.head, level.params))
+        self.linear = self.system.solver(opts)
 
     def solve(self, velocity_source: DiscreteField):
-        dphi, params = self.level.spaces.head, self.level.params
-        rhs = self.level.porous_load + forms.assemble_interface_load_darcy(
-            dphi, velocity_source, params)
-        x, rep = self.linear.solve(
-            pin(rhs, self.lift, *self.level.head_trace))
-        return DiscreteField(dphi, x), rep
+        x, rep = self.linear.solve(self.system.rhs(
+            self.level.porous_load + forms.assemble_interface_load_darcy(
+                self.level.spaces.head, velocity_source, self.level.params)))
+        return (*self.system.split(x), rep)
 
 
 class NSStep:
@@ -113,24 +106,16 @@ class NSStep:
         K = sp.bmat([[forms.assemble_af(dv, level.params) + N, B.T],
                      [B, None]], format="csr")
         del N, B   # only the constrained matrix outlives the set-up
-        K, self.lift = constrain_dirichlet(K, np.zeros(K.shape[0]),
-                                           *level.velocity_trace)
-        self.linear = LinearSolver(
-            K, opts.solver, opts.linear_tol,
-            saddle_preconditioner(level, opts.droptol),
-            local=cell_bubbles(dv), points=grid_points(dv, dq))
+        self.system = System(level, ("velocity", "pressure"), K)
+        del K
+        self.linear = self.system.solver(opts)
 
     def _solve(self, load: np.ndarray, head_source: DiscreteField):
-        dv, dq, _ = self.level.spaces
-        rhs_v = (self.level.fluid_load + load
-                 + forms.assemble_interface_load_ns(dv, head_source,
-                                                    self.level.params))
-        rhs = np.concatenate([rhs_v, np.zeros(dq.ndof)])
-        x, rep = self.linear.solve(
-            pin(rhs, self.lift, *self.level.velocity_trace))
-        nv2 = 2 * dv.ndof
-        return (DiscreteField(dv, x[:nv2].copy()),
-                DiscreteField(dq, x[nv2:].copy()), rep)
+        level = self.level
+        x, rep = self.linear.solve(self.system.rhs(
+            level.fluid_load + load + forms.assemble_interface_load_ns(
+                level.spaces.velocity, head_source, level.params), None))
+        return (*self.system.split(x), rep)
 
     def solve_newton(self, head_source: DiscreteField):
         return self._solve(self.newton_load, head_source)
@@ -151,39 +136,38 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState, level: Level,
 
     def run(step_name, fn, *args):
         try:
-            out = fn(*args)
+            *fields, rep = fn(*args)
         except Exception as exc:
             raise MultilevelStepFailed(index, step_name, exc) from exc
-        rep = out[-1]
         log.append((index, step_name, rep.method, rep.iterations))
-        return out[:-1] if len(out) > 2 else out[0]
+        return fields
 
     darcy = DarcyStep(level, opts)
     ns = NSStep(level, prev.velocity, opts)
 
     if algorithm is AlgorithmId.A:
-        phi_star = run("darcy", darcy.solve, prev.velocity)
+        phi_star, = run("darcy", darcy.solve, prev.velocity)
         u_star, p_star = run("ns_newton", ns.solve_newton, phi_star)
-        phi_h = run("darcy_correct", darcy.solve, u_star)
+        phi_h, = run("darcy_correct", darcy.solve, u_star)
         u_h, p_h = run("ns_correct", ns.solve_correction, u_star, phi_h)
         inter = CoupledState(u_star, p_star, phi_star)
         final = CoupledState(u_h, p_h, phi_h)
     elif algorithm is AlgorithmId.B:
         u_star, p_star = run("ns_newton", ns.solve_newton, prev.head)
-        phi_star = run("darcy", darcy.solve, u_star)
+        phi_star, = run("darcy", darcy.solve, u_star)
         u_h, p_h = run("ns_correct", ns.solve_correction, u_star, phi_star)
-        phi_h = run("darcy_correct", darcy.solve, u_h)
+        phi_h, = run("darcy_correct", darcy.solve, u_h)
         inter = CoupledState(u_star, p_star, phi_star)
         final = CoupledState(u_h, p_h, phi_h)
     elif algorithm is AlgorithmId.C:
         # one-shot, no corrections; the two solves share no data, so
         # their order does not matter
         u_h, p_h = run("ns_newton", ns.solve_newton, prev.head)
-        phi_h = run("darcy", darcy.solve, prev.velocity)
+        phi_h, = run("darcy", darcy.solve, prev.velocity)
         inter = None
         final = CoupledState(u_h, p_h, phi_h)
     else:  # D; AlgorithmId() has rejected anything else
-        phi_star = run("darcy", darcy.solve, prev.velocity)
+        phi_star, = run("darcy", darcy.solve, prev.velocity)
         u_star, p_star = run("ns_newton", ns.solve_newton, phi_star)
         u_h, p_h = run("ns_correct", ns.solve_correction, u_star, phi_star)
         inter = CoupledState(u_star, p_star, phi_star)

@@ -278,12 +278,12 @@ def dof_count(family: ElementFamily, n: int) -> int:
     return (n + 1) ** 2 + extra[family.tag]
 
 
-def cell_bubbles(dofmap: DofMap) -> np.ndarray | None:
+def cell_bubbles(dofmap: DofMap) -> np.ndarray:
     """Coefficient ids (nc, 2) of the two bubble components of each Mini
-    cell, or None for a family without bubbles. A bubble vanishes on every
-    edge, so only the volume terms of its own cell couple it to anything."""
+    cell, (0, 2) for other families. A bubble vanishes on every edge, so
+    only the volume terms of its own cell couple it to anything."""
     if dofmap.family.tag != "MINI_VELOCITY":
-        return None
+        return np.empty((0, 2), dtype=np.int64)
     bubble = dofmap.cell_dofs[:, 3]
     return np.column_stack([bubble, bubble + dofmap.ndof])
 

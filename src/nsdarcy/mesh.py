@@ -36,9 +36,10 @@ class OutOfDomain(Exception):
 
 
 class ScheduleOverflow(Exception):
-    """A schedule entry exceeds the configured subdivision cap."""
+    """A schedule entry exceeds MAX_SUBDIVISIONS."""
 
 
+MAX_SUBDIVISIONS = 1024   # make_schedule refuses finer meshes
 # Matching physical tolerance for point location and interface coincidence.
 GEOM_TOL = 1e-12
 # Tie tolerance in grid units: points this close to a gridline or diagonal are
@@ -233,7 +234,7 @@ def build_coupled_mesh(n: int) -> CoupledMesh:
 
 
 def make_schedule(kind, n0: int | None = None, levels: int | None = None,
-                  pairs=None, cap: int = 1024) -> list[MeshSchedule]:
+                  pairs=None) -> list[MeshSchedule]:
     """Build mesh schedules for the multilevel runs.
 
     SQUARE squares the subdivision count at every level; CUBE_THEN_SQUARE
@@ -254,7 +255,7 @@ def make_schedule(kind, n0: int | None = None, levels: int | None = None,
         for lvl in range(levels):
             # stop at the first entry over the cap, which the check below
             # rejects; going on would square up to n0 ** (2 ** levels)
-            if subs[-1] > cap:
+            if subs[-1] > MAX_SUBDIVISIONS:
                 break
             if kind is ScheduleKind.CUBE_THEN_SQUARE and lvl == 0:
                 subs.append(subs[-1] ** 3)
@@ -264,6 +265,7 @@ def make_schedule(kind, n0: int | None = None, levels: int | None = None,
 
     for s in schedules:
         for m in s.subdivisions:
-            if m > cap:
-                raise ScheduleOverflow(f"subdivision {m} exceeds cap {cap}")
+            if m > MAX_SUBDIVISIONS:
+                raise ScheduleOverflow(
+                    f"subdivision {m} exceeds cap {MAX_SUBDIVISIONS}")
     return schedules

@@ -341,7 +341,8 @@ DIAG_PIVOT_THRESH = 1e-4
 ND_LEAF = 64
 
 
-def nested_dissection(g: np.ndarray, first: np.ndarray) -> np.ndarray:
+def nested_dissection(g: np.ndarray, first: np.ndarray,
+                      last: np.ndarray) -> np.ndarray:
     """Grid nested-dissection order (George 1973) of unknowns at integer
     grid points g (N, 2), as a permutation of range(N).
 
@@ -349,16 +350,18 @@ def nested_dissection(g: np.ndarray, first: np.ndarray) -> np.ndarray:
     are dissected: the bounding box is cut across its longer side at an
     even grid line near its middle, both halves are ordered recursively,
     and the unknowns on the line (the separator) follow them. At most
-    ND_LEAF unknowns, or a box with no even line inside, are ordered by
-    (y, x). Every sort is stable, so unknowns at one point keep their
-    given order.
+    ND_LEAF unknowns, or a box with no even line inside, form a leaf. A
+    leaf or separator is ordered by (y, x), those marked in the mask
+    `last` after the others. Every sort is stable, so unknowns at one
+    point and in one mask keep their given order.
     """
     g = np.asarray(g, dtype=np.int64)
     first = np.asarray(first, dtype=bool)
+    last = np.asarray(last, dtype=bool)
     out = [np.flatnonzero(first)]
 
     def by_yx(idx):
-        return idx[np.lexsort((g[idx, 0], g[idx, 1]))]
+        return idx[np.lexsort((g[idx, 0], g[idx, 1], last[idx]))]
 
     def dissect(idx):
         if idx.size > ND_LEAF:
@@ -401,36 +404,37 @@ class DirectFactor:
     right side, solves with S and recovers x_L = D^{-1} (b_L - A_LI x_I).
 
     `points`, integer grid coordinates (N, 2) of every unknown, orders the
-    factored unknowns by `nested_dissection`, `decoupled_rows` first, and
-    SuperLU keeps that order and the diagonal pivots it can
+    factored unknowns by `nested_dissection`: `decoupled_rows` first, and
+    the rows whose diagonal is zero in S last in their leaf or separator,
+    so SuperLU keeps that order and the diagonal pivots
     (DIAG_PIVOT_THRESH). `_iidx` lists the factored unknowns in factor
     order.
 
-    `solve` takes and returns full-length vectors either way; `shape` is
-    the full shape and `_lu.shape` the factored one.
+    `solve` takes and returns full-length vectors; `shape` is the full
+    shape and `_lu.shape` the factored one.
     """
 
     def __init__(self, A, points: np.ndarray,
-                 local: np.ndarray | None = None):
+                 local: np.ndarray = np.empty((0, 1), dtype=np.int64)):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
         self.shape = A.shape
         self.solves = 0
-        self._lidx = None
+        lidx = local.ravel()
         keep = np.ones(A.shape[0], dtype=bool)
-        if local is not None:
-            local = np.asarray(local)
-            keep[local.ravel()] = False
-            if np.count_nonzero(~keep) != local.size:
-                raise ValueError("local unknowns are listed more than once")
+        keep[lidx] = False
+        if np.count_nonzero(~keep) != lidx.size:
+            raise ValueError("local unknowns are listed more than once")
         iidx = np.flatnonzero(keep)
+        # a zero diagonal stays zero in S unless a local unknown couples in
+        zero = (A.diagonal() == 0) & (np.diff(A[:, lidx].indptr) == 0)
         self._iidx = iidx[nested_dissection(np.asarray(points)[iidx],
-                                            decoupled_rows(A)[iidx])]
-        A = (self._condense(A, local) if local is not None
-             else A[self._iidx][:, self._iidx])
+                                            decoupled_rows(A)[iidx],
+                                            zero[iidx])]
+        S = self._condense(A, local)
         try:
-            self._lu = spla.splu(A.tocsc(), permc_spec="NATURAL",
+            self._lu = spla.splu(S.tocsc(), permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
@@ -481,12 +485,9 @@ class DirectFactor:
         self.solves += 1
         lidx, iidx = self._lidx, self._iidx
         x = np.empty_like(b)
-        if lidx is None:
-            x[iidx] = self._lu.solve(b[iidx])
-        else:
-            x[iidx] = self._lu.solve(
-                b[iidx] - self._A_IL @ self._local_solve(b[lidx]))
-            x[lidx] = self._local_solve(b[lidx] - self._A_LI @ x[iidx])
+        x[iidx] = self._lu.solve(
+            b[iidx] - self._A_IL @ self._local_solve(b[lidx]))
+        x[lidx] = self._local_solve(b[lidx] - self._A_LI @ x[iidx])
         if not np.all(np.isfinite(x)):
             raise Singular("non-finite solution from LU solve")
         return x
@@ -516,7 +517,7 @@ class LinearSolver:
     """
 
     def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
-                 symmetric: bool = False, local: np.ndarray | None = None,
+                 symmetric: bool = False, local=np.empty((0, 1), np.int64),
                  *, points: np.ndarray):
         self.K = K
         self.tol = tol
@@ -566,14 +567,5 @@ def constrain_rhs(A, b: np.ndarray, dofs: np.ndarray,
 
 
 def constrain_dirichlet(A, b, dofs, values):
-    """With b = 0 the right side is the lift -A x0 that `pin` takes."""
+    """With b = 0 the right side is the lift -A x0 (see coupled.System)."""
     return constrain_matrix(A, dofs), constrain_rhs(A, b, dofs, values)
-
-
-def pin(load: np.ndarray, lift: np.ndarray, dofs: np.ndarray,
-        values: np.ndarray) -> np.ndarray:
-    """constrain_rhs(A, load, dofs, values) from the lift -A x0: load + lift
-    equals load - A x0 bitwise, so A need not be kept."""
-    out = load + lift
-    out[dofs] = values
-    return out

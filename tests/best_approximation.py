@@ -23,7 +23,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from nsdarcy.coupled import build_spaces, split_state
+from layout import split_state
+
+from nsdarcy.coupled import build_spaces
 from nsdarcy.fem import dirichlet_trace
 from nsdarcy.forms import _load, _scatter, assemble_mass, cell_rule
 from nsdarcy.mms import REPORTED_KEYS, error_norms

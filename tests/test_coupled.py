@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from layout import monolithic_trace
 
 from nsdarcy import coupled, forms
-from nsdarcy.coupled import (PicardDiverged, SolveOptions, build_level,
+from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
+                             build_level,
                              solve_coupled)
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import error_norms
-from nsdarcy.sparse import constrain_matrix, constrain_rhs
+from nsdarcy.fem import interpolate
+from nsdarcy.sparse import DimensionMismatch, constrain_matrix, constrain_rhs
 
 MINI_N8_REFERENCE = {("phi", "H1"): 6.134e-2, ("u", "H1"): 1.263e-1,
                      ("v", "H1"): 1.066e-1, ("p", "L2"): 7.420e-2}
@@ -96,7 +99,7 @@ class TestDiscreteSolution:
             forms.assemble_volume_load(dv, mms.f_fluid),
             np.zeros(dq.ndof),
             forms.assemble_volume_load(dphi, mms.f_porous, weight=rho_g)])
-        bc_dofs, bc_values = lv.monolithic_trace()
+        bc_dofs, bc_values = monolithic_trace(lv)
         K2 = constrain_matrix(K, bc_dofs)
         rhs2 = constrain_rhs(K, rhs, bc_dofs, bc_values)
         x = np.concatenate([state.velocity.coefficients,
@@ -177,7 +180,7 @@ class TestStaticBlocks:
         C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
                                                            params)
         A_p = forms.assemble_ap(dphi, params)
-        dofs, values = lv.monolithic_trace()
+        dofs, values = monolithic_trace(lv)
         for N1, K2 in list(zip(convection, constrained))[:2]:
             K = sp.bmat([[A_f + N1, B.T, C_vphi],
                          [B, None, None],
@@ -185,3 +188,92 @@ class TestStaticBlocks:
             ref, _ = orig_constrain(K, np.zeros(K.shape[0]), dofs, values)
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(K2, attr), getattr(ref, attr))
+
+
+SITES = {"picard": ("velocity", "pressure", "head"),
+         "ns": ("velocity", "pressure"),
+         "darcy": ("head",)}
+
+
+def site_matrix(site, lv, params, mms):
+    """The unconstrained matrix of one solve site, linearized about the
+    interpolated exact velocity: Picard's stacked system, the NS Newton
+    matrix or the Darcy matrix."""
+    dv, dq, dphi = lv.spaces
+    A_p = forms.assemble_ap(dphi, params)
+    if site == "darcy":
+        return A_p
+    a = forms.quad_state(interpolate(mms.velocity, dv), forms.cell_rule(dv))
+    A_f = forms.assemble_af(dv, params)
+    B = forms.assemble_b(dv, dq)
+    if site == "ns":
+        N, _ = forms.assemble_convection(a, forms.ConvectionMode.NEWTON,
+                                         params)
+        return sp.bmat([[A_f + N, B.T], [B, None]], format="csr")
+    N1, _ = forms.assemble_convection(a, forms.ConvectionMode.PLAIN, params)
+    C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
+                                                       params)
+    return sp.bmat([[A_f + N1, B.T, C_vphi],
+                    [B, None, None],
+                    [C_phiu, None, A_p]], format="csr")
+
+
+def site_trace(site, lv):
+    """The site's Dirichlet ids and values, offset by hand."""
+    if site == "picard":
+        return monolithic_trace(lv)
+    return lv.velocity_trace if site == "ns" else lv.head_trace
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("site", list(SITES))
+class TestSystem:
+    """One System per solve site owns its block layout."""
+
+    def test_dirichlet_ids_are_the_offset_traces(self, site, order, params,
+                                                 mms):
+        lv = level(4, order, params, mms)
+        K = site_matrix(site, lv, params, mms)
+        system = System(lv, SITES[site], K)
+        dofs, values = site_trace(site, lv)
+        assert np.array_equal(system.dofs, dofs)
+        assert np.array_equal(system.values, values)
+        ref = constrain_matrix(K, dofs)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(system.K, attr), getattr(ref, attr))
+
+    def test_rhs_equals_constrain_rhs(self, site, order, params, mms, rng):
+        """Pinned from the stored lift, with None for a zero block, the
+        right side is the one constrain_rhs builds from K itself."""
+        lv = level(4, order, params, mms)
+        K = site_matrix(site, lv, params, mms)
+        system = System(lv, SITES[site], K)
+        dofs, values = site_trace(site, lv)
+        sizes = [getattr(lv.spaces, f).num_coefficients
+                 for f in SITES[site]]
+        loads = [rng.standard_normal(m) for m in sizes]
+        assert np.array_equal(system.rhs(*loads),
+                              constrain_rhs(K, np.concatenate(loads), dofs,
+                                            values))
+        if len(sizes) > 1:
+            loads[1] = None
+            full = np.concatenate([np.zeros(m) if b is None else b
+                                   for m, b in zip(sizes, loads)])
+            assert np.array_equal(system.rhs(*loads),
+                                  constrain_rhs(K, full, dofs, values))
+
+    def test_split_round_trips(self, site, order, params, mms, rng):
+        lv = level(4, order, params, mms)
+        system = System(lv, SITES[site], site_matrix(site, lv, params, mms))
+        x = rng.standard_normal(system.K.shape[0])
+        fields = system.split(x)
+        assert [f.dofmap for f in fields] == [getattr(lv.spaces, name)
+                                              for name in SITES[site]]
+        assert np.array_equal(np.concatenate([f.coefficients
+                                              for f in fields]), x)
+
+    def test_size_mismatch_raises(self, site, order, params, mms):
+        lv = level(4, order, params, mms)
+        other = "darcy" if site != "darcy" else "ns"
+        with pytest.raises(DimensionMismatch):
+            System(lv, SITES[site], site_matrix(other, lv, params, mms))

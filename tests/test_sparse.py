@@ -5,8 +5,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ichol_reference import ichol_reference
+from layout import monolithic_trace
 
-from nsdarcy import decoupled, forms, sparse
+from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import SolveOptions, build_level, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
 from nsdarcy.fem import P1, build_dofmap, cell_bubbles, grid_points, interpolate
@@ -14,8 +15,8 @@ from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
                             Preconditioner, Singular, constrain_dirichlet,
-                            constrain_rhs, gmres, ichol, nested_dissection,
-                            pcg, pin, true_residual)
+                            gmres, ichol, nested_dissection, pcg,
+                            true_residual)
 
 
 def laplacian_1d(n):
@@ -58,7 +59,7 @@ def coupled_system(n, params, mms, order=1):
     K = sp.bmat([[A_f, B.T, C_vphi],
                  [B, None, None],
                  [C_phiu, None, A_p]], format="csr")
-    bc_dofs, bc_values = lv.monolithic_trace()
+    bc_dofs, bc_values = monolithic_trace(lv)
     K2, rhs2 = constrain_dirichlet(K, rhs, bc_dofs, bc_values)
     sizes = (2 * dv.ndof, dq.ndof, dphi.ndof)
     return K2, rhs2, sizes, forms.assemble_mass(dq).diagonal()
@@ -201,7 +202,7 @@ class TestIcholMatchesReference:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse, "ichol", record)
-            mp.setattr(decoupled, "ichol", record)
+            mp.setattr(coupled, "ichol", record)
             DarcyStep(lv, opts)
             NSStep(lv, state.velocity, opts)
         assert [A.shape[0] for A, _ in seen] == \
@@ -306,44 +307,6 @@ class TestGmres:
                        tol=1e-8, restart=50)
         assert rep.converged and 0 < rep.iterations < 40
         assert P.applies == rep.iterations + 2
-
-
-class TestPin:
-    """pin with the lift constrain_dirichlet(A, 0, ...) returns equals
-    constrain_rhs(A, load, ...) bitwise on each matrix the solvers
-    constrain: the Darcy and NS steps' stored lifts and the Picard matrix."""
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_equals_constrain_rhs(self, order, params, mms, rng):
-        lv = build_level(build_coupled_mesh(4), order, params, mms)
-        state, _ = solve_coupled(lv)
-        dv, dq, dphi = lv.spaces
-        darcy = DarcyStep(lv)
-        ns = NSStep(lv, state.velocity)
-        A_f = forms.assemble_af(dv, params)
-        A_p = forms.assemble_ap(dphi, params)
-        B = forms.assemble_b(dv, dq)
-        a = forms.quad_state(state.velocity, forms.cell_rule(dv))
-        N, _ = forms.assemble_convection(a, forms.ConvectionMode.NEWTON,
-                                         params)
-        N1, _ = forms.assemble_convection(a, forms.ConvectionMode.PLAIN,
-                                          params)
-        C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
-                                                           params)
-        picard = sp.bmat([[A_f + N1, B.T, C_vphi],
-                          [B, None, None],
-                          [C_phiu, None, A_p]], format="csr")
-        dofs, values = lv.monolithic_trace()
-        _, lift = constrain_dirichlet(picard, np.zeros(picard.shape[0]),
-                                      dofs, values)
-        cases = [(A_p, darcy.lift, *lv.head_trace),
-                 (sp.bmat([[A_f + N, B.T], [B, None]], format="csr"),
-                  ns.lift, *lv.velocity_trace),
-                 (picard, lift, dofs, values)]
-        for A, lift, dofs, values in cases:
-            b = rng.standard_normal(A.shape[0])
-            assert np.array_equal(pin(b, lift, dofs, values),
-                                  constrain_rhs(A, b, dofs, values))
 
 
 class TestDirectSolve:
@@ -539,7 +502,7 @@ def direct_system(kind, order, n, params, mms):
     if kind == "ns":
         ns = NSStep(lv, interpolate(mms.velocity, dv))
         return ns.linear.K, cell_bubbles(dv), grid_points(dv, dq)
-    return DarcyStep(lv).linear.K, None, grid_points(dphi)
+    return DarcyStep(lv).linear.K, cell_bubbles(dphi), grid_points(dphi)
 
 
 def last_separator(g, perm):
@@ -573,21 +536,41 @@ DIRECT_SITES = [(kind, order) for kind in ("picard", "ns", "darcy")
 
 class TestNestedDissection:
     @settings(max_examples=60, deadline=None)
-    @given(grid_point_sets())
-    def test_permutation_with_first_rows_first_and_stable(self, case):
+    @given(grid_point_sets(), st.integers(0, 2**32 - 1))
+    def test_permutation_with_first_rows_first_and_stable(self, case, seed):
         g, first = case
-        p = nested_dissection(g, first)
+        last = np.random.default_rng(seed).random(len(g)) < 0.5
+        p = nested_dissection(g, first, last)
         assert np.array_equal(np.sort(p), np.arange(len(g)))
         assert np.array_equal(p[:first.sum()], np.flatnonzero(first))
-        assert np.array_equal(p, nested_dissection(g, first))
-        # the unknowns at one point, first or not, keep their given order
+        assert np.array_equal(p, nested_dissection(g, first, last))
+        # the unknowns at one point share a leaf or separator: in each of
+        # the masks they keep their given order, and the unknowns marked
+        # last follow the others
         pos = np.empty_like(p)
         pos[p] = np.arange(len(p))
         _, at = np.unique(g, axis=0, return_inverse=True)
-        group = 2 * at.ravel() + first
+        at = at.ravel()
+        group = 4 * at + 2 * last + first
         by_group = np.lexsort((np.arange(len(g)), group))
         same = np.diff(group[by_group]) == 0
         assert np.all(np.diff(pos[by_group])[same] > 0)
+        latest = np.full(len(g), -1)
+        earliest = np.full(len(g), len(g))
+        np.maximum.at(latest, at[~first & ~last], pos[~first & ~last])
+        np.minimum.at(earliest, at[~first & last], pos[~first & last])
+        assert np.all(latest < earliest)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kind,order", DIRECT_SITES)
+    def test_every_pivot_on_the_diagonal(self, kind, order, n, params, mms):
+        """The Taylor-Hood pressures, whose diagonal is zero, come after
+        the velocities of their leaf or separator, so SuperLU swaps no
+        rows; the Mini pressures are not moved, since their condensed
+        diagonal is nonzero."""
+        K, local, points = direct_system(kind, order, n, params, mms)
+        lu = DirectFactor(K, points, local)._lu
+        assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
     @pytest.mark.parametrize("kind,order", DIRECT_SITES)
     def test_first_split_decouples_its_halves(self, kind, order, params,
@@ -620,8 +603,7 @@ class TestNestedDissection:
         the Mini bubbles condensed, Taylor-Hood whole."""
         K, local, points = direct_system(kind, order, 32, params, mms)
         ordered = DirectFactor(K, points, local)
-        S = (K if local is None
-             else ordered._condense(sparse.as_csr(K), local))
+        S = ordered._condense(sparse.as_csr(K), local)
 
         def fill(lu):
             return lu.L.nnz + lu.U.nnz
@@ -634,7 +616,8 @@ class TestNestedDissection:
         K = sp.lil_matrix(sp.kronsum(lap, lap))
         iy, ix = np.divmod(np.arange(m * m), m)
         points = 2 * np.column_stack([ix, iy])
-        head = nested_dissection(points, np.zeros(m * m, dtype=bool))[0]
+        none = np.zeros(m * m, dtype=bool)
+        head = nested_dissection(points, none, none)[0]
         K[head, head] = 1e-20
         K = K.tocsr()
         b = rng.standard_normal(m * m)

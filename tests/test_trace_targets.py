@@ -2,12 +2,16 @@
 package must fail here rather than break every traced benchmark run."""
 
 import importlib
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -38,3 +42,21 @@ def test_a_missing_target_is_reported(monkeypatch):
     monkeypatch.delattr(forms, "assemble_af")
     with pytest.raises(AssertionError, match="forms.assemble_af"):
         test_every_trace_target_resolves()
+
+
+def test_a_traced_study_runs(tmp_path):
+    """The hooks read package internals (a factor's `_lu` and `shape`, a
+    report's `iterations`), which only a traced run exercises: one small
+    study of A runs the benchmark's study script under the tracer."""
+    config = {"algorithm": "A", "order": 1, "schedule": "pairs:2:4",
+              "solver": "direct"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "study.py"), str(ROOT),
+         str(tmp_path), json.dumps(config), "--trace", "test"],
+        capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert "error" not in result
+    trace = result["trace"]
+    assert trace["span_problems"] == []
+    assert trace["counts"]["sparse.factor_calls"] == 3
+    assert trace["true_relres_max"] < 1e-8
