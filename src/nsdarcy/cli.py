@@ -309,8 +309,9 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
         return TableArtifact(rows=[], metadata=meta)
 
     from .mesh import build_coupled_mesh
-    opts = SolveOptions(config.solver, config.linear_tol,
-                        config.ichol_droptol, config.picard_tol)
+    opts = SolveOptions(solver=config.solver, linear_tol=config.linear_tol,
+                        droptol=config.ichol_droptol,
+                        picard_tol=config.picard_tol)
     finals: list = []
     stars: list = []
     if config.algorithm == "coupled":

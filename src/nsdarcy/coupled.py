@@ -215,16 +215,18 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         del N1
         rhs = system.rhs(level.fluid_load, None, level.porous_load)
         if frozen is not None:
-            # one factorization serves the whole iteration: later systems
-            # differ only by the convection update, so the frozen factor is
-            # an excellent Krylov preconditioner; refactor if it degrades
+            # one factor or preconditioner serves the whole iteration: later
+            # systems differ only by the convection update, so the frozen one
+            # is an excellent Krylov preconditioner; rebuild if it degrades
             x, rep = gmres(system.K, rhs, frozen, tol=opts.linear_tol,
-                           maxit=100)
+                           maxit=maxit)
             rep.final_residual = true_residual(system.K, rhs, x)
         if frozen is None or not rep.converged:
             linear = system.solver(opts)
             x, rep = linear.solve(rhs)
-            frozen = linear.factor  # None on iterative runs
+            frozen = linear.factor or linear.precon
+            # twice the fresh solve's iterations; a direct solve reports 1
+            maxit = max(100, 2 * rep.iterations)
             del linear  # later iterates need the factor, not its matrix
         report.solver_reports.append(rep)
 

@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .mesh import GEOM_TOL, BoundaryTag, Subdomain, TriMesh
+from .mesh import BoundaryTag, TriMesh
 
 
 class UnsupportedDegree(Exception):
@@ -81,7 +81,6 @@ def ref_basis_many(family: ElementFamily, bary: np.ndarray):
 class QuadratureRule:
     points: np.ndarray   # (nq, 3) barycentric for triangles, (nq,) in [0,1] for edges
     weights: np.ndarray  # sums to 1/2 (triangle) or 1 (edge)
-    degree: int
 
 
 def _perm3(a, b):
@@ -143,8 +142,7 @@ def _conical_rule(degree: int) -> QuadratureRule:
         y = np.broadcast_to(eta, (m, m)).ravel()
         w = np.outer(a, b).ravel()
         pts = np.column_stack([1.0 - x - y, x, y])
-        _CONICAL_CACHE[degree] = QuadratureRule(points=pts, weights=w,
-                                                degree=2 * m - 1)
+        _CONICAL_CACHE[degree] = QuadratureRule(points=pts, weights=w)
     return _CONICAL_CACHE[degree]
 
 
@@ -158,7 +156,6 @@ def quad_rule_tri(degree: int) -> QuadratureRule:
     return QuadratureRule(
         points=np.array(pts, dtype=float),
         weights=0.5 * np.array(w, dtype=float),
-        degree=degree,
     )
 
 
@@ -166,8 +163,7 @@ def quad_rule_edge(npts: int) -> QuadratureRule:
     if not 2 <= npts <= 6:
         raise UnsupportedDegree(f"edge rule with {npts} points not in 2..6")
     x, w = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w,
-                          degree=2 * npts - 1)
+    return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
 
 
 def edge_bary(local_edge, t) -> np.ndarray:
@@ -189,17 +185,13 @@ class DofMap:
     ndof: int                 # scalar dofs; vector fields carry 2x coefficients
     cell_dofs: np.ndarray     # (nc, nloc)
     dof_coords: np.ndarray    # (ndof, 2)
-    boundary_dofs: np.ndarray  # ascending dof ids
-    boundary_tags: np.ndarray  # aligned BoundaryTag values
+    # ascending ids of the dofs on the closed outer boundary; interface dofs
+    # stay free (natural conditions)
+    dirichlet_dofs: np.ndarray
 
     @property
     def num_coefficients(self) -> int:
         return self.ndof * self.family.components
-
-    @property
-    def dirichlet_dofs(self) -> np.ndarray:
-        """Outer-boundary dofs; interface dofs stay free (natural conditions)."""
-        return self.boundary_dofs[self.boundary_tags != int(BoundaryTag.INTERFACE)]
 
 
 def _edge_table(cells: np.ndarray):
@@ -222,7 +214,6 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
         ndof = nv
         cell_dofs = mesh.cells.copy()
         coords = mesh.vertices.copy()
-        edge_extra = None
     elif tag == "P2":
         edges, cell_edges = _edge_table(mesh.cells)
         ndof = nv + edges.shape[0]
@@ -231,7 +222,6 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
             mesh.vertices,
             0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
         ])
-        edge_extra = (edges, cell_edges)
     elif tag == "MINI_VELOCITY":
         ndof = nv + nc
         cell_dofs = np.hstack([mesh.cells, (nv + np.arange(nc))[:, None]])
@@ -239,36 +229,23 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
             mesh.vertices,
             mesh.vertices[mesh.cells].mean(axis=1),
         ])
-        edge_extra = None
     else:
         raise ValueError(f"unknown element family {tag}")
 
-    # Boundary dofs come from the tagged boundary edges; a dof shared by an
-    # interface edge and an outer edge (the interface endpoints) is OUTER,
-    # since conforming test functions vanish on the closed outer boundary.
-    interface: set[int] = set()
-    outer: set[int] = set()
-    for e in range(mesh.edge_vertices.shape[0]):
-        v0, v1 = mesh.edge_vertices[e]
-        dofs = [int(v0), int(v1)]
-        if tag == "P2":
-            cell = mesh.edge_cells[e]
-            dofs.append(int(cell_dofs[cell, 3 + mesh.edge_local[e]]))
-        dest = interface if mesh.edge_tags[e] == int(BoundaryTag.INTERFACE) else outer
-        dest.update(dofs)
-    interface -= outer
+    # The dofs of the outer boundary edges; the interface endpoints lie on
+    # outer edges too, so they stay Dirichlet: conforming test functions
+    # vanish on the closed outer boundary.
+    outer = mesh.edge_tags != int(BoundaryTag.INTERFACE)
+    dofs = [mesh.edge_vertices[outer].ravel()]
+    if tag == "P2":
+        dofs.append(cell_dofs[mesh.edge_cells[outer],
+                              3 + mesh.edge_local[outer]])
+    dirichlet = np.unique(np.concatenate(dofs))
 
-    outer_tag = (BoundaryTag.OUTER_FLUID if mesh.subdomain is Subdomain.FLUID
-                 else BoundaryTag.OUTER_POROUS)
-    bdofs = np.array(sorted(outer | interface), dtype=np.int64)
-    btags = np.where(np.isin(bdofs, np.fromiter(interface, dtype=np.int64,
-                                                count=len(interface))),
-                     int(BoundaryTag.INTERFACE), int(outer_tag))
-
-    for a in (cell_dofs, coords, bdofs, btags):
+    for a in (cell_dofs, coords, dirichlet):
         a.setflags(write=False)
     return DofMap(family=family, mesh=mesh, ndof=ndof, cell_dofs=cell_dofs,
-                  dof_coords=coords, boundary_dofs=bdofs, boundary_tags=btags)
+                  dof_coords=coords, dirichlet_dofs=dirichlet)
 
 
 def dof_count(family: ElementFamily, n: int) -> int:
@@ -386,21 +363,15 @@ def interpolate(f, dofmap: DofMap) -> DiscreteField:
     For scalar families f(x, y) returns an array; for vector families it
     returns a pair of arrays (one per component).
     """
-    x = dofmap.dof_coords[:, 0]
-    y = dofmap.dof_coords[:, 1]
     nodal = np.ones(dofmap.ndof, dtype=bool)
     if dofmap.family.tag == "MINI_VELOCITY":
         nodal[dofmap.mesh.num_vertices:] = False
-
+    values = f(dofmap.dof_coords[nodal, 0], dofmap.dof_coords[nodal, 1])
     if dofmap.family.components == 1:
-        coeffs = np.zeros(dofmap.ndof)
-        coeffs[nodal] = np.broadcast_to(f(x[nodal], y[nodal]), (nodal.sum(),))
-        return DiscreteField(dofmap, coeffs)
-
-    coeffs = np.zeros(2 * dofmap.ndof)
-    fx, fy = f(x[nodal], y[nodal])
-    coeffs[:dofmap.ndof][nodal] = np.broadcast_to(fx, (nodal.sum(),))
-    coeffs[dofmap.ndof:][nodal] = np.broadcast_to(fy, (nodal.sum(),))
+        values = (values,)
+    coeffs = np.zeros(dofmap.num_coefficients)
+    for block, v in zip(np.split(coeffs, dofmap.family.components), values):
+        block[nodal] = v
     return DiscreteField(dofmap, coeffs)
 
 

@@ -357,7 +357,7 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
     """Skew coupling pair: C_vphi with entries rho g (phi_j, v_i . n_f)_Gamma
     and C_phiu = -C_vphi^T (entrywise, so the quadratic form cancels
     exactly). With n_f = (0, -1) only vertical velocity dofs appear."""
-    ef, ep = np.array(coupled_mesh.interface_pairs).reshape(-1, 2).T
+    ef, ep = coupled_mesh.interface_pairs.T
     fluid = edge_rule(dofmap_v, ef)
     # the porous edges run the other way: take their parameter from x
     porous = coupled_mesh.porous

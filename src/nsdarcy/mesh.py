@@ -68,10 +68,6 @@ class TriMesh:
     edge_local: np.ndarray     # (ne,) local edge index 0:(0,1) 1:(1,2) 2:(2,0)
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
@@ -127,7 +123,7 @@ class CoupledMesh:
 
     fluid: TriMesh
     porous: TriMesh
-    interface_pairs: list[tuple[int, int]]
+    interface_pairs: np.ndarray  # (n, 2) int64: fluid edge, porous edge
 
     @property
     def n(self) -> int:
@@ -148,9 +144,6 @@ class MeshSchedule:
 
     def __iter__(self):
         return iter(self.subdivisions)
-
-    def __len__(self):
-        return len(self.subdivisions)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -219,17 +212,13 @@ def build_coupled_mesh(n: int) -> CoupledMesh:
     """Matching fluid (above) and porous (below) meshes sharing y = 1."""
     fluid = build_tri_mesh(n, Subdomain.FLUID, (0.0, 1.0))
     porous = build_tri_mesh(n, Subdomain.POROUS, (0.0, 0.0))
-    pairs = []
-    for i in range(n):
-        fe = i            # fluid bottom edges come first
-        pe = 2 * n + i    # porous top edges follow bottom and right
-        fv = fluid.vertices[fluid.edge_vertices[fe]]
-        pv = porous.vertices[porous.edge_vertices[pe]]
-        # Orientations oppose (both CCW in their own cells); compare as sets.
-        if not (np.allclose(fv, pv[::-1], atol=GEOM_TOL, rtol=0.0)
-                or np.allclose(fv, pv, atol=GEOM_TOL, rtol=0.0)):
-            raise AssertionError("interface edges do not coincide")
-        pairs.append((fe, pe))
+    # fluid bottom edges come first; porous top edges follow bottom and right
+    pairs = _freeze(np.column_stack([np.arange(n), 2 * n + np.arange(n)]))
+    fv = fluid.vertices[fluid.edge_vertices[pairs[:, 0]]]
+    pv = porous.vertices[porous.edge_vertices[pairs[:, 1]]]
+    # orientations oppose: both edges run counterclockwise in their own cell
+    if not np.allclose(fv, pv[:, ::-1], atol=GEOM_TOL, rtol=0.0):
+        raise AssertionError("interface edges do not coincide")
     return CoupledMesh(fluid=fluid, porous=porous, interface_pairs=pairs)
 
 

@@ -179,7 +179,6 @@ def error_norms(states, mms: ManufacturedProblem,
 
 @dataclass
 class ConvergenceTable:
-    reports: list
     rates: dict  # (var, norm) -> list aligned with reports; first entry None
 
     def rate(self, var: str, norm: str, i: int):
@@ -206,4 +205,4 @@ def rate_table(reports: list) -> ConvergenceTable:
             else:
                 col.append(log(e0 / e1) / log(cur.n / prev.n))
         rates[key] = col
-    return ConvergenceTable(reports=list(reports), rates=rates)
+    return ConvergenceTable(rates=rates)

@@ -14,6 +14,7 @@ from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
                          parse_config, parse_schedule_spec, parse_tol_spec,
                          read_table, run_experiment)
 from nsdarcy import cli, decoupled, mesh
+from nsdarcy.coupled import SolveOptions
 from nsdarcy.mms import ManufacturedProblem
 
 VARIABLES = ("u", "v", "p", "phi", "u_star", "phi_star")
@@ -424,6 +425,30 @@ class TestRunExperiment:
         # level 0 (coupled, final only) and level 1 (final and intermediate)
         assert len(art.rows) == 7 + 14
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("algorithm,target", [
+        ("coupled", "solve_coupled"), ("A", "run_multilevel")])
+    def test_each_tolerance_reaches_its_own_field(self, algorithm, target,
+                                                  tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        seen = []
+
+        def capture(*args):
+            seen.append(args[-1])
+            raise Captured
+
+        monkeypatch.setattr(cli, target, capture)
+        cfg = parse_config(overrides={"algorithm": algorithm,
+                                      "solver": "iterative",
+                                      "schedule": "pairs:2:4",
+                                      "out": str(tmp_path / "res")})
+        cfg.picard_tol, cfg.linear_tol, cfg.ichol_droptol = 1e-6, 2e-10, 3e-4
+        with pytest.raises(Captured):
+            run_experiment(cfg)
+        assert seen == [SolveOptions(solver="iterative", linear_tol=2e-10,
+                                     droptol=3e-4, picard_tol=1e-6)]
 
     def test_rerun_is_byte_reproducible(self, tmp_path):
         bodies = []

@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 from layout import monolithic_trace
 
-from nsdarcy import coupled, forms
+from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
                              build_level,
                              solve_coupled)
@@ -63,6 +63,25 @@ class TestPicard:
         norms = report.update_norms
         assert norms[-1] < 1e-7
         assert norms[-1] < norms[0]
+
+    def test_iterative_run_builds_one_preconditioner(self, params, mms,
+                                                     monkeypatch):
+        """The first iterate's block-triangular preconditioner, an ichol
+        factor of the velocity block and one of the head block,
+        preconditions GMRES at every later iterate."""
+        calls = []
+        orig_ichol = sparse.ichol
+
+        def ichol(*args, **kwargs):
+            calls.append(args[0].shape)
+            return orig_ichol(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "ichol", ichol)
+        _, report = solve_coupled(level(8, 1, params, mms),
+                                  SolveOptions(solver="iterative"))
+        assert report.converged and report.iterations >= 3
+        assert len(calls) == 2
+        assert all(rep.converged for rep in report.solver_reports)
 
     def test_exhausted_budget_raises(self, params, mms, monkeypatch):
         monkeypatch.setattr(coupled, "PICARD_MAXIT", 1)

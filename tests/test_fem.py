@@ -2,12 +2,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from boundary import interface_dofs
 
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          UnsupportedDegree, build_dofmap, dirichlet_trace,
                          dof_count, edge_bary, interpolate, quad_rule_edge,
                          quad_rule_tri, ref_basis_many)
-from nsdarcy.mesh import BoundaryTag, Subdomain, build_tri_mesh
+from nsdarcy.mesh import Subdomain, build_tri_mesh
 
 CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
 # local P2 nodes: vertices then midpoints of edges (0,1), (1,2), (2,0)
@@ -121,7 +122,7 @@ class TestDofMap:
         assert dm.num_coefficients == 9
         # the interface is the open segment (0,1) x {1}: the two corner
         # vertices stay with the outer Dirichlet boundary
-        iface = dm.boundary_dofs[dm.boundary_tags == BoundaryTag.INTERFACE]
+        iface = interface_dofs(dm)
         assert len(iface) == 1
         assert np.allclose(dm.dof_coords[iface], [[0.5, 1.0]])
         assert len(dm.dirichlet_dofs) == 7
@@ -138,10 +139,12 @@ class TestDofMap:
     def test_dirichlet_excludes_interface(self):
         dm = build_dofmap(fluid_mesh(3), P2_VELOCITY)
         dirichlet = set(dm.dirichlet_dofs)
-        iface = set(dm.boundary_dofs[
-            dm.boundary_tags == BoundaryTag.INTERFACE])
+        iface = set(interface_dofs(dm))
         assert not dirichlet & iface
-        assert dirichlet | iface == set(dm.boundary_dofs)
+        x, y = dm.dof_coords.T   # the boundary of (0, 1) x (1, 2)
+        on_boundary = (np.isclose(x, 0.0) | np.isclose(x, 1.0)
+                       | np.isclose(y, 1.0) | np.isclose(y, 2.0))
+        assert dirichlet | iface == set(np.flatnonzero(on_boundary))
 
     @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY, P2_VELOCITY],
                              ids=["P1", "P2", "MINI", "P2_VELOCITY"])
@@ -168,16 +171,53 @@ class TestDofMap:
         assert np.array_equal(values,
                               exact[ids // dm.ndof, np.arange(len(ids))])
 
+    @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY, P2_VELOCITY],
+                             ids=["P1", "P2", "MINI", "P2_VELOCITY"])
+    def test_dirichlet_dofs_against_coordinates(self, family):
+        """The dofs on the closed outer boundary x = 0, x = 1 and y = 2
+        (fluid) or y = 0 (porous), ascending; the interface y = 1 is free
+        except at its endpoints."""
+        for n in range(1, 9):
+            for mesh, y_outer in ((fluid_mesh(n), 2.0), (porous_mesh(n), 0.0)):
+                dm = build_dofmap(mesh, family)
+                x, y = dm.dof_coords.T
+                outer = (np.isclose(x, 0.0) | np.isclose(x, 1.0)
+                         | np.isclose(y, y_outer))
+                assert dm.dirichlet_dofs.dtype == np.int64
+                assert np.array_equal(dm.dirichlet_dofs, np.flatnonzero(outer))
+
     def test_rebuild_is_deterministic(self):
         a = build_dofmap(fluid_mesh(3), MINI_VELOCITY)
         b = build_dofmap(fluid_mesh(3), MINI_VELOCITY)
         assert np.array_equal(a.cell_dofs, b.cell_dofs)
         assert np.array_equal(a.dof_coords, b.dof_coords)
-        assert np.array_equal(a.boundary_dofs, b.boundary_dofs)
-        assert np.array_equal(a.boundary_tags, b.boundary_tags)
+        assert np.array_equal(a.dirichlet_dofs, b.dirichlet_dofs)
 
 
 class TestInterpolation:
+    @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY, P2_VELOCITY],
+                             ids=["P1", "P2", "MINI", "P2_VELOCITY"])
+    def test_passes_contiguous_nodal_coordinates(self, family):
+        dm = build_dofmap(fluid_mesh(3), family)
+        nodal = (dm.mesh.num_vertices if family is MINI_VELOCITY
+                 else dm.ndof)
+        seen = []
+
+        def f(x, y):
+            seen.append((x, y))
+            return x + y if family.components == 1 else (x, y)
+
+        field = interpolate(f, dm)
+        (x, y), = seen
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert np.array_equal(x, dm.dof_coords[:nodal, 0])
+        assert np.array_equal(y, dm.dof_coords[:nodal, 1])
+        expect = [x + y] if family.components == 1 else [x, y]
+        for d, values in enumerate(expect):
+            block = field.component_view(d)
+            assert np.array_equal(block[:nodal], values)
+            assert not block[nodal:].any()   # the Mini bubbles
+
     def test_p1_reproduces_linear(self):
         dm = build_dofmap(porous_mesh(2), P1)
         field = interpolate(lambda x, y: x + y, dm)

@@ -1,0 +1,59 @@
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools", "fingerprint.py")
+spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+fingerprint = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fingerprint)
+
+CONFIGS = ["coupled:1:direct:pairs:2:4", "A:2:iterative:pairs:2:4"]
+
+
+def test_default_configurations():
+    assert len(fingerprint.CONFIGS) == 40
+    assert len(set(fingerprint.CONFIGS)) == 40
+
+
+def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
+    one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
+    for path in (one, two):
+        assert fingerprint.main(["write", path] + CONFIGS) == 0
+    with open(one) as fh:
+        first = fh.read()
+    with open(two) as fh:
+        assert fh.read() == first
+    capsys.readouterr()
+    assert fingerprint.main(["compare", one, two]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 of 2 configurations identical"]
+
+    data = json.loads(first)
+    coupled = data[CONFIGS[0]]
+    assert coupled["superlu_inputs"] == 2   # one factor per mesh, n = 2, 4
+    row = coupled["rows"][0]
+    assert float.fromhex(row[4]) > 0
+    # one unit in the 4th digit of the first error
+    row[4] = (float.fromhex(row[4]) * 1.001).hex()
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert fingerprint.main(["compare", one, str(edited)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{CONFIGS[0]}: max rel error diff 9.99")
+    assert lines[0].endswith("SuperLU inputs same")
+    assert lines[1].startswith("  0,1/2,")
+    assert lines[-1] == "1 of 2 configurations identical"
+
+
+@pytest.mark.parametrize("args", [
+    [], ["write"], ["compare", "a.json"], ["write", "out.json", "--src"],
+    ["write", "out.json", "A:1:direct"], ["compare", "a.json", "b.json"],
+])
+def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert fingerprint.main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

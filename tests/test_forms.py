@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from boundary import interface_dofs
 from trilinear import trilinear_c
 
 from nsdarcy import forms
@@ -370,8 +371,7 @@ class TestInterfaceLoads:
         dphi = porous_dofmap(2)
         load = forms.assemble_interface_load_darcy(dphi, ExactVelocity(),
                                                    params)
-        for dof in dphi.boundary_dofs[
-                dphi.boundary_tags == BoundaryTag.INTERFACE]:
+        for dof in interface_dofs(dphi):
             x0 = dphi.dof_coords[dof, 0]
             oracle, _ = quad(
                 lambda x: max(0.0, 1.0 - 2.0 * abs(x - x0))

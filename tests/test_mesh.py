@@ -82,6 +82,21 @@ class TestBoundary:
                     or np.allclose(fv, pv[::-1], atol=1e-14))
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_interface_pairs_array_runs_opposite(self, n):
+        """(n, 2) int64 rows (fluid edge, porous edge), read only; the
+        porous edge walks the fluid edge's vertices in reverse."""
+        cm = build_coupled_mesh(n)
+        pairs = cm.interface_pairs
+        assert pairs.shape == (n, 2) and pairs.dtype == np.int64
+        assert not pairs.flags.writeable
+        fluid, porous = cm.fluid, cm.porous
+        assert (fluid.edge_tags[pairs[:, 0]] == BoundaryTag.INTERFACE).all()
+        assert (porous.edge_tags[pairs[:, 1]] == BoundaryTag.INTERFACE).all()
+        fv = fluid.vertices[fluid.edge_vertices[pairs[:, 0]]]
+        pv = porous.vertices[porous.edge_vertices[pairs[:, 1]]]
+        assert np.allclose(fv, pv[:, ::-1], atol=1e-14, rtol=0.0)
+
 class TestLocate:
     def test_centroid_of_first_cell(self):
         mesh = build_tri_mesh(2, Subdomain.POROUS, (0.0, 0.0))

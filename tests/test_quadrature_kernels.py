@@ -168,8 +168,7 @@ def loose_dofmap(vertices, family):
     empty = np.zeros(0, dtype=np.int64)
     return DofMap(family=family, mesh=mesh, ndof=nc * nloc,
                   cell_dofs=np.arange(nc * nloc).reshape(nc, nloc),
-                  dof_coords=np.zeros((nc * nloc, 2)), boundary_dofs=empty,
-                  boundary_tags=empty)
+                  dof_coords=np.zeros((nc * nloc, 2)), dirichlet_dofs=empty)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,170 @@
+"""Bitwise fingerprint of a source tree's convergence studies.
+
+    python3 tools/fingerprint.py write OUT.json [--src SRC] [CONFIG ...]
+    python3 tools/fingerprint.py compare A.json B.json
+
+`write` runs each CONFIG, given as ALGORITHM:ORDER:SOLVER:SCHEDULE (such
+as `A:1:direct:pairs:2:4:16`), through `nsdarcy.cli.run_experiment` with
+the default tolerances, importing `nsdarcy` from SRC (default: the `src`
+next to this tool). Without CONFIG it runs all 40 combinations of the
+algorithms coupled and A-D, orders 1 and 2, both solvers and the schedules
+`square:n0=4,levels=1` and `pairs:2:4:16`. For each configuration it
+records every unrounded error and rate as `float.hex`, and one SHA-256 over
+the `indptr`, `indices` and `data` of every matrix handed to SuperLU, with
+the number of those matrices.
+
+`compare` lists the configurations that differ. For each it gives the
+largest relative error difference (against B), whether the SuperLU inputs
+match, and every row whose printed `errors.csv` body changes, formatted
+by the `nsdarcy.cli` in the `src` next to this tool. Exit code 0 means
+every configuration is identical, 1 that some differ, 2 a bad argument or
+file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+SCHEDULES = ("square:n0=4,levels=1", "pairs:2:4:16")
+CONFIGS = tuple(f"{alg}:{order}:{solver}:{schedule}" for alg, order, solver,
+                schedule in itertools.product(("coupled", "A", "B", "C", "D"),
+                                              (1, 2), ("direct", "iterative"),
+                                              SCHEDULES))
+DEFAULT_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+USAGE = ("usage: fingerprint.py write OUT.json [--src SRC] [CONFIG ...]\n"
+         "       fingerprint.py compare A.json B.json")
+
+
+class BadInput(Exception):
+    pass
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def _unhex(value):
+    return None if value is None else float.fromhex(value)
+
+
+def fingerprint(configs) -> dict:
+    """{config: {"rows", "superlu_sha256", "superlu_inputs"}} of the
+    studies run on the `nsdarcy` that imports first."""
+    from nsdarcy import cli, sparse
+
+    orig_splu = sparse.spla.splu
+    out = {}
+    for config in configs:
+        algorithm, order, solver, schedule = config.split(":", 3)
+        digest, count = hashlib.sha256(), 0
+
+        def splu(A, *args, **kwargs):
+            nonlocal count
+            count += 1
+            for a in (A.indptr, A.indices, A.data):
+                digest.update(a.tobytes())
+            return orig_splu(A, *args, **kwargs)
+
+        sparse.spla.splu = splu
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                artifact = cli.run_experiment(cli.ExperimentConfig(
+                    algorithm=algorithm, order=int(order), solver=solver,
+                    schedule=schedule, out=tmp))
+        finally:
+            sparse.spla.splu = orig_splu
+        out[config] = {
+            "rows": [[r.level, r.h, r.variable, r.norm, _hex(r.error),
+                      _hex(r.rate)] for r in artifact.rows],
+            "superlu_sha256": digest.hexdigest(),
+            "superlu_inputs": count}
+    return out
+
+
+def _body(row) -> str:
+    """The row as errors.csv prints it."""
+    from nsdarcy.cli import format_error, format_rate
+
+    level, h, var, norm, error, rate = row
+    return (f"{level},{h},{var},{norm},{format_error(_unhex(error))},"
+            f"{format_rate(_unhex(rate))}")
+
+
+def compare(a: dict, b: dict) -> tuple[int, list[str]]:
+    """(number of identical configurations, report lines)."""
+    lines, same = [], 0
+    for config in sorted(set(a) | set(b)):
+        if config not in a or config not in b:
+            lines.append(f"{config}: only in {'A' if config in a else 'B'}")
+            continue
+        fa, fb = a[config], b[config]
+        if fa == fb:
+            same += 1
+            continue
+        ra, rb = fa["rows"], fb["rows"]
+        if [r[:4] for r in ra] != [r[:4] for r in rb]:
+            lines.append(f"{config}: row keys differ")
+            continue
+        worst = 0.0
+        for x, y in zip(ra, rb):
+            ex, ey = _unhex(x[4]), _unhex(y[4])
+            worst = max(worst, abs(ex - ey) / (abs(ey) if ey else 1.0))
+        superlu = ("same" if (fa["superlu_sha256"], fa["superlu_inputs"])
+                   == (fb["superlu_sha256"], fb["superlu_inputs"])
+                   else f"differ ({fa['superlu_inputs']} against "
+                        f"{fb['superlu_inputs']} inputs)")
+        lines.append(f"{config}: max rel error diff {worst:.3e}, "
+                     f"SuperLU inputs {superlu}")
+        lines += [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
+                  if _body(x) != _body(y)]
+    lines.append(f"{same} of {len(set(a) | set(b))} configurations identical")
+    return same, lines
+
+
+def _load(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"{path}: {exc}") from exc
+
+
+def main(argv: list[str]) -> int:
+    try:
+        if argv[:1] == ["compare"] and len(argv) == 3:
+            sys.path.insert(0, DEFAULT_SRC)
+            a, b = _load(argv[1]), _load(argv[2])
+            same, lines = compare(a, b)
+            print("\n".join(lines))
+            return 0 if same == len(set(a) | set(b)) else 1
+        if argv[:1] != ["write"] or len(argv) < 2:
+            raise BadInput(USAGE)
+        path, rest, src = argv[1], argv[2:], DEFAULT_SRC
+        if rest[:1] == ["--src"]:
+            if len(rest) < 2:
+                raise BadInput(USAGE)
+            src, rest = rest[1], rest[2:]
+        for config in rest:
+            if len(config.split(":", 3)) != 4:
+                raise BadInput(f"{config}: expected "
+                               f"ALGORITHM:ORDER:SOLVER:SCHEDULE")
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(src))
+    result = fingerprint(rest or CONFIGS)
+    with open(path, "w") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path} ({len(result)} configurations)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
