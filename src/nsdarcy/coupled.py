@@ -7,7 +7,9 @@ Each iteration assembles the block system
     [   C_phiu         0     A_p   ] [phi] [f_p]
 
 with N1 the fixed-point convection operator, eliminates the outer Dirichlet
-dofs symmetrically, and solves. The iteration starts from zero and stops when
+dofs symmetrically, and solves. The blocks that do not change are stacked
+and eliminated once; each iteration adds N1 to them on one fixed CSR
+pattern (`System.refill`). The iteration starts from zero and stops when
 the l2 norm of the full coefficient update (velocity, pressure, and head
 together) drops below picard_tol.
 
@@ -133,7 +135,8 @@ class System:
     of the spaces named in `fields`, in that order, such as ("velocity",
     "pressure", "head"). The level's outer Dirichlet trace is eliminated
     from K once and the lift -K x0 kept, so every right side is pinned
-    without the unconstrained K."""
+    without the unconstrained K. `refill` adds a matrix that changes, such
+    as Picard's convection operator, on a pattern fixed at its first call."""
 
     def __init__(self, level: Level, fields: tuple, K):
         self.level = level
@@ -149,6 +152,54 @@ class System:
         self.dofs, self.values = np.concatenate(ids), np.concatenate(values)
         self.K, self.lift = constrain_dirichlet(K, np.zeros(n), self.dofs,
                                                 self.values)
+        self._static = None
+
+    def refill(self, N: sp.csr_matrix) -> None:
+        """K and the lift become those of the given K plus N, N being its
+        top-left block, eliminated together. The first call fixes K's
+        pattern: the eliminated K's entries and N's off the Dirichlet rows
+        and columns. Each call then adds N's data to the eliminated K's
+        through a map of slots, one more slot taking the entries that
+        elimination drops, and takes N x0 from the lift. Every N must have
+        the first one's pattern."""
+        if self._static is None:
+            self._fix_pattern(N)
+        static, slots, x0, lift0 = self._static
+        if N.nnz != len(slots):
+            raise DimensionMismatch(f"N has {N.nnz} entries, the pattern "
+                                    f"{len(slots)}")
+        data = np.bincount(slots, N.data, minlength=len(static) + 1)[:-1]
+        data += static
+        self.K = sp.csr_matrix((data, self.K.indices, self.K.indptr),
+                               shape=self.K.shape)
+        m = N.shape[0]
+        self.lift[:m] = lift0[:m] - N @ x0[:m]
+        self.lift[self.dofs] = self.values
+
+    def _fix_pattern(self, N: sp.csr_matrix) -> None:
+        K, n = self.K, self.K.shape[0]
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self.dofs] = True
+        rows = np.repeat(np.arange(N.shape[0]), np.diff(N.indptr))
+        kept = ~(fixed[rows] | fixed[N.indices])
+        ones = sp.csr_matrix((kept.astype(float), N.indices, N.indptr),
+                             shape=N.shape)
+        ones.resize(K.shape)
+        union = sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr),
+                              shape=K.shape) + ones
+
+        def keys(A):   # row * n + column ascends through a canonical CSR
+            return np.repeat(np.arange(A.shape[0], dtype=np.int64) * n,
+                             np.diff(A.indptr)) + A.indices
+        at = keys(union)
+        static = np.zeros(union.nnz)
+        static[np.searchsorted(at, keys(K))] = K.data
+        slots = np.where(kept, np.searchsorted(at, keys(N)), union.nnz)
+        x0 = np.zeros(n)
+        x0[self.dofs] = self.values
+        self._static = static, slots.astype(np.int32), x0, self.lift.copy()
+        self.K = sp.csr_matrix((static.copy(), union.indices, union.indptr),
+                               shape=K.shape)
 
     def rhs(self, *loads) -> np.ndarray:
         """constrain_rhs(K, b, ...) of the block loads b, one per field
@@ -190,19 +241,19 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     dv, dq, dphi = level.spaces
     params = level.params
 
-    # the blocks that do not change, stacked once: each iteration adds N1
-    # to K0, and only K0 is kept
+    # the blocks that do not change are stacked and eliminated once; each
+    # iteration refills that system with N1
     B = forms.assemble_b(dv, dq)
     C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
                                                        params)
-    K0 = sp.bmat([[forms.assemble_af(dv, params), B.T, C_vphi],
-                  [B, None, None],
-                  [C_phiu, None, forms.assemble_ap(dphi, params)]],
-                 format="csr")
+    system = System(level, ("velocity", "pressure", "head"), sp.bmat(
+        [[forms.assemble_af(dv, params), B.T, C_vphi],
+         [B, None, None],
+         [C_phiu, None, forms.assemble_ap(dphi, params)]], format="csr"))
     del B, C_vphi, C_phiu
     rule = forms.cell_rule(dv)
     report = PicardReport(iterations=0)
-    x_prev = np.zeros(K0.shape[0])
+    x_prev = np.zeros(system.K.shape[0])
     growth = 0
     frozen = None
     for m in range(1, PICARD_MAXIT + 1):
@@ -210,8 +261,7 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         N1, _ = forms.assemble_convection(
             forms.quad_state(u_field, rule, grads=False),
             forms.ConvectionMode.PLAIN, params)
-        N1.resize(K0.shape)
-        system = System(level, ("velocity", "pressure", "head"), K0 + N1)
+        system.refill(N1)
         del N1
         rhs = system.rhs(level.fluid_load, None, level.porous_load)
         if frozen is not None:

@@ -16,12 +16,20 @@ c(a, s, w) + c(s, a - s, w) instead.
 
 Linearization states may live on a coarser mesh: they are evaluated at the
 target mesh's quadrature points, never projected into the fine space first.
+
+Every kernel but one adds in the order of the numpy.einsum expressions it
+replaced and is pinned to them bit for bit: mass, stiffness, loads, the
+divergence block, the Newton load and the correction load. The convection
+matrix is reassociated: products against reference tensors (Kirby & Logg,
+ACM TOMS 32, 2006), scattered into a fixed pattern, within 1e-14 of the
+largest entry of the einsum result.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,12 +83,18 @@ class CellRule:
     det (nc,), the family's reference values (nloc, nq) and gradients
     (nloc, nq, 2), J^{-T} (nc, 2, 2). Physical points and basis gradients
     are built on each call and not kept, so that a rule held across a
-    factorization holds no large array.
+    factorization holds no large array. Once used, a rule keeps the small
+    convection reference tensors and, after a PLAIN convection matrix, the
+    int32 `pattern` of its cells: (nc, nloc, nloc) positions and the
+    pattern's indices, 3.7 MB for Mini at n=128.
 
     The kernels below contract with explicit loops over the summed indices
     (quadrature point, then component), in the order and with the
-    rounding of the numpy.einsum calls they replaced, so every assembled
-    value is bitwise what einsum gave (tests/quadrature_reference.py)."""
+    rounding of the numpy.einsum calls they replaced, so their values are
+    bitwise what einsum gave (tests/quadrature_reference.py). The
+    convection matrix alone is reassociated: two matrix products against
+    the reference tensors, equal to einsum's to 1e-14 of its largest
+    entry."""
     dofmap: DofMap
     quad: QuadratureRule
     weights: np.ndarray
@@ -126,6 +140,60 @@ class CellRule:
         """(f, basis_i) per cell for values f (nc, nq), (nc, nloc)."""
         return sum_in_order((wd[:, None] * self.vals[:, q]) * f[:, q, None]
                             for q, wd in enumerate(self.wdet))
+
+    @cached_property
+    def pattern(self) -> CellPattern:
+        """cell_pattern of the dof map, kept for the PLAIN convection
+        matrix that Picard assembles once per iteration."""
+        return cell_pattern(self.dofmap)
+
+    @cached_property
+    def convection_tensors(self) -> tuple:
+        """Reference tensors of the convection kernel: T1[q, (e, i, j)] =
+        w_q basis_i(q) d_e basis_j(q), (nq, 2 nloc^2), with reference
+        derivatives d_e, and T2[q, (i, j)] = w_q basis_i(q) basis_j(q),
+        (nq, nloc^2)."""
+        wv = self.weights * self.vals
+        nq = len(self.weights)
+        return (np.einsum("iq,jqe->qeij", wv, self.gref).reshape(nq, -1),
+                np.einsum("iq,jq->qij", wv, self.vals).reshape(nq, -1))
+
+
+@dataclass(frozen=True, eq=False)
+class CellPattern:
+    """The canonical CSR pattern (indptr, indices: int32, sorted, no
+    duplicates) of a scalar block that couples every two dofs of a cell,
+    and the position in its data of each local entry, (nc, nloc, nloc)
+    int32: entry (c, i, j) sits in row cell_dofs[c, i], column
+    cell_dofs[c, j]."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: np.ndarray
+
+    def matrix(self, local: np.ndarray) -> sp.csr_matrix:
+        """The sum of the blocks local (nc, nloc, nloc) on the pattern."""
+        n = len(self.indptr) - 1
+        data = np.bincount(self.positions.ravel(), local.ravel(),
+                           minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def cell_pattern(dofmap: DofMap) -> CellPattern:
+    cd, n = dofmap.cell_dofs, dofmap.ndof
+    nc, nloc = cd.shape
+    incidence = sp.csr_matrix(
+        (np.ones(cd.size), cd.ravel(), np.arange(0, cd.size + 1, nloc)),
+        shape=(nc, n))
+    P = (incidence.T @ incidence).tocsr()
+    P.sort_indices()
+    # row * n + column ascends through a canonical pattern
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(P.indptr)) \
+        + P.indices
+    positions = np.empty((nc, nloc, nloc), dtype=np.int32)
+    for i in range(nloc):
+        positions[:, i] = np.searchsorted(keys, cd[:, i, None] * n + cd)
+    return CellPattern(P.indptr.astype(np.int32), P.indices.astype(np.int32),
+                       positions)
 
 
 def cell_rule(dofmap: DofMap, degree: int | None = None) -> CellRule:
@@ -303,39 +371,46 @@ def assemble_convection(state: QuadState, mode: ConvectionMode,
     PLAIN: matrix with entries c(state, basis_j, basis_i) -- the fixed-point
     operator. NEWTON: adds c(basis_j, state, basis_i) and returns the load
     with entries c(state, state, basis_i) as the second element (PLAIN
-    returns None there).
+    returns None there). The local blocks are products of the state with
+    the rule's reference tensors, scattered into the rule's cell pattern:
+    the two diagonal blocks for PLAIN and all four for NEWTON. The blocks
+    are CSR, so they are stacked without a COO copy.
     """
     rule = state.rule
-    newton = mode is ConvectionMode.NEWTON
-    a_vals, a_grads = state.vals, state.grads
-    vals, g, rho = rule.vals, rule.grads(), params.rho
+    nc, nq = state.vals.shape[:2]
+    nloc = len(rule.vals)
+    T1, T2 = rule.convection_tensors
+    rho_det = params.rho * rule.det
 
-    # (a . grad basis_j, basis_i), identical on both diagonal blocks;
-    # blocks are (row component, column component, local matrices)
-    n1 = rho * sum_in_order(
-        ((wd[:, None] * vals[:, q])[:, :, None] * g[:, None, :, q, d])
-        * a_vals[:, q, d, None, None]
-        for q, wd in enumerate(rule.wdet) for d in range(2))
-    blocks = [(0, 0, n1), (1, 1, n1)]
-    load = None
-    if newton:
-        # (basis_j . grad state_e, basis_i): couples the components; the
-        # four blocks [e, d] share the product of the two basis values
-        nb = sum_in_order(
-            ((wd[:, None] * vals[:, q])[:, :, None] * vals[:, q])
-            * a_grads[:, q].transpose(1, 2, 0)[..., None, None]
-            for q, wd in enumerate(rule.wdet))
-        blocks += [(e, d, rho * nb[e, d]) for e in range(2) for d in range(2)]
-        conv = _convect(a_vals, a_grads)  # (a.grad)a
-        load = _cell_load(rule, rho, (conv[:, :, 0], conv[:, :, 1]))
+    # (a . grad basis_j, basis_i), identical on both diagonal blocks: a_d
+    # times T1 gives the reference derivatives e, which det J^{-T}[d, e]
+    # takes to physical ones
+    transport = (state.vals.transpose(0, 2, 1).reshape(2 * nc, nq) @ T1
+                 ).reshape(nc, 4, nloc, nloc)
+    n1 = np.einsum("ck,ckij->cij", rho_det[:, None]
+                   * rule.jinv_t.reshape(nc, 4), transport)
+    del transport
+    if mode is not ConvectionMode.NEWTON:
+        block = rule.pattern.matrix(n1)
+        zero = sp.csr_matrix(block.shape)
+        return sp.vstack([sp.hstack([block, zero]), sp.hstack([zero, block])],
+                         format="csr"), None
 
-    dm = rule.dofmap
-    cd, nd = dm.cell_dofs, dm.ndof
-    N = _scatter(np.concatenate([cd + e * nd for e, _, _ in blocks]),
-                 np.concatenate([cd + d * nd for _, d, _ in blocks]),
-                 np.concatenate([loc for _, _, loc in blocks]),
-                 (2 * nd, 2 * nd))
-    return N, load
+    # (basis_j . grad state_e, basis_i) couples the components: block
+    # [e, d] is d(state_e)/d(x_d) times T2
+    nb = (state.grads.transpose(2, 3, 0, 1).reshape(4 * nc, nq) @ T2
+          ).reshape(2, 2, nc, nloc, nloc)
+    nb *= rho_det[:, None, None]
+    nb[0, 0] += n1
+    nb[1, 1] += n1
+    del n1
+    # assembled once per rule, and its rule outlives the factor: the
+    # pattern is built here and not kept
+    pattern = cell_pattern(rule.dofmap)
+    N = sp.vstack([sp.hstack([pattern.matrix(nb[e, d]) for d in range(2)])
+                   for e in range(2)], format="csr")
+    conv = _convect(state.vals, state.grads)  # (a.grad)a
+    return N, _cell_load(rule, params.rho, (conv[:, :, 0], conv[:, :, 1]))
 
 
 def assemble_correction_load(coarse_state: QuadState,

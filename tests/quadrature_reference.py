@@ -1,6 +1,10 @@
 """The numpy.einsum contractions that `nsdarcy.forms`, `nsdarcy.fem` and
 `nsdarcy.mms` replaced by explicit loops, kept as the oracle those loops
-must match bit for bit.
+must match bit for bit. The convection matrix is the exception: `forms`
+computes it by matrix products against reference tensors and scatters it
+into a fixed pattern, so it must match `assemble_convection` below to 1e-14
+of the largest entry, on the same pattern; the Newton load still matches
+bit for bit.
 
 Each function below holds the replaced expressions unchanged; only the
 cached `CellRule.points` and `CellRule.grads` became the functions

@@ -10,8 +10,9 @@ from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
                              solve_coupled)
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import error_norms
-from nsdarcy.fem import interpolate
-from nsdarcy.sparse import DimensionMismatch, constrain_matrix, constrain_rhs
+from nsdarcy.fem import DiscreteField, cell_bubbles, grid_points, interpolate
+from nsdarcy.sparse import (DimensionMismatch, constrain_dirichlet,
+                            constrain_matrix, constrain_rhs)
 
 MINI_N8_REFERENCE = {("phi", "H1"): 6.134e-2, ("u", "H1"): 1.263e-1,
                      ("v", "H1"): 1.066e-1, ("p", "L2"): 7.420e-2}
@@ -167,46 +168,150 @@ class TestDiscreteSolution:
         assert state.head.coefficients.shape == (dphi.ndof,)
 
 
+def stacked(lv, params, N1=None):
+    """Picard's unconstrained system, stacked afresh around A_f + N1."""
+    dv, dq, dphi = lv.spaces
+    A_f = forms.assemble_af(dv, params)
+    B = forms.assemble_b(dv, dq)
+    C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
+                                                       params)
+    return sp.bmat([[A_f if N1 is None else A_f + N1, B.T, C_vphi],
+                    [B, None, None],
+                    [C_phiu, None, forms.assemble_ap(dphi, params)]],
+                   format="csr")
+
+
+def assert_eliminated_close(K, lift, ref, ref_lift, dofs):
+    """K and lift within 1e-14 of the largest reference entry, and K's
+    Dirichlet rows and columns exactly those of the identity."""
+    K, ref = K.toarray(), ref.toarray()
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(lift - ref_lift).max() <= 1e-14 * np.abs(ref_lift).max()
+    unit = np.eye(K.shape[0])[dofs]
+    assert np.array_equal(K[dofs], unit)
+    assert np.array_equal(K[:, dofs], unit.T)
+
+
 class TestStaticBlocks:
     @pytest.mark.parametrize("order", [1, 2])
     def test_constrained_matrix_equals_stacked_reference(self, order, params,
                                                          mms, monkeypatch):
-        """Picard stacks the blocks that do not change once and adds the
-        convection operator to them; the constrained matrices of its first
-        two iterations equal those stacked afresh around A_f + N1."""
+        """Picard stacks and eliminates the blocks that do not change once
+        and refills them with the convection operator; the matrices and
+        lifts of its first two iterations equal those stacked afresh around
+        A_f + N1 and eliminated, to 1e-14 relative."""
         lv = level(4, order, params, mms)
-        convection, constrained = [], []
+        convection, refilled = [], []
         orig_convection = forms.assemble_convection
-        orig_constrain = coupled.constrain_dirichlet
+        orig_refill = coupled.System.refill
 
         def convect(*args, **kwargs):
             N1, load = orig_convection(*args, **kwargs)
             convection.append(N1.copy())
             return N1, load
 
-        def constrain(A, *args):
-            out = orig_constrain(A, *args)
-            constrained.append(out[0])
-            return out
+        def refill(self, N):
+            orig_refill(self, N)
+            refilled.append((self.K.copy(), self.lift.copy()))
 
         monkeypatch.setattr(forms, "assemble_convection", convect)
-        monkeypatch.setattr(coupled, "constrain_dirichlet", constrain)
+        monkeypatch.setattr(coupled.System, "refill", refill)
         _, report = solve_coupled(lv)
         assert report.iterations >= 2
-        dv, dq, dphi = lv.spaces
-        A_f = forms.assemble_af(dv, params)
-        B = forms.assemble_b(dv, dq)
-        C_vphi, C_phiu = forms.assemble_interface_coupling(lv.mesh, dv, dphi,
-                                                           params)
-        A_p = forms.assemble_ap(dphi, params)
+        assert len(refilled) == report.iterations
         dofs, values = monolithic_trace(lv)
-        for N1, K2 in list(zip(convection, constrained))[:2]:
-            K = sp.bmat([[A_f + N1, B.T, C_vphi],
-                         [B, None, None],
-                         [C_phiu, None, A_p]], format="csr")
-            ref, _ = orig_constrain(K, np.zeros(K.shape[0]), dofs, values)
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(K2, attr), getattr(ref, attr))
+        for N1, (K, lift) in list(zip(convection, refilled))[:2]:
+            K_ref = stacked(lv, params, N1)
+            ref, ref_lift = constrain_dirichlet(K_ref,
+                                                np.zeros(K_ref.shape[0]),
+                                                dofs, values)
+            assert_eliminated_close(K, lift, ref, ref_lift, dofs)
+
+
+def random_velocity(dv, rng):
+    return DiscreteField(dv, rng.standard_normal(dv.num_coefficients))
+
+
+class TestFixedPattern:
+    """System.refill against the per-iteration elimination it replaced."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_refill_equals_eliminated_sum(self, order, params, mms, rng):
+        lv = level(8, order, params, mms)
+        dv = lv.spaces.velocity
+        K0 = stacked(lv, params)
+        system = System(lv, SITES["picard"], K0)
+        dofs, values = monolithic_trace(lv)
+        assert np.abs(values).max() > 0
+        rule = forms.cell_rule(dv)
+        for _ in range(2):
+            N1, _ = forms.assemble_convection(
+                forms.quad_state(random_velocity(dv, rng), rule, grads=False),
+                forms.ConvectionMode.PLAIN, params)
+            system.refill(N1)
+            N1.resize(K0.shape)
+            ref, ref_lift = constrain_dirichlet(K0 + N1,
+                                                np.zeros(K0.shape[0]),
+                                                dofs, values)
+            assert_eliminated_close(system.K, system.lift, ref, ref_lift,
+                                    dofs)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_state_gives_the_eliminated_static_blocks(self, order,
+                                                           params, mms):
+        lv = level(8, order, params, mms)
+        dv = lv.spaces.velocity
+        system = System(lv, SITES["picard"], stacked(lv, params))
+        K0, lift0 = system.K, system.lift.copy()
+        zero = DiscreteField(dv, np.zeros(dv.num_coefficients))
+        N1, _ = forms.assemble_convection(
+            forms.quad_state(zero, forms.cell_rule(dv), grads=False),
+            forms.ConvectionMode.PLAIN, params)
+        system.refill(N1)
+        assert system.K.nnz >= K0.nnz
+        assert np.array_equal(system.K.toarray(), K0.toarray())
+        assert np.array_equal(system.lift, lift0)
+
+    def test_a_different_pattern_is_refused(self, params, mms, rng):
+        lv = level(4, 1, params, mms)
+        dv = lv.spaces.velocity
+        system = System(lv, SITES["picard"], stacked(lv, params))
+        state = forms.quad_state(random_velocity(dv, rng),
+                                 forms.cell_rule(dv))
+        plain, _ = forms.assemble_convection(
+            state, forms.ConvectionMode.PLAIN, params)
+        newton, _ = forms.assemble_convection(
+            state, forms.ConvectionMode.NEWTON, params)
+        system.refill(plain)
+        with pytest.raises(DimensionMismatch):
+            system.refill(newton)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_superlu_gets_the_per_iteration_elimination(self, order, params,
+                                                        mms, monkeypatch):
+        """Explicit zeros on the fixed pattern reach the factor, but the
+        condensed matrix SuperLU factors, and its order, are those of the
+        first iterate's matrix eliminated on its own."""
+        lv = level(16, order, params, mms)
+        condensed = []
+        orig_condense = sparse.DirectFactor._condense
+
+        def condense(self, A, local):
+            S = orig_condense(self, A, local)
+            condensed.append((A.nnz, self._iidx, S))
+            return S
+
+        monkeypatch.setattr(sparse.DirectFactor, "_condense", condense)
+        solve_coupled(lv)
+        dofs, _ = monolithic_trace(lv)
+        sparse.DirectFactor(constrain_matrix(stacked(lv, params), dofs),
+                            grid_points(*lv.spaces),
+                            cell_bubbles(lv.spaces.velocity))
+        (nnz, iidx, S), (ref_nnz, ref_iidx, ref) = condensed[0], condensed[-1]
+        assert nnz >= ref_nnz
+        assert np.array_equal(iidx, ref_iidx)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, attr), getattr(ref, attr))
 
 
 SITES = {"picard": ("velocity", "pressure", "head"),

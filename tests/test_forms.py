@@ -210,6 +210,50 @@ class TestConvection:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def is_canonical(A) -> bool:
+    """Column indices ascend strictly within every row."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    same_row = rows[1:] == rows[:-1]
+    return bool(np.all(np.diff(A.indices)[same_row] > 0))
+
+
+class TestConvectionPattern:
+    @pytest.mark.parametrize("family", [MINI_VELOCITY, P2_VELOCITY])
+    def test_positions_address_the_cell_pairs(self, family):
+        """The pattern holds every pair of dofs sharing a cell once, and
+        each local entry's int32 position points at its own pair."""
+        dv = fluid_dofmap(4, family)
+        pattern = forms.cell_rule(dv).pattern
+        cd = dv.cell_dofs
+        assert pattern.positions.dtype == np.int32
+        assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+        P = sp.csr_matrix((np.zeros(len(pattern.indices)), pattern.indices,
+                           pattern.indptr), shape=(dv.ndof, dv.ndof))
+        assert is_canonical(P)
+        rows = np.repeat(np.arange(dv.ndof), np.diff(pattern.indptr))
+        pos = pattern.positions
+        assert np.array_equal(rows[pos], np.broadcast_to(cd[:, :, None],
+                                                         pos.shape))
+        assert np.array_equal(pattern.indices[pos],
+                              np.broadcast_to(cd[:, None, :], pos.shape))
+        assert np.array_equal(np.unique(pos), np.arange(len(rows)))
+
+    @pytest.mark.parametrize("family", [MINI_VELOCITY, P2_VELOCITY])
+    def test_matrices_are_canonical_on_their_blocks(self, family, params,
+                                                    rng):
+        """PLAIN fills the two diagonal blocks of the pattern, NEWTON all
+        four; both matrices are canonical, with int32 indices."""
+        dv = fluid_dofmap(4, family)
+        nnz = len(forms.cell_rule(dv).pattern.indices)
+        state = on_rule(random_field(dv, rng), dv)
+        for mode, blocks in ((ConvectionMode.PLAIN, 2),
+                             (ConvectionMode.NEWTON, 4)):
+            N, _ = forms.assemble_convection(state, mode, params)
+            assert N.indices.dtype == np.int32
+            assert N.nnz == blocks * nnz
+            assert is_canonical(N)
+
+
 class TestInterfaceCoupling:
     @pytest.mark.parametrize("fam_v,fam_p", [(MINI_VELOCITY, P1),
                                              (P2_VELOCITY, P2)])

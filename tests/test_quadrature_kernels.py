@@ -1,6 +1,7 @@
 """The loop kernels of the quadrature layer against the einsum expressions
-they replaced (tests/quadrature_reference.py), bit for bit: on the
-structured meshes, and on random affine triangles."""
+they replaced (tests/quadrature_reference.py), bit for bit, and the
+reassociated convection matrix to 1e-14 of the oracle's largest entry: on
+the structured meshes, and on random affine triangles."""
 
 import dataclasses
 
@@ -32,6 +33,15 @@ def same_matrix(A, B) -> bool:
     return (np.array_equal(A.indptr, B.indptr)
             and np.array_equal(A.indices, B.indices)
             and bitwise_equal(A.data, B.data))
+
+
+def close_matrix(A, B, rtol=1e-14) -> bool:
+    """A has B's pattern, and its entries lie within rtol times B's largest
+    entry of B's."""
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.abs(A.data - B.data).max(initial=0.0)
+            <= rtol * np.abs(B.data).max(initial=0.0))
 
 
 def random_field(dofmap, rng):
@@ -108,7 +118,7 @@ class TestForms:
                                grads=mode is ConvectionMode.NEWTON)
             N, load = forms.assemble_convection(state, mode, params)
             N_ref, load_ref = ref.assemble_convection(dv, a, mode, params)
-            assert same_matrix(N, N_ref)
+            assert close_matrix(N, N_ref)
             assert (load is None and load_ref is None) \
                 or bitwise_equal(load, load_ref)
         assert bitwise_equal(
@@ -186,7 +196,7 @@ def test_random_affine_triangles(vertices, family, degree, seed):
                                             ConvectionMode.NEWTON, params)
         N_ref, load_ref = ref.assemble_convection(dm, a, ConvectionMode.NEWTON,
                                                   params, degree)
-        assert same_matrix(N, N_ref) and bitwise_equal(load, load_ref)
+        assert close_matrix(N, N_ref) and bitwise_equal(load, load_ref)
         assert bitwise_equal(
             forms.assemble_correction_load(quad_state(a, rule), s, params),
             ref.assemble_correction_load(dm, a, s, params, degree))
