@@ -242,12 +242,13 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     params = level.params
 
     # the blocks that do not change are stacked and eliminated once; each
-    # iteration refills that system with N1
+    # iteration refills that system with N1, on a_f's cell pattern
+    pattern = forms.cell_pattern(dv)
     B = forms.assemble_b(dv, dq)
     C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
                                                        params)
     system = System(level, ("velocity", "pressure", "head"), sp.bmat(
-        [[forms.assemble_af(dv, params), B.T, C_vphi],
+        [[forms.assemble_af(dv, params, pattern), B.T, C_vphi],
          [B, None, None],
          [C_phiu, None, forms.assemble_ap(dphi, params)]], format="csr"))
     del B, C_vphi, C_phiu
@@ -260,7 +261,7 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         u_field = DiscreteField(dv, x_prev[:dv.num_coefficients])
         N1, _ = forms.assemble_convection(
             forms.quad_state(u_field, rule, grads=False),
-            forms.ConvectionMode.PLAIN, params)
+            forms.ConvectionMode.PLAIN, params, pattern)
         system.refill(N1)
         del N1
         rhs = system.rhs(level.fluid_load, None, level.porous_load)

@@ -100,12 +100,13 @@ class NSStep:
         dv, dq, _ = level.spaces
         self.a = forms.quad_state(linearization_state, forms.cell_rule(dv))
 
+        pattern = forms.cell_pattern(dv)
         N, self.newton_load = forms.assemble_convection(
-            self.a, forms.ConvectionMode.NEWTON, level.params)
+            self.a, forms.ConvectionMode.NEWTON, level.params, pattern)
         B = forms.assemble_b(dv, dq)
-        K = sp.bmat([[forms.assemble_af(dv, level.params) + N, B.T],
+        K = sp.bmat([[forms.assemble_af(dv, level.params, pattern) + N, B.T],
                      [B, None]], format="csr")
-        del N, B   # only the constrained matrix outlives the set-up
+        del N, B, pattern   # only the constrained matrix outlives the set-up
         self.system = System(level, ("velocity", "pressure"), K)
         del K
         self.linear = self.system.solver(opts)

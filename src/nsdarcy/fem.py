@@ -314,7 +314,8 @@ class DiscreteField:
         mesh = self.dofmap.mesh
         cells, bary = located or mesh.locate_many(pts)
         _, gref = ref_basis_many(self.dofmap.family, bary)    # (nloc, m, 2)
-        jinv_t = _inverse_transpose(mesh.vertices[mesh.cells[cells]])
+        shape, _, jinv_t = mesh.shapes
+        jinv_t = jinv_t[shape[cells]]
         dofs = self.dofmap.cell_dofs[cells]
         comps = [self.component_view(d)[dofs]
                  for d in range(self.components)]             # (m, nloc)
@@ -342,19 +343,6 @@ def sum_in_order(terms) -> np.ndarray:
         total += t
         del t
     return total
-
-
-def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:
-    """J^{-T} of the affine reference map for each cell; shape (m, 2, 2)."""
-    e1 = cell_verts[..., 1, :] - cell_verts[..., 0, :]
-    e2 = cell_verts[..., 2, :] - cell_verts[..., 0, :]
-    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    out = np.empty(cell_verts.shape[:-2] + (2, 2))
-    out[..., 0, 0] = e2[..., 1]
-    out[..., 0, 1] = -e1[..., 1]
-    out[..., 1, 0] = -e2[..., 0]
-    out[..., 1, 1] = e1[..., 0]
-    return out / det[..., None, None]
 
 
 def interpolate(f, dofmap: DofMap) -> DiscreteField:

@@ -17,12 +17,13 @@ c(a, s, w) + c(s, a - s, w) instead.
 Linearization states may live on a coarser mesh: they are evaluated at the
 target mesh's quadrature points, never projected into the fine space first.
 
-Every kernel but one adds in the order of the numpy.einsum expressions it
-replaced and is pinned to them bit for bit: mass, stiffness, loads, the
-divergence block, the Newton load and the correction load. The convection
-matrix is reassociated: products against reference tensors (Kirby & Logg,
-ACM TOMS 32, 2006), scattered into a fixed pattern, within 1e-14 of the
-largest entry of the einsum result.
+Every local kernel adds in the order of the numpy.einsum expression it
+replaced and is pinned to it bit for bit: mass, stiffness, loads, the
+divergence block, the Newton load and the correction load; those that
+depend on the cell map alone run once per cell shape. The convection
+blocks are products against reference tensors (Kirby & Logg, ACM TOMS 32,
+2006). One np.bincount sums each matrix's cell blocks into a fixed
+pattern, within 1e-14 of the largest entry of the einsum result.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DiscreteField, DofMap, QuadratureRule, _inverse_transpose,
-                  edge_bary, quad_rule_edge, quad_rule_tri, ref_basis_many,
-                  sum_in_order)
+from .fem import (DiscreteField, DofMap, QuadratureRule, edge_bary,
+                  quad_rule_edge, quad_rule_tri, ref_basis_many, sum_in_order)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
 
 EDGE_QUAD_POINTS = 5
@@ -80,27 +80,24 @@ def assembly_degree(family_tag: str) -> int:
 @dataclass(frozen=True, eq=False)
 class CellRule:
     """Quadrature on every cell of a dof map's mesh: rule weights (nq,),
-    det (nc,), the family's reference values (nloc, nq) and gradients
-    (nloc, nq, 2), J^{-T} (nc, 2, 2). Physical points and basis gradients
-    are built on each call and not kept, so that a rule held across a
-    factorization holds no large array. Once used, a rule keeps the small
-    convection reference tensors and, after a PLAIN convection matrix, the
-    int32 `pattern` of its cells: (nc, nloc, nloc) positions and the
-    pattern's indices, 3.7 MB for Mini at n=128.
+    the family's reference values (nloc, nq) and gradients (nloc, nq, 2),
+    and the mesh's cell shapes: each cell's shape (nc,), and det (ns,) and
+    J^{-T} (ns, 2, 2) per shape. What depends on the cell map alone is
+    computed per shape and gathered by `shape`; physical points are built
+    per cell on each call. Once used, a rule keeps the small convection
+    reference tensors.
 
-    The kernels below contract with explicit loops over the summed indices
-    (quadrature point, then component), in the order and with the
-    rounding of the numpy.einsum calls they replaced, so their values are
-    bitwise what einsum gave (tests/quadrature_reference.py). The
-    convection matrix alone is reassociated: two matrix products against
-    the reference tensors, equal to einsum's to 1e-14 of its largest
-    entry."""
+    The kernels below add in the order and with the rounding of the
+    numpy.einsum calls they replaced, so their values, gathered by
+    `shape`, are bitwise what einsum gave per cell
+    (tests/quadrature_reference.py)."""
     dofmap: DofMap
     quad: QuadratureRule
     weights: np.ndarray
-    det: np.ndarray
     vals: np.ndarray
     gref: np.ndarray
+    shape: np.ndarray
+    det: np.ndarray
     jinv_t: np.ndarray
 
     def points(self) -> np.ndarray:
@@ -111,7 +108,7 @@ class CellRule:
                             for k in range(3))
 
     def grads(self) -> np.ndarray:
-        """Physical basis gradients (nc, nloc, nq, 2)."""
+        """Physical basis gradients per shape (ns, nloc, nq, 2)."""
         out = np.empty((len(self.det),) + self.gref.shape)
         for l, g in enumerate(self.gref):
             out[:, l] = sum_in_order(self.jinv_t[:, None, :, e] * g[:, None, e]
@@ -120,32 +117,21 @@ class CellRule:
 
     @property
     def wdet(self) -> list:
-        """w_q * det per quadrature point q, each (nc,)."""
+        """w_q * det per quadrature point q, each (ns,)."""
         return [w * self.det for w in self.weights]
 
     def mass(self) -> np.ndarray:
-        """(basis_j, basis_i) per cell, (nc, nloc, nloc)."""
+        """(basis_j, basis_i) per shape, (ns, nloc, nloc)."""
         v = self.vals
         return sum_in_order((wd[:, None] * v[:, q])[:, :, None] * v[:, q]
                             for q, wd in enumerate(self.wdet))
 
     def stiffness(self) -> np.ndarray:
-        """(grad basis_j, grad basis_i) per cell, (nc, nloc, nloc)."""
+        """(grad basis_j, grad basis_i) per shape, (ns, nloc, nloc)."""
         g = self.grads()
         return sum_in_order(
             (wd[:, None, None] * g[:, :, None, q, d]) * g[:, None, :, q, d]
             for q, wd in enumerate(self.wdet) for d in range(2))
-
-    def load(self, f: np.ndarray) -> np.ndarray:
-        """(f, basis_i) per cell for values f (nc, nq), (nc, nloc)."""
-        return sum_in_order((wd[:, None] * self.vals[:, q]) * f[:, q, None]
-                            for q, wd in enumerate(self.wdet))
-
-    @cached_property
-    def pattern(self) -> CellPattern:
-        """cell_pattern of the dof map, kept for the PLAIN convection
-        matrix that Picard assembles once per iteration."""
-        return cell_pattern(self.dofmap)
 
     @cached_property
     def convection_tensors(self) -> tuple:
@@ -162,51 +148,62 @@ class CellRule:
 @dataclass(frozen=True, eq=False)
 class CellPattern:
     """The canonical CSR pattern (indptr, indices: int32, sorted, no
-    duplicates) of a scalar block that couples every two dofs of a cell,
-    and the position in its data of each local entry, (nc, nloc, nloc)
-    int32: entry (c, i, j) sits in row cell_dofs[c, i], column
-    cell_dofs[c, j]."""
+    duplicates) and shape of a block that couples every row dof of a cell
+    to every column dof of the cell, and the position in its data of each
+    local entry, (nc, nrow, ncol) int32: entry (c, i, j) sits in row
+    dofs[c, i], column dofs[c, j]."""
     indptr: np.ndarray
     indices: np.ndarray
+    shape: tuple
     positions: np.ndarray
 
-    def matrix(self, local: np.ndarray) -> sp.csr_matrix:
-        """The sum of the blocks local (nc, nloc, nloc) on the pattern."""
-        n = len(self.indptr) - 1
-        data = np.bincount(self.positions.ravel(), local.ravel(),
+    def data(self, local: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """The sum of the blocks local (m, nrow, ncol) as pattern data,
+        block k at the positions of cell cells[k] (default: cell k)."""
+        return np.bincount(self.positions[cells].ravel(), local.ravel(),
                            minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def matrix(self, *data: np.ndarray) -> sp.csr_matrix:
+        """The block-diagonal matrix of one copy of the pattern per data
+        array."""
+        k, nnz, (n, m) = len(data), len(self.indices), self.shape
+        indices = np.concatenate([self.indices + i * m for i in range(k)])
+        indptr = np.concatenate([self.indptr[:1]] + [
+            self.indptr[1:] + i * nnz for i in range(k)])
+        return sp.csr_matrix((np.concatenate(data), indices, indptr),
+                             shape=(k * n, k * m))
 
 
-def cell_pattern(dofmap: DofMap) -> CellPattern:
-    cd, n = dofmap.cell_dofs, dofmap.ndof
-    nc, nloc = cd.shape
-    incidence = sp.csr_matrix(
-        (np.ones(cd.size), cd.ravel(), np.arange(0, cd.size + 1, nloc)),
-        shape=(nc, n))
-    P = (incidence.T @ incidence).tocsr()
+def cell_pattern(rows: DofMap, cols: DofMap | None = None) -> CellPattern:
+    """The CellPattern of the dofs of `rows` against those of `cols`
+    (default: `rows`), two dof maps on one mesh."""
+    cols = cols or rows
+    rd, cd, n = rows.cell_dofs, cols.cell_dofs, cols.ndof
+
+    def incidence(dofmap):   # cells x dofs
+        d = dofmap.cell_dofs
+        return sp.csr_matrix((np.ones(d.size), d.ravel(),
+                              np.arange(0, d.size + 1, d.shape[1])),
+                             shape=(len(d), dofmap.ndof))
+    P = (incidence(rows).T @ incidence(cols)).tocsr()
     P.sort_indices()
     # row * n + column ascends through a canonical pattern
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(P.indptr)) \
-        + P.indices
-    positions = np.empty((nc, nloc, nloc), dtype=np.int32)
-    for i in range(nloc):
-        positions[:, i] = np.searchsorted(keys, cd[:, i, None] * n + cd)
+    keys = np.repeat(np.arange(rows.ndof, dtype=np.int64) * n,
+                     np.diff(P.indptr)) + P.indices
+    positions = np.empty(rd.shape + cd.shape[1:], dtype=np.int32)
+    for i in range(rd.shape[1]):
+        positions[:, i] = np.searchsorted(keys, rd[:, i, None] * n + cd)
     return CellPattern(P.indptr.astype(np.int32), P.indices.astype(np.int32),
-                       positions)
+                       P.shape, positions)
 
 
 def cell_rule(dofmap: DofMap, degree: int | None = None) -> CellRule:
     """The rule of the given degree (default: assembly_degree) on the cells
     of dofmap's mesh; every cell map is affine."""
     quad = quad_rule_tri(degree or assembly_degree(dofmap.family.tag))
-    verts = dofmap.mesh.vertices[dofmap.mesh.cells]         # (nc, 3, 2)
-    e1 = verts[:, 1] - verts[:, 0]
-    e2 = verts[:, 2] - verts[:, 0]
-    vals, gref = ref_basis_many(dofmap.family, quad.points)
-    return CellRule(dofmap=dofmap, quad=quad, weights=quad.weights,
-                    det=e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0],
-                    vals=vals, gref=gref, jinv_t=_inverse_transpose(verts))
+    return CellRule(dofmap, quad, quad.weights,
+                    *ref_basis_many(dofmap.family, quad.points),
+                    *dofmap.mesh.shapes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,16 +241,6 @@ def _interface_edges(mesh: TriMesh) -> np.ndarray:
     return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
 
 
-def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray,
-             shape) -> sp.csr_matrix:
-    """Sum the blocks local[..., i, j] into entries (rows[..., i],
-    cols[..., j])."""
-    r = np.broadcast_to(rows[..., :, None], local.shape)
-    c = np.broadcast_to(cols[..., None, :], local.shape)
-    return sp.coo_matrix((local.ravel(), (r.ravel(), c.ravel())),
-                         shape=shape).tocsr()
-
-
 def _load(n: int, dofs: np.ndarray, local: np.ndarray) -> np.ndarray:
     """Length-n vector summing local[..., i] into entry dofs[..., i], in
     order."""
@@ -264,58 +251,67 @@ def _cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
     """Entries weight * (f_e, basis_i) for the components f_e (nc, nq) in
     fields, stacked one block of ndof per component."""
     dm = rule.dofmap
-    local = [weight * rule.load(f) for f in fields]
+    local = [weight * sum_in_order((wd[:, None] * rule.vals[:, q])[rule.shape]
+                                   * f[:, q, None]
+                                   for q, wd in enumerate(rule.wdet))
+             for f in fields]
     dofs = [dm.cell_dofs + e * dm.ndof for e in range(len(fields))]
     return _load(len(fields) * dm.ndof, np.concatenate(dofs),
                  np.concatenate(local))
 
 
-def _symmetrize(A: sp.csr_matrix) -> sp.csr_matrix:
-    return (0.5 * (A + A.T)).tocsr()
+def _symmetric_form(pattern: CellPattern, *data) -> sp.csr_matrix:
+    """The block-diagonal matrix of the symmetric parts (D + D^T) / 2 of
+    the data arrays D of a square pattern: exactly symmetric, and without
+    its exact zeros, such as the diagonal-edge entries of right-angled P1
+    cells."""
+    transpose = np.empty(len(pattern.indices), dtype=np.int32)
+    transpose[pattern.positions] = pattern.positions.swapaxes(1, 2)
+    A = pattern.matrix(*(0.5 * (d + d[transpose]) for d in data))
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_ap(dofmap_phi: DofMap, params: ModelParams) -> sp.csr_matrix:
     """Darcy stiffness (rho g / n) K (grad phi_j, grad phi_i); symmetric."""
-    rule = cell_rule(dofmap_phi)
+    rule, pattern = cell_rule(dofmap_phi), cell_pattern(dofmap_phi)
     loc = params.darcy_coefficient * rule.stiffness()
-    cd, n = dofmap_phi.cell_dofs, dofmap_phi.ndof
-    return _symmetrize(_scatter(cd, cd, loc, (n, n)))
+    return _symmetric_form(pattern, pattern.data(loc[rule.shape]))
 
 
-def assemble_af(dofmap_v: DofMap, params: ModelParams) -> sp.csr_matrix:
+def assemble_af(dofmap_v: DofMap, params: ModelParams,
+                pattern: CellPattern | None = None) -> sp.csr_matrix:
     """Viscous block nu (grad u, grad v) plus the slip penalty on the
     interface, nu alpha/sqrt(nu K) (u.tau)(v.tau); block-diagonal over the
-    two velocity components, tangential term on component 0 only."""
+    two velocity components, tangential term on component 0 only, on the
+    velocity's cell pattern (built here unless given); symmetric."""
     rule = cell_rule(dofmap_v)
-    loc = params.nu * rule.stiffness()
+    pattern = pattern or cell_pattern(dofmap_v)
+    loc = (params.nu * rule.stiffness())[rule.shape]
     edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
     slip = (params.bjs_coefficient * edges.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
-    cd, nd = dofmap_v.cell_dofs, dofmap_v.ndof
-    dofs = np.concatenate([cd, cd + nd, cd[edges.cells]])
-    A = _scatter(dofs, dofs, np.concatenate([loc, loc, slip]),
-                 (2 * nd, 2 * nd))
-    return _symmetrize(A)
+    normal = pattern.data(loc)
+    tangential = normal + pattern.data(slip, edges.cells)
+    return _symmetric_form(pattern, tangential, normal)
 
 
 def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
     """Divergence constraint, entry (q_i, v_j) = -(q_i, d v_j / d x_d)."""
     rule = cell_rule(dofmap_v)
     qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
-    # loc[c, i, j, d] for pressure i, velocity j, component d
+    # loc[s, i, j, d] per shape for pressure i, velocity j, component d
     g = rule.grads()
     loc = -sum_in_order((wd[:, None] * qvals[:, q])[:, :, None, None]
                         * g[:, None, :, q] for q, wd in enumerate(rule.wdet))
-    cq, cv, nv = dofmap_q.cell_dofs, dofmap_v.cell_dofs, dofmap_v.ndof
-    return _scatter(np.concatenate([cq, cq]), np.concatenate([cv, cv + nv]),
-                    np.concatenate([loc[..., 0], loc[..., 1]]),
-                    (dofmap_q.ndof, 2 * nv))
+    pattern = cell_pattern(dofmap_q, dofmap_v)
+    return sp.hstack([pattern.matrix(pattern.data(loc[rule.shape, ..., d]))
+                      for d in range(2)], format="csr")
 
 
 def assemble_mass(dofmap: DofMap, degree: int | None = None) -> sp.csr_matrix:
-    loc = cell_rule(dofmap, degree).mass()
-    cd, n = dofmap.cell_dofs, dofmap.ndof
-    return _symmetrize(_scatter(cd, cd, loc, (n, n)))
+    rule, pattern = cell_rule(dofmap, degree), cell_pattern(dofmap)
+    return _symmetric_form(pattern, pattern.data(rule.mass()[rule.shape]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +341,8 @@ def quad_state(field: DiscreteField, rule: CellRule,
             return QuadState(rule, v, None)
         basis = rule.grads()
         g = sum_in_order(gathered[:, :, l].T[:, None, :, None]
-                         * basis[:, l, :, None, :] for l in range(nloc))
+                         * basis[rule.shape, l, :, None, :]
+                         for l in range(nloc))
         return QuadState(rule, v, g)
     points = rule.points()
     nc, nq = points.shape[:2]
@@ -365,22 +362,25 @@ def _convect(a: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 
 def assemble_convection(state: QuadState, mode: ConvectionMode,
-                        params: ModelParams):
+                        params: ModelParams,
+                        pattern: CellPattern | None = None):
     """Convection operator linearized about `state`, on its rule's space.
 
     PLAIN: matrix with entries c(state, basis_j, basis_i) -- the fixed-point
     operator. NEWTON: adds c(basis_j, state, basis_i) and returns the load
     with entries c(state, state, basis_i) as the second element (PLAIN
     returns None there). The local blocks are products of the state with
-    the rule's reference tensors, scattered into the rule's cell pattern:
-    the two diagonal blocks for PLAIN and all four for NEWTON. The blocks
-    are CSR, so they are stacked without a COO copy.
+    the rule's reference tensors, scattered into the space's cell pattern
+    (built here unless given): the two diagonal blocks for PLAIN and all
+    four for NEWTON. The blocks are CSR, so they are stacked without a COO
+    copy.
     """
     rule = state.rule
     nc, nq = state.vals.shape[:2]
     nloc = len(rule.vals)
     T1, T2 = rule.convection_tensors
-    rho_det = params.rho * rule.det
+    pattern = pattern or cell_pattern(rule.dofmap)
+    rho_det = (params.rho * rule.det)[rule.shape]
 
     # (a . grad basis_j, basis_i), identical on both diagonal blocks: a_d
     # times T1 gives the reference derivatives e, which det J^{-T}[d, e]
@@ -388,13 +388,11 @@ def assemble_convection(state: QuadState, mode: ConvectionMode,
     transport = (state.vals.transpose(0, 2, 1).reshape(2 * nc, nq) @ T1
                  ).reshape(nc, 4, nloc, nloc)
     n1 = np.einsum("ck,ckij->cij", rho_det[:, None]
-                   * rule.jinv_t.reshape(nc, 4), transport)
+                   * rule.jinv_t.reshape(-1, 4)[rule.shape], transport)
     del transport
     if mode is not ConvectionMode.NEWTON:
-        block = rule.pattern.matrix(n1)
-        zero = sp.csr_matrix(block.shape)
-        return sp.vstack([sp.hstack([block, zero]), sp.hstack([zero, block])],
-                         format="csr"), None
+        block = pattern.data(n1)
+        return pattern.matrix(block, block), None
 
     # (basis_j . grad state_e, basis_i) couples the components: block
     # [e, d] is d(state_e)/d(x_d) times T2
@@ -404,11 +402,9 @@ def assemble_convection(state: QuadState, mode: ConvectionMode,
     nb[0, 0] += n1
     nb[1, 1] += n1
     del n1
-    # assembled once per rule, and its rule outlives the factor: the
-    # pattern is built here and not kept
-    pattern = cell_pattern(rule.dofmap)
-    N = sp.vstack([sp.hstack([pattern.matrix(nb[e, d]) for d in range(2)])
-                   for e in range(2)], format="csr")
+    N = sp.vstack([sp.hstack([pattern.matrix(pattern.data(nb[e, d]))
+                              for d in range(2)]) for e in range(2)],
+                  format="csr")
     conv = _convect(state.vals, state.grads)  # (a.grad)a
     return N, _cell_load(rule, params.rho, (conv[:, :, 0], conv[:, :, 1]))
 
@@ -442,9 +438,11 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
     # v . n_f = -v_y
     loc = (-params.rho * params.gravity * fluid.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", fluid.weights, fluid.vals, head.vals)
-    C_vphi = _scatter(dofmap_v.cell_dofs[fluid.cells] + dofmap_v.ndof,
-                      dofmap_phi.cell_dofs[head.cells], loc,
-                      (2 * dofmap_v.ndof, dofmap_phi.ndof))
+    rows, cols = np.broadcast_arrays(
+        dofmap_v.cell_dofs[fluid.cells, :, None] + dofmap_v.ndof,
+        dofmap_phi.cell_dofs[head.cells, None, :])
+    C_vphi = sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=(2 * dofmap_v.ndof, dofmap_phi.ndof)).tocsr()
     C_phiu = (-C_vphi.T).tocsr()
     return C_vphi, C_phiu
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,25 @@ class TriMesh:
         bary[up, 2] = fy[up] - fx[up]
         np.clip(bary, 0.0, None, out=bary)
         return cells, bary
+
+    @cached_property
+    def shapes(self) -> tuple:
+        """(index, det, jinv_t): the cells grouped by shape, on first use.
+        Cells share a shape when their edge vectors (v1 - v0, v2 - v0) are
+        bitwise equal: their maps differ by a translation. index (nc,) is
+        each cell's shape; det (ns,) and J^{-T} (ns, 2, 2) come from each
+        shape's first cell, bitwise what every cell of the shape gives."""
+        verts = self.vertices[self.cells]
+        edges = np.concatenate([verts[:, 1] - verts[:, 0],
+                                verts[:, 2] - verts[:, 0]], axis=1)
+        # rows as opaque items: bitwise keys, sorted faster than axis=0
+        rows = edges.view(np.dtype((np.void, edges[0].nbytes)))[:, 0]
+        _, first, index = np.unique(rows, return_index=True,
+                                    return_inverse=True)
+        (a, b), (c, d) = edges[first].T.reshape(2, 2, -1)   # e1, e2
+        det = a * d - b * c
+        jinv_t = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+        return tuple(map(_freeze, (index, det, jinv_t / det[:, None, None])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ from math import log
 
 import numpy as np
 
-from .fem import sum_in_order
 from .forms import CellRule, ModelParams, cell_rule
 
 PI = np.pi
@@ -102,31 +101,38 @@ REPORTED_KEYS = (("u", "L2"), ("u", "H1"), ("v", "L2"), ("v", "H1"),
                  ("p", "L2"), ("phi", "L2"), ("phi", "H1"))
 
 
-def _values(rule: CellRule, coeffs, table) -> np.ndarray:
-    """sum_l coeffs[cell_dofs[c, l]] * table[l] per cell c, for a scalar
-    coefficient vector of the rule's space and a basis table (nloc, ...)."""
-    local = coeffs[rule.dofmap.cell_dofs]
-    return sum_in_order(local[:, l].reshape((-1,) + (1,) * (table.ndim - 1))
-                        * table[l] for l in range(len(table)))
-
-
 def _l2_error(rule: CellRule, coeffs, exact) -> float:
     """L2 error of a scalar coefficient vector of the rule's space against
     exact values (nc, nq) at the rule's points."""
-    diff2 = (_values(rule, coeffs, rule.vals) - exact) ** 2
-    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det, diff2)))
+    diff = coeffs[rule.dofmap.cell_dofs] @ rule.vals
+    diff -= exact
+    return float(np.sqrt(np.square(diff, out=diff) @ rule.weights
+                         @ rule.det[rule.shape]))
 
 
 def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
-    """H1-seminorm error against the pair of exact gradient components."""
-    # every cell map is affine: contract with the reference gradients, then
-    # map the (nc, nq, 2) result by each cell's J^{-T}
-    gnum = np.matmul(_values(rule, coeffs, rule.gref),
-                     rule.jinv_t.transpose(0, 2, 1))
-    gx, gy = exact_grad
-    gdiff2 = (gnum[..., 0] - gx) ** 2 + (gnum[..., 1] - gy) ** 2
-    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det,
-                                   gdiff2)))
+    """H1-seminorm error against the pair of exact gradient components:
+    on the cells of each shape, one matrix product of their coefficients
+    with the shape's physical basis gradients (nloc, 2 nq)."""
+    (gx, gy), (nloc, nq) = exact_grad, rule.vals.shape
+    table = rule.grads().transpose(0, 1, 3, 2).reshape(-1, nloc, 2 * nq)
+    local, total = coeffs[rule.dofmap.cell_dofs], 0.0
+    runs = np.split(np.argsort(rule.shape, kind="stable"),
+                    np.cumsum(np.bincount(rule.shape))[:-1])
+    for det, grads, cells in zip(rule.det, table, runs):
+        diff = local[cells] @ grads
+        diff[:, :nq] -= gx[cells]
+        diff[:, nq:] -= gy[cells]
+        total += det * (np.square(diff, out=diff) @ np.tile(rule.weights, 2)
+                        ).sum()
+    return float(np.sqrt(total))
+
+
+# per field of a state: its variables and the ManufacturedProblem method
+# of each norm, which gives one array or pair of arrays per variable
+_EXACT = (("velocity", ("u", "v"), {"L2": "velocity", "H1": "velocity_grad"}),
+          ("pressure", ("p",), {"L2": "pressure"}),
+          ("head", ("phi",), {"L2": "head", "H1": "head_grad"}))
 
 
 def error_norms(states, mms: ManufacturedProblem,
@@ -137,44 +143,27 @@ def error_norms(states, mms: ManufacturedProblem,
     rule per space; the two velocity components share theirs. Exact values
     are dropped before the exact gradient is evaluated, to keep the peak
     memory of one field."""
-    first = states[0]
-    spaces = (first.velocity.dofmap, first.pressure.dofmap,
-              first.head.dofmap)
-    for s in states:
-        if (s.velocity.dofmap, s.pressure.dofmap, s.head.dofmap) != spaces:
-            raise ValueError("error_norms needs states on the same spaces")
-    dv, dp, dh = spaces
-    nd = dv.ndof
+    spaces = [(s.velocity.dofmap, s.pressure.dofmap, s.head.dofmap)
+              for s in states]
+    if any(other != spaces[0] for other in spaces):
+        raise ValueError("error_norms needs states on the same spaces")
     errs = [{} for _ in states]
-
-    rule = cell_rule(dv, quad_degree)
-    xy = tuple(rule.points().transpose(2, 0, 1))
-    parts = [(s.velocity.coefficients[:nd], s.velocity.coefficients[nd:])
-             for s in states]
-    exact = mms.velocity(*xy)
-    for e, p in zip(errs, parts):
-        e[("u", "L2")], e[("v", "L2")] = (_l2_error(rule, c, x)
-                                          for c, x in zip(p, exact))
-    del exact
-    exact_grad = mms.velocity_grad(*xy)
-    for e, p in zip(errs, parts):
-        e[("u", "H1")], e[("v", "H1")] = (_h1_error(rule, c, g)
-                                          for c, g in zip(p, exact_grad))
-    del exact_grad
-    rule = cell_rule(dp, quad_degree)
-    exact = mms.pressure(*rule.points().transpose(2, 0, 1))
-    for e, s in zip(errs, states):
-        e[("p", "L2")] = _l2_error(rule, s.pressure.coefficients, exact)
-    rule = cell_rule(dh, quad_degree)
-    xy = tuple(rule.points().transpose(2, 0, 1))
-    exact = mms.head(*xy)
-    for e, s in zip(errs, states):
-        e[("phi", "L2")] = _l2_error(rule, s.head.coefficients, exact)
-    del exact
-    exact_grad = mms.head_grad(*xy)
-    for e, s in zip(errs, states):
-        e[("phi", "H1")] = _h1_error(rule, s.head.coefficients, exact_grad)
-    return [ErrorReport(n=dv.mesh.n, errors=e) for e in errs]
+    for field, names, exact in _EXACT:
+        rule = cell_rule(getattr(states[0], field).dofmap, quad_degree)
+        # x and y (nc, nq) of the points: vertices times barycentrics
+        verts = rule.dofmap.mesh.vertices[rule.dofmap.mesh.cells]
+        xy = [verts[:, :, d] @ rule.quad.points.T for d in range(2)]
+        parts = [np.split(getattr(s, field).coefficients, len(names))
+                 for s in states]
+        for norm, method in exact.items():
+            values = getattr(mms, method)(*xy)
+            values = values if len(names) == 2 else (values,)
+            error = _l2_error if norm == "L2" else _h1_error
+            for e, p in zip(errs, parts):
+                for name, c, v in zip(names, p, values):
+                    e[(name, norm)] = error(rule, c, v)
+            del values
+    return [ErrorReport(n=spaces[0][0].mesh.n, errors=e) for e in errs]
 
 
 @dataclass

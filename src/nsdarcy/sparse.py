@@ -469,8 +469,9 @@ class DirectFactor:
             shape=(lidx.size, lidx.size))
         A_I = A[iidx]
         self._lidx, self._Dinv = lidx, Dinv
-        self._A_IL = A_I[:, lidx]
-        self._A_LI = A_L[:, iidx]
+        self._A_IL, self._A_LI = A_I[:, lidx], A_L[:, iidx]
+        for M in (self._A_IL, self._A_LI):   # drop a refilled K's zeros
+            M.eliminate_zeros()
         return as_csr(A_I[:, iidx] - self._A_IL @ (Dinv_sp @ self._A_LI))
 
     def _local_solve(self, r: np.ndarray) -> np.ndarray:

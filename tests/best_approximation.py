@@ -24,10 +24,11 @@ import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from layout import split_state
+from quadrature_reference import _scatter
 
 from nsdarcy.coupled import build_spaces
 from nsdarcy.fem import dirichlet_trace
-from nsdarcy.forms import _load, _scatter, assemble_mass, cell_rule
+from nsdarcy.forms import _load, assemble_mass, cell_rule
 from nsdarcy.mms import REPORTED_KEYS, error_norms
 
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
@@ -44,12 +45,12 @@ def _project(dofmap, exact, exact_grad, x, fixed):
     n, cd = dofmap.ndof, dofmap.cell_dofs
     rule = cell_rule(dofmap, QUAD_DEGREE)
     px, py = rule.points().transpose(2, 0, 1)
-    wdet = np.einsum("q,c->cq", rule.weights, rule.det)
+    wdet = np.einsum("q,c->cq", rule.weights, rule.det[rule.shape])
     if exact_grad is None:
         G = assemble_mass(dofmap, QUAD_DEGREE)
         load = np.einsum("cq,iq,cq->ci", wdet, rule.vals, exact(px, py))
     else:
-        grads = rule.grads()
+        grads = rule.grads()[rule.shape]
         stiff = np.einsum("cq,ciqd,cjqd->cij", wdet, grads, grads)
         G = _scatter(cd, cd, stiff, (n, n))
         load = np.einsum("cq,ciqd,cqd->ci", wdet, grads,

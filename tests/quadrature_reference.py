@@ -1,27 +1,72 @@
 """The numpy.einsum contractions that `nsdarcy.forms`, `nsdarcy.fem` and
-`nsdarcy.mms` replaced by explicit loops, kept as the oracle those loops
-must match bit for bit. The convection matrix is the exception: `forms`
-computes it by matrix products against reference tensors and scatters it
-into a fixed pattern, so it must match `assemble_convection` below to 1e-14
-of the largest entry, on the same pattern; the Newton load still matches
-bit for bit.
+`nsdarcy.mms` replaced by explicit loops, kept as the oracle the package
+is checked against, with every cell's det and J^{-T} computed from its own
+vertices as the package once did.
+
+Still bit for bit, with the package's per-shape values gathered by the
+shape index where they are per shape: the physical points, the basis
+gradients, the mass and stiffness blocks, the cell loads (volume, Newton
+and correction loads), and the field values and gradients at points.
+To 1e-14 of the largest entry, because they are summed in another order:
+the static matrices `a_p`, `a_f`, `b` and mass, which the package sums
+into a fixed pattern with `np.bincount` in cell order where COO->CSR
+sorted first, and symmetrizes on the pattern's data (bit for bit when n
+is a power of two, but for a few slip entries of `a_f`);
+the convection matrix, which the package computes by products against
+reference tensors; and the error norms, which the package contracts by
+matrix products, per shape for the gradients.
 
 Each function below holds the replaced expressions unchanged; only the
 cached `CellRule.points` and `CellRule.grads` became the functions
-`points(rule)` and `grads(rule)`. Everything the rewrite did not touch
-(the COO scatter, the edge rules, the scalar error reduction) is taken
-from the package, so a difference can only come from a replaced kernel.
+`points(rule)` and `grads(rule)`, and `det` and `jinv_t` of the old
+per-cell rule the function `cell_maps(rule)`. Everything the rewrite did
+not touch (the edge rules, the load scatter) is taken from the package,
+so a difference can only come from a replaced kernel. The COO scatter and
+the assembled symmetrization the package no longer has are kept here.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from nsdarcy.fem import DiscreteField, _inverse_transpose, ref_basis_many
+from nsdarcy.fem import DiscreteField, ref_basis_many
 from nsdarcy.forms import (CellRule, ConvectionMode, ModelParams,
-                           _interface_edges, _load, _scatter, _symmetrize,
-                           cell_rule, edge_rule)
+                           _interface_edges, _load, cell_rule, edge_rule)
 from nsdarcy.mms import ErrorReport
+
+
+def _scatter(rows, cols, local, shape) -> sp.csr_matrix:
+    r = np.broadcast_to(rows[..., :, None], local.shape)
+    c = np.broadcast_to(cols[..., None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (r.ravel(), c.ravel())),
+                         shape=shape).tocsr()
+
+
+def _symmetrize(A) -> sp.csr_matrix:
+    return (0.5 * (A + A.T)).tocsr()
+
+
+def _inverse_transpose(cell_verts: np.ndarray) -> np.ndarray:
+    """J^{-T} of the affine reference map for each cell; shape (m, 2, 2)."""
+    e1 = cell_verts[..., 1, :] - cell_verts[..., 0, :]
+    e2 = cell_verts[..., 2, :] - cell_verts[..., 0, :]
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    out = np.empty(cell_verts.shape[:-2] + (2, 2))
+    out[..., 0, 0] = e2[..., 1]
+    out[..., 0, 1] = -e1[..., 1]
+    out[..., 1, 0] = -e2[..., 0]
+    out[..., 1, 1] = e1[..., 0]
+    return out / det[..., None, None]
+
+
+def cell_maps(rule: CellRule):
+    """det (nc,) and J^{-T} (nc, 2, 2) of every cell of the rule's mesh."""
+    mesh = rule.dofmap.mesh
+    verts = mesh.vertices[mesh.cells]
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0], _inverse_transpose(verts)
 
 
 def points(rule: CellRule) -> np.ndarray:
@@ -31,7 +76,7 @@ def points(rule: CellRule) -> np.ndarray:
 
 
 def grads(rule: CellRule) -> np.ndarray:
-    return np.einsum("cde,lqe->clqd", rule.jinv_t, rule.gref)
+    return np.einsum("cde,lqe->clqd", cell_maps(rule)[1], rule.gref)
 
 
 def eval_many(field: DiscreteField, pts: np.ndarray) -> np.ndarray:
@@ -65,7 +110,8 @@ def eval_grad_many(field: DiscreteField, pts: np.ndarray) -> np.ndarray:
 
 def cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
     dm = rule.dofmap
-    local = [weight * np.einsum("q,c,iq,cq->ci", rule.weights, rule.det,
+    det = cell_maps(rule)[0]
+    local = [weight * np.einsum("q,c,iq,cq->ci", rule.weights, det,
                                 rule.vals, f) for f in fields]
     dofs = [dm.cell_dofs + e * dm.ndof for e in range(len(fields))]
     return _load(len(fields) * dm.ndof, np.concatenate(dofs),
@@ -74,12 +120,13 @@ def cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
 
 def stiffness(rule: CellRule) -> np.ndarray:
     g = grads(rule)
-    return np.einsum("q,c,ciqd,cjqd->cij", rule.weights, rule.det, g, g)
+    return np.einsum("q,c,ciqd,cjqd->cij", rule.weights, cell_maps(rule)[0],
+                     g, g)
 
 
 def mass(rule: CellRule) -> np.ndarray:
-    return np.einsum("q,c,iq,jq->cij", rule.weights, rule.det, rule.vals,
-                     rule.vals)
+    return np.einsum("q,c,iq,jq->cij", rule.weights, cell_maps(rule)[0],
+                     rule.vals, rule.vals)
 
 
 def assemble_ap(dofmap_phi, params: ModelParams):
@@ -92,7 +139,7 @@ def assemble_af(dofmap_v, params: ModelParams):
     rule = cell_rule(dofmap_v)
     g = grads(rule)
     loc = params.nu * np.einsum("q,c,ciqd,cjqd->cij", rule.weights,
-                                rule.det, g, g)
+                                cell_maps(rule)[0], g, g)
     edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
     slip = (params.bjs_coefficient * edges.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
@@ -106,8 +153,8 @@ def assemble_af(dofmap_v, params: ModelParams):
 def assemble_b(dofmap_v, dofmap_q):
     rule = cell_rule(dofmap_v)
     qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
-    loc = -np.einsum("q,c,iq,cjqd->cijd", rule.weights, rule.det, qvals,
-                     grads(rule))
+    loc = -np.einsum("q,c,iq,cjqd->cijd", rule.weights, cell_maps(rule)[0],
+                     qvals, grads(rule))
     cq, cv, nv = dofmap_q.cell_dofs, dofmap_v.cell_dofs, dofmap_v.ndof
     return _scatter(np.concatenate([cq, cq]), np.concatenate([cv, cv + nv]),
                     np.concatenate([loc[..., 0], loc[..., 1]]),
@@ -138,7 +185,7 @@ def assemble_convection(dofmap_v, state: DiscreteField, mode, params,
     rule = cell_rule(dofmap_v, degree)
     newton = mode is ConvectionMode.NEWTON
     a_vals, a_grads = state_on_quad(state, rule, want_grad=newton)
-    w, det, vals, rho = rule.weights, rule.det, rule.vals, params.rho
+    w, det, vals, rho = rule.weights, cell_maps(rule)[0], rule.vals, params.rho
     n1 = rho * np.einsum("q,c,iq,cjqd,cqd->cij", w, det, vals, grads(rule),
                          a_vals)
     blocks = [(0, 0, n1), (1, 1, n1)]
@@ -181,17 +228,18 @@ def assemble_volume_load(dofmap, f, weight=1.0, degree=None):
 def _l2_error(rule, coeffs, exact) -> float:
     num = np.einsum("cl,lq->cq", coeffs[rule.dofmap.cell_dofs], rule.vals)
     diff2 = (num - exact) ** 2
-    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det, diff2)))
+    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights,
+                                   cell_maps(rule)[0], diff2)))
 
 
 def _h1_error(rule, coeffs, exact_grad) -> float:
+    det, jinv_t = cell_maps(rule)
     gnum = np.matmul(
         np.einsum("cl,lqe->cqe", coeffs[rule.dofmap.cell_dofs], rule.gref),
-        rule.jinv_t.transpose(0, 2, 1))
+        jinv_t.transpose(0, 2, 1))
     gx, gy = exact_grad
     gdiff2 = (gnum[..., 0] - gx) ** 2 + (gnum[..., 1] - gy) ** 2
-    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, rule.det,
-                                   gdiff2)))
+    return float(np.sqrt(np.einsum("q,c,cq->", rule.weights, det, gdiff2)))
 
 
 def error_norms(state, mms, quad_degree: int = 8) -> ErrorReport:

@@ -314,6 +314,26 @@ class TestFixedPattern:
             assert np.array_equal(getattr(S, attr), getattr(ref, attr))
 
 
+def test_condensed_blocks_hold_no_explicit_zero(params, mms, monkeypatch):
+    """The first Picard iterate refills its pattern with a zero convection
+    operator; the bubble blocks that every condensed solve multiplies by
+    keep none of those zeros."""
+    slices = []
+    orig_condense = sparse.DirectFactor._condense
+
+    def condense(self, A, local):
+        S = orig_condense(self, A, local)
+        slices.append((A, self._A_IL, self._A_LI))
+        return S
+
+    monkeypatch.setattr(sparse.DirectFactor, "_condense", condense)
+    solve_coupled(level(16, 1, params, mms))
+    (A, A_IL, A_LI), = slices
+    assert np.count_nonzero(A.data == 0) > 0
+    for block in (A_IL, A_LI):
+        assert block.nnz > 0 and np.count_nonzero(block.data == 0) == 0
+
+
 SITES = {"picard": ("velocity", "pressure", "head"),
          "ns": ("velocity", "pressure"),
          "darcy": ("head",)}

@@ -48,7 +48,40 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     assert lines[-1] == "1 of 2 configurations identical"
 
 
+def hand_built(path, errors, digest):
+    """A one-configuration fingerprint file with the given errors of u
+    in L2 on n = 2 and 4."""
+    rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
+            in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
+    path.write_text(json.dumps({CONFIGS[0]: {
+        "rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("scale,rtol,code", [
+    (1 + 1e-13, "1e-12", 0),   # within, body unchanged
+    (1 + 1e-10, "1e-12", 1),   # outside
+    (1.01, "0.1", 1),          # within, but the printed body changes
+])
+def test_compare_within_rtol(tmp_path, capsys, scale, rtol, code):
+    """SuperLU inputs that differ do not decide under --rtol."""
+    a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa")
+    b = hand_built(tmp_path / "b.json", (1e-3 * scale, 2.5e-4), "bb")
+    assert fingerprint.main(["compare", a, b]) == 1
+    capsys.readouterr()
+    assert fingerprint.main(["compare", a, b, "--rtol", rtol]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert "SuperLU inputs differ (2 against 2 inputs)" in lines[0]
+    assert lines[0].endswith(f"within rtol {float(rtol):g}") == (code == 0)
+    assert lines[-1] == (f"{1 - code} of 1 configurations identical or "
+                         f"within rtol {float(rtol):g}")
+
+
 @pytest.mark.parametrize("args", [
+    ["compare", "a.json", "b.json", "--rtol", "x"],
+    ["compare", "a.json", "b.json", "--rtol", "-1"],
+    ["compare", "a.json", "b.json", "--rtol", "nan"],
+    ["compare", "a.json", "b.json", "--tol", "1"],
     [], ["write"], ["compare", "a.json"], ["write", "out.json", "--src"],
     ["write", "out.json", "A:1:direct"], ["compare", "a.json", "b.json"],
 ])

@@ -5,6 +5,7 @@ from boundary import interface_dofs
 from trilinear import trilinear_c
 
 from nsdarcy import forms
+from nsdarcy.coupled import build_spaces
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          build_dofmap, edge_bary, interpolate, quad_rule_edge,
                          quad_rule_tri, ref_basis_many)
@@ -53,6 +54,17 @@ def cellwise_quadrature(dofmap, degree, integrand):
             total += w * det * integrand(c, q, x, y, vals[:, q],
                                          gphys[:, q, :])
     return total
+
+
+@pytest.mark.parametrize("n", [3, 8, 58])
+@pytest.mark.parametrize("order", [1, 2])
+def test_static_forms_are_exactly_symmetric(order, n, params):
+    """The summed data are symmetrized as (a_ij + a_ji) / 2 through the
+    pattern's transpose map, and floating-point addition commutes."""
+    dv, dq, dphi = build_spaces(build_coupled_mesh(n), order)
+    for A in (forms.assemble_af(dv, params), forms.assemble_ap(dphi, params),
+              forms.assemble_mass(dq), forms.assemble_mass(dphi)):
+        assert (A != A.T).nnz == 0
 
 
 class TestDarcyStiffness:
@@ -223,7 +235,7 @@ class TestConvectionPattern:
         """The pattern holds every pair of dofs sharing a cell once, and
         each local entry's int32 position points at its own pair."""
         dv = fluid_dofmap(4, family)
-        pattern = forms.cell_rule(dv).pattern
+        pattern = forms.cell_pattern(dv)
         cd = dv.cell_dofs
         assert pattern.positions.dtype == np.int32
         assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
@@ -244,7 +256,7 @@ class TestConvectionPattern:
         """PLAIN fills the two diagonal blocks of the pattern, NEWTON all
         four; both matrices are canonical, with int32 indices."""
         dv = fluid_dofmap(4, family)
-        nnz = len(forms.cell_rule(dv).pattern.indices)
+        nnz = len(forms.cell_pattern(dv).indices)
         state = on_rule(random_field(dv, rng), dv)
         for mode, blocks in ((ConvectionMode.PLAIN, 2),
                              (ConvectionMode.NEWTON, 4)):

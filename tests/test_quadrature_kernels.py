@@ -1,7 +1,9 @@
 """The loop kernels of the quadrature layer against the einsum expressions
-they replaced (tests/quadrature_reference.py), bit for bit, and the
-reassociated convection matrix to 1e-14 of the oracle's largest entry: on
-the structured meshes, and on random affine triangles."""
+they replaced (tests/quadrature_reference.py): per-cell values bit for bit,
+per-shape values gathered by the shape index bit for bit, and the matrices
+and error norms that are summed in another order to 1e-14 of the oracle's
+largest entry: on the structured meshes, and on random affine
+triangles."""
 
 import dataclasses
 
@@ -29,12 +31,6 @@ def bitwise_equal(a, b) -> bool:
                                                  b.view(np.int64))
 
 
-def same_matrix(A, B) -> bool:
-    return (np.array_equal(A.indptr, B.indptr)
-            and np.array_equal(A.indices, B.indices)
-            and bitwise_equal(A.data, B.data))
-
-
 def close_matrix(A, B, rtol=1e-14) -> bool:
     """A has B's pattern, and its entries lie within rtol times B's largest
     entry of B's."""
@@ -57,11 +53,49 @@ def mesh(request):
     return build_tri_mesh(n, sub, ORIGIN[sub])
 
 
+def close_errors(report, expect, rtol=1e-14) -> bool:
+    """The same keys, each error within rtol times the largest one of
+    expect."""
+    diff = [abs(report.errors[k] - v) for k, v in expect.errors.items()]
+    return (report.errors.keys() == expect.errors.keys()
+            and max(diff) <= rtol * max(expect.errors.values()))
+
+
 def assert_rule_kernels(rule):
+    """Per-shape kernels, gathered by the shape index, against the oracle's
+    per-cell values."""
     assert bitwise_equal(rule.points(), ref.points(rule))
-    assert bitwise_equal(rule.grads(), ref.grads(rule))
-    assert bitwise_equal(rule.mass(), ref.mass(rule))
-    assert bitwise_equal(rule.stiffness(), ref.stiffness(rule))
+    assert bitwise_equal(rule.grads()[rule.shape], ref.grads(rule))
+    assert bitwise_equal(rule.mass()[rule.shape], ref.mass(rule))
+    assert bitwise_equal(rule.stiffness()[rule.shape], ref.stiffness(rule))
+
+
+def assert_shape_tables(mesh):
+    """det and J^{-T} per shape, gathered by the shape index, are bitwise
+    those of each cell's own vertices."""
+    index, det, jinv_t = mesh.shapes
+    verts = mesh.vertices[mesh.cells]
+    e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    assert index.shape == (mesh.num_cells,)
+    assert bitwise_equal(det[index], e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert bitwise_equal(jinv_t[index], ref._inverse_transpose(verts))
+
+
+class TestCellShapes:
+    @pytest.mark.parametrize("n", [4, 16, 128])
+    @pytest.mark.parametrize("sub", Subdomain)
+    def test_structured_meshes_have_two_shapes(self, sub, n):
+        index, det, jinv_t = build_tri_mesh(n, sub, ORIGIN[sub]).shapes
+        assert det.shape == (2,) and jinv_t.shape == (2, 2, 2)
+        assert np.array_equal(np.bincount(index), [n * n, n * n])
+
+    @pytest.mark.parametrize("n", [3, 58, 81])
+    @pytest.mark.parametrize("sub", Subdomain)
+    def test_tables_are_each_cells_own(self, sub, n):
+        """Rounded vertices give these meshes more than two shapes."""
+        mesh = build_tri_mesh(n, sub, ORIGIN[sub])
+        assert_shape_tables(mesh)
+        assert len(mesh.shapes[1]) > 2
 
 
 class TestCellRule:
@@ -92,15 +126,15 @@ class TestForms:
     @pytest.mark.parametrize("family", ["P1", "P2"])
     def test_darcy_stiffness(self, mesh, family, params):
         dm = build_dofmap(mesh, FAMILIES[family])
-        assert same_matrix(forms.assemble_ap(dm, params),
-                           ref.assemble_ap(dm, params))
+        assert close_matrix(forms.assemble_ap(dm, params),
+                            ref.assemble_ap(dm, params))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_fluid_blocks(self, order, params, mms):
         dv, dq, _ = build_spaces(build_coupled_mesh(8), order)
-        assert same_matrix(forms.assemble_af(dv, params),
-                           ref.assemble_af(dv, params))
-        assert same_matrix(forms.assemble_b(dv, dq), ref.assemble_b(dv, dq))
+        assert close_matrix(forms.assemble_af(dv, params),
+                            ref.assemble_af(dv, params))
+        assert close_matrix(forms.assemble_b(dv, dq), ref.assemble_b(dv, dq))
         assert bitwise_equal(
             forms.assemble_volume_load(dv, mms.f_fluid, degree=8),
             ref.assemble_volume_load(dv, mms.f_fluid, degree=8))
@@ -137,8 +171,7 @@ def test_error_norms(order, mms, rng):
     for report, state in zip(error_norms(states, mms), states):
         expect = ref.error_norms(state, mms)
         assert report.n == expect.n
-        assert {k: float.hex(v) for k, v in report.errors.items()} \
-            == {k: float.hex(v) for k, v in expect.errors.items()}
+        assert close_errors(report, expect)
 
 
 def test_error_norms_rejects_states_on_other_spaces(mms, rng):
@@ -187,6 +220,7 @@ def loose_dofmap(vertices, family):
 def test_random_affine_triangles(vertices, family, degree, seed):
     rng = np.random.default_rng(seed)
     dm = loose_dofmap(vertices, FAMILIES[family])
+    assert_shape_tables(dm.mesh)
     rule = cell_rule(dm, degree)
     assert_rule_kernels(rule)
     if dm.family.components == 2:

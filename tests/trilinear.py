@@ -17,4 +17,5 @@ def trilinear_c(a: DiscreteField, v: DiscreteField, w: DiscreteField,
                     quad_state(v, rule).grads)
     w_vals = quad_state(w, rule, grads=False).vals
     return params.rho * float(np.einsum("q,c,cqe,cqe->",
-                                        rule.weights, rule.det, conv, w_vals))
+                                        rule.weights, rule.det[rule.shape],
+                                        conv, w_vals))

@@ -1,7 +1,7 @@
 """Bitwise fingerprint of a source tree's convergence studies.
 
     python3 tools/fingerprint.py write OUT.json [--src SRC] [CONFIG ...]
-    python3 tools/fingerprint.py compare A.json B.json
+    python3 tools/fingerprint.py compare A.json B.json [--rtol R]
 
 `write` runs each CONFIG, given as ALGORITHM:ORDER:SOLVER:SCHEDULE (such
 as `A:1:direct:pairs:2:4:16`), through `nsdarcy.cli.run_experiment` with
@@ -18,7 +18,10 @@ largest relative error difference (against B), whether the SuperLU inputs
 match, and every row whose printed `errors.csv` body changes, formatted
 by the `nsdarcy.cli` in the `src` next to this tool. Exit code 0 means
 every configuration is identical, 1 that some differ, 2 a bad argument or
-file.
+file. With `--rtol R`, for refactors that are not bitwise, a configuration
+that differs passes too when no printed `errors.csv` body changes and
+every unrounded error lies within R relative of B's; its SuperLU inputs
+are then reported but do not decide.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ CONFIGS = tuple(f"{alg}:{order}:{solver}:{schedule}" for alg, order, solver,
 DEFAULT_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 USAGE = ("usage: fingerprint.py write OUT.json [--src SRC] [CONFIG ...]\n"
-         "       fingerprint.py compare A.json B.json")
+         "       fingerprint.py compare A.json B.json [--rtol R]")
 
 
 class BadInput(Exception):
@@ -96,8 +99,10 @@ def _body(row) -> str:
             f"{format_rate(_unhex(rate))}")
 
 
-def compare(a: dict, b: dict) -> tuple[int, list[str]]:
-    """(number of identical configurations, report lines)."""
+def compare(a: dict, b: dict, rtol: float | None = None
+            ) -> tuple[int, list[str]]:
+    """(number of configurations that pass, report lines): identical ones
+    and, given rtol, those within it (see the module docstring)."""
     lines, same = [], 0
     for config in sorted(set(a) | set(b)):
         if config not in a or config not in b:
@@ -119,12 +124,28 @@ def compare(a: dict, b: dict) -> tuple[int, list[str]]:
                    == (fb["superlu_sha256"], fb["superlu_inputs"])
                    else f"differ ({fa['superlu_inputs']} against "
                         f"{fb['superlu_inputs']} inputs)")
+        changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
+                   if _body(x) != _body(y)]
+        within = rtol is not None and not changed and worst <= rtol
+        same += within
         lines.append(f"{config}: max rel error diff {worst:.3e}, "
-                     f"SuperLU inputs {superlu}")
-        lines += [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
-                  if _body(x) != _body(y)]
-    lines.append(f"{same} of {len(set(a) | set(b))} configurations identical")
+                     f"SuperLU inputs {superlu}"
+                     + (f", within rtol {rtol:g}" if within else ""))
+        lines += changed
+    passed = "identical" if rtol is None else \
+        f"identical or within rtol {rtol:g}"
+    lines.append(f"{same} of {len(set(a) | set(b))} configurations {passed}")
     return same, lines
+
+
+def _rtol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < float("inf"):
+        raise BadInput(f"--rtol: expected a finite value >= 0, got {text!r}")
+    return value
 
 
 def _load(path: str) -> dict:
@@ -137,10 +158,13 @@ def _load(path: str) -> dict:
 
 def main(argv: list[str]) -> int:
     try:
-        if argv[:1] == ["compare"] and len(argv) == 3:
+        if argv[:1] == ["compare"] and len(argv) in (3, 5):
+            if len(argv) == 5 and argv[3] != "--rtol":
+                raise BadInput(USAGE)
+            rtol = _rtol(argv[4]) if len(argv) == 5 else None
             sys.path.insert(0, DEFAULT_SRC)
             a, b = _load(argv[1]), _load(argv[2])
-            same, lines = compare(a, b)
+            same, lines = compare(a, b, rtol)
             print("\n".join(lines))
             return 0 if same == len(set(a) | set(b)) else 1
         if argv[:1] != ["write"] or len(argv) < 2:
