@@ -294,39 +294,41 @@ class DiscreteField:
         nd = self.dofmap.ndof
         return self.coefficients[d * nd:(d + 1) * nd]
 
-    def eval_many(self, pts: np.ndarray, located=None) -> np.ndarray:
-        """Field values at points; shape (m,) scalar or (m, 2) vector.
-        `located` is what the mesh's `locate_many(pts)` returns, for a
-        caller that has it already."""
-        cells, bary = located or self.dofmap.mesh.locate_many(pts)
-        vals, _ = ref_basis_many(self.dofmap.family, bary)    # (nloc, m)
-        dofs = self.dofmap.cell_dofs[cells]                   # (m, nloc)
-        comps = [self.component_view(d)[dofs]
-                 for d in range(self.components)]             # (m, nloc)
+    def _at(self, pts: np.ndarray) -> tuple:
+        """The coefficients (m, nloc) of each component on the cells of the
+        points, and `basis_at` the points."""
+        cells, vals, grads = basis_at(self.dofmap, pts)
+        dofs = self.dofmap.cell_dofs[cells]
+        comps = [self.component_view(d)[dofs] for d in range(self.components)]
+        return comps, vals, grads
+
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Field values at points; shape (m,) scalar or (m, 2) vector."""
+        comps, vals, _ = self._at(pts)
         out = [sum_in_order(c[:, l] * vals[l] for l in range(len(vals)))
                for c in comps]
         return out[0] if self.components == 1 else np.stack(out, axis=1)
 
-    def eval_grad_many(self, pts: np.ndarray, located=None) -> np.ndarray:
+    def eval_grad_many(self, pts: np.ndarray) -> np.ndarray:
         """Physical gradients; shape (m, 2) scalar or (m, 2, 2) with
-        entry [d, e] = d(component d)/d(x_e) for vector fields. `located`
-        as for eval_many."""
-        mesh = self.dofmap.mesh
-        cells, bary = located or mesh.locate_many(pts)
-        _, gref = ref_basis_many(self.dofmap.family, bary)    # (nloc, m, 2)
-        shape, _, jinv_t = mesh.shapes
-        jinv_t = jinv_t[shape[cells]]
-        dofs = self.dofmap.cell_dofs[cells]
-        comps = [self.component_view(d)[dofs]
-                 for d in range(self.components)]             # (m, nloc)
-        out = [np.zeros((len(cells), 2)) for _ in comps]
-        for l in range(len(gref)):
-            # physical gradient of basis l at every point, (m, 2)
-            gphys = sum_in_order(jinv_t[:, :, e] * gref[l, :, e, None]
-                                 for e in range(2))
-            for c, o in zip(comps, out):
-                o += c[:, l, None] * gphys
+        entry [d, e] = d(component d)/d(x_e) for vector fields."""
+        comps, _, grads = self._at(pts)
+        out = [sum_in_order(c[:, l, None] * g for l, g in enumerate(grads))
+               for c in comps]
         return out[0] if self.components == 1 else np.stack(out, axis=1)
+
+
+def basis_at(dofmap: DofMap, pts: np.ndarray) -> tuple:
+    """The cells (m,) of points (m, 2) in dofmap's mesh (`locate_many`),
+    and the values (nloc, m) and physical gradients (nloc, m, 2) of
+    dofmap's basis there."""
+    cells, bary = dofmap.mesh.locate_many(pts)
+    vals, gref = ref_basis_many(dofmap.family, bary)
+    shape, _, jinv_t = dofmap.mesh.shapes
+    jinv_t = jinv_t[shape[cells]]
+    grads = [sum_in_order(jinv_t[:, :, e] * g[:, e, None] for e in range(2))
+             for g in gref]
+    return cells, vals, np.stack(grads)
 
 
 def sum_in_order(terms) -> np.ndarray:

@@ -31,11 +31,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DiscreteField, DofMap, QuadratureRule, edge_bary,
+from .fem import (DiscreteField, DofMap, QuadratureRule, basis_at, edge_bary,
                   quad_rule_edge, quad_rule_tri, ref_basis_many, sum_in_order)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
 
@@ -83,9 +84,9 @@ class CellRule:
     the family's reference values (nloc, nq) and gradients (nloc, nq, 2),
     and the mesh's cell shapes: each cell's shape (nc,), and det (ns,) and
     J^{-T} (ns, 2, 2) per shape. What depends on the cell map alone is
-    computed per shape and gathered by `shape`; physical points are built
-    per cell on each call. Once used, a rule keeps the small convection
-    reference tensors.
+    computed per shape and gathered by `shape`; physical points per row
+    and column of the cell grid (`axes`). Once used, a rule keeps the
+    small convection reference tensors.
 
     The kernels below add in the order and with the rounding of the
     numpy.einsum calls they replaced, so their values, gathered by
@@ -100,12 +101,26 @@ class CellRule:
     det: np.ndarray
     jinv_t: np.ndarray
 
-    def points(self) -> np.ndarray:
-        """Physical quadrature points (nc, nq, 2)."""
-        mesh = self.dofmap.mesh
-        bary, verts = self.quad.points, mesh.vertices[mesh.cells]
-        return sum_in_order(bary[:, k, None] * verts[:, None, k]
-                            for k in range(3))
+    def axes(self, product: bool = False) -> tuple:
+        """x (1, n, 2, nq) and y (n, 1, 2, nq) of the points of a structured
+        mesh, which broadcast to its cell grid (n, n, 2): cell 2(j n + i) + s
+        has the x of [0, i, s] and the y of [j, 0, s]. Each is vertices
+        times barycentrics, summed in order or, given `product`, a matrix
+        product: bitwise what that gives on every cell."""
+        mesh, bary = self.dofmap.mesh, self.quad.points
+        n, cells = mesh.n, mesh.cells.reshape(mesh.n, 2 * mesh.n, 3)
+        xy = (mesh.vertices[cells[:1], 0].reshape(1, n, 2, 3),
+              mesh.vertices[cells[:, :2], 1].reshape(n, 1, 2, 3))
+        if product:
+            return tuple((v.reshape(-1, 3) @ bary.T).reshape(
+                v.shape[:3] + (-1,)) for v in xy)
+        return tuple(sum_in_order(v[..., k, None] * bary[:, k]
+                                  for k in range(3)) for v in xy)
+
+    def on_cells(self, values) -> np.ndarray:
+        """Values that broadcast to the points (n, n, 2, nq), as (nc, nq)."""
+        n, nq = self.dofmap.mesh.n, len(self.weights)
+        return np.broadcast_to(values, (n, n, 2, nq)).reshape(-1, nq)
 
     def grads(self) -> np.ndarray:
         """Physical basis gradients per shape (ns, nloc, nq, 2)."""
@@ -326,32 +341,51 @@ class QuadState:
 
 def quad_state(field: DiscreteField, rule: CellRule,
                grads: bool = True) -> QuadState:
-    """The velocity `field` at the rule's points; a field of the rule's own
-    space is evaluated with the rule's basis, any other through one point
-    location shared by its values and gradients."""
+    """The velocity `field` at the rule's points: each value (gradient)
+    sums, in local order, the field's coefficients on the point's cell
+    times its basis values (gradients) there. A field of the rule's own
+    space takes the rule's basis, one on another mesh `_period_tables`.
+    Both are computed component by component, so vals and grads are
+    views of arrays (2, nc, nq) and (2, 2, nc, nq)."""
     dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh
     if dm.family == rule.dofmap.family and (fm is mesh or (
             fm.n == mesh.n and fm.subdomain is mesh.subdomain
             and fm.origin == mesh.origin)):
-        gathered = field.coefficients.reshape(2, -1)[:, dm.cell_dofs]  # (2,nc,nl)
-        nloc = len(rule.vals)
-        v = sum_in_order(gathered[:, :, l].T[:, None, :]
-                         * rule.vals[l, None, :, None] for l in range(nloc))
-        if not grads:
-            return QuadState(rule, v, None)
-        basis = rule.grads()
-        g = sum_in_order(gathered[:, :, l].T[:, None, :, None]
-                         * basis[rule.shape, l, :, None, :]
-                         for l in range(nloc))
-        return QuadState(rule, v, g)
-    points = rule.points()
-    nc, nq = points.shape[:2]
-    flat = points.reshape(-1, 2)
-    located = fm.locate_many(flat)
-    v = field.eval_many(flat, located).reshape(nc, nq, 2)
-    g = field.eval_grad_many(flat, located).reshape(nc, nq, 2, 2) \
-        if grads else None
-    return QuadState(rule, v, g)
+        at, vals = np.arange(len(dm.cell_dofs))[:, None], rule.vals
+        basis = (b[rule.shape].transpose(2, 0, 1) for b in
+                 rule.grads().transpose(1, 0, 2, 3))
+    else:
+        at, vals, basis = _period_tables(field, rule)
+    local = field.coefficients.reshape(2, -1)[:, dm.cell_dofs.T]  # (2,nloc,nc)
+    shape = (2, -1, len(rule.weights))
+    v = sum_in_order(np.take(local[:, l], at, axis=1) * t
+                     for l, t in enumerate(vals))
+    v = v.reshape(shape).transpose(1, 2, 0)
+    if not grads:
+        return QuadState(rule, v, None)
+    g = sum_in_order(np.take(local[:, l], at, axis=1)[:, None] * t
+                     for l, t in enumerate(basis))
+    return QuadState(rule, v, g.reshape((2,) + shape).transpose(2, 3, 0, 1))
+
+
+def _period_tables(field: DiscreteField, rule: CellRule) -> tuple:
+    """The structured meshes of the rule (n squares a side) and the field
+    (m) repeat every p = n/k and r = m/k squares, k = gcd(n, m): a point
+    of period (J, I) lies in the field's cell 2 r (J m + I) after its copy
+    in the first p x p squares, at its barycentrics up to rounding; a tie
+    on an edge goes the same way in each. Returns the field's cell of
+    every point (k, p, k, p 2 nq) in the rule's cell order, and its basis
+    values (nloc, p, 1, p 2 nq) and gradients (nloc, 2, 1, p, 1, p 2 nq)."""
+    fm, n = field.dofmap.mesh, rule.dofmap.mesh.n
+    k = gcd(n, fm.n)
+    p, r = n // k, fm.n // k
+    x, y = rule.axes()
+    cells, vals, grads = basis_at(field.dofmap, np.stack(
+        np.broadcast_arrays(x[:, :p], y[:p]), axis=-1).reshape(-1, 2))
+    first = 2 * r * (np.arange(k)[:, None] * fm.n + np.arange(k))   # (J, I)
+    return (first[:, None, :, None] + cells.reshape(p, 1, -1),
+            vals.reshape(len(vals), p, 1, -1),
+            grads.transpose(0, 2, 1).reshape(len(vals), 2, 1, p, 1, -1))
 
 
 def _convect(a: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -475,12 +509,9 @@ def assemble_interface_load_ns(dofmap_v: DofMap, head_source: DiscreteField,
 def assemble_volume_load(dofmap: DofMap, f, weight: float = 1.0,
                          degree: int | None = None) -> np.ndarray:
     """Entries weight * (f, basis_i); f(x, y) returns one array for scalar
-    families or a pair of arrays for vector families."""
+    families or a pair of arrays for vector families, on CellRule.axes."""
     rule = cell_rule(dofmap, degree)
-    points = rule.points()
-    x, y = points[..., 0], points[..., 1]
-    fq = f(x, y)
+    fq = f(*rule.axes())
     if dofmap.family.components == 1:
         fq = (fq,)
-    return _cell_load(rule, weight,
-                      [np.broadcast_to(fe, x.shape) for fe in fq])
+    return _cell_load(rule, weight, [rule.on_cells(fe) for fe in fq])

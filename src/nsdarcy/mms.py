@@ -43,10 +43,10 @@ class ManufacturedProblem:
 
     def velocity_grad(self, x, y):
         """Rows (du1/dx, du1/dy), (du2/dx, du2/dy)."""
-        cx, sx = np.cos(PI * x / 2), np.sin(PI * x / 2)
+        cx, sx, sy = np.cos(PI * x / 2), np.sin(PI * x / 2), np.sin(PI * y)
         u1x = (PI / 2) * np.cos(PI * y / 2) ** 2 * cx
-        u1y = -(PI / 2) * np.sin(PI * y) * sx
-        u2x = (PI / 2) * sx * (np.sin(PI * y) / 4 + PI * y / 4)
+        u1y = -(PI / 2) * sy * sx
+        u2x = (PI / 2) * sx * (sy / 4 + PI * y / 4)
         u2y = -(PI / 4) * cx * (1 + np.cos(PI * y))
         return (u1x, u1y), (u2x, u2y)
 
@@ -64,14 +64,15 @@ class ManufacturedProblem:
         nu, rho = self.params.nu, self.params.rho
         cx, sx = np.cos(PI * x / 2), np.sin(PI * x / 2)
         sy2, cy2 = np.sin(PI * y / 2), np.cos(PI * y / 2)
+        sy, cy = np.sin(PI * y), np.cos(PI * y)
         f1 = PI * sx / 8 * (
             -2 * PI * nu * (5 * sy2 ** 2 - 3)
             + 2 * rho * (PI * y * sy2 + 2 * cy2) * cx * cy2
-            + PI * (-y + np.cos(PI * y) + 1))
+            + PI * (-y + cy + 1))
         f2 = PI / 16 * (
-            -PI * nu * (PI * y + 5 * np.sin(PI * y)) * cx
-            + rho * (PI * y + np.sin(PI * y)) * (np.cos(PI * y) + 1)
-            + 4 * (PI * np.sin(PI * y) + 1) * cx)
+            -PI * nu * (PI * y + 5 * sy) * cx
+            + rho * (PI * y + sy) * (cy + 1)
+            + 4 * (PI * sy + 1) * cx)
         return f1, f2
 
     def f_porous(self, x, y):
@@ -103,9 +104,9 @@ REPORTED_KEYS = (("u", "L2"), ("u", "H1"), ("v", "L2"), ("v", "H1"),
 
 def _l2_error(rule: CellRule, coeffs, exact) -> float:
     """L2 error of a scalar coefficient vector of the rule's space against
-    exact values (nc, nq) at the rule's points."""
+    exact values at the rule's points (CellRule.on_cells)."""
     diff = coeffs[rule.dofmap.cell_dofs] @ rule.vals
-    diff -= exact
+    diff -= rule.on_cells(exact)
     return float(np.sqrt(np.square(diff, out=diff) @ rule.weights
                          @ rule.det[rule.shape]))
 
@@ -114,7 +115,7 @@ def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
     """H1-seminorm error against the pair of exact gradient components:
     on the cells of each shape, one matrix product of their coefficients
     with the shape's physical basis gradients (nloc, 2 nq)."""
-    (gx, gy), (nloc, nq) = exact_grad, rule.vals.shape
+    (gx, gy), (nloc, nq) = map(rule.on_cells, exact_grad), rule.vals.shape
     table = rule.grads().transpose(0, 1, 3, 2).reshape(-1, nloc, 2 * nq)
     local, total = coeffs[rule.dofmap.cell_dofs], 0.0
     runs = np.split(np.argsort(rule.shape, kind="stable"),
@@ -140,7 +141,8 @@ def error_norms(states, mms: ManufacturedProblem,
     """Componentwise L2/H1-seminorm errors of coupled states that share
     their spaces (velocity components u, v; pressure p, L2 only; head phi),
     one ErrorReport per state. The exact fields are evaluated once, at one
-    rule per space; the two velocity components share theirs. Exact values
+    rule per space, on x (1, n, 2, nq) and y (n, 1, 2, nq) that broadcast
+    to its points; the two velocity components share theirs. Exact values
     are dropped before the exact gradient is evaluated, to keep the peak
     memory of one field."""
     spaces = [(s.velocity.dofmap, s.pressure.dofmap, s.head.dofmap)
@@ -150,9 +152,7 @@ def error_norms(states, mms: ManufacturedProblem,
     errs = [{} for _ in states]
     for field, names, exact in _EXACT:
         rule = cell_rule(getattr(states[0], field).dofmap, quad_degree)
-        # x and y (nc, nq) of the points: vertices times barycentrics
-        verts = rule.dofmap.mesh.vertices[rule.dofmap.mesh.cells]
-        xy = [verts[:, :, d] @ rule.quad.points.T for d in range(2)]
+        xy = rule.axes(product=True)
         parts = [np.split(getattr(s, field).coefficients, len(names))
                  for s in states]
         for norm, method in exact.items():

@@ -44,7 +44,7 @@ def _project(dofmap, exact, exact_grad, x, fixed):
     against the analytic field; entries where fixed is True stay as given."""
     n, cd = dofmap.ndof, dofmap.cell_dofs
     rule = cell_rule(dofmap, QUAD_DEGREE)
-    px, py = rule.points().transpose(2, 0, 1)
+    px, py = map(rule.on_cells, rule.axes())
     wdet = np.einsum("q,c->cq", rule.weights, rule.det[rule.shape])
     if exact_grad is None:
         G = assemble_mass(dofmap, QUAD_DEGREE)

@@ -4,7 +4,8 @@ is checked against, with every cell's det and J^{-T} computed from its own
 vertices as the package once did.
 
 Still bit for bit, with the package's per-shape values gathered by the
-shape index where they are per shape: the physical points, the basis
+shape index where they are per shape: the physical points (the package
+gives them per row and column of the cell grid, `CellRule.axes`), the basis
 gradients, the mass and stiffness blocks, the cell loads (volume, Newton
 and correction loads), and the field values and gradients at points.
 To 1e-14 of the largest entry, because they are summed in another order:

@@ -32,6 +32,8 @@ class DiscreteProblem:
 
     @staticmethod
     def _at(field, method, x, y):
+        # error_norms hands x and y that only broadcast to the points
+        x, y = np.broadcast_arrays(x, y)
         out = getattr(field, method)(np.column_stack([x.ravel(), y.ravel()]))
         return out.reshape(x.shape + out.shape[1:])
 

@@ -323,29 +323,36 @@ class TestCoarseStateEvaluation:
     def test_one_level_evaluates_its_coarse_state_once(self, params, mms,
                                                        monkeypatch):
         """The Newton matrix and the correction load share one evaluation
-        of the coarse velocity at the fine quadrature points."""
-        coarse, _ = solve_coupled(level(2, 1, params, mms))
-        a = coarse.velocity
+        of the coarse velocity at the fine quadrature points. It locates
+        the points of one period of the two grids, p = n_f / gcd(n_c, n_f)
+        fine squares a side, and evaluates no point one by one: for a
+        nested pair and for one that does not nest."""
         calls = []
 
         def count(owner, name, is_coarse):
             orig = getattr(owner, name)
 
-            def counted(obj, *args, **kwargs):
+            def counted(obj, pts, *args, **kwargs):
                 if is_coarse(obj):
-                    calls.append(name)
-                return orig(obj, *args, **kwargs)
+                    calls.append((name, len(pts)))
+                return orig(obj, pts, *args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
+        a = None   # the coarse velocity of the pair at hand
         count(DiscreteField, "eval_many", lambda f: f is a)
         count(DiscreteField, "eval_grad_many", lambda f: f is a)
         count(TriMesh, "locate_many", lambda m: m is a.dofmap.mesh)
-        lv = level(4, 1, params, mms)
-        ns = NSStep(lv, a)
-        head = interpolate(mms.head, lv.spaces.head)
-        u_star, _, _ = ns.solve_newton(head)
-        ns.solve_correction(u_star, head)
-        assert sorted(calls) == ["eval_grad_many", "eval_many", "locate_many"]
+        for coarse_n, fine_n in ((2, 4), (4, 6)):
+            a = solve_coupled(level(coarse_n, 1, params, mms))[0].velocity
+            calls.clear()
+            lv = level(fine_n, 1, params, mms)
+            ns = NSStep(lv, a)
+            head = interpolate(mms.head, lv.spaces.head)
+            u_star, _, _ = ns.solve_newton(head)
+            ns.solve_correction(u_star, head)
+            p = fine_n // np.gcd(coarse_n, fine_n)
+            nq = len(forms.cell_rule(lv.spaces.velocity).weights)
+            assert calls == [("locate_many", p * p * 2 * nq)]
 
 
 @pytest.fixture

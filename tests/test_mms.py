@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import quadrature_reference as ref
+from test_quadrature_kernels import bitwise_equal
 
 from nsdarcy import ModelParams, manufactured_problem
 from nsdarcy.coupled import CoupledState, build_spaces
-from nsdarcy.fem import interpolate
+from nsdarcy.fem import DiscreteField, interpolate
+from nsdarcy.forms import assemble_volume_load, cell_rule
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import (REPORTED_KEYS, ErrorReport, InsufficientData,
                          error_norms, rate_table)
@@ -187,6 +190,82 @@ class TestErrorNorms:
         assert report.n == 2
         assert report.h == 0.5
         assert all(v >= 0 for v in report.errors.values())
+
+
+METHODS = ("velocity", "velocity_grad", "pressure", "head", "head_grad",
+           "f_fluid", "f_porous")
+
+
+def arrays(values):
+    """The arrays of a method's value, pair, or pair of pairs."""
+    if isinstance(values, np.ndarray):
+        return [values]
+    return [a for v in values for a in arrays(v)]
+
+
+class Recording:
+    """A ManufacturedProblem that keeps the coordinates of every call."""
+
+    def __init__(self, mms):
+        self.mms, self.calls = mms, []
+
+    def __getattr__(self, name):
+        def method(x, y):
+            self.calls.append((name, x, y))
+            return getattr(self.mms, name)(x, y)
+        return method
+
+
+class TestSeparableExactFields:
+    """error_norms and assemble_volume_load hand the manufactured fields x
+    (1, n, 2, nq) and y (n, 1, 2, nq) of the cell grid, not (nc, nq)
+    arrays. Their entries are bitwise those points' coordinates, each as
+    its caller rounds them, and every method gives bitwise the values of
+    the full arrays: the same ufunc on the same input rounds alike."""
+
+    @pytest.mark.parametrize("n", [3, 58, 256])
+    def test_bitwise_those_of_full_arrays(self, n, mms):
+        cm, done = build_coupled_mesh(n), set()
+        for order in (1, 2):
+            spaces = build_spaces(cm, order)
+            rec = Recording(mms)
+            error_norms([CoupledState(*(DiscreteField(
+                d, np.zeros(d.num_coefficients)) for d in spaces))], rec)
+            norms = len(rec.calls)
+            assemble_volume_load(spaces.velocity, rec.f_fluid)
+            assemble_volume_load(spaces.head, rec.f_porous)
+            assert [c[0] for c in rec.calls] == [
+                "velocity", "velocity_grad", "pressure", "head",
+                "head_grad", "f_fluid", "f_porous"]
+            for k, (name, x, y) in enumerate(rec.calls):
+                dofmap = spaces.head if name in ("head", "head_grad",
+                                                 "f_porous") \
+                    else spaces.velocity
+                mesh = dofmap.mesh
+                if k < norms:   # error_norms: vertices times barycentrics
+                    rule = cell_rule(dofmap, 8)
+                    verts = mesh.vertices[mesh.cells]
+                    full = [verts[:, :, d] @ rule.quad.points.T
+                            for d in range(2)]
+                else:           # the load: summed in order, per cell
+                    rule = cell_rule(dofmap)
+                    full = list(ref.points(rule).transpose(2, 0, 1))
+                nq = len(rule.weights)
+                assert x.shape == (1, n, 2, nq) and y.shape == (n, 1, 2, nq)
+                for sep, whole in zip((x, y), full):
+                    assert bitwise_equal(rule.on_cells(sep), whole), name
+                key = (mesh.subdomain, nq, k < norms)
+                if key in done:
+                    continue
+                done.add(key)
+                for method in METHODS:
+                    got = arrays(getattr(mms, method)(x, y))
+                    expect = arrays(getattr(mms, method)(*full))
+                    assert all(bitwise_equal(rule.on_cells(g), e)
+                               for g, e in zip(got, expect)), (
+                        f"{method} on separable coordinates differs from "
+                        f"full arrays: this NumPy {np.__version__} rounds "
+                        f"broadcast transcendentals another way")
 
 
 class TestInterpolantRates:

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsdarcy import forms
-from nsdarcy.coupled import CoupledState, build_spaces
+from nsdarcy.coupled import (CoupledState, build_level, build_spaces,
+                             solve_coupled)
 from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          DofMap, build_dofmap)
 from nsdarcy.forms import ConvectionMode, cell_rule, quad_state
@@ -64,7 +65,6 @@ def close_errors(report, expect, rtol=1e-14) -> bool:
 def assert_rule_kernels(rule):
     """Per-shape kernels, gathered by the shape index, against the oracle's
     per-cell values."""
-    assert bitwise_equal(rule.points(), ref.points(rule))
     assert bitwise_equal(rule.grads()[rule.shape], ref.grads(rule))
     assert bitwise_equal(rule.mass()[rule.shape], ref.mass(rule))
     assert bitwise_equal(rule.stiffness()[rule.shape], ref.stiffness(rule))
@@ -104,7 +104,9 @@ class TestCellRule:
     def test_kernels(self, mesh, family, degree, rng):
         rule = cell_rule(build_dofmap(mesh, FAMILIES[family]), degree)
         assert_rule_kernels(rule)
-        f = rng.standard_normal(rule.points().shape[:2])
+        points = np.stack([rule.on_cells(a) for a in rule.axes()], axis=-1)
+        assert bitwise_equal(points, ref.points(rule))
+        f = rng.standard_normal(points.shape[:2])
         assert bitwise_equal(forms._cell_load(rule, 0.7, [f, 2 * f]),
                              ref.cell_load(rule, 0.7, [f, 2 * f]))
 
@@ -114,12 +116,9 @@ class TestFieldEvaluation:
     def test_values_and_gradients(self, mesh, family, rng):
         field = random_field(build_dofmap(mesh, FAMILIES[family]), rng)
         pts = np.array(ORIGIN[mesh.subdomain]) + rng.uniform(0, 1, (200, 2))
-        located = mesh.locate_many(pts)
-        for kw in ({}, {"located": located}):
-            assert bitwise_equal(field.eval_many(pts, **kw),
-                                 ref.eval_many(field, pts))
-            assert bitwise_equal(field.eval_grad_many(pts, **kw),
-                                 ref.eval_grad_many(field, pts))
+        assert bitwise_equal(field.eval_many(pts), ref.eval_many(field, pts))
+        assert bitwise_equal(field.eval_grad_many(pts),
+                             ref.eval_grad_many(field, pts))
 
 
 class TestForms:
@@ -159,6 +158,67 @@ class TestForms:
             forms.assemble_correction_load(quad_state(a, cell_rule(dv)), s,
                                            params),
             ref.assemble_correction_load(dv, a, s, params))
+
+
+@pytest.fixture(scope="module")
+def coarse_states(params, mms):
+    """Coupled solutions, by (n, order): the states that fine levels are
+    linearized about."""
+    cache = {}
+
+    def state(n, order):
+        if (n, order) not in cache:
+            cache[n, order] = solve_coupled(build_level(
+                build_coupled_mesh(n), order, params, mms))[0].velocity
+        return cache[n, order]
+    return state
+
+
+class TestPeriodTables:
+    """A coarse state at the fine points from one period's tables, against
+    locating and evaluating every point (eval_many, eval_grad_many): the
+    same cells, values within 1e-14 of the largest one. A gradient sums
+    terms c_l grad(basis_l) of up to about n_c max|c|, whose rounding does
+    not cancel, and its tables' barycentrics differ from those of the
+    points of later periods in the last bits: gradients agree to 1e-14 of
+    that size."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("coarse_n, fine_n",
+                             [(4, 16), (16, 128), (2, 3), (3, 4), (16, 58)])
+    def test_against_point_evaluation(self, coarse_states, coarse_n, fine_n,
+                                      order):
+        a = coarse_states(coarse_n, order)
+        rule = cell_rule(build_spaces(build_coupled_mesh(fine_n),
+                                      order).velocity)
+        pts = ref.points(rule).reshape(-1, 2)
+        state = quad_state(a, rule)
+        at, _, _ = forms._period_tables(a, rule)
+        assert np.array_equal(at.ravel(), a.dofmap.mesh.locate_many(pts)[0])
+        vals, grads = a.eval_many(pts), a.eval_grad_many(pts)
+        assert np.abs(state.vals.reshape(vals.shape) - vals).max() \
+            <= 1e-14 * np.abs(vals).max()
+        assert np.abs(state.grads.reshape(grads.shape) - grads).max() \
+            <= 1e-14 * coarse_n * np.abs(a.coefficients).max()
+
+    @pytest.mark.parametrize("coarse_n, fine_n", [(3, 4), (6, 8)])
+    def test_ties_on_coarse_edges(self, coarse_states, coarse_n, fine_n):
+        """Mini's rule has the centroid, and (2 + 2/3) / 4 = 2/3: points
+        that lie on coarse gridlines and diagonals. Each goes to the lower
+        cell id in every period, as locate_many sends it, and its
+        one-sided gradient is that cell's; (6, 8) repeats (3, 4) twice."""
+        a = coarse_states(coarse_n, 1)
+        rule = cell_rule(build_spaces(build_coupled_mesh(fine_n),
+                                      1).velocity)
+        pts = ref.points(rule).reshape(-1, 2)
+        cells, bary = a.dofmap.mesh.locate_many(pts)
+        ties = (bary < 1e-12).any(axis=1)
+        assert ties.sum() >= 20 * (fine_n // 4) ** 2
+        at, _, _ = forms._period_tables(a, rule)
+        assert np.array_equal(at.ravel(), cells)
+        grads = a.eval_grad_many(pts[ties])
+        got = quad_state(a, rule).grads.reshape(-1, 2, 2)[ties]
+        assert np.abs(got - grads).max() <= 1e-14 * np.abs(grads).max()
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -6,9 +6,10 @@
 `write` runs each CONFIG, given as ALGORITHM:ORDER:SOLVER:SCHEDULE (such
 as `A:1:direct:pairs:2:4:16`), through `nsdarcy.cli.run_experiment` with
 the default tolerances, importing `nsdarcy` from SRC (default: the `src`
-next to this tool). Without CONFIG it runs all 40 combinations of the
+next to this tool). Without CONFIG it runs all 60 combinations of the
 algorithms coupled and A-D, orders 1 and 2, both solvers and the schedules
-`square:n0=4,levels=1` and `pairs:2:4:16`. For each configuration it
+`square:n0=4,levels=1`, `pairs:2:4:16` and `pairs:2:3:4`; the last one
+does not nest, so its fine points fall anywhere in the coarse cells. For each configuration it
 records every unrounded error and rate as `float.hex`, and one SHA-256 over
 the `indptr`, `indices` and `data` of every matrix handed to SuperLU, with
 the number of those matrices.
@@ -33,7 +34,7 @@ import os
 import sys
 import tempfile
 
-SCHEDULES = ("square:n0=4,levels=1", "pairs:2:4:16")
+SCHEDULES = ("square:n0=4,levels=1", "pairs:2:4:16", "pairs:2:3:4")
 CONFIGS = tuple(f"{alg}:{order}:{solver}:{schedule}" for alg, order, solver,
                 schedule in itertools.product(("coupled", "A", "B", "C", "D"),
                                               (1, 2), ("direct", "iterative"),
