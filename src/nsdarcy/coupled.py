@@ -35,8 +35,8 @@ from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
                   build_dofmap, cell_bubbles, dirichlet_trace, grid_points)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, DimensionMismatch,
-                     LinearSolver, constrain_dirichlet, gmres, ichol,
-                     true_residual)
+                     LinearSolver, constrain_dirichlet, entry_rows, gmres,
+                     ichol, true_residual)
 
 PICARD_MAXIT = 50   # iterations before solve_coupled gives up
 
@@ -46,10 +46,6 @@ class CoupledState:
     velocity: DiscreteField
     pressure: DiscreteField
     head: DiscreteField
-
-    @property
-    def n(self) -> int:
-        return self.velocity.dofmap.mesh.n
 
 
 @dataclass
@@ -136,7 +132,7 @@ class System:
     "pressure", "head"). The level's outer Dirichlet trace is eliminated
     from K once and the lift -K x0 kept, so every right side is pinned
     without the unconstrained K. `refill` adds a matrix that changes, such
-    as Picard's convection operator, on a pattern fixed at its first call."""
+    as Picard's convection operator, on K's own pattern."""
 
     def __init__(self, level: Level, fields: tuple, K):
         self.level = level
@@ -156,50 +152,34 @@ class System:
 
     def refill(self, N: sp.csr_matrix) -> None:
         """K and the lift become those of the given K plus N, N being its
-        top-left block, eliminated together. The first call fixes K's
-        pattern: the eliminated K's entries and N's off the Dirichlet rows
-        and columns. Each call then adds N's data to the eliminated K's
-        through a map of slots, one more slot taking the entries that
-        elimination drops, and takes N x0 from the lift. Every N must have
-        the first one's pattern."""
+        top-left block, eliminated together. N's entries off the Dirichlet
+        rows and columns are added to the eliminated K's at fixed positions:
+        they lead their rows of K, as the given K's top-left block has N's
+        pattern, which the first call checks. N x0 is taken from the lift.
+        Every N must have the first one's pattern."""
         if self._static is None:
-            self._fix_pattern(N)
-        static, slots, x0, lift0 = self._static
-        if N.nnz != len(slots):
+            K, fixed = self.K, np.zeros(self.K.shape[0], dtype=bool)
+            fixed[self.dofs] = True
+            rows = entry_rows(N)
+            kept = ~(fixed[rows] | fixed[N.indices])
+            at = (K.indptr[rows] - N.indptr[rows]
+                  + np.arange(N.nnz, dtype=K.indptr.dtype))[kept]
+            if not np.array_equal(K.indices[at], N.indices[kept]):
+                raise DimensionMismatch("N's pattern does not lead K's rows")
+            x0 = np.zeros(K.shape[0])
+            x0[self.dofs] = self.values
+            self._static = K.data, kept, at, x0, self.lift.copy()
+        static, kept, at, x0, lift0 = self._static
+        if N.nnz != len(kept):
             raise DimensionMismatch(f"N has {N.nnz} entries, the pattern "
-                                    f"{len(slots)}")
-        data = np.bincount(slots, N.data, minlength=len(static) + 1)[:-1]
-        data += static
+                                    f"{len(kept)}")
+        data = static.copy()
+        data[at] += N.data[kept]
         self.K = sp.csr_matrix((data, self.K.indices, self.K.indptr),
                                shape=self.K.shape)
         m = N.shape[0]
         self.lift[:m] = lift0[:m] - N @ x0[:m]
         self.lift[self.dofs] = self.values
-
-    def _fix_pattern(self, N: sp.csr_matrix) -> None:
-        K, n = self.K, self.K.shape[0]
-        fixed = np.zeros(n, dtype=bool)
-        fixed[self.dofs] = True
-        rows = np.repeat(np.arange(N.shape[0]), np.diff(N.indptr))
-        kept = ~(fixed[rows] | fixed[N.indices])
-        ones = sp.csr_matrix((kept.astype(float), N.indices, N.indptr),
-                             shape=N.shape)
-        ones.resize(K.shape)
-        union = sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr),
-                              shape=K.shape) + ones
-
-        def keys(A):   # row * n + column ascends through a canonical CSR
-            return np.repeat(np.arange(A.shape[0], dtype=np.int64) * n,
-                             np.diff(A.indptr)) + A.indices
-        at = keys(union)
-        static = np.zeros(union.nnz)
-        static[np.searchsorted(at, keys(K))] = K.data
-        slots = np.where(kept, np.searchsorted(at, keys(N)), union.nnz)
-        x0 = np.zeros(n)
-        x0[self.dofs] = self.values
-        self._static = static, slots.astype(np.int32), x0, self.lift.copy()
-        self.K = sp.csr_matrix((static.copy(), union.indices, union.indptr),
-                               shape=K.shape)
 
     def rhs(self, *loads) -> np.ndarray:
         """constrain_rhs(K, b, ...) of the block loads b, one per field

@@ -39,6 +39,7 @@ import scipy.sparse as sp
 from .fem import (DiscreteField, DofMap, QuadratureRule, basis_at, edge_bary,
                   quad_rule_edge, quad_rule_tri, ref_basis_many, sum_in_order)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
+from .sparse import entry_rows
 
 EDGE_QUAD_POINTS = 5
 
@@ -203,8 +204,7 @@ def cell_pattern(rows: DofMap, cols: DofMap | None = None) -> CellPattern:
     P = (incidence(rows).T @ incidence(cols)).tocsr()
     P.sort_indices()
     # row * n + column ascends through a canonical pattern
-    keys = np.repeat(np.arange(rows.ndof, dtype=np.int64) * n,
-                     np.diff(P.indptr)) + P.indices
+    keys = entry_rows(P) * n + P.indices
     positions = np.empty(rd.shape + cd.shape[1:], dtype=np.int32)
     for i in range(rd.shape[1]):
         positions[:, i] = np.searchsorted(keys, rd[:, i, None] * n + cd)
@@ -277,21 +277,22 @@ def _cell_load(rule: CellRule, weight: float, fields) -> np.ndarray:
 
 def _symmetric_form(pattern: CellPattern, *data) -> sp.csr_matrix:
     """The block-diagonal matrix of the symmetric parts (D + D^T) / 2 of
-    the data arrays D of a square pattern: exactly symmetric, and without
-    its exact zeros, such as the diagonal-edge entries of right-angled P1
-    cells."""
+    the data arrays D of a square pattern: exactly symmetric, on the whole
+    pattern, exact zeros included."""
     transpose = np.empty(len(pattern.indices), dtype=np.int32)
     transpose[pattern.positions] = pattern.positions.swapaxes(1, 2)
-    A = pattern.matrix(*(0.5 * (d + d[transpose]) for d in data))
-    A.eliminate_zeros()
-    return A
+    return pattern.matrix(*(0.5 * (d + d[transpose]) for d in data))
 
 
 def assemble_ap(dofmap_phi: DofMap, params: ModelParams) -> sp.csr_matrix:
-    """Darcy stiffness (rho g / n) K (grad phi_j, grad phi_i); symmetric."""
+    """Darcy stiffness (rho g / n) K (grad phi_j, grad phi_i); symmetric,
+    without its exact zeros, such as the diagonal-edge entries of
+    right-angled P1 cells."""
     rule, pattern = cell_rule(dofmap_phi), cell_pattern(dofmap_phi)
     loc = params.darcy_coefficient * rule.stiffness()
-    return _symmetric_form(pattern, pattern.data(loc[rule.shape]))
+    A = _symmetric_form(pattern, pattern.data(loc[rule.shape]))
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_af(dofmap_v: DofMap, params: ModelParams,
@@ -299,7 +300,8 @@ def assemble_af(dofmap_v: DofMap, params: ModelParams,
     """Viscous block nu (grad u, grad v) plus the slip penalty on the
     interface, nu alpha/sqrt(nu K) (u.tau)(v.tau); block-diagonal over the
     two velocity components, tangential term on component 0 only, on the
-    velocity's cell pattern (built here unless given); symmetric."""
+    whole of the velocity's cell pattern (built here unless given), which
+    PLAIN convection shares; symmetric."""
     rule = cell_rule(dofmap_v)
     pattern = pattern or cell_pattern(dofmap_v)
     loc = (params.nu * rule.stiffness())[rule.shape]
@@ -312,7 +314,8 @@ def assemble_af(dofmap_v: DofMap, params: ModelParams,
 
 
 def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
-    """Divergence constraint, entry (q_i, v_j) = -(q_i, d v_j / d x_d)."""
+    """Divergence constraint, entry (q_i, v_j) = -(q_i, d v_j / d x_d),
+    without its exact zeros."""
     rule = cell_rule(dofmap_v)
     qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
     # loc[s, i, j, d] per shape for pressure i, velocity j, component d
@@ -320,8 +323,10 @@ def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
     loc = -sum_in_order((wd[:, None] * qvals[:, q])[:, :, None, None]
                         * g[:, None, :, q] for q, wd in enumerate(rule.wdet))
     pattern = cell_pattern(dofmap_q, dofmap_v)
-    return sp.hstack([pattern.matrix(pattern.data(loc[rule.shape, ..., d]))
-                      for d in range(2)], format="csr")
+    B = sp.hstack([pattern.matrix(pattern.data(loc[rule.shape, ..., d]))
+                   for d in range(2)], format="csr")
+    B.eliminate_zeros()
+    return B
 
 
 def assemble_mass(dofmap: DofMap, degree: int | None = None) -> sp.csr_matrix:
@@ -461,7 +466,8 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
                                 dofmap_phi: DofMap, params: ModelParams):
     """Skew coupling pair: C_vphi with entries rho g (phi_j, v_i . n_f)_Gamma
     and C_phiu = -C_vphi^T (entrywise, so the quadratic form cancels
-    exactly). With n_f = (0, -1) only vertical velocity dofs appear."""
+    exactly), without exact zeros. With n_f = (0, -1) only vertical
+    velocity dofs appear."""
     ef, ep = coupled_mesh.interface_pairs.T
     fluid = edge_rule(dofmap_v, ef)
     # the porous edges run the other way: take their parameter from x
@@ -477,33 +483,38 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
         dofmap_phi.cell_dofs[head.cells, None, :])
     C_vphi = sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
                            shape=(2 * dofmap_v.ndof, dofmap_phi.ndof)).tocsr()
+    C_vphi.eliminate_zeros()
     C_phiu = (-C_vphi.T).tocsr()
     return C_vphi, C_phiu
+
+
+def _interface_load(dofmap: DofMap, source: DiscreteField,
+                    params: ModelParams, value, offset: int = 0) -> np.ndarray:
+    """Entries rho g (value(source), basis_i)_Gamma on the interface edges
+    of dofmap's mesh, at offset plus each dof of a vector of offset + ndof
+    entries; the source, on any mesh, is evaluated at the edge points."""
+    edges = edge_rule(dofmap, _interface_edges(dofmap.mesh))
+    f = value(source.eval_many(edges.points.reshape(-1, 2))) \
+        .reshape(edges.points.shape[:2])
+    le = (params.rho * params.gravity * edges.length)[:, None] \
+        * np.einsum("q,eiq,eq->ei", edges.weights, edges.vals, f)
+    return _load(offset + dofmap.ndof, dofmap.cell_dofs[edges.cells] + offset,
+                 le)
 
 
 def assemble_interface_load_darcy(dofmap_phi: DofMap,
                                   velocity_source: DiscreteField,
                                   params: ModelParams) -> np.ndarray:
-    """Entries rho g (psi_i, u_src . n_f)_Gamma; the source velocity lives on
-    a fluid mesh (any level) and is evaluated at the edge quadrature points."""
-    edges = edge_rule(dofmap_phi, _interface_edges(dofmap_phi.mesh))
-    u = velocity_source.eval_many(edges.points.reshape(-1, 2))
-    flux = -u[:, 1].reshape(edges.points.shape[:2])  # u . n_f
-    le = (params.rho * params.gravity * edges.length)[:, None] \
-        * np.einsum("q,eiq,eq->ei", edges.weights, edges.vals, flux)
-    return _load(dofmap_phi.ndof, dofmap_phi.cell_dofs[edges.cells], le)
+    """Entries rho g (psi_i, u_src . n_f)_Gamma, u_src on any fluid mesh."""
+    return _interface_load(dofmap_phi, velocity_source, params,
+                           lambda u: -u[:, 1])   # u . n_f
 
 
 def assemble_interface_load_ns(dofmap_v: DofMap, head_source: DiscreteField,
                                params: ModelParams) -> np.ndarray:
     """Entries -rho g (phi_src, v_i . n_f)_Gamma = +rho g (phi_src, v_iy)."""
-    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
-    phi = head_source.eval_many(edges.points.reshape(-1, 2)) \
-        .reshape(edges.points.shape[:2])
-    le = (params.rho * params.gravity * edges.length)[:, None] \
-        * np.einsum("q,eiq,eq->ei", edges.weights, edges.vals, phi)
-    nd = dofmap_v.ndof
-    return _load(2 * nd, dofmap_v.cell_dofs[edges.cells] + nd, le)
+    return _interface_load(dofmap_v, head_source, params, lambda phi: phi,
+                           dofmap_v.ndof)
 
 
 def assemble_volume_load(dofmap: DofMap, f, weight: float = 1.0,

@@ -89,10 +89,6 @@ class ErrorReport:
     n: int
     errors: dict = field(default_factory=dict)
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
     def get(self, var: str, norm: str) -> float:
         return self.errors[(var, norm)]
 
@@ -169,9 +165,6 @@ def error_norms(states, mms: ManufacturedProblem,
 @dataclass
 class ConvergenceTable:
     rates: dict  # (var, norm) -> list aligned with reports; first entry None
-
-    def rate(self, var: str, norm: str, i: int):
-        return self.rates[(var, norm)][i]
 
 
 def rate_table(reports: list) -> ConvergenceTable:

@@ -44,9 +44,11 @@ class Singular(Exception):
 
 
 def as_csr(A) -> sp.csr_matrix:
+    """A as canonical CSR, without sorting A itself in place."""
     A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    A.sort_indices()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     return A
 
 
@@ -384,11 +386,16 @@ def nested_dissection(g: np.ndarray, first: np.ndarray,
     return np.concatenate(out)
 
 
+def entry_rows(A: sp.csr_matrix) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
 def decoupled_rows(A: sp.csr_matrix) -> np.ndarray:
     """Boolean mask of the rows with no nonzero off the diagonal, such as
     the identity rows Dirichlet elimination leaves: eliminated first, they
     cause no fill."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    rows = entry_rows(A)
     off = (A.indices != rows) & (A.data != 0)
     return np.bincount(rows[off], minlength=A.shape[0]) == 0
 
@@ -470,7 +477,7 @@ class DirectFactor:
         A_I = A[iidx]
         self._lidx, self._Dinv = lidx, Dinv
         self._A_IL, self._A_LI = A_I[:, lidx], A_L[:, iidx]
-        for M in (self._A_IL, self._A_LI):   # drop a refilled K's zeros
+        for M in (self._A_IL, self._A_LI):   # drop K's stored zeros
             M.eliminate_zeros()
         return as_csr(A_I[:, iidx] - self._A_IL @ (Dinv_sp @ self._A_LI))
 
@@ -544,15 +551,21 @@ class LinearSolver:
 
 
 def constrain_matrix(A, dofs: np.ndarray) -> sp.csr_matrix:
-    """Zero the constrained rows and columns, unit diagonal there."""
+    """Zero the constrained rows and columns of a square A, unit diagonal
+    there: new data on A's own canonical pattern, whose stored zeros stay.
+    Every constrained diagonal must be in that pattern."""
     A = as_csr(A)
-    n = A.shape[0]
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    D = sp.diags(keep)
-    fixed = np.zeros(n)
-    fixed[dofs] = 1.0
-    return as_csr(D @ A @ D + sp.diags(fixed))
+    fixed = np.zeros(A.shape[0], dtype=bool)
+    fixed[dofs] = True
+    rows = entry_rows(A)
+    data = np.where(fixed[rows] | fixed[A.indices], 0.0, A.data)
+    diagonal = fixed[rows] & (A.indices == rows)
+    if np.count_nonzero(diagonal) != np.count_nonzero(fixed):
+        raise DimensionMismatch("a constrained diagonal is not stored")
+    data[diagonal] = 1.0
+    # its own index arrays, so that A can be freed whole
+    return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
+                         shape=A.shape)
 
 
 def constrain_rhs(A, b: np.ndarray, dofs: np.ndarray,

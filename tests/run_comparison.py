@@ -18,9 +18,10 @@ def compare_runs(run, reference: list, mms, quad_degree: int = 8) -> list:
                            f"{len(reference)} reference states")
     out = []
     for lv, ref in zip(run.levels, reference):
-        if ref.n != lv.n:
+        ref_n = ref.velocity.dofmap.mesh.n
+        if ref_n != lv.n:
             raise MeshMismatch(f"level {lv.level}: n={lv.n} vs "
-                               f"reference n={ref.n}")
+                               f"reference n={ref_n}")
         if ref.velocity.dofmap.family.tag != lv.final.velocity.dofmap.family.tag:
             raise MeshMismatch(f"level {lv.level}: element families differ")
         e_run = error_norms([lv.final], mms, quad_degree)[0]

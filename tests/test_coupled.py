@@ -162,7 +162,7 @@ class TestDiscreteSolution:
         lv = level(4, 2, params, mms)
         state, _ = solve_coupled(lv)
         dv, dq, dphi = lv.spaces
-        assert state.n == 4
+        assert state.velocity.dofmap.mesh.n == 4
         assert state.velocity.coefficients.shape == (2 * dv.ndof,)
         assert state.pressure.coefficients.shape == (dq.ndof,)
         assert state.head.coefficients.shape == (dphi.ndof,)
@@ -249,6 +249,8 @@ class TestFixedPattern:
                 forms.quad_state(random_velocity(dv, rng), rule, grads=False),
                 forms.ConvectionMode.PLAIN, params)
             system.refill(N1)
+            assert np.array_equal(system.K.indptr, K0.indptr)
+            assert np.array_equal(system.K.indices, K0.indices)
             N1.resize(K0.shape)
             ref, ref_lift = constrain_dirichlet(K0 + N1,
                                                 np.zeros(K0.shape[0]),
@@ -283,6 +285,10 @@ class TestFixedPattern:
         newton, _ = forms.assemble_convection(
             state, forms.ConvectionMode.NEWTON, params)
         system.refill(plain)
+        with pytest.raises(DimensionMismatch):
+            system.refill(newton)
+        # a first N whose rows do not lead K's
+        system = System(lv, SITES["picard"], stacked(lv, params))
         with pytest.raises(DimensionMismatch):
             system.refill(newton)
 
@@ -382,9 +388,22 @@ class TestSystem:
         dofs, values = site_trace(site, lv)
         assert np.array_equal(system.dofs, dofs)
         assert np.array_equal(system.values, values)
-        ref = constrain_matrix(K, dofs)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(system.K, attr), getattr(ref, attr))
+
+    def test_k_is_the_stacked_k_eliminated(self, site, order, params, mms):
+        """K keeps the stacked K's pattern, and densely it is the stacked K
+        with the Dirichlet rows and columns zeroed and 1 on their
+        diagonals."""
+        lv = level(4, order, params, mms)
+        K = site_matrix(site, lv, params, mms)
+        system = System(lv, SITES[site], K)
+        dofs, _ = site_trace(site, lv)
+        assert np.array_equal(system.K.indptr, K.indptr)
+        assert np.array_equal(system.K.indices, K.indices)
+        oracle = K.toarray()
+        oracle[dofs] = 0.0
+        oracle[:, dofs] = 0.0
+        oracle[dofs, dofs] = 1.0
+        assert np.array_equal(system.K.toarray(), oracle)
 
     def test_rhs_equals_constrain_rhs(self, site, order, params, mms, rng):
         """Pinned from the stored lift, with None for a zero block, the

@@ -380,6 +380,7 @@ class TestEdgeRule:
                                                            params)
         assert np.array_equal(C_vphi.toarray(), oracle)
         assert np.array_equal(C_phiu.toarray(), -oracle.T)
+        assert C_vphi.data.all() and C_phiu.data.all()   # no stored zero
 
 
 class TestInterfaceLoads:

@@ -15,7 +15,7 @@ from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
                             Preconditioner, Singular, constrain_dirichlet,
-                            gmres, ichol, nested_dissection, pcg,
+                            constrain_matrix, gmres, ichol, nested_dissection, pcg,
                             true_residual)
 
 
@@ -431,6 +431,39 @@ class TestLinearSolver:
         A = sp.eye(3, format="csr")
         assert true_residual(A, np.zeros(3), np.zeros(3)) == 0.0
         assert true_residual(A, np.zeros(3), np.ones(3)) == np.sqrt(3.0)
+
+
+class TestConstrainMatrix:
+    def test_rows_and_columns_zeroed_on_the_own_pattern(self, rng):
+        """Against the dense rule: zeroed rows and columns, unit diagonal.
+        The pattern is A's canonical one, its stored zeros included, and A,
+        whose indices are not sorted, is left as it was."""
+        A = random_spd(30, rng)
+        A.data[::7] = 0.0
+        assert not A.has_sorted_indices
+        before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        dofs = np.array([0, 4, 17, 29])
+        K = constrain_matrix(A, dofs)
+        for was, now in zip(before, (A.data, A.indices, A.indptr)):
+            assert np.array_equal(was, now)
+        canonical = A.copy()
+        canonical.sum_duplicates()
+        assert np.array_equal(K.indptr, canonical.indptr)
+        assert np.array_equal(K.indices, canonical.indices)
+        oracle = A.toarray()
+        oracle[dofs] = 0.0
+        oracle[:, dofs] = 0.0
+        oracle[dofs, dofs] = 1.0
+        assert np.array_equal(K.toarray(), oracle)
+
+    def test_a_missing_constrained_diagonal_raises(self):
+        A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                    [1.0, 0.0, 1.0],
+                                    [0.0, 1.0, 2.0]]))
+        assert A.nnz == 6   # the middle diagonal is not stored
+        with pytest.raises(DimensionMismatch):
+            constrain_matrix(A, np.array([1]))
+        assert constrain_matrix(A, np.array([0, 2])).nnz == 6
 
 
 def local_group_system(rng, n=40, groups=8, k=2):

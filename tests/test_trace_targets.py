@@ -47,7 +47,10 @@ def test_a_missing_target_is_reported(monkeypatch):
 def test_a_traced_study_runs(tmp_path):
     """The hooks read package internals (a factor's `_lu` and `shape`, a
     report's `iterations`), which only a traced run exercises: one small
-    study of A runs the benchmark's study script under the tracer."""
+    study of A runs the benchmark's study script under the tracer. Its
+    three systems (Picard, Darcy, NS) each record the Dirichlet
+    elimination: constrain_dirichlet and, within it, constrain_matrix and
+    constrain_rhs."""
     config = {"algorithm": "A", "order": 1, "schedule": "pairs:2:4",
               "solver": "direct"}
     proc = subprocess.run(
@@ -60,3 +63,6 @@ def test_a_traced_study_runs(tmp_path):
     assert trace["span_problems"] == []
     assert trace["counts"]["sparse.factor_calls"] == 3
     assert trace["true_relres_max"] < 1e-8
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    assert sum(s["name"] == "sparse.constrain" for s in spans) == 9
+    assert trace["incl_s"]["sparse.constrain"] > 0
