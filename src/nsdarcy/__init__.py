@@ -8,7 +8,7 @@ from .coupled import (CoupledState, Level, PicardDiverged, SolveOptions,
                       build_level, solve_coupled)
 from .decoupled import AlgorithmId, MultilevelRun, run_multilevel
 from .forms import ModelParams
-from .mesh import MeshSchedule, ScheduleKind, build_coupled_mesh, make_schedule
+from .mesh import build_coupled_mesh
 from .mms import ErrorReport, error_norms, manufactured_problem, rate_table
 
 __all__ = [
@@ -17,16 +17,13 @@ __all__ = [
     "CoupledState",
     "ErrorReport",
     "Level",
-    "MeshSchedule",
     "ModelParams",
     "MultilevelRun",
     "PicardDiverged",
-    "ScheduleKind",
     "SolveOptions",
     "build_coupled_mesh",
     "build_level",
     "error_norms",
-    "make_schedule",
     "manufactured_problem",
     "rate_table",
     "run_multilevel",

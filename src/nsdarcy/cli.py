@@ -25,14 +25,13 @@ import subprocess
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .coupled import FAMILIES, SolveOptions, build_level, solve_coupled
-from .decoupled import run_multilevel
+from .decoupled import LevelSolution, run_multilevel
 from .fem import dof_count
 from .forms import ModelParams
-from .mesh import MeshSchedule, ScheduleKind, ScheduleOverflow, make_schedule
 from .mms import (REPORTED_KEYS, error_norms, manufactured_problem,
                   rate_table)
 
@@ -52,6 +51,7 @@ class KeyMismatch(Exception):
 ALGORITHMS = ("coupled", "A", "B", "C", "D")
 SOLVERS = ("direct", "iterative")
 CSV_HEADER = "level,h,variable,norm,error,rate"
+MAX_SUBDIVISIONS = 1024   # finer schedules are refused before any mesh
 _SOLVE_DEFAULTS = SolveOptions()
 
 
@@ -68,27 +68,60 @@ class ExperimentConfig:
     dry_run: bool = False
 
 
-def parse_schedule_spec(spec: str) -> list[MeshSchedule]:
-    """"square:n0=2,levels=3", "cube_then_square:n0=2,levels=2", or
-    "pairs:2:6,3:16,4:32" (colon-separated subdivisions, commas between
-    schedules)."""
+def parse_schedule_spec(spec: str) -> list[tuple[int, ...]]:
+    """The schedules of a spec, each a tuple of subdivisions:
+    "square:n0=2,levels=3" squares n0 at every level,
+    "cube_then_square:n0=2,levels=2" cubes it once and then squares, and
+    "pairs:2:6,3:16,4:32" lists them (colon-separated subdivisions, commas
+    between schedules). Each must increase strictly from at least 2 and
+    stay within MAX_SUBDIVISIONS."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     try:
         if kind == "pairs":
-            pairs = []
-            for tok in rest.split(","):
-                pairs.append(tuple(int(v) for v in tok.split(":")))
-            return make_schedule(ScheduleKind.PAIR_LIST, pairs=pairs)
-        kw = {}
-        for tok in rest.split(","):
-            if tok.strip():
-                k, _, v = tok.partition("=")
-                kw[k.strip()] = int(v)
-        return make_schedule(kind, n0=kw.pop("n0"), levels=kw.pop("levels"),
-                             **kw)
-    except (KeyError, TypeError, ValueError, ScheduleOverflow) as exc:
+            schedules = [tuple(int(v) for v in tok.split(":"))
+                         for tok in rest.split(",")]
+        elif kind in ("square", "cube_then_square"):
+            kw = {k.strip(): int(v) for k, _, v in (
+                tok.partition("=") for tok in rest.split(",") if tok.strip())}
+            if kw.keys() != {"n0", "levels"}:
+                raise ValueError(f"need keys n0 and levels, got {sorted(kw)}")
+            if kw["n0"] < 2 or kw["levels"] < 1:
+                raise ValueError("need base subdivision n0 >= 2 and "
+                                 "levels >= 1")
+            subs = [kw["n0"]]
+            # stop at the first entry over the cap, which the check below
+            # rejects; going on would square up to n0 ** (2 ** levels)
+            while len(subs) <= kw["levels"] and subs[-1] <= MAX_SUBDIVISIONS:
+                subs.append(subs[-1] ** (3 if kind == "cube_then_square"
+                                         and len(subs) == 1 else 2))
+            schedules = [tuple(subs)]
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        for subs in schedules:
+            if any(n < 2 for n in subs):
+                raise ValueError(f"subdivisions must all be >= 2, got {subs}")
+            if any(b <= a for a, b in zip(subs, subs[1:])):
+                raise ValueError(f"subdivisions must be strictly increasing, "
+                                 f"got {subs}")
+        over = [n for subs in schedules for n in subs if n > MAX_SUBDIVISIONS]
+        if over:
+            raise ValueError(f"subdivision {over[0]} exceeds cap "
+                             f"{MAX_SUBDIVISIONS}")
+    except ValueError as exc:
         raise ValidationError(f"schedule: bad spec {spec!r} ({exc})") from exc
+    return schedules
+
+
+def _schedules(config: ExperimentConfig) -> list[tuple[int, ...]]:
+    """The config's schedules; a multilevel algorithm needs a coarse and a
+    fine level in each."""
+    schedules = parse_schedule_spec(config.schedule)
+    if config.algorithm != "coupled" and min(map(len, schedules)) < 2:
+        raise ValidationError(f"schedule: algorithm {config.algorithm} needs "
+                              f"two or more levels per schedule, got "
+                              f"{config.schedule!r}")
+    return schedules
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True,
@@ -103,11 +136,9 @@ def _parse_bool(value) -> bool:
                          f"got {value!r}") from None
 
 
-_CONFIG_KEYS = {
-    "algorithm": str, "order": int, "schedule": str, "solver": str,
-    "picard_tol": float, "linear_tol": float, "ichol_droptol": float,
-    "out": str, "dry_run": _parse_bool,
-}
+# each key parses as the type of its default
+_CONFIG_KEYS = {f.name: _parse_bool if isinstance(f.default, bool)
+                else type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str | None = None,
@@ -148,7 +179,7 @@ def parse_config(path: str | None = None,
         raise ValidationError(f"solver: {cfg.solver!r} not in {SOLVERS}")
     for name in ("picard_tol", "linear_tol", "ichol_droptol"):
         _check_tolerance(name, getattr(cfg, name))
-    parse_schedule_spec(cfg.schedule)  # validates, result rebuilt at run time
+    _schedules(cfg)  # validates, result rebuilt at run time
     return cfg
 
 
@@ -201,11 +232,8 @@ class TableArtifact:
             fh.write("\n".join(self.body_lines()) + "\n")
 
     def text_table(self) -> str:
-        cols = ["level", "h", "variable", "norm", "error", "rate"]
-        cells = [cols] + [[str(r.level), r.h, r.variable, r.norm,
-                           format_error(r.error), format_rate(r.rate)]
-                          for r in self.rows]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(cols))]
+        cells = [line.split(",") for line in self.body_lines()]
+        widths = [max(map(len, col)) for col in zip(*cells)]
         lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
                  for row in cells]
         lines.insert(1, "  ".join("-" * w for w in widths))
@@ -277,66 +305,61 @@ def _revision() -> str:
 
 
 def _rows_for_stage(reports: list, suffix: str = "") -> list:
-    """Rows (with observed rates when two or more levels exist) for an
-    ordered list of (level, ErrorReport)."""
-    rows = []
+    """Rows for an ordered list of (level, ErrorReport), with observed rates
+    when the stage has two or more levels, all on distinct meshes."""
     reps = [r for _, r in reports]
-    table = rate_table(reps) if len(reps) >= 2 else None
+    distinct = len({r.n for r in reps}) == len(reps)
+    rates = rate_table(reps) if distinct and len(reps) >= 2 else None
+    rows = []
     for idx, (level, rep) in enumerate(reports):
         for var, norm in REPORTED_KEYS:
-            rate = table.rates[(var, norm)][idx] if table else None
             rows.append(Row(level=level, h=f"1/{rep.n}",
                             variable=var + suffix, norm=norm,
-                            error=rep.errors[(var, norm)], rate=rate))
+                            error=rep.errors[(var, norm)],
+                            rate=rates[(var, norm)][idx] if rates else None))
     return rows
 
 
 def run_experiment(config: ExperimentConfig) -> TableArtifact:
     """Executes the configured study and writes CSV/text/plot files.
 
-    Coupled baseline: a solve per subdivision of the schedule (for pair
-    schedules, per fine mesh). Multilevel algorithms: one run per schedule;
-    pair schedules contribute their finest level as consecutive rows.
+    Every schedule yields its levels: the coupled baseline a solve per
+    subdivision, a multilevel algorithm one run. With several schedules
+    (pair mode) each contributes its finest level, as consecutive rows.
     """
     params = ModelParams()
     mms = manufactured_problem(params)
-    schedules = parse_schedule_spec(config.schedule)
+    schedules = _schedules(config)
     pair_mode = len(schedules) > 1
 
     if config.dry_run:
-        meta = _metadata(config)
         print(_dry_run_text(config, schedules))
-        return TableArtifact(rows=[], metadata=meta)
+        return TableArtifact(rows=[], metadata=_metadata(config))
 
     from .mesh import build_coupled_mesh
     opts = SolveOptions(solver=config.solver, linear_tol=config.linear_tol,
                         droptol=config.ichol_droptol,
                         picard_tol=config.picard_tol)
-    finals: list = []
-    stars: list = []
-    if config.algorithm == "coupled":
-        if pair_mode:
-            sweep = [(i, sched.subdivisions[-1])
-                     for i, sched in enumerate(schedules)]
-        else:
-            sweep = list(enumerate(schedules[0].subdivisions))
-        for level, n in sweep:
-            state, _ = solve_coupled(build_level(build_coupled_mesh(n),
-                                                 config.order, params, mms),
-                                     opts)
-            finals.append((level, error_norms([state], mms)[0]))
-    else:
-        for i, sched in enumerate(schedules):
-            run = run_multilevel(config.algorithm, sched, config.order,
-                                 params, mms, opts)
-            for lv in run.levels[-1:] if pair_mode else run.levels:
-                level = i if pair_mode else lv.level
-                # the intermediate state shares the final one's spaces
-                final, *star = error_norms(
-                    [s for s in (lv.final, lv.intermediate) if s is not None],
-                    mms)
-                finals.append((level, final))
-                stars += [(level, r) for r in star]
+
+    def levels(subs):
+        if config.algorithm == "coupled":   # lazily: one state held at a time
+            return (LevelSolution(lv, n, None, solve_coupled(build_level(
+                        build_coupled_mesh(n), config.order, params, mms),
+                        opts)[0])
+                    for lv, n in enumerate(subs[-1:] if pair_mode else subs))
+        run = run_multilevel(config.algorithm, subs, config.order, params,
+                             mms, opts)
+        return run.levels[-1:] if pair_mode else run.levels
+
+    finals, stars = [], []
+    for i, subs in enumerate(schedules):
+        for lv in levels(subs):
+            level = i if pair_mode else lv.level
+            # the intermediate state shares the final one's spaces
+            final, *star = error_norms(
+                [s for s in (lv.final, lv.intermediate) if s is not None], mms)
+            finals.append((level, final))
+            stars += [(level, r) for r in star]
 
     artifact = TableArtifact(rows=_rows_for_stage(finals)
                              + _rows_for_stage(stars, "_star"),

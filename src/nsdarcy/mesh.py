@@ -26,21 +26,10 @@ class Subdomain(Enum):
     POROUS = "porous"
 
 
-class ScheduleKind(Enum):
-    SQUARE = "square"
-    CUBE_THEN_SQUARE = "cube_then_square"
-    PAIR_LIST = "pair_list"
-
-
 class OutOfDomain(Exception):
     """Point lies outside the mesh rectangle beyond tolerance."""
 
 
-class ScheduleOverflow(Exception):
-    """A schedule entry exceeds MAX_SUBDIVISIONS."""
-
-
-MAX_SUBDIVISIONS = 1024   # make_schedule refuses finer meshes
 # Matching physical tolerance for point location and interface coincidence.
 GEOM_TOL = 1e-12
 # Tie tolerance in grid units: points this close to a gridline or diagonal are
@@ -150,22 +139,6 @@ class CoupledMesh:
         return self.fluid.n
 
 
-@dataclass(frozen=True)
-class MeshSchedule:
-    subdivisions: tuple[int, ...]
-
-    def __post_init__(self):
-        subs = tuple(int(n) for n in self.subdivisions)
-        object.__setattr__(self, "subdivisions", subs)
-        if len(subs) < 1 or any(n < 2 for n in subs):
-            raise ValueError(f"subdivisions must all be >= 2, got {subs}")
-        if any(b <= a for a, b in zip(subs, subs[1:])):
-            raise ValueError(f"subdivisions must be strictly increasing, got {subs}")
-
-    def __iter__(self):
-        return iter(self.subdivisions)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -241,40 +214,3 @@ def build_coupled_mesh(n: int) -> CoupledMesh:
         raise AssertionError("interface edges do not coincide")
     return CoupledMesh(fluid=fluid, porous=porous, interface_pairs=pairs)
 
-
-def make_schedule(kind, n0: int | None = None, levels: int | None = None,
-                  pairs=None) -> list[MeshSchedule]:
-    """Build mesh schedules for the multilevel runs.
-
-    SQUARE squares the subdivision count at every level; CUBE_THEN_SQUARE
-    cubes once then squares; PAIR_LIST passes explicit subdivision tuples
-    through unchanged, one schedule per tuple.
-    """
-    if isinstance(kind, str):
-        kind = ScheduleKind(kind.lower())
-
-    if kind is ScheduleKind.PAIR_LIST:
-        if not pairs:
-            raise ValueError("PAIR_LIST needs explicit subdivision tuples")
-        schedules = [MeshSchedule(tuple(p)) for p in pairs]
-    else:
-        if n0 is None or levels is None or n0 < 2 or levels < 1:
-            raise ValueError("need base subdivision n0 >= 2 and levels >= 1")
-        subs = [n0]
-        for lvl in range(levels):
-            # stop at the first entry over the cap, which the check below
-            # rejects; going on would square up to n0 ** (2 ** levels)
-            if subs[-1] > MAX_SUBDIVISIONS:
-                break
-            if kind is ScheduleKind.CUBE_THEN_SQUARE and lvl == 0:
-                subs.append(subs[-1] ** 3)
-            else:
-                subs.append(subs[-1] ** 2)
-        schedules = [MeshSchedule(tuple(subs))]
-
-    for s in schedules:
-        for m in s.subdivisions:
-            if m > MAX_SUBDIVISIONS:
-                raise ScheduleOverflow(
-                    f"subdivision {m} exceeds cap {MAX_SUBDIVISIONS}")
-    return schedules

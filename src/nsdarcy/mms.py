@@ -162,14 +162,10 @@ def error_norms(states, mms: ManufacturedProblem,
     return [ErrorReport(n=spaces[0][0].mesh.n, errors=e) for e in errs]
 
 
-@dataclass
-class ConvergenceTable:
-    rates: dict  # (var, norm) -> list aligned with reports; first entry None
-
-
-def rate_table(reports: list) -> ConvergenceTable:
+def rate_table(reports: list) -> dict:
     """Observed rates log(e_i/e_{i+1}) / log(h_i/h_{i+1}) between consecutive
-    reports; requires at least two reports on distinct meshes."""
+    reports, as (var, norm) -> list aligned with the reports whose first
+    entry is None; requires at least two reports on distinct meshes."""
     if len(reports) < 2:
         raise InsufficientData("need at least two reports for rates")
     if len({r.n for r in reports}) != len(reports):
@@ -187,4 +183,4 @@ def rate_table(reports: list) -> ConvergenceTable:
             else:
                 col.append(log(e0 / e1) / log(cur.n / prev.n))
         rates[key] = col
-    return ConvergenceTable(rates=rates)
+    return rates

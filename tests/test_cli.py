@@ -4,7 +4,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsdarcy.cli import (ALGORITHMS, CSV_HEADER, SOLVERS, ExperimentConfig,
@@ -59,6 +59,12 @@ def schedule_specs(draw):
         subs.append(subs[-1] ** (3 if kind == "cube_then_square" and lvl == 0
                                  else 2))
     return f"{kind}:n0={n0},levels={levels}", [subs]
+
+
+def single_level(spec):
+    """Whether a valid spec holds a schedule of one subdivision."""
+    kind, _, rest = spec.partition(":")
+    return kind == "pairs" and any(":" not in s for s in rest.split(","))
 
 
 def valid_pairs(subs):
@@ -209,6 +215,9 @@ class TestConfig:
     @settings(max_examples=60, deadline=None)
     @given(CONFIG_VALUES)
     def test_config_roundtrip_property(self, tmp_path_factory, values):
+        # multilevel algorithms need two levels per schedule
+        assume(values.get("algorithm", ("", "coupled"))[1] == "coupled"
+               or not single_level(values.get("schedule", ("", ""))[1]))
         path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
         path.write_text("".join(f"{k} = {text}\n"
                                 for k, (text, _) in values.items()))
@@ -247,6 +256,28 @@ class TestScheduleSpec:
     def test_bad_specs(self, spec):
         with pytest.raises(ValidationError):
             parse_schedule_spec(spec)
+
+    @pytest.mark.parametrize("kind", ["square", "cube_then_square"])
+    def test_cap_checked_per_level(self, kind):
+        # building all levels first would square up to 2 ** (2 ** 1e9)
+        with pytest.raises(ValidationError, match="exceeds cap 1024"):
+            parse_schedule_spec(f"{kind}:n0=2,levels={10 ** 9}")
+
+    def test_kind_accepts_any_case(self):
+        assert parse_schedule_spec("SQUARE:n0=3,levels=1") == [(3, 9)]
+
+    def test_cap_enforced(self):
+        for spec in ("square:n0=2,levels=4", "pairs:2:2048"):
+            with pytest.raises(ValidationError, match="exceeds cap 1024"):
+                parse_schedule_spec(spec)
+
+    def test_subdivisions_validated(self):
+        for spec, message in (("pairs:4:4", "strictly increasing"),
+                              ("pairs:8:2", "strictly increasing"),
+                              ("pairs:1:4", "must all be >= 2"),
+                              ("pairs:2:4,,8", "invalid literal")):
+            with pytest.raises(ValidationError, match=message):
+                parse_schedule_spec(spec)
 
     @given(schedule_specs())
     def test_roundtrip_property(self, spec_and_subs):
@@ -375,6 +406,16 @@ class TestRunExperiment:
         assert sorted({r.h for r in finals}) == ["1/4", "1/6"]
         assert {r.level for r in finals} == {0, 1}
         assert len(art.rows) == 28
+
+    @pytest.mark.parametrize("algorithm", ["coupled", "A"])
+    def test_repeated_finest_meshes_get_no_rates(self, tmp_path, algorithm):
+        cfg = parse_config(overrides={"algorithm": algorithm,
+                                      "schedule": "pairs:2:4,3:4",
+                                      "out": str(tmp_path / "res")})
+        art = run_experiment(cfg)
+        assert {(r.level, r.h) for r in art.rows} == {(0, "1/4"), (1, "1/4")}
+        assert all(r.rate is None for r in art.rows)
+        assert read_table(str(tmp_path / "res" / "errors.csv")).rows
 
     def test_dry_run_solves_nothing(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -581,6 +622,30 @@ class TestMain:
                      "square:n0=2,levels=1000000000",
                      "--out", str(tmp_path / "res")]) == 2
         assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
+    def test_single_level_multilevel_schedule_exits_two(self, tmp_path,
+                                                        capsys, flags):
+        out = tmp_path / "res"
+        assert main(["run", "--algorithm", "A", "--schedule", "pairs:8",
+                     "--out", str(out)] + flags) == 2
+        assert "two or more levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_level_schedule_fails_before_any_mesh(self, tmp_path,
+                                                         monkeypatch):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        for module in (mesh, decoupled):
+            monkeypatch.setattr(module, "build_coupled_mesh", no_mesh)
+        monkeypatch.setattr(mesh, "build_tri_mesh", no_mesh)
+        cfg = ExperimentConfig(algorithm="B", schedule="pairs:2:4,8",
+                               out=str(tmp_path / "res"))
+        with pytest.raises(ValidationError, match="two or more levels"):
+            run_experiment(cfg)
+        assert main(["run", "--algorithm", "A", "--schedule", "pairs:2:4,8",
+                     "--out", cfg.out]) == 2
 
     def test_environment_failures_exit_three(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

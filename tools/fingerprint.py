@@ -6,13 +6,15 @@
 `write` runs each CONFIG, given as ALGORITHM:ORDER:SOLVER:SCHEDULE (such
 as `A:1:direct:pairs:2:4:16`), through `nsdarcy.cli.run_experiment` with
 the default tolerances, importing `nsdarcy` from SRC (default: the `src`
-next to this tool). Without CONFIG it runs all 60 combinations of the
+next to this tool). Without CONFIG it runs all 80 combinations of the
 algorithms coupled and A-D, orders 1 and 2, both solvers and the schedules
-`square:n0=4,levels=1`, `pairs:2:4:16` and `pairs:2:3:4`; the last one
-does not nest, so its fine points fall anywhere in the coarse cells. For each configuration it
-records every unrounded error and rate as `float.hex`, and one SHA-256 over
-the `indptr`, `indices` and `data` of every matrix handed to SuperLU, with
-the number of those matrices.
+`square:n0=4,levels=1`, `pairs:2:4:16`, `pairs:2:3:4` and `pairs:2:4,3:6`.
+`pairs:2:3:4` does not nest, so its fine points fall anywhere in the
+coarse cells; `pairs:2:4,3:6` holds two schedules, so its study takes the
+finest level of each. For each configuration it records every unrounded
+error and rate as `float.hex`, and one SHA-256 over the `indptr`, `indices`
+and `data` of every matrix handed to SuperLU, with the number of those
+matrices.
 
 `compare` lists the configurations that differ. For each it gives the
 largest relative error difference (against B), whether the SuperLU inputs
@@ -34,7 +36,8 @@ import os
 import sys
 import tempfile
 
-SCHEDULES = ("square:n0=4,levels=1", "pairs:2:4:16", "pairs:2:3:4")
+SCHEDULES = ("square:n0=4,levels=1", "pairs:2:4:16", "pairs:2:3:4",
+             "pairs:2:4,3:6")
 CONFIGS = tuple(f"{alg}:{order}:{solver}:{schedule}" for alg, order, solver,
                 schedule in itertools.product(("coupled", "A", "B", "C", "D"),
                                               (1, 2), ("direct", "iterative"),
