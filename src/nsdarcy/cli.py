@@ -383,13 +383,16 @@ def _metadata(config: ExperimentConfig) -> dict:
 
 
 def _dry_run_text(config: ExperimentConfig, schedules: list) -> str:
-    """Schedule and dof counts, from closed forms: no mesh is built."""
+    """Schedule and dof counts of the levels the study solves (a coupled
+    pair study only each finest), from closed forms: no mesh is built."""
     vfam, qfam, hfam = FAMILIES[config.order]
     lines = [f"algorithm={config.algorithm} order={config.order} "
              f"solver={config.solver}"]
+    finest_only = config.algorithm == "coupled" and len(schedules) > 1
     for i, sched in enumerate(schedules):
         lines.append(f"schedule {i}: subdivisions {list(sched)}")
-        for level, n in enumerate(sched):
+        first = len(sched) - 1 if finest_only else 0
+        for level, n in enumerate(sched[first:], first):
             lines.append(
                 f"  level {level}: n={n} h=1/{n} "
                 f"velocity={vfam.components * dof_count(vfam, n)} "

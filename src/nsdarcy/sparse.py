@@ -2,7 +2,8 @@
 
 Matrix storage and products go through scipy.sparse CSR; the factorization
 and Krylov loops live here because their behavior (drop rule, breakdown
-shift, stopping tests, preconditioner structure) is part of the method.
+shift, GMRES's CGS2 orthogonalization, stopping tests, preconditioner
+structure) is part of the method.
 
 `LinearSolver` is the one place a solve site's "direct" or "iterative"
 setting is acted on: built once per matrix, it holds a SuperLU factor or a
@@ -273,10 +274,14 @@ def pcg(A, b, M: Preconditioner | None = None, tol: float = 1e-9,
 
 def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
           restart: int = 50, maxit: int = 5000):
-    """Left-preconditioned restarted GMRES with modified Gram-Schmidt.
+    """Left-preconditioned restarted GMRES (Saad & Schultz 1986).
 
-    Stops when the preconditioned residual drops below tol relative to the
-    initial preconditioned residual."""
+    Each new Krylov vector is orthogonalized by classical Gram-Schmidt run
+    twice (CGS2: two matrix-vector products per pass against the rows of
+    one basis, allocated once per call), as stable as modified Gram-Schmidt
+    in GMRES (Giraud, Langou & Rozloznik 2005). Stops when the
+    preconditioned residual drops below tol relative to the initial
+    preconditioned residual."""
     A = as_csr(A)
     b = np.asarray(b, dtype=float)
     if A.shape[1] != b.shape[0]:
@@ -290,12 +295,12 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         return x, SolveReport(0, 0.0, True, "gmres")
 
     total, exhausted = 0, False
+    V = np.empty((min(restart, maxit, n) + 1, n))   # every cycle's basis
     while True:
         rel = np.linalg.norm(r) / beta0
         if rel <= tol or total >= maxit or exhausted:
             return x, SolveReport(total, rel, rel <= tol, "gmres")
         m = min(restart, maxit - total, n)
-        V = np.empty((m + 1, n))
         V[0] = r / (rel * beta0)
         H = np.zeros((m + 1, m))
         cs = np.empty(m)
@@ -304,9 +309,12 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         g[0] = rel * beta0
         for j in range(m):
             w = P.apply(A @ V[j])
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
+            Vj = V[:j + 1]
+            h = Vj @ w
+            w -= h @ Vj
+            c = Vj @ w
+            w -= c @ Vj
+            H[:j + 1, j] = h + c
             H[j + 1, j] = np.linalg.norm(w)
             if H[j + 1, j] > 0:
                 V[j + 1] = w / H[j + 1, j]

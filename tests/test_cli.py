@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import string
 
 import numpy as np
@@ -436,7 +437,7 @@ class TestRunExperiment:
         for module in (mesh, decoupled):
             monkeypatch.setattr(module, "build_coupled_mesh", no_mesh)
         monkeypatch.setattr(mesh, "build_tri_mesh", no_mesh)
-        cfg = parse_config(overrides={"order": 2,
+        cfg = parse_config(overrides={"algorithm": "A", "order": 2,
                                       "schedule": "pairs:2:32:1024,3:6"})
         cfg.dry_run = True
         assert run_experiment(cfg).rows == []
@@ -445,6 +446,20 @@ class TestRunExperiment:
         assert ("  level 2: n=1024 h=1/1024 velocity=8396802 "
                 "pressure=1050625 head=4198401") in lines
         assert "  level 0: n=3 h=1/3 velocity=98 pressure=16 head=49" in lines
+
+    @pytest.mark.parametrize("algorithm,solved", [("coupled", [64, 8]),
+                                                  ("A", [2, 64, 3, 8])])
+    def test_dry_run_lists_the_levels_the_study_solves(self, capsys,
+                                                       algorithm, solved):
+        """A coupled pair study solves only the finest mesh of each
+        schedule, a multilevel algorithm every level."""
+        cfg = parse_config(overrides={"algorithm": algorithm,
+                                      "schedule": "pairs:2:64,3:8"})
+        cfg.dry_run = True
+        assert run_experiment(cfg).rows == []
+        listed = re.findall(r"^  level \d+: n=(\d+) ",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert list(map(int, listed)) == solved
 
     def test_a_level_evaluates_the_exact_fields_once(self, tmp_path,
                                                      monkeypatch):

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from nsdarcy import coupled, sparse
+
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "tools", "fingerprint.py")
 spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
@@ -20,8 +22,11 @@ def test_default_configurations():
 
 def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
+    solvers = (sparse.gmres, sparse.pcg)
     for path in (one, two):
         assert fingerprint.main(["write", path] + CONFIGS) == 0
+    # the counting wrappers are taken out again
+    assert (sparse.gmres, sparse.pcg, coupled.gmres) == solvers + solvers[:1]
     with open(one) as fh:
         first = fh.read()
     with open(two) as fh:
@@ -32,9 +37,15 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
         "2 of 2 configurations identical"]
 
     data = json.loads(first)
-    coupled = data[CONFIGS[0]]
-    assert coupled["superlu_inputs"] == 2   # one factor per mesh, n = 2, 4
-    row = coupled["rows"][0]
+    direct = data[CONFIGS[0]]
+    assert direct["superlu_inputs"] == 2   # one factor per mesh, n = 2, 4
+    # Picard's GMRES on its frozen factor, through coupled's own binding
+    assert direct["krylov"] and {m for m, _ in direct["krylov"]} == {"gmres"}
+    # LinearSolver's Krylov solves: PCG on the head, GMRES on the rest
+    iterative = data[CONFIGS[1]]["krylov"]
+    assert {m for m, _ in iterative} == {"gmres", "pcg"}
+    assert all(isinstance(k, int) and k > 0 for _, k in iterative)
+    row = direct["rows"][0]
     assert float.fromhex(row[4]) > 0
     # one unit in the 4th digit of the first error
     row[4] = (float.fromhex(row[4]) * 1.001).hex()
@@ -43,18 +54,20 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     assert fingerprint.main(["compare", one, str(edited)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{CONFIGS[0]}: max rel error diff 9.99")
-    assert lines[0].endswith("SuperLU inputs same")
+    assert lines[0].endswith("SuperLU inputs same, Krylov counts same")
     assert lines[1].startswith("  0,1/2,")
     assert lines[-1] == "1 of 2 configurations identical"
 
 
-def hand_built(path, errors, digest):
+def hand_built(path, errors, digest, krylov=None):
     """A one-configuration fingerprint file with the given errors of u
-    in L2 on n = 2 and 4."""
+    in L2 on n = 2 and 4, and Krylov counts when given."""
     rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
             in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
-    path.write_text(json.dumps({CONFIGS[0]: {
-        "rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}}))
+    fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}
+    if krylov is not None:
+        fp["krylov"] = krylov
+    path.write_text(json.dumps({CONFIGS[0]: fp}))
     return str(path)
 
 
@@ -75,6 +88,33 @@ def test_compare_within_rtol(tmp_path, capsys, scale, rtol, code):
     assert lines[0].endswith(f"within rtol {float(rtol):g}") == (code == 0)
     assert lines[-1] == (f"{1 - code} of 1 configurations identical or "
                          f"within rtol {float(rtol):g}")
+
+
+def test_krylov_counts_that_differ_are_named(tmp_path, capsys):
+    """Even when the errors pass --rtol; without it they fail."""
+    a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa",
+                   [["gmres", 7], ["pcg", 3]])
+    b = hand_built(tmp_path / "b.json", (1e-3, 2.5e-4), "aa",
+                   [["gmres", 8], ["pcg", 3]])
+    assert fingerprint.main(["compare", a, b]) == 1
+    assert fingerprint.main(["compare", a, b, "--rtol", "1e-12"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
+             f"same, Krylov counts differ (2 against 2 solves; solve 1: "
+             f"gmres 7 against gmres 8)")
+    assert out[0] == named and out[2] == named + ", within rtol 1e-12"
+    assert out[-1] == "1 of 1 configurations identical or within rtol 1e-12"
+
+
+def test_a_file_without_krylov_counts_compares_as_unknown(tmp_path, capsys):
+    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa")
+    new = hand_built(tmp_path / "new.json", (1e-3, 2.5e-4), "aa",
+                     [["gmres", 7]])
+    assert fingerprint.main(["compare", old, new]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
+        f"Krylov counts unknown",
+        "1 of 1 configurations identical"]
 
 
 @pytest.mark.parametrize("args", [

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from gmres_reference import gmres_reference
 from ichol_reference import ichol_reference
 from layout import monolithic_trace
 
@@ -264,6 +265,43 @@ class TestPcg:
         assert rep.final_residual > 1e-12
 
 
+def recorded_gmres(run):
+    """Runs run() and returns (A, b, P, kwargs) of every GMRES solve it
+    makes, through LinearSolver or on Picard's frozen factor. A and b are
+    copies: Picard refills its matrix in place."""
+    calls = []
+
+    def record(A, b, P=None, **kwargs):
+        calls.append((A.copy(), b.copy(), P, kwargs))
+        return gmres(A, b, P, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "gmres", record)
+        mp.setattr(coupled, "gmres", record)
+        run()
+    return calls
+
+
+def assert_follows_reference(A, b, P=None, **kwargs):
+    """`gmres` against the modified Gram-Schmidt loop it replaced
+    (tests/gmres_reference.py): the same iteration count and a solution
+    within 1e-12 of max|x|."""
+    x, rep = gmres(A, b, P, **kwargs)
+    x_ref, rep_ref = gmres_reference(A, b, P, **kwargs)
+    assert (rep.iterations, rep.converged) == \
+        (rep_ref.iterations, rep_ref.converged)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    return rep
+
+
+def convection_diffusion_1d(n, peclet):
+    """Central differences of -u'' + c u' on n interior points: a
+    nonnormal tridiagonal matrix."""
+    return sp.diags([-(1 + peclet) * np.ones(n - 1), 2 * np.ones(n),
+                     -(1 - peclet) * np.ones(n - 1)], [-1, 0, 1],
+                    format="csr")
+
+
 class TestGmres:
     def test_identity_one_iteration(self, rng):
         b = rng.standard_normal(11)
@@ -307,6 +345,52 @@ class TestGmres:
                        tol=1e-8, restart=50)
         assert rep.converged and 0 < rep.iterations < 40
         assert P.applies == rep.iterations + 2
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_picard_frozen_factor_systems_follow_reference(self, order,
+                                                           params, mms):
+        lv = build_level(build_coupled_mesh(8), order, params, mms)
+        calls = recorded_gmres(lambda: solve_coupled(lv))
+        assert calls
+        for A, b, P, kwargs in calls:
+            assert isinstance(P, DirectFactor)
+            assert_follows_reference(A, b, P, **kwargs)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_block_triangular_systems_follow_reference(self, n, params,
+                                                       mms):
+        """The iterative NS Newton step about a coupled n=4 state, and the
+        iterative coupled solve, on one level."""
+        state, _ = solve_coupled(build_level(build_coupled_mesh(4), 1,
+                                             params, mms))
+        lv = build_level(build_coupled_mesh(n), 1, params, mms)
+        opts = SolveOptions(solver="iterative")
+
+        def run():
+            NSStep(lv, state.velocity, opts).solve_newton(state.head)
+            solve_coupled(lv, opts)
+
+        calls = recorded_gmres(run)
+        assert len(calls) >= 2
+        for A, b, P, kwargs in calls:
+            assert isinstance(P, BlockTriangularPreconditioner)
+            assert_follows_reference(A, b, P, **kwargs)
+
+    @pytest.mark.parametrize("system", ["convection_diffusion", "saddle"])
+    def test_ill_conditioned_across_restarts_follows_reference(
+            self, system, rng, params, mms):
+        """Many 5-step cycles on one basis: the nonnormal 1D
+        convection-diffusion matrix (condition number 2.8e2) unpreconditioned,
+        and the coupled saddle matrix at n=8 (4.6e4) block-preconditioned."""
+        if system == "saddle":
+            K, b, (nu_, nq_, nphi), mdiag = coupled_system(8, params, mms)
+            P = BlockTriangularPreconditioner(K, nu_, nq_, mdiag, params.nu,
+                                              nphi=nphi)
+        else:
+            K, P = convection_diffusion_1d(200, 0.9), None
+            b = rng.standard_normal(200)
+        rep = assert_follows_reference(K, b, P, tol=1e-10, restart=5)
+        assert rep.converged and rep.iterations > 50
 
 
 class TestDirectSolve:

@@ -12,19 +12,24 @@ algorithms coupled and A-D, orders 1 and 2, both solvers and the schedules
 `pairs:2:3:4` does not nest, so its fine points fall anywhere in the
 coarse cells; `pairs:2:4,3:6` holds two schedules, so its study takes the
 finest level of each. For each configuration it records every unrounded
-error and rate as `float.hex`, and one SHA-256 over the `indptr`, `indices`
+error and rate as `float.hex`, one SHA-256 over the `indptr`, `indices`
 and `data` of every matrix handed to SuperLU, with the number of those
-matrices.
+matrices, and the iteration count of every GMRES and PCG solve in call
+order (`krylov`, as [method, iterations] pairs). The Krylov solvers are
+rebound wherever the package bound them by name, as `perfbench/tracing.py`
+does, so Picard's GMRES on its frozen factor is counted too.
 
 `compare` lists the configurations that differ. For each it gives the
 largest relative error difference (against B), whether the SuperLU inputs
-match, and every row whose printed `errors.csv` body changes, formatted
-by the `nsdarcy.cli` in the `src` next to this tool. Exit code 0 means
-every configuration is identical, 1 that some differ, 2 a bad argument or
-file. With `--rtol R`, for refactors that are not bitwise, a configuration
-that differs passes too when no printed `errors.csv` body changes and
-every unrounded error lies within R relative of B's; its SuperLU inputs
-are then reported but do not decide.
+and the Krylov counts match, and every row whose printed `errors.csv`
+body changes, formatted by the `nsdarcy.cli` in the `src` next to this
+tool. A file written before the counts were recorded gives "Krylov counts
+unknown", which does not decide. Exit code 0 means every configuration is
+identical, 1 that some differ, 2 a bad argument or file. With `--rtol R`,
+for refactors that are not bitwise, a configuration that differs passes
+too when no printed `errors.csv` body changes and every unrounded error
+lies within R relative of B's; its SuperLU inputs and Krylov counts are
+then reported but do not decide.
 """
 
 from __future__ import annotations
@@ -60,16 +65,35 @@ def _unhex(value):
     return None if value is None else float.fromhex(value)
 
 
+def _rebind(orig, new) -> None:
+    """Points every name in the package that holds orig at new."""
+    for name, mod in list(sys.modules.items()):
+        if name == "nsdarcy" or name.startswith("nsdarcy."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    setattr(mod, attr, new)
+
+
+def _counting(orig, method, krylov):
+    """orig, appending [method, iterations] to krylov after each solve."""
+    def solve(*args, **kwargs):
+        x, rep = orig(*args, **kwargs)
+        krylov.append([method, rep.iterations])
+        return x, rep
+    return solve
+
+
 def fingerprint(configs) -> dict:
-    """{config: {"rows", "superlu_sha256", "superlu_inputs"}} of the
-    studies run on the `nsdarcy` that imports first."""
+    """{config: {"rows", "superlu_sha256", "superlu_inputs", "krylov"}} of
+    the studies run on the `nsdarcy` that imports first."""
     from nsdarcy import cli, sparse
 
     orig_splu = sparse.spla.splu
+    solvers = {method: getattr(sparse, method) for method in ("gmres", "pcg")}
     out = {}
     for config in configs:
         algorithm, order, solver, schedule = config.split(":", 3)
-        digest, count = hashlib.sha256(), 0
+        digest, count, krylov = hashlib.sha256(), 0, []
 
         def splu(A, *args, **kwargs):
             nonlocal count
@@ -78,7 +102,11 @@ def fingerprint(configs) -> dict:
                 digest.update(a.tobytes())
             return orig_splu(A, *args, **kwargs)
 
+        counting = {method: _counting(orig, method, krylov)
+                    for method, orig in solvers.items()}
         sparse.spla.splu = splu
+        for method, orig in solvers.items():
+            _rebind(orig, counting[method])
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 artifact = cli.run_experiment(cli.ExperimentConfig(
@@ -86,11 +114,14 @@ def fingerprint(configs) -> dict:
                     schedule=schedule, out=tmp))
         finally:
             sparse.spla.splu = orig_splu
+            for method, orig in solvers.items():
+                _rebind(counting[method], orig)
         out[config] = {
             "rows": [[r.level, r.h, r.variable, r.norm, _hex(r.error),
                       _hex(r.rate)] for r in artifact.rows],
             "superlu_sha256": digest.hexdigest(),
-            "superlu_inputs": count}
+            "superlu_inputs": count,
+            "krylov": krylov}
     return out
 
 
@@ -103,6 +134,24 @@ def _body(row) -> str:
             f"{format_rate(_unhex(rate))}")
 
 
+def _krylov(fa: dict, fb: dict) -> str:
+    """"same", "unknown" (a file without counts) or where the counts of
+    two configurations first differ."""
+    ka, kb = fa.get("krylov"), fb.get("krylov")
+    if ka is None or kb is None:
+        return "unknown"
+    if ka == kb:
+        return "same"
+    i = next((i for i, (x, y) in enumerate(zip(ka, kb)) if x != y),
+             min(len(ka), len(kb)))
+
+    def solve(k):
+        return " ".join(map(str, k[i])) if i < len(k) else "none"
+
+    return (f"differ ({len(ka)} against {len(kb)} solves; solve {i + 1}: "
+            f"{solve(ka)} against {solve(kb)})")
+
+
 def compare(a: dict, b: dict, rtol: float | None = None
             ) -> tuple[int, list[str]]:
     """(number of configurations that pass, report lines): identical ones
@@ -113,7 +162,10 @@ def compare(a: dict, b: dict, rtol: float | None = None
             lines.append(f"{config}: only in {'A' if config in a else 'B'}")
             continue
         fa, fb = a[config], b[config]
-        if fa == fb:
+        krylov = _krylov(fa, fb)
+        identical = all(fa[k] == fb[k] for k in
+                        ("rows", "superlu_sha256", "superlu_inputs"))
+        if identical and krylov == "same":
             same += 1
             continue
         ra, rb = fa["rows"], fb["rows"]
@@ -131,9 +183,9 @@ def compare(a: dict, b: dict, rtol: float | None = None
         changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
                    if _body(x) != _body(y)]
         within = rtol is not None and not changed and worst <= rtol
-        same += within
+        same += within or (identical and krylov == "unknown")
         lines.append(f"{config}: max rel error diff {worst:.3e}, "
-                     f"SuperLU inputs {superlu}"
+                     f"SuperLU inputs {superlu}, Krylov counts {krylov}"
                      + (f", within rtol {rtol:g}" if within else ""))
         lines += changed
     passed = "identical" if rtol is None else \
