@@ -141,22 +141,31 @@ _CONFIG_KEYS = {f.name: _parse_bool if isinstance(f.default, bool)
                 else type(f.default) for f in fields(ExperimentConfig)}
 
 
+def _ascii_lines(path: str) -> list[str]:
+    """The lines of a text file; a line that is not ASCII is a ParseError."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()   # at \n, \r\n and \r, as open()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise ParseError(f"{path}: line {lineno}: not ASCII")
+    return [line.decode("ascii") for line in lines]
+
+
 def parse_config(path: str | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """key=value config file plus flag overrides; unknown keys and
     out-of-range values are rejected with the offending field named."""
     raw: dict = {}
     if path is not None:
-        with open(path, encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ParseError(f"{path}:{lineno}: expected key=value, "
-                                     f"got {line.strip()!r}")
-                key, _, value = body.partition("=")
-                raw[key.strip()] = value.strip()
+        for lineno, line in enumerate(_ascii_lines(path), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ParseError(f"{path}:{lineno}: expected key=value, "
+                                 f"got {line.strip()!r}")
+            key, _, value = body.partition("=")
+            raw[key.strip()] = value.strip()
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
@@ -266,10 +275,8 @@ class TableArtifact:
 def read_table(path: str) -> TableArtifact:
     metadata: dict = {}
     rows: list = []
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
     body = []
-    for ln in lines:
+    for ln in _ascii_lines(path):
         if ln.startswith("#"):
             k, _, v = ln[1:].strip().partition(":")
             metadata[k.strip()] = v.strip()

@@ -94,15 +94,6 @@ def _perm6(a, b, c):
 # Symmetric triangle rules with positive weights; weights here are normalized
 # to unit sum and scaled by the reference area 1/2 on construction.
 _TRI_RULES = {
-    3: (
-        _perm3(2.0 / 3.0, 1.0 / 6.0),
-        [1.0 / 3.0] * 3,
-    ),
-    6: (
-        _perm3(0.108103018168070, 0.445948490915965)
-        + _perm3(0.816847572980459, 0.091576213509771),
-        [0.223381589678011] * 3 + [0.109951743655322] * 3,
-    ),
     7: (
         [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
         + _perm3(0.059715871789770, 0.470142064105115)
@@ -118,7 +109,7 @@ _TRI_RULES = {
     ),
 }
 
-_DEGREE_TO_NPTS = {2: 3, 3: 6, 4: 6, 5: 7, 6: 12}
+_DEGREE_TO_NPTS = {5: 7, 6: 12}
 
 _MAX_TRI_DEGREE = 12
 _CONICAL_CACHE: dict[int, QuadratureRule] = {}
@@ -127,7 +118,8 @@ _CONICAL_CACHE: dict[int, QuadratureRule] = {}
 def _conical_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre x Gauss-Jacobi product rule on the collapsed square
     x = xi (1 - eta), y = eta; exact to total degree 2m - 1 with machine
-    precision nodes (the tabulated symmetric rules stop at degree 6)."""
+    precision nodes (the symmetric rules are tabulated for the assembly
+    degrees 5 and 6 only)."""
     if degree not in _CONICAL_CACHE:
         from scipy.special import roots_jacobi
 

@@ -351,24 +351,21 @@ DIAG_PIVOT_THRESH = 1e-4
 ND_LEAF = 64
 
 
-def nested_dissection(g: np.ndarray, first: np.ndarray,
-                      last: np.ndarray) -> np.ndarray:
+def nested_dissection(g: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Grid nested-dissection order (George 1973) of unknowns at integer
     grid points g (N, 2), as a permutation of range(N).
 
-    The unknowns marked in the boolean mask `first` come first. The rest
-    are dissected: the bounding box is cut across its longer side at an
-    even grid line near its middle, both halves are ordered recursively,
-    and the unknowns on the line (the separator) follow them. At most
-    ND_LEAF unknowns, or a box with no even line inside, form a leaf. A
-    leaf or separator is ordered by (y, x), those marked in the mask
-    `last` after the others. Every sort is stable, so unknowns at one
-    point and in one mask keep their given order.
+    The bounding box is cut across its longer side at an even grid line
+    near its middle, both halves are ordered recursively, and the unknowns
+    on the line (the separator) follow them. At most ND_LEAF unknowns, or
+    a box with no even line inside, form a leaf. A leaf or separator is
+    ordered by (y, x), those marked in the mask `last` after the others.
+    Every sort is stable, so unknowns at one point and marked alike keep
+    their given order.
     """
     g = np.asarray(g, dtype=np.int64)
-    first = np.asarray(first, dtype=bool)
     last = np.asarray(last, dtype=bool)
-    out = [np.flatnonzero(first)]
+    out = []
 
     def by_yx(idx):
         return idx[np.lexsort((g[idx, 0], g[idx, 1], last[idx]))]
@@ -390,22 +387,13 @@ def nested_dissection(g: np.ndarray, first: np.ndarray,
                 return
         out.append(by_yx(idx))
 
-    dissect(np.flatnonzero(~first))
+    dissect(np.arange(g.shape[0]))
     return np.concatenate(out)
 
 
 def entry_rows(A: sp.csr_matrix) -> np.ndarray:
     """The row of every stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-
-
-def decoupled_rows(A: sp.csr_matrix) -> np.ndarray:
-    """Boolean mask of the rows with no nonzero off the diagonal, such as
-    the identity rows Dirichlet elimination leaves: eliminated first, they
-    cause no fill."""
-    rows = entry_rows(A)
-    off = (A.indices != rows) & (A.data != 0)
-    return np.bincount(rows[off], minlength=A.shape[0]) == 0
 
 
 class DirectFactor:
@@ -415,15 +403,17 @@ class DirectFactor:
     only with the other unknowns of their own row (the bubbles of one Mini
     cell). With D the block-diagonal local-local block and I the remaining
     unknowns, they are eliminated first (static condensation): SuperLU
-    factors only S = A_II - A_IL D^{-1} A_LI, and `solve` condenses the
-    right side, solves with S and recovers x_L = D^{-1} (b_L - A_LI x_I).
+    factors only S = A_II - A_IL D^{-1} A_LI, and `solve` applies the one
+    block-diagonal CSR D^{-1} twice: x_I = S^{-1} (b_I - A_IL D^{-1} b_L)
+    and x_L = D^{-1} (b_L - A_LI x_I).
 
     `points`, integer grid coordinates (N, 2) of every unknown, orders the
-    factored unknowns by `nested_dissection`: `decoupled_rows` first, and
-    the rows whose diagonal is zero in S last in their leaf or separator,
-    so SuperLU keeps that order and the diagonal pivots
-    (DIAG_PIVOT_THRESH). `_iidx` lists the factored unknowns in factor
-    order.
+    factored unknowns by `nested_dissection`, the rows whose diagonal is
+    zero in S last in their leaf or separator, so SuperLU keeps that order
+    and the diagonal pivots (DIAG_PIVOT_THRESH). A Dirichlet identity row
+    (see constrain_matrix) couples with no other unknown, so it causes no
+    fill wherever the dissection puts it. `_iidx` lists the factored
+    unknowns in factor order.
 
     `solve` takes and returns full-length vectors; `shape` is the full
     shape and `_lu.shape` the factored one.
@@ -435,7 +425,6 @@ class DirectFactor:
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
         self.shape = A.shape
-        self.solves = 0
         lidx = local.ravel()
         keep = np.ones(A.shape[0], dtype=bool)
         keep[lidx] = False
@@ -445,7 +434,6 @@ class DirectFactor:
         # a zero diagonal stays zero in S unless a local unknown couples in
         zero = (A.diagonal() == 0) & (np.diff(A[:, lidx].indptr) == 0)
         self._iidx = iidx[nested_dissection(np.asarray(points)[iidx],
-                                            decoupled_rows(A)[iidx],
                                             zero[iidx])]
         S = self._condense(A, local)
         try:
@@ -456,9 +444,9 @@ class DirectFactor:
             raise Singular(str(exc)) from exc
 
     def _condense(self, A: sp.csr_matrix, local: np.ndarray) -> sp.csr_matrix:
-        """Inverts the local blocks, keeps what back-substitution needs and
-        returns the Schur complement on the unknowns `_iidx`, in their
-        order."""
+        """Inverts the local blocks into the block-diagonal CSR `_Dinv`,
+        keeps the couplings back-substitution needs and returns the Schur
+        complement on the unknowns `_iidx`, in their order."""
         groups, k = local.shape
         lidx, iidx = local.ravel(), self._iidx
 
@@ -477,33 +465,26 @@ class DirectFactor:
             raise Singular(f"singular local block: {exc}") from exc
 
         block = np.arange(lidx.size).reshape(groups, k)
-        Dinv_sp = sp.csr_matrix(
+        self._Dinv = sp.csr_matrix(
             (Dinv.ravel(),
              (np.broadcast_to(block[:, :, None], Dinv.shape).ravel(),
               np.broadcast_to(block[:, None, :], Dinv.shape).ravel())),
             shape=(lidx.size, lidx.size))
         A_I = A[iidx]
-        self._lidx, self._Dinv = lidx, Dinv
+        self._lidx = lidx
         self._A_IL, self._A_LI = A_I[:, lidx], A_L[:, iidx]
         for M in (self._A_IL, self._A_LI):   # drop K's stored zeros
             M.eliminate_zeros()
-        return as_csr(A_I[:, iidx] - self._A_IL @ (Dinv_sp @ self._A_LI))
-
-    def _local_solve(self, r: np.ndarray) -> np.ndarray:
-        """D^{-1} r, one small block per group."""
-        return np.matmul(self._Dinv, r.reshape(self._Dinv.shape[:2] + (1,))
-                         ).ravel()
+        return as_csr(A_I[:, iidx] - self._A_IL @ (self._Dinv @ self._A_LI))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
-        self.solves += 1
-        lidx, iidx = self._lidx, self._iidx
+        lidx, iidx, Dinv = self._lidx, self._iidx, self._Dinv
         x = np.empty_like(b)
-        x[iidx] = self._lu.solve(
-            b[iidx] - self._A_IL @ self._local_solve(b[lidx]))
-        x[lidx] = self._local_solve(b[lidx] - self._A_LI @ x[iidx])
+        x[iidx] = self._lu.solve(b[iidx] - self._A_IL @ (Dinv @ b[lidx]))
+        x[lidx] = Dinv @ (b[lidx] - self._A_LI @ x[iidx])
         if not np.all(np.isfinite(x)):
             raise Singular("non-finite solution from LU solve")
         return x

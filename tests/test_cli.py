@@ -662,6 +662,28 @@ class TestMain:
         assert main(["run", "--algorithm", "A", "--schedule", "pairs:2:4,8",
                      "--out", cfg.out]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
+    def test_non_ascii_config_exits_two(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes("order = 1\nalgorithm = A # caf\u00e9\n".encode())
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]
+                    + flags) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: line 2: not ASCII\n"
+        assert not out.exists()
+
+    def test_non_ascii_table_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        small_artifact().write_csv(str(path))
+        text = path.read_bytes()
+        assert text.endswith(b",2.000\n")
+        path.write_bytes(text[:-3] + b"\xff00\n")
+        lineno = text.count(b"\n")
+        assert main(["diff", str(path), str(path), "--tol", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line {lineno}: not ASCII\n"
+
     def test_environment_failures_exit_three(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         assert main(["diff", missing, missing, "--tol", "0.01"]) == 3

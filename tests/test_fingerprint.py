@@ -39,6 +39,9 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     data = json.loads(first)
     direct = data[CONFIGS[0]]
     assert direct["superlu_inputs"] == 2   # one factor per mesh, n = 2, 4
+    fill = direct["superlu_fill"]
+    assert len(fill) == 2 and all(isinstance(k, int) for k in fill)
+    assert 0 < fill[0] < fill[1]
     # Picard's GMRES on its frozen factor, through coupled's own binding
     assert direct["krylov"] and {m for m, _ in direct["krylov"]} == {"gmres"}
     # LinearSolver's Krylov solves: PCG on the head, GMRES on the rest
@@ -59,14 +62,17 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     assert lines[-1] == "1 of 2 configurations identical"
 
 
-def hand_built(path, errors, digest, krylov=None):
+def hand_built(path, errors, digest, krylov=None, fill=None):
     """A one-configuration fingerprint file with the given errors of u
-    in L2 on n = 2 and 4, and Krylov counts when given."""
+    in L2 on n = 2 and 4, and Krylov counts and SuperLU fill when
+    given."""
     rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
             in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
     fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}
     if krylov is not None:
         fp["krylov"] = krylov
+    if fill is not None:
+        fp["superlu_fill"] = fill
     path.write_text(json.dumps({CONFIGS[0]: fp}))
     return str(path)
 
@@ -84,7 +90,8 @@ def test_compare_within_rtol(tmp_path, capsys, scale, rtol, code):
     capsys.readouterr()
     assert fingerprint.main(["compare", a, b, "--rtol", rtol]) == code
     lines = capsys.readouterr().out.splitlines()
-    assert "SuperLU inputs differ (2 against 2 inputs)" in lines[0]
+    assert "SuperLU inputs differ (2 against 2 inputs, fill unknown)" \
+        in lines[0]
     assert lines[0].endswith(f"within rtol {float(rtol):g}") == (code == 0)
     assert lines[-1] == (f"{1 - code} of 1 configurations identical or "
                          f"within rtol {float(rtol):g}")
@@ -104,6 +111,40 @@ def test_krylov_counts_that_differ_are_named(tmp_path, capsys):
              f"gmres 7 against gmres 8)")
     assert out[0] == named and out[2] == named + ", within rtol 1e-12"
     assert out[-1] == "1 of 1 configurations identical or within rtol 1e-12"
+
+
+@pytest.mark.parametrize("fill_b,shown", [
+    ([100, 300], "fill same"),
+    ([100, 302], "fill +0.500%"),
+    ([90, 300], "fill -2.500%"),
+    (None, "fill unknown"),
+])
+def test_fill_is_shown_where_the_inputs_differ(tmp_path, capsys, fill_b,
+                                               shown):
+    """The summed fill from A to B; under --rtol it does not decide."""
+    a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa", fill=[100, 300])
+    b = hand_built(tmp_path / "b.json", (1e-3, 2.5e-4), "bb", fill=fill_b)
+    assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs differ "
+        f"(2 against 2 inputs, {shown}), Krylov counts unknown, within "
+        f"rtol 0")
+
+
+def test_fill_that_differs_on_the_same_inputs_is_named(tmp_path, capsys):
+    """Such as the same matrices factored under another pivot threshold;
+    a file without fill does not decide."""
+    a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa", fill=[100, 300])
+    b = hand_built(tmp_path / "b.json", (1e-3, 2.5e-4), "aa", fill=[100, 500])
+    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa")
+    assert fingerprint.main(["compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
+        f"fill +50.000%, Krylov counts unknown",
+        "0 of 1 configurations identical"]
+    assert fingerprint.main(["compare", a, a]) == 0
+    assert fingerprint.main(["compare", old, b]) == 0
+    assert "fill" not in capsys.readouterr().out
 
 
 def test_a_file_without_krylov_counts_compares_as_unknown(tmp_path, capsys):

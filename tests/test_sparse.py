@@ -427,12 +427,19 @@ class TestDirectSolve:
         with pytest.raises(Singular):
             DirectFactor(A, chain(2)).solve(np.ones(2))
 
-    def test_factor_reuse_counts_solves(self, rng):
+    def test_factor_reuse_counts_solves(self, rng, direct_solves,
+                                        monkeypatch):
+        factored, orig_splu = [], sparse.spla.splu
+
+        def splu(*args, **kwargs):
+            factored.append(args[0])
+            return orig_splu(*args, **kwargs)
+        monkeypatch.setattr(sparse.spla, "splu", splu)
         A = random_spd(10, rng)
         f = DirectFactor(A, chain(10))
         for k in range(3):
             f.solve(rng.standard_normal(10))
-        assert f.solves == 3
+        assert direct_solves == [f] * 3 and len(factored) == 1
 
 
 class TestCrossSolverAgreement:
@@ -488,12 +495,12 @@ class TestLinearSolver:
         # measured, not assumed: an LU solve leaves a rounding residual
         assert rep.final_residual > 0.0
 
-    def test_direct_factors_once(self, rng):
+    def test_direct_factors_once(self, rng, direct_solves):
         A = random_spd(10, rng)
         linear = LinearSolver(A, "direct", points=chain(10))
         for _ in range(2):
             linear.solve(rng.standard_normal(10))
-        assert linear.factor.solves == 2
+        assert direct_solves == [linear.factor] * 2
 
     def test_iterative_builds_preconditioner_once(self, rng):
         A = random_spd(10, rng)
@@ -643,8 +650,7 @@ def grid_point_sets(draw):
     g = draw(st.lists(st.tuples(st.integers(-span, span),
                                 st.integers(-span, span)),
                       min_size=n, max_size=n))
-    first = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return np.array(g, dtype=np.int64).reshape(n, 2), np.array(first)
+    return np.array(g, dtype=np.int64).reshape(n, 2)
 
 
 DIRECT_SITES = [(kind, order) for kind in ("picard", "ns", "darcy")
@@ -654,28 +660,26 @@ DIRECT_SITES = [(kind, order) for kind in ("picard", "ns", "darcy")
 class TestNestedDissection:
     @settings(max_examples=60, deadline=None)
     @given(grid_point_sets(), st.integers(0, 2**32 - 1))
-    def test_permutation_with_first_rows_first_and_stable(self, case, seed):
-        g, first = case
+    def test_permutation_is_stable_with_last_rows_last(self, g, seed):
         last = np.random.default_rng(seed).random(len(g)) < 0.5
-        p = nested_dissection(g, first, last)
+        p = nested_dissection(g, last)
         assert np.array_equal(np.sort(p), np.arange(len(g)))
-        assert np.array_equal(p[:first.sum()], np.flatnonzero(first))
-        assert np.array_equal(p, nested_dissection(g, first, last))
-        # the unknowns at one point share a leaf or separator: in each of
-        # the masks they keep their given order, and the unknowns marked
-        # last follow the others
+        assert np.array_equal(p, nested_dissection(g, last))
+        # the unknowns at one point share a leaf or separator: marked last
+        # or not, they keep their given order, and those marked last
+        # follow the others
         pos = np.empty_like(p)
         pos[p] = np.arange(len(p))
         _, at = np.unique(g, axis=0, return_inverse=True)
         at = at.ravel()
-        group = 4 * at + 2 * last + first
+        group = 2 * at + last
         by_group = np.lexsort((np.arange(len(g)), group))
         same = np.diff(group[by_group]) == 0
         assert np.all(np.diff(pos[by_group])[same] > 0)
         latest = np.full(len(g), -1)
         earliest = np.full(len(g), len(g))
-        np.maximum.at(latest, at[~first & ~last], pos[~first & ~last])
-        np.minimum.at(earliest, at[~first & last], pos[~first & last])
+        np.maximum.at(latest, at[~last], pos[~last])
+        np.minimum.at(earliest, at[last], pos[last])
         assert np.all(latest < earliest)
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -694,7 +698,7 @@ class TestNestedDissection:
                                               mms):
         K, local, points = direct_system(kind, order, 16, params, mms)
         perm = DirectFactor(K, points, local)._iidx
-        split = last_separator(points, perm[~sparse.decoupled_rows(K)[perm]])
+        split = last_separator(points, perm)
         assert split is not None
         axis, line = split
         c = points[:, axis]
@@ -733,8 +737,7 @@ class TestNestedDissection:
         K = sp.lil_matrix(sp.kronsum(lap, lap))
         iy, ix = np.divmod(np.arange(m * m), m)
         points = 2 * np.column_stack([ix, iy])
-        none = np.zeros(m * m, dtype=bool)
-        head = nested_dissection(points, none, none)[0]
+        head = nested_dissection(points, np.zeros(m * m, dtype=bool))[0]
         K[head, head] = 1e-20
         K = K.tocsr()
         b = rng.standard_normal(m * m)

@@ -14,21 +14,28 @@ coarse cells; `pairs:2:4,3:6` holds two schedules, so its study takes the
 finest level of each. For each configuration it records every unrounded
 error and rate as `float.hex`, one SHA-256 over the `indptr`, `indices`
 and `data` of every matrix handed to SuperLU, with the number of those
-matrices, and the iteration count of every GMRES and PCG solve in call
-order (`krylov`, as [method, iterations] pairs). The Krylov solvers are
-rebound wherever the package bound them by name, as `perfbench/tracing.py`
-does, so Picard's GMRES on its frozen factor is counted too.
+matrices, the fill of every factor SuperLU returns in call order
+(`superlu_fill`, its `nnz`: L and U with supernodal padding, read without
+copying either factor), and the iteration count of every GMRES and PCG
+solve in call order (`krylov`, as [method, iterations] pairs). The Krylov
+solvers are rebound wherever the package bound them by name, as
+`perfbench/tracing.py` does, so Picard's GMRES on its frozen factor is
+counted too.
 
 `compare` lists the configurations that differ. For each it gives the
 largest relative error difference (against B), whether the SuperLU inputs
 and the Krylov counts match, and every row whose printed `errors.csv`
 body changes, formatted by the `nsdarcy.cli` in the `src` next to this
-tool. A file written before the counts were recorded gives "Krylov counts
-unknown", which does not decide. Exit code 0 means every configuration is
-identical, 1 that some differ, 2 a bad argument or file. With `--rtol R`,
-for refactors that are not bitwise, a configuration that differs passes
-too when no printed `errors.csv` body changes and every unrounded error
-lies within R relative of B's; its SuperLU inputs and Krylov counts are
+tool. Where the SuperLU inputs or their fill differ it adds the relative
+change of the summed fill from A to B ("fill same" if only the inputs
+differ). A file written before the fill or the counts were recorded
+gives "fill unknown" or "Krylov counts unknown", which does not decide.
+Exit code 0 means every configuration is identical, 1 that some differ,
+2 a bad argument or file; a fill that differs on the same SuperLU inputs,
+as under another pivot threshold, differs too. With `--rtol R`, for
+refactors that are not bitwise, a configuration that differs passes too
+when no printed `errors.csv` body changes and every unrounded error lies
+within R relative of B's; its SuperLU inputs, fill and Krylov counts are
 then reported but do not decide.
 """
 
@@ -84,8 +91,8 @@ def _counting(orig, method, krylov):
 
 
 def fingerprint(configs) -> dict:
-    """{config: {"rows", "superlu_sha256", "superlu_inputs", "krylov"}} of
-    the studies run on the `nsdarcy` that imports first."""
+    """{config: {"rows", "superlu_sha256", "superlu_inputs", "superlu_fill",
+    "krylov"}} of the studies run on the `nsdarcy` that imports first."""
     from nsdarcy import cli, sparse
 
     orig_splu = sparse.spla.splu
@@ -93,14 +100,16 @@ def fingerprint(configs) -> dict:
     out = {}
     for config in configs:
         algorithm, order, solver, schedule = config.split(":", 3)
-        digest, count, krylov = hashlib.sha256(), 0, []
+        digest, count, fill, krylov = hashlib.sha256(), 0, [], []
 
         def splu(A, *args, **kwargs):
             nonlocal count
             count += 1
             for a in (A.indptr, A.indices, A.data):
                 digest.update(a.tobytes())
-            return orig_splu(A, *args, **kwargs)
+            lu = orig_splu(A, *args, **kwargs)
+            fill.append(lu.nnz)
+            return lu
 
         counting = {method: _counting(orig, method, krylov)
                     for method, orig in solvers.items()}
@@ -121,6 +130,7 @@ def fingerprint(configs) -> dict:
                       _hex(r.rate)] for r in artifact.rows],
             "superlu_sha256": digest.hexdigest(),
             "superlu_inputs": count,
+            "superlu_fill": fill,
             "krylov": krylov}
     return out
 
@@ -152,6 +162,17 @@ def _krylov(fa: dict, fb: dict) -> str:
             f"{solve(ka)} against {solve(kb)})")
 
 
+def _fill(fa: dict, fb: dict) -> str:
+    """"same", "unknown" (a file without fill) or the relative change of
+    the summed SuperLU fill from A to B."""
+    if "superlu_fill" not in fa or "superlu_fill" not in fb:
+        return "unknown"
+    if fa["superlu_fill"] == fb["superlu_fill"]:
+        return "same"
+    sa, sb = sum(fa["superlu_fill"]), sum(fb["superlu_fill"])
+    return f"{(sb - sa) / sa:+.3%}" if sa else f"{sa} against {sb}"
+
+
 def compare(a: dict, b: dict, rtol: float | None = None
             ) -> tuple[int, list[str]]:
     """(number of configurations that pass, report lines): identical ones
@@ -162,9 +183,11 @@ def compare(a: dict, b: dict, rtol: float | None = None
             lines.append(f"{config}: only in {'A' if config in a else 'B'}")
             continue
         fa, fb = a[config], b[config]
-        krylov = _krylov(fa, fb)
-        identical = all(fa[k] == fb[k] for k in
-                        ("rows", "superlu_sha256", "superlu_inputs"))
+        krylov, fill = _krylov(fa, fb), _fill(fa, fb)
+        moved = fill not in ("same", "unknown")
+        identical = not moved and all(fa[k] == fb[k] for k in
+                                      ("rows", "superlu_sha256",
+                                       "superlu_inputs"))
         if identical and krylov == "same":
             same += 1
             continue
@@ -176,10 +199,13 @@ def compare(a: dict, b: dict, rtol: float | None = None
         for x, y in zip(ra, rb):
             ex, ey = _unhex(x[4]), _unhex(y[4])
             worst = max(worst, abs(ex - ey) / (abs(ey) if ey else 1.0))
-        superlu = ("same" if (fa["superlu_sha256"], fa["superlu_inputs"])
-                   == (fb["superlu_sha256"], fb["superlu_inputs"])
-                   else f"differ ({fa['superlu_inputs']} against "
-                        f"{fb['superlu_inputs']} inputs)")
+        if ((fa["superlu_sha256"], fa["superlu_inputs"])
+                == (fb["superlu_sha256"], fb["superlu_inputs"])):
+            # the same matrices factored under other SuperLU options
+            superlu = f"same, fill {fill}" if moved else "same"
+        else:
+            superlu = (f"differ ({fa['superlu_inputs']} against "
+                       f"{fb['superlu_inputs']} inputs, fill {fill})")
         changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
                    if _body(x) != _body(y)]
         within = rtol is not None and not changed and worst <= rtol
