@@ -275,16 +275,16 @@ class TableArtifact:
 def read_table(path: str) -> TableArtifact:
     metadata: dict = {}
     rows: list = []
-    body = []
-    for ln in _ascii_lines(path):
+    body = []   # (file line number, line)
+    for lineno, ln in enumerate(_ascii_lines(path), start=1):
         if ln.startswith("#"):
             k, _, v = ln[1:].strip().partition(":")
             metadata[k.strip()] = v.strip()
         elif ln.strip():
-            body.append(ln)
-    if not body or body[0] != CSV_HEADER:
+            body.append((lineno, ln))
+    if not body or body[0][1] != CSV_HEADER:
         raise ParseError(f"{path}: missing header {CSV_HEADER!r}")
-    for i, ln in enumerate(body[1:], start=2):
+    for i, ln in body[1:]:
         parts = ln.split(",")
         if len(parts) != 6:
             raise ParseError(f"{path}: line {i}: expected 6 fields")

@@ -9,9 +9,13 @@ Each iteration assembles the block system
 with N1 the fixed-point convection operator, eliminates the outer Dirichlet
 dofs symmetrically, and solves. The blocks that do not change are stacked
 and eliminated once; each iteration adds N1 to them on one fixed CSR
-pattern (`System.refill`). The iteration starts from zero and stops when
-the l2 norm of the full coefficient update (velocity, pressure, and head
-together) drops below picard_tol.
+pattern (`System.refill`). A direct solve with a Mini velocity is posed
+without the bubbles: the refill then writes the fluid block condensed
+about N1 cell by cell (forms.MiniSaddle), on the P1 pattern tiled 3 x 3,
+and GMRES on the frozen factor runs on the condensed operator. The
+iteration starts from zero and stops when the l2 norm of the full
+coefficient update (velocity with its recovered bubbles, pressure, and
+head together) drops below picard_tol.
 
 Used standalone for reference errors and as the coarse-level solve of all
 multilevel algorithms. No pressure pinning is needed: the interface coupling
@@ -32,7 +36,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
-                  build_dofmap, cell_bubbles, dirichlet_trace, grid_points)
+                  build_dofmap, dirichlet_trace, grid_points)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                      LinearSolver, constrain_dirichlet, entry_rows, gmres,
@@ -129,34 +133,48 @@ def build_level(coupled_mesh: CoupledMesh, order: int,
 class System:
     """One solve site's block system on a level: K stacks the coefficients
     of the spaces named in `fields`, in that order, such as ("velocity",
-    "pressure", "head"). The level's outer Dirichlet trace is eliminated
-    from K once and the lift -K x0 kept, so every right side is pinned
-    without the unconstrained K. `refill` adds a matrix that changes, such
-    as Picard's convection operator, on K's own pattern."""
+    "pressure", "head"). With `bubbles` (forms.Bubbles) K is posed on the
+    other coefficients alone, the velocity's Mini bubbles eliminated cell
+    by cell: `rhs` condenses every load and `split` recovers the bubbles.
+    `kept` lists the stacked coefficients that K's unknowns are.
+    The level's outer Dirichlet trace is eliminated from K once and the
+    lift -K x0 kept, so every right side is pinned without the
+    unconstrained K. `refill` adds a matrix that changes, such as Picard's
+    convection operator, on K's own pattern."""
 
-    def __init__(self, level: Level, fields: tuple, K):
+    def __init__(self, level: Level, fields: tuple, K,
+                 bubbles: forms.Bubbles | None = None):
         self.level = level
         self.dofmaps = [getattr(level.spaces, f) for f in fields]
         self.sizes = [d.num_coefficients for d in self.dofmaps]
-        n = sum(self.sizes)
+        self.bubbles = bubbles
+        self.kept = np.arange(sum(self.sizes))
+        if bubbles is not None:
+            self.kept = np.delete(self.kept, bubbles.ids.ravel())
+        n = len(self.kept)
         if K.shape != (n, n):
             raise DimensionMismatch(f"K is {K.shape}, {fields} stack {n}")
         traces = {"velocity": level.velocity_trace, "head": level.head_trace}
         offsets = np.cumsum([0] + self.sizes[:-1])
         ids, values = zip(*[(traces[f][0] + off, traces[f][1])
                             for f, off in zip(fields, offsets) if f in traces])
-        self.dofs, self.values = np.concatenate(ids), np.concatenate(values)
+        # a bubble is never on the boundary
+        self.dofs = np.searchsorted(self.kept, np.concatenate(ids))
+        self.values = np.concatenate(values)
         self.K, self.lift = constrain_dirichlet(K, np.zeros(n), self.dofs,
                                                 self.values)
         self._static = None
 
-    def refill(self, N: sp.csr_matrix) -> None:
+    def refill(self, N: sp.csr_matrix,
+               bubbles: forms.Bubbles | None = None) -> None:
         """K and the lift become those of the given K plus N, N being its
-        top-left block, eliminated together. N's entries off the Dirichlet
-        rows and columns are added to the eliminated K's at fixed positions:
-        they lead their rows of K, as the given K's top-left block has N's
-        pattern, which the first call checks. N x0 is taken from the lift.
-        Every N must have the first one's pattern."""
+        top-left block, eliminated together; `bubbles` replaces the
+        system's own, as when N is a condensed fluid block. N's entries off
+        the Dirichlet rows and columns are added to the eliminated K's at
+        fixed positions: they lead their rows of K, as the given K's
+        top-left block has N's pattern, which the first call checks. N x0
+        is taken from the lift. Every N must have the first one's
+        pattern."""
         if self._static is None:
             K, fixed = self.K, np.zeros(self.K.shape[0], dtype=bool)
             fixed[self.dofs] = True
@@ -173,26 +191,34 @@ class System:
         if N.nnz != len(kept):
             raise DimensionMismatch(f"N has {N.nnz} entries, the pattern "
                                     f"{len(kept)}")
+        indices, indptr, shape = self.K.indices, self.K.indptr, self.K.shape
+        self.K = None   # its data goes before the new data is made
         data = static.copy()
         data[at] += N.data[kept]
-        self.K = sp.csr_matrix((data, self.K.indices, self.K.indptr),
-                               shape=self.K.shape)
+        self.K = sp.csr_matrix((data, indices, indptr), shape=shape)
         m = N.shape[0]
         self.lift[:m] = lift0[:m] - N @ x0[:m]
         self.lift[self.dofs] = self.values
+        self.bubbles = bubbles
+
+    def _stack(self, loads) -> np.ndarray:
+        return np.concatenate([np.zeros(size) if load is None else load
+                               for size, load in zip(self.sizes, loads)])
 
     def rhs(self, *loads) -> np.ndarray:
         """constrain_rhs(K, b, ...) of the block loads b, one per field
-        (None for a zero block), as b + lift: that is b - K x0 bitwise."""
-        b = np.concatenate([np.zeros(size) if load is None else load
-                            for size, load in zip(self.sizes, loads)])
+        (None for a zero block), as b + lift: that is b - K x0 bitwise.
+        With bubbles, b is the condensed load b_I - A_IL D^{-1} b_L."""
+        b = self._stack(loads)
+        if self.bubbles is not None:
+            b = self.bubbles.load(b[self.kept], b[self.bubbles.ids])
         b += self.lift
         b[self.dofs] = self.values
         return b
 
     def solver(self, opts: SolveOptions) -> LinearSolver:
-        """The site's LinearSolver: a direct factor condenses the first
-        space's bubbles; PCG with ichol on the head alone, otherwise GMRES
+        """The site's LinearSolver: a direct factor on the grid points of
+        K's unknowns; PCG with ichol on the head alone, otherwise GMRES
         with the block-triangular preconditioner."""
         level, sizes = self.level, self.sizes
         if len(sizes) == 1:
@@ -205,46 +231,94 @@ class System:
                     droptol=opts.droptol)
         return LinearSolver(self.K, opts.solver, opts.linear_tol,
                             precondition, symmetric=len(sizes) == 1,
-                            local=cell_bubbles(self.dofmaps[0]),
-                            points=grid_points(*self.dofmaps))
+                            points=grid_points(*self.dofmaps)[self.kept])
 
-    def split(self, x: np.ndarray) -> list[DiscreteField]:
-        """x cut into one field per stacked space."""
+    def split(self, x: np.ndarray, *loads) -> list[DiscreteField]:
+        """The solution x of K cut into one field per stacked space; the
+        bubbles, if K has none, are recovered cell by cell from the loads
+        that `rhs` was given."""
+        if self.bubbles is not None:
+            full = np.empty(sum(self.sizes))
+            full[self.kept] = x
+            full[self.bubbles.ids] = self.bubbles.recover(
+                x, self._stack(loads)[self.bubbles.ids])
+            x = full
         return [DiscreteField(d, part.copy()) for d, part in
                 zip(self.dofmaps, np.split(x, np.cumsum(self.sizes)[:-1]))]
+
+
+def condensed(level: Level, opts: SolveOptions) -> bool:
+    """Whether the level's solves are posed without the Mini bubbles: every
+    direct one. The Krylov path keeps them."""
+    return (opts.solver == "direct"
+            and level.spaces.velocity.family == MINI_VELOCITY)
+
+
+FIELDS = ("velocity", "pressure", "head")   # Picard's stacked spaces
+
+
+def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
+    """Picard's System about a zero velocity, and the arguments of its
+    `refill` about a given velocity. The blocks that do not change are
+    stacked and eliminated once; each iterate refills them with N1 about
+    the last velocity, on a_f's cell pattern, or with the fluid block
+    condensed about N1 and its bubbles."""
+    dv, dq, dphi = level.spaces
+    params = level.params
+    rule = forms.cell_rule(dv)
+    C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
+                                                       params)
+    A_p = forms.assemble_ap(dphi, params)
+    if condensed(level, opts):
+        saddle = forms.mini_saddle(dv, dq, params)
+
+        def fluid(velocity):
+            return saddle.condense(forms.convection_blocks(
+                forms.quad_state(velocity, rule, grads=False),
+                forms.ConvectionMode.PLAIN, params)[0])
+        vertex = np.concatenate([np.arange(dq.ndof),
+                                 dv.ndof + np.arange(dq.ndof)])
+        zero = sp.csr_matrix((dq.ndof, dphi.ndof))
+        # CSR blocks stacked row by row, without a COO copy of the whole
+        indptr, indices, _ = saddle.tiled
+        K = sp.vstack([
+            sp.hstack([sp.csr_matrix((np.zeros(len(indices)), indices, indptr),
+                                     shape=(len(indptr) - 1,) * 2),
+                       sp.vstack([C_vphi[vertex], zero])], format="csr"),
+            sp.hstack([C_phiu[:, vertex], zero.T, A_p], format="csr")],
+            format="csr")
+    else:
+        pattern = forms.cell_pattern(dv)
+
+        def fluid(velocity):
+            return forms.assemble_convection(
+                forms.quad_state(velocity, rule, grads=False),
+                forms.ConvectionMode.PLAIN, params, pattern)[:1]
+        B = forms.assemble_b(dv, dq)
+        K = sp.bmat([[forms.assemble_af(dv, params, pattern), B.T, C_vphi],
+                     [B, None, None],
+                     [C_phiu, None, A_p]], format="csr")
+        del B
+    del C_vphi, C_phiu, A_p
+    step = fluid(DiscreteField(dv, np.zeros(dv.num_coefficients)))
+    system = System(level, FIELDS, K, *step[1:])
+    del K
+    system.refill(*step)
+    return system, fluid
 
 
 def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     """Returns (CoupledState, PicardReport); raises PicardDiverged when the
     update norm grows three times in a row or PICARD_MAXIT iterations pass
     without convergence."""
-    dv, dq, dphi = level.spaces
-    params = level.params
-
-    # the blocks that do not change are stacked and eliminated once; each
-    # iteration refills that system with N1, on a_f's cell pattern
-    pattern = forms.cell_pattern(dv)
-    B = forms.assemble_b(dv, dq)
-    C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
-                                                       params)
-    system = System(level, ("velocity", "pressure", "head"), sp.bmat(
-        [[forms.assemble_af(dv, params, pattern), B.T, C_vphi],
-         [B, None, None],
-         [C_phiu, None, forms.assemble_ap(dphi, params)]], format="csr"))
-    del B, C_vphi, C_phiu
-    rule = forms.cell_rule(dv)
+    system, fluid = picard_system(level, opts)
+    loads = (level.fluid_load, None, level.porous_load)
     report = PicardReport(iterations=0)
-    x_prev = np.zeros(system.K.shape[0])
+    x_prev = np.zeros(sum(system.sizes))
     growth = 0
     frozen = None
     for m in range(1, PICARD_MAXIT + 1):
-        u_field = DiscreteField(dv, x_prev[:dv.num_coefficients])
-        N1, _ = forms.assemble_convection(
-            forms.quad_state(u_field, rule, grads=False),
-            forms.ConvectionMode.PLAIN, params, pattern)
-        system.refill(N1)
-        del N1
-        rhs = system.rhs(level.fluid_load, None, level.porous_load)
+        rhs = system.rhs(*loads)
         if frozen is not None:
             # one factor or preconditioner serves the whole iteration: later
             # systems differ only by the convection update, so the frozen one
@@ -260,13 +334,15 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
             maxit = max(100, 2 * rep.iterations)
             del linear  # later iterates need the factor, not its matrix
         report.solver_reports.append(rep)
+        fields = system.split(x, *loads)
+        x = np.concatenate([f.coefficients for f in fields])
 
         delta = float(np.linalg.norm(x - x_prev))
         report.iterations = m
         report.update_norms.append(delta)
         if delta < opts.picard_tol:
             report.converged = True
-            return CoupledState(*system.split(x)), report
+            return CoupledState(*fields), report
         if m > 1 and delta > report.update_norms[-2]:
             growth += 1
             if growth >= 3:
@@ -276,6 +352,8 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         else:
             growth = 0
         x_prev = x
+        system.bubbles = None   # freed before the next ones are made
+        system.refill(*fluid(fields[0]))
     raise PicardDiverged(f"no convergence in {PICARD_MAXIT} iterations "
                          f"(last update {report.update_norms[-1]:.3e})",
                          report)

@@ -17,7 +17,10 @@ the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
 level the Darcy matrix and the NS saddle matrix each get one
 `sparse.LinearSolver` (one LU factor, or one preconditioner), shared by
 their two solves; every step returns its `SolveReport` with the true
-residual.
+residual. A direct NS step with a Mini velocity condenses the Newton
+matrix cell by cell as it is assembled (forms.MiniSaddle): its factor, its
+right sides and its reported residual are those of the system without the
+bubbles, which each solve recovers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .coupled import (CoupledState, Level, SolveOptions, System, build_level,
-                      solve_coupled)
+                      condensed, solve_coupled)
 from .fem import DiscreteField
 from .mesh import build_coupled_mesh
 
@@ -98,25 +101,33 @@ class NSStep:
                  opts: SolveOptions = SolveOptions()):
         self.level = level
         dv, dq, _ = level.spaces
+        params = level.params
         self.a = forms.quad_state(linearization_state, forms.cell_rule(dv))
 
-        pattern = forms.cell_pattern(dv)
-        N, self.newton_load = forms.assemble_convection(
-            self.a, forms.ConvectionMode.NEWTON, level.params, pattern)
-        B = forms.assemble_b(dv, dq)
-        K = sp.bmat([[forms.assemble_af(dv, level.params, pattern) + N, B.T],
-                     [B, None]], format="csr")
-        del N, B, pattern   # only the constrained matrix outlives the set-up
-        self.system = System(level, ("velocity", "pressure"), K)
+        if condensed(level, opts):
+            N, self.newton_load = forms.convection_blocks(
+                self.a, forms.ConvectionMode.NEWTON, params)
+            K, bubbles = forms.mini_saddle(dv, dq, params).condense(N)
+        else:
+            pattern = forms.cell_pattern(dv)
+            N, self.newton_load = forms.assemble_convection(
+                self.a, forms.ConvectionMode.NEWTON, params, pattern)
+            B = forms.assemble_b(dv, dq)
+            K = sp.bmat([[forms.assemble_af(dv, params, pattern) + N, B.T],
+                         [B, None]], format="csr")
+            bubbles = None
+            del B, pattern
+        del N   # only the constrained matrix outlives the set-up
+        self.system = System(level, ("velocity", "pressure"), K, bubbles)
         del K
         self.linear = self.system.solver(opts)
 
     def _solve(self, load: np.ndarray, head_source: DiscreteField):
         level = self.level
-        x, rep = self.linear.solve(self.system.rhs(
-            level.fluid_load + load + forms.assemble_interface_load_ns(
-                level.spaces.velocity, head_source, level.params), None))
-        return (*self.system.split(x), rep)
+        loads = (level.fluid_load + load + forms.assemble_interface_load_ns(
+            level.spaces.velocity, head_source, level.params), None)
+        x, rep = self.linear.solve(self.system.rhs(*loads))
+        return (*self.system.split(x, *loads), rep)
 
     def solve_newton(self, head_source: DiscreteField):
         return self._solve(self.newton_load, head_source)

@@ -247,16 +247,6 @@ def dof_count(family: ElementFamily, n: int) -> int:
     return (n + 1) ** 2 + extra[family.tag]
 
 
-def cell_bubbles(dofmap: DofMap) -> np.ndarray:
-    """Coefficient ids (nc, 2) of the two bubble components of each Mini
-    cell, (0, 2) for other families. A bubble vanishes on every edge, so
-    only the volume terms of its own cell couple it to anything."""
-    if dofmap.family.tag != "MINI_VELOCITY":
-        return np.empty((0, 2), dtype=np.int64)
-    bubble = dofmap.cell_dofs[:, 3]
-    return np.column_stack([bubble, bubble + dofmap.ndof])
-
-
 def grid_points(*dofmaps: DofMap) -> np.ndarray:
     """Integer coordinates rint(2 n x) (N, 2) of the coefficients of the
     dof maps, stacked in their order and per vector component, as a direct

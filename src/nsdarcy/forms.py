@@ -23,7 +23,9 @@ divergence block, the Newton load and the correction load; those that
 depend on the cell map alone run once per cell shape. The convection
 blocks are products against reference tensors (Kirby & Logg, ACM TOMS 32,
 2006). One np.bincount sums each matrix's cell blocks into a fixed
-pattern, within 1e-14 of the largest entry of the einsum result.
+pattern, within 1e-14 of the largest entry of the einsum result. For a
+direct Mini solve, `MiniSaddle` eliminates the bubbles from the fluid
+saddle blocks cell by cell before they are summed.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import scipy.sparse as sp
 from .fem import (DiscreteField, DofMap, QuadratureRule, basis_at, edge_bary,
                   quad_rule_edge, quad_rule_tri, ref_basis_many, sum_in_order)
 from .mesh import BoundaryTag, CoupledMesh, TriMesh
-from .sparse import entry_rows
+from .sparse import Singular, entry_rows
 
 EDGE_QUAD_POINTS = 5
 
@@ -189,6 +191,25 @@ class CellPattern:
         return sp.csr_matrix((np.concatenate(data), indices, indptr),
                              shape=(k * n, k * m))
 
+    def tiled(self, k: int) -> tuple:
+        """The CSR indptr and indices (int32) of the k x k block matrix with
+        this pattern in every block, and where each entry of this pattern
+        sits in the data of block (a, b), (k, k, nnz). Within a row, block
+        0's entries come first."""
+        (n, m), nnz = self.shape, len(self.indices)
+        rows = entry_rows(self)
+        blocks = np.arange(k, dtype=np.int32)
+        # entry p of a row r sits at k indptr[r] + b length[r]
+        # + (p - indptr[r]) of block b of its block row
+        where = ((k - 1) * self.indptr[rows] + np.arange(nnz, dtype=np.int32)
+                 + blocks[:, None, None] * k * nnz
+                 + blocks[:, None] * np.diff(self.indptr)[rows])
+        indices = np.empty(k * k * nnz, dtype=np.int32)
+        indices[where] = self.indices + blocks[:, None] * m
+        indptr = np.append(k * self.indptr[:-1] + blocks[:, None] * k * nnz,
+                           k * k * nnz).astype(np.int32)
+        return indptr, indices, where
+
 
 def cell_pattern(rows: DofMap, cols: DofMap | None = None) -> CellPattern:
     """The CellPattern of the dofs of `rows` against those of `cols`
@@ -295,6 +316,13 @@ def assemble_ap(dofmap_phi: DofMap, params: ModelParams) -> sp.csr_matrix:
     return A
 
 
+def _slip(edges: EdgeRule, params: ModelParams) -> np.ndarray:
+    """The slip penalty nu alpha/sqrt(nu K) (basis_j, basis_i)_Gamma on
+    each of the interface edges of `edges` (ne, nloc, nloc)."""
+    return (params.bjs_coefficient * edges.length)[:, None, None] \
+        * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
+
+
 def assemble_af(dofmap_v: DofMap, params: ModelParams,
                 pattern: CellPattern | None = None) -> sp.csr_matrix:
     """Viscous block nu (grad u, grad v) plus the slip penalty on the
@@ -306,24 +334,29 @@ def assemble_af(dofmap_v: DofMap, params: ModelParams,
     pattern = pattern or cell_pattern(dofmap_v)
     loc = (params.nu * rule.stiffness())[rule.shape]
     edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
-    slip = (params.bjs_coefficient * edges.length)[:, None, None] \
-        * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
     normal = pattern.data(loc)
-    tangential = normal + pattern.data(slip, edges.cells)
+    tangential = normal + pattern.data(_slip(edges, params), edges.cells)
     return _symmetric_form(pattern, tangential, normal)
+
+
+def _divergence(dofmap_v: DofMap, dofmap_q: DofMap) -> np.ndarray:
+    """The cell blocks of b per cell shape, (ns, nloc_q, nloc_v, 2): entry
+    [s, i, j, d] = -(q_i, d v_j / d x_d) for pressure i, velocity j and
+    component d."""
+    rule = cell_rule(dofmap_v)
+    qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
+    g = rule.grads()
+    return -sum_in_order((wd[:, None] * qvals[:, q])[:, :, None, None]
+                         * g[:, None, :, q] for q, wd in enumerate(rule.wdet))
 
 
 def assemble_b(dofmap_v: DofMap, dofmap_q: DofMap) -> sp.csr_matrix:
     """Divergence constraint, entry (q_i, v_j) = -(q_i, d v_j / d x_d),
     without its exact zeros."""
-    rule = cell_rule(dofmap_v)
-    qvals, _ = ref_basis_many(dofmap_q.family, rule.quad.points)
-    # loc[s, i, j, d] per shape for pressure i, velocity j, component d
-    g = rule.grads()
-    loc = -sum_in_order((wd[:, None] * qvals[:, q])[:, :, None, None]
-                        * g[:, None, :, q] for q, wd in enumerate(rule.wdet))
+    shape = dofmap_v.mesh.shapes[0]
+    loc = _divergence(dofmap_v, dofmap_q)
     pattern = cell_pattern(dofmap_q, dofmap_v)
-    B = sp.hstack([pattern.matrix(pattern.data(loc[rule.shape, ..., d]))
+    B = sp.hstack([pattern.matrix(pattern.data(loc[shape, ..., d]))
                    for d in range(2)], format="csr")
     B.eliminate_zeros()
     return B
@@ -400,25 +433,22 @@ def _convect(a: np.ndarray, grads: np.ndarray) -> np.ndarray:
                         for d in range(2))
 
 
-def assemble_convection(state: QuadState, mode: ConvectionMode,
-                        params: ModelParams,
-                        pattern: CellPattern | None = None):
-    """Convection operator linearized about `state`, on its rule's space.
+def convection_blocks(state: QuadState, mode: ConvectionMode,
+                      params: ModelParams) -> tuple:
+    """The cell blocks of the convection operator linearized about `state`,
+    on its rule's space, and the NEWTON load.
 
-    PLAIN: matrix with entries c(state, basis_j, basis_i) -- the fixed-point
-    operator. NEWTON: adds c(basis_j, state, basis_i) and returns the load
-    with entries c(state, state, basis_i) as the second element (PLAIN
-    returns None there). The local blocks are products of the state with
-    the rule's reference tensors, scattered into the space's cell pattern
-    (built here unless given): the two diagonal blocks for PLAIN and all
-    four for NEWTON. The blocks are CSR, so they are stacked without a COO
-    copy.
+    PLAIN: the blocks c(state, basis_j, basis_i) (nc, nloc, nloc) of the
+    fixed-point operator, identical on both components, and None. NEWTON:
+    the blocks (2, 2, nc, nloc, nloc) [e, d] coupling component d to
+    component e, which add c(basis_j, state, basis_i), and the load with
+    entries c(state, state, basis_i). Both are products of the state with
+    the rule's reference tensors.
     """
     rule = state.rule
     nc, nq = state.vals.shape[:2]
     nloc = len(rule.vals)
     T1, T2 = rule.convection_tensors
-    pattern = pattern or cell_pattern(rule.dofmap)
     rho_det = (params.rho * rule.det)[rule.shape]
 
     # (a . grad basis_j, basis_i), identical on both diagonal blocks: a_d
@@ -430,8 +460,7 @@ def assemble_convection(state: QuadState, mode: ConvectionMode,
                    * rule.jinv_t.reshape(-1, 4)[rule.shape], transport)
     del transport
     if mode is not ConvectionMode.NEWTON:
-        block = pattern.data(n1)
-        return pattern.matrix(block, block), None
+        return n1, None
 
     # (basis_j . grad state_e, basis_i) couples the components: block
     # [e, d] is d(state_e)/d(x_d) times T2
@@ -441,11 +470,177 @@ def assemble_convection(state: QuadState, mode: ConvectionMode,
     nb[0, 0] += n1
     nb[1, 1] += n1
     del n1
-    N = sp.vstack([sp.hstack([pattern.matrix(pattern.data(nb[e, d]))
+    conv = _convect(state.vals, state.grads)  # (a.grad)a
+    return nb, _cell_load(rule, params.rho, (conv[:, :, 0], conv[:, :, 1]))
+
+
+def assemble_convection(state: QuadState, mode: ConvectionMode,
+                        params: ModelParams,
+                        pattern: CellPattern | None = None):
+    """Convection operator linearized about `state`, on its rule's space:
+    the `convection_blocks` scattered into the space's cell pattern (built
+    here unless given), the two diagonal blocks for PLAIN and all four for
+    NEWTON, with the NEWTON load (PLAIN returns None there). The blocks
+    are CSR, so they are stacked without a COO copy.
+    """
+    blocks, load = convection_blocks(state, mode, params)
+    pattern = pattern or cell_pattern(state.rule.dofmap)
+    if mode is not ConvectionMode.NEWTON:
+        block = pattern.data(blocks)
+        return pattern.matrix(block, block), None
+    N = sp.vstack([sp.hstack([pattern.matrix(pattern.data(blocks[e, d]))
                               for d in range(2)]) for e in range(2)],
                   format="csr")
-    conv = _convect(state.vals, state.grads)  # (a.grad)a
-    return N, _cell_load(rule, params.rho, (conv[:, :, 0], conv[:, :, 1]))
+    return N, load
+
+
+@dataclass(frozen=True, eq=False)
+class Bubbles:
+    """The bubbles of a Mini fluid system, eliminated cell by cell, with
+    the cells along the last axis: their coefficient ids (2, nc), the
+    condensed ids (9, nc) of each cell's other unknowns I (vertex
+    velocities of component 0, then 1, then pressures), D^{-1} (2, 2, nc)
+    of the bubble blocks D, A_IL D^{-1} (9, 2, nc) and D^{-1} A_LI
+    (2, 9, nc)."""
+    ids: np.ndarray
+    dofs: np.ndarray
+    dinv: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+
+    def load(self, b_i: np.ndarray, b_l: np.ndarray) -> np.ndarray:
+        """b_I - A_IL D^{-1} b_L, written over b_I; b_L is (2, nc)."""
+        b_i -= np.bincount(self.dofs.ravel(), np.einsum(
+            "ijc,jc->ic", self.e, b_l).ravel(), minlength=len(b_i))
+        return b_i
+
+    def recover(self, x_i: np.ndarray, b_l: np.ndarray) -> np.ndarray:
+        """The bubbles D^{-1} (b_L - A_LI x_I) (2, nc) of the solution x_I
+        of the condensed system."""
+        return (np.einsum("ijc,jc->ic", self.dinv, b_l)
+                - np.einsum("ijc,jc->ic", self.f, x_i[self.dofs]))
+
+
+# cells condensed at a time: every temporary stays small, so the heap does
+# not keep a whole mesh's worth of them
+CONDENSE_CELLS = 2048
+# A Mini cell's local saddle block is 11 x 11: velocity component i and
+# basis r at 4 i + r (r = 3: the bubble), pressure basis p at 8 + p. Its
+# entries are stored with the velocity blocks first, by (i, j, r, c) as the
+# convection blocks run, then the others row by row (_ORDER); _II, _IL,
+# _LI and _LL are where its blocks of I (the vertex velocities and the
+# pressures) and L (the bubbles) are stored.
+_i, _j, _r, _c = np.indices((2, 2, 4, 4)).reshape(4, -1)
+_VELOCITY = (4 * _i + _r) * 11 + 4 * _j + _c
+_ORDER = np.concatenate([_VELOCITY,
+                         np.setdiff1d(np.arange(121), _VELOCITY)])
+_I, _L = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10]), np.array([3, 7])
+_II, _IL, _LI, _LL = (np.argsort(_ORDER)[np.ravel_multi_index(
+    np.ix_(r, c), (11, 11)).ravel()]
+    for r, c in ((_I, _I), (_I, _L), (_L, _I), (_L, _L)))
+
+
+@dataclass(frozen=True, eq=False)
+class MiniSaddle:
+    """The Mini fluid saddle operator [a_f + N, B^T; B, 0] posed on the
+    vertex velocities and the pressures alone, its cubic bubbles eliminated
+    cell by cell (static condensation: Wilson, Int. J. Numer. Methods Eng.
+    8, 1974). A bubble vanishes on every edge, so it couples only with the
+    unknowns of its own cell, and S = A_II - A_IL D^{-1} A_LI is a sum of
+    cell blocks. It holds what does not change, with the cells along the
+    last axis: each shape's local block of [a_f, B^T; B, 0] (121, ns), the
+    slip blocks (16, ne) of the interface cells, the P1 pattern's positions
+    (9, nc), and the pattern of S, the P1 pattern tiled 3 x 3 (`tiled`)."""
+    static: np.ndarray
+    slip: np.ndarray
+    slip_cells: np.ndarray
+    shape: np.ndarray
+    positions: np.ndarray
+    tiled: tuple
+    ids: np.ndarray
+    dofs: np.ndarray
+
+    def condense(self, convection: np.ndarray) -> tuple:
+        """S about the given `convection_blocks`, PLAIN or NEWTON, summed
+        into the pattern, and its `Bubbles`. Raises sparse.Singular when a
+        bubble block D is singular."""
+        nc = len(self.shape)
+        indptr, indices, where = self.tiled
+        blocks = np.zeros(where.shape)   # the data of S's 3 x 3 P1 blocks
+        dinv, e, f = (np.empty((2, 2, nc)), np.empty((9, 2, nc)),
+                      np.empty((2, 9, nc)))
+        for lo in range(0, nc, CONDENSE_CELLS):
+            cells = slice(lo, lo + CONDENSE_CELLS)
+            K = self.static[:, self.shape[cells]]
+            m = K.shape[1]
+            slip = (self.slip_cells >= lo) & (self.slip_cells < lo + m)
+            K[:16, self.slip_cells[slip] - lo] += self.slip[:, slip]
+            if convection.ndim == 3:   # PLAIN: on both components
+                block = convection[cells].reshape(m, 16).T
+                K[:16] += block
+                K[48:64] += block
+            else:
+                K[:64].reshape(2, 2, 16, m)[...] += convection[
+                    :, :, cells].reshape(2, 2, m, 16).transpose(0, 1, 3, 2)
+            S = _condense_cells(K, dinv[:, :, cells], e[:, :, cells],
+                                f[:, :, cells]).reshape(3, 3, 3, 3, m)
+            at = self.positions[:, cells].ravel()
+            for a in range(3):
+                for b in range(3):
+                    np.add.at(blocks[a, b], at, S[a, :, b].ravel())
+        data = np.empty(len(indices))
+        data[where] = blocks
+        return (sp.csr_matrix((data, indices, indptr),
+                              shape=(len(indptr) - 1,) * 2),
+                Bubbles(self.ids, self.dofs, dinv, e, f))
+
+
+def _condense_cells(K: np.ndarray, dinv: np.ndarray, e: np.ndarray,
+                    f: np.ndarray) -> np.ndarray:
+    """S = A_II - A_IL D^{-1} A_LI (9, 9, m) of m Mini cells from their
+    local saddle blocks K (121, m); D^{-1}, A_IL D^{-1} and D^{-1} A_LI are
+    written to dinv, e and f."""
+    m = K.shape[1]
+    A_IL, A_LI = K[_IL].reshape(9, 2, m), K[_LI].reshape(2, 9, m)
+    (a, b), (c, d) = K[_LL].reshape(2, 2, m)
+    det = a * d - b * c
+    if not np.all(np.isfinite(det) & (det != 0)):
+        raise Singular("singular bubble block")
+    for (k, l), v in (((0, 0), d), ((0, 1), -b), ((1, 0), -c),
+                      ((1, 1), a)):
+        np.divide(v, det, out=dinv[k, l])
+    e[...] = A_IL[:, :1] * dinv[0] + A_IL[:, 1:] * dinv[1]
+    f[...] = dinv[:, :1] * A_LI[0] + dinv[:, 1:] * A_LI[1]
+    S = K[_II].reshape(9, 9, m)
+    S -= e[:, :1] * A_LI[0]
+    S -= e[:, 1:] * A_LI[1]
+    return S
+
+
+def mini_saddle(dofmap_v: DofMap, dofmap_q: DofMap,
+                params: ModelParams) -> MiniSaddle:
+    """The MiniSaddle of a Mini velocity and a P1 pressure on one mesh,
+    whose vertex dofs are numbered alike."""
+    nv, ndof = dofmap_q.ndof, dofmap_v.ndof
+    rule = cell_rule(dofmap_v)
+    viscous = params.nu * rule.stiffness()
+    divergence = _divergence(dofmap_v, dofmap_q)
+    static = np.zeros((len(viscous), 11, 11))
+    for d in range(2):
+        static[:, 4 * d:4 * d + 4, 4 * d:4 * d + 4] = viscous
+        static[:, 8:, 4 * d:4 * d + 4] = divergence[..., d]
+        static[:, 4 * d:4 * d + 4, 8:] = divergence[..., d].transpose(0, 2, 1)
+    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    pattern = cell_pattern(dofmap_q)
+    nc = len(rule.shape)
+    bubble = dofmap_v.cell_dofs[:, 3]
+    return MiniSaddle(
+        np.ascontiguousarray(static.reshape(-1, 121)[:, _ORDER].T),
+        _slip(edges, params).reshape(-1, 16).T, edges.cells, rule.shape,
+        np.ascontiguousarray(pattern.positions.reshape(nc, 9).T),
+        pattern.tiled(3), np.stack([bubble, bubble + ndof]),
+        (dofmap_q.cell_dofs.T + nv * np.arange(3)[:, None, None]).reshape(
+            9, nc))
 
 
 def assemble_correction_load(coarse_state: QuadState,

@@ -8,7 +8,9 @@ structure) is part of the method.
 `LinearSolver` is the one place a solve site's "direct" or "iterative"
 setting is acted on: built once per matrix, it holds a SuperLU factor or a
 Krylov method with its preconditioner, and every report it returns carries
-the true relative residual ||b - K x|| / ||b||.
+the true relative residual ||b - K x|| / ||b|| of the K it was given. A
+direct Mini system comes already condensed (forms.MiniSaddle), so that
+residual is the condensed system's; the factor eliminates nothing itself.
 
 Saddle systems are preconditioned by a block upper-triangular operator
 
@@ -399,92 +401,41 @@ def entry_rows(A: sp.csr_matrix) -> np.ndarray:
 class DirectFactor:
     """Reusable sparse LU factorization (SuperLU).
 
-    `local`, a (groups, k) array of unknown ids, names unknowns that couple
-    only with the other unknowns of their own row (the bubbles of one Mini
-    cell). With D the block-diagonal local-local block and I the remaining
-    unknowns, they are eliminated first (static condensation): SuperLU
-    factors only S = A_II - A_IL D^{-1} A_LI, and `solve` applies the one
-    block-diagonal CSR D^{-1} twice: x_I = S^{-1} (b_I - A_IL D^{-1} b_L)
-    and x_L = D^{-1} (b_L - A_LI x_I).
-
     `points`, integer grid coordinates (N, 2) of every unknown, orders the
-    factored unknowns by `nested_dissection`, the rows whose diagonal is
-    zero in S last in their leaf or separator, so SuperLU keeps that order
-    and the diagonal pivots (DIAG_PIVOT_THRESH). A Dirichlet identity row
-    (see constrain_matrix) couples with no other unknown, so it causes no
-    fill wherever the dissection puts it. `_iidx` lists the factored
-    unknowns in factor order.
-
-    `solve` takes and returns full-length vectors; `shape` is the full
-    shape and `_lu.shape` the factored one.
+    unknowns by `nested_dissection`, the rows whose diagonal is zero last
+    in their leaf or separator, so SuperLU keeps that order and the
+    diagonal pivots (DIAG_PIVOT_THRESH). A Dirichlet identity row (see
+    constrain_matrix) couples with no other unknown, so it causes no fill
+    wherever the dissection puts it. `_iidx` lists the unknowns in factor
+    order; SuperLU gets A in that order, less its explicit zeros.
     """
 
-    def __init__(self, A, points: np.ndarray,
-                 local: np.ndarray = np.empty((0, 1), dtype=np.int64)):
+    def __init__(self, A, points: np.ndarray):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
         self.shape = A.shape
-        lidx = local.ravel()
-        keep = np.ones(A.shape[0], dtype=bool)
-        keep[lidx] = False
-        if np.count_nonzero(~keep) != lidx.size:
-            raise ValueError("local unknowns are listed more than once")
-        iidx = np.flatnonzero(keep)
-        # a zero diagonal stays zero in S unless a local unknown couples in
-        zero = (A.diagonal() == 0) & (np.diff(A[:, lidx].indptr) == 0)
-        self._iidx = iidx[nested_dissection(np.asarray(points)[iidx],
-                                            zero[iidx])]
-        S = self._condense(A, local)
+        self._iidx = nested_dissection(points, A.diagonal() == 0)
+        where = np.empty(A.shape[0], dtype=A.indices.dtype)
+        where[self._iidx] = np.arange(A.shape[0])
+        S = A[self._iidx]   # rows in factor order; then the columns, unsorted
+        S.indices = where[S.indices]
+        S.has_sorted_indices = False
+        S.eliminate_zeros()
+        S = S.tocsc()   # sorted, and the ordered CSR is freed before SuperLU
         try:
-            self._lu = spla.splu(S.tocsc(), permc_spec="NATURAL",
+            self._lu = spla.splu(S, permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise Singular(str(exc)) from exc
 
-    def _condense(self, A: sp.csr_matrix, local: np.ndarray) -> sp.csr_matrix:
-        """Inverts the local blocks into the block-diagonal CSR `_Dinv`,
-        keeps the couplings back-substitution needs and returns the Schur
-        complement on the unknowns `_iidx`, in their order."""
-        groups, k = local.shape
-        lidx, iidx = local.ravel(), self._iidx
-
-        A_L = A[lidx]
-        A_LL = A_L[:, lidx].tocoo()
-        group = A_LL.row // k
-        same = group == A_LL.col // k
-        if np.any(A_LL.data[~same]):
-            raise ValueError("local unknowns couple across groups")
-        D = np.zeros((groups, k, k))
-        D[group[same], A_LL.row[same] % k, A_LL.col[same] % k] = \
-            A_LL.data[same]
-        try:
-            Dinv = np.linalg.inv(D)
-        except np.linalg.LinAlgError as exc:
-            raise Singular(f"singular local block: {exc}") from exc
-
-        block = np.arange(lidx.size).reshape(groups, k)
-        self._Dinv = sp.csr_matrix(
-            (Dinv.ravel(),
-             (np.broadcast_to(block[:, :, None], Dinv.shape).ravel(),
-              np.broadcast_to(block[:, None, :], Dinv.shape).ravel())),
-            shape=(lidx.size, lidx.size))
-        A_I = A[iidx]
-        self._lidx = lidx
-        self._A_IL, self._A_LI = A_I[:, lidx], A_L[:, iidx]
-        for M in (self._A_IL, self._A_LI):   # drop K's stored zeros
-            M.eliminate_zeros()
-        return as_csr(A_I[:, iidx] - self._A_IL @ (self._Dinv @ self._A_LI))
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
-        lidx, iidx, Dinv = self._lidx, self._iidx, self._Dinv
         x = np.empty_like(b)
-        x[iidx] = self._lu.solve(b[iidx] - self._A_IL @ (Dinv @ b[lidx]))
-        x[lidx] = Dinv @ (b[lidx] - self._A_LI @ x[iidx])
+        x[self._iidx] = self._lu.solve(b[self._iidx])
         if not np.all(np.isfinite(x)):
             raise Singular("non-finite solution from LU solve")
         return x
@@ -504,24 +455,22 @@ def true_residual(A, b: np.ndarray, x: np.ndarray) -> float:
 class LinearSolver:
     """Solves K x = b for a sequence of right sides under one policy.
 
-    "direct" factors K once (SuperLU), eliminating the cell-local unknowns
-    `local` first and ordering by the unknowns' grid `points` (see
-    DirectFactor); `factor` then holds the reusable LU. "iterative"
-    calls precondition(K) once and runs PCG (symmetric K) or GMRES to
-    relative tolerance tol on all of K, unordered. Reports
-    carry the true relative residual on K; `converged` is the Krylov
-    method's own stopping flag.
+    "direct" factors K once (SuperLU), ordered by the unknowns' grid
+    `points` (see DirectFactor); `factor` then holds the reusable LU.
+    "iterative" calls precondition(K) once and runs PCG (symmetric K) or
+    GMRES to relative tolerance tol on K, unordered. Reports carry the true
+    relative residual on K; `converged` is the Krylov method's own stopping
+    flag.
     """
 
     def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
-                 symmetric: bool = False, local=np.empty((0, 1), np.int64),
-                 *, points: np.ndarray):
+                 symmetric: bool = False, *, points: np.ndarray):
         self.K = K
         self.tol = tol
         self.symmetric = symmetric
         self.factor = self.precon = None
         if solver == "direct":
-            self.factor = DirectFactor(K, points, local)
+            self.factor = DirectFactor(K, points)
         elif solver == "iterative":
             self.precon = precondition(K)
         else:

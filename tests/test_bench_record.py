@@ -66,3 +66,77 @@ def test_record_without_a_field_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert bench_record.main(["x", f"change={path}"]) == 2
     assert "no field 'correct'" in capsys.readouterr().err
+
+
+def records(side, values, metric="wall_s", workload="alg_a_mini_128"):
+    return [{"workload": workload, "trace": 0, "side": side,
+             "metrics": {metric: v}} for v in values]
+
+
+def interleave(a, b):
+    return [r for pair in zip(a, b) for r in pair]
+
+
+BETTER = {"wall_s": "lower", "ok_frac": "higher"}
+
+
+def test_summary_counts_won_pairs_and_the_gain_rule():
+    parent = [1.40, 1.42, 1.45, 1.41, 1.43, 1.44, 1.39, 1.46, 1.42, 1.43]
+    change = [1.20, 1.25, 1.22, 1.21, 1.45, 1.24, 1.23, 1.22, 1.26, 1.21]
+    (entry,) = bench_record.summarize(
+        interleave(records("change", change), records("parent", parent)),
+        BETTER)
+    assert entry["base"] == "parent" and entry["change"] == "change"
+    assert entry["pairs"] == 10 and entry["won"] == 9 and entry["gain"]
+    assert entry["base_quartiles"][1] == pytest.approx(1.425)
+    assert entry["change_quartiles"][1] == pytest.approx(1.225)
+    line, = bench_record.summary_lines([entry])
+    assert line.startswith("alg_a_mini_128 trace0 wall_s: parent 1.425 ")
+    assert line.endswith("change won 9/10; gain holds")
+
+
+SPREAD = [2.0, 2.3, 1.95, 2.05, 2.4, 1.9, 2.1, 1.95, 2.2, 2.0]
+
+
+@pytest.mark.parametrize("change,pairs,won", [
+    ([1.0] * 9, 9, 9),                   # too few pairs
+    ([1.0] * 8 + [3.0, 3.0], 10, 8),     # too few won
+    ([1.85] * 10, 10, 10)])              # inside the parent's spread
+def test_gain_not_shown(change, pairs, won):
+    (entry,) = bench_record.summarize(
+        records("parent", SPREAD[:pairs]) + records("change", change), BETTER)
+    assert (entry["pairs"], entry["won"], entry["gain"]) == (pairs, won,
+                                                             False)
+
+
+def test_ties_count_for_neither_and_direction_comes_from_the_spec():
+    (entry,) = bench_record.summarize(
+        records("a", [1.0, 1.0, 0.9], "ok_frac")
+        + records("b", [1.0, 0.95, 1.0], "ok_frac"), BETTER)
+    assert entry["base"] == "a" and (entry["pairs"], entry["won"]) == (3, 1)
+    assert bench_record.better_of()["peak_rss_mb"] == "lower"
+
+
+def test_no_summary_without_two_sides_or_a_known_direction():
+    assert bench_record.summarize(records("parent", [1.0, 2.0]), BETTER) == []
+    (entry,) = bench_record.summarize(
+        records("parent", [1.0], "count") + records("change", [2.0], "count"),
+        BETTER)
+    assert "won" not in entry
+
+
+def test_record_file_holds_the_summary(tmp_path, monkeypatch, capsys):
+    args = []
+    for side, wall in (("parent", 2.0), ("change", 1.5)):
+        (tmp_path / side).mkdir()
+        args.append(f"{side}=" + write_record(
+            tmp_path / side, "alg_a_mini_128_iter-seed11-trace0.json",
+            metrics={"wall_s": wall, "peak_rss_mb": 287.0}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["s", *args]) == 0
+    out = capsys.readouterr().out
+    assert "wall_s: parent 2 [2, 2]  change 1.5 [1.5, 1.5]  change won 1/1" \
+        in out
+    summary = json.loads((tmp_path / "BENCH_s.json").read_text())["summary"]
+    assert [e["metric"] for e in summary] == ["wall_s", "peak_rss_mb"]
+    assert summary[1]["won"] == 0 and not summary[1]["gain"]

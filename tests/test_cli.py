@@ -340,6 +340,18 @@ class TestTableIO:
         with pytest.raises(ParseError, match="line 2"):
             read_table(str(bad))
 
+    def test_errors_count_file_lines(self, tmp_path):
+        """Comment and blank lines count: a bad row on file line 6."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# solver: direct\n# order: 1\n" + CSV_HEADER
+                       + "\n0,1/2,u,H1,5.000E-01,-\n\n0,1/2,u,L2,abc,-\n")
+        with pytest.raises(ParseError, match="line 6:"):
+            read_table(str(bad))
+        bad.write_text("# solver: direct\n\n" + CSV_HEADER
+                       + "\n0,1/2,u,H1\n")
+        with pytest.raises(ParseError, match="line 4: expected 6 fields"):
+            read_table(str(bad))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(2, 1024),
                               st.sampled_from(VARIABLES),

@@ -3,6 +3,7 @@ import pytest
 
 import scipy.sparse as sp
 from layout import monolithic_trace
+from test_condensation import dense_condensation
 
 from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
@@ -10,7 +11,7 @@ from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
                              solve_coupled)
 from nsdarcy.mesh import build_coupled_mesh
 from nsdarcy.mms import error_norms
-from nsdarcy.fem import DiscreteField, cell_bubbles, grid_points, interpolate
+from nsdarcy.fem import DiscreteField, grid_points, interpolate
 from nsdarcy.sparse import (DimensionMismatch, constrain_dirichlet,
                             constrain_matrix, constrain_rhs)
 
@@ -197,35 +198,44 @@ class TestStaticBlocks:
     def test_constrained_matrix_equals_stacked_reference(self, order, params,
                                                          mms, monkeypatch):
         """Picard stacks and eliminates the blocks that do not change once
-        and refills them with the convection operator; the matrices and
-        lifts of its first two iterations equal those stacked afresh around
-        A_f + N1 and eliminated, to 1e-14 relative."""
+        and refills them about each velocity; the matrices and lifts of its
+        first two iterations equal those stacked afresh around A_f + N1 and
+        eliminated, to 1e-14 relative: for Mini, with the bubbles then
+        eliminated densely."""
         lv = level(4, order, params, mms)
-        convection, refilled = [], []
-        orig_convection = forms.assemble_convection
+        states, refilled = [], []
+        orig_blocks = forms.convection_blocks
         orig_refill = coupled.System.refill
 
-        def convect(*args, **kwargs):
-            N1, load = orig_convection(*args, **kwargs)
-            convection.append(N1.copy())
-            return N1, load
+        def blocks(state, *args, **kwargs):
+            states.append(state)
+            return orig_blocks(state, *args, **kwargs)
 
-        def refill(self, N):
-            orig_refill(self, N)
-            refilled.append((self.K.copy(), self.lift.copy()))
+        def refill(self, *args):
+            orig_refill(self, *args)
+            refilled.append((self.K.copy(), self.lift.copy(), self.kept))
 
-        monkeypatch.setattr(forms, "assemble_convection", convect)
+        monkeypatch.setattr(forms, "convection_blocks", blocks)
         monkeypatch.setattr(coupled.System, "refill", refill)
         _, report = solve_coupled(lv)
+        monkeypatch.undo()
         assert report.iterations >= 2
-        assert len(refilled) == report.iterations
+        assert len(refilled) == len(states) == report.iterations
         dofs, values = monolithic_trace(lv)
-        for N1, (K, lift) in list(zip(convection, refilled))[:2]:
+        for state, (K, lift, kept) in list(zip(states, refilled))[:2]:
+            N1, _ = forms.assemble_convection(
+                state, forms.ConvectionMode.PLAIN, params)
             K_ref = stacked(lv, params, N1)
             ref, ref_lift = constrain_dirichlet(K_ref,
                                                 np.zeros(K_ref.shape[0]),
                                                 dofs, values)
-            assert_eliminated_close(K, lift, ref, ref_lift, dofs)
+            if order == 1:
+                S, ref_lift = dense_condensation(
+                    ref, np.setdiff1d(np.arange(ref.shape[0]), kept),
+                    ref_lift)
+                ref = sp.csr_matrix(S)
+            assert_eliminated_close(K, lift, ref, ref_lift,
+                                    np.searchsorted(kept, dofs))
 
 
 def random_velocity(dv, rng):
@@ -294,50 +304,66 @@ class TestFixedPattern:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_superlu_gets_the_per_iteration_elimination(self, order, params,
-                                                        mms, monkeypatch):
+                                                        mms, factor_inputs):
         """Explicit zeros on the fixed pattern reach the factor, but the
-        condensed matrix SuperLU factors, and its order, are those of the
-        first iterate's matrix eliminated on its own."""
+        matrix SuperLU factors, and its order, are those of the first
+        iterate's matrix eliminated on its own: bitwise for Taylor-Hood,
+        and for Mini within 1e-14 of the largest entry of that matrix
+        condensed densely."""
         lv = level(16, order, params, mms)
-        condensed = []
-        orig_condense = sparse.DirectFactor._condense
-
-        def condense(self, A, local):
-            S = orig_condense(self, A, local)
-            condensed.append((A.nnz, self._iidx, S))
-            return S
-
-        monkeypatch.setattr(sparse.DirectFactor, "_condense", condense)
         solve_coupled(lv)
         dofs, _ = monolithic_trace(lv)
-        sparse.DirectFactor(constrain_matrix(stacked(lv, params), dofs),
-                            grid_points(*lv.spaces),
-                            cell_bubbles(lv.spaces.velocity))
-        (nnz, iidx, S), (ref_nnz, ref_iidx, ref) = condensed[0], condensed[-1]
-        assert nnz >= ref_nnz
-        assert np.array_equal(iidx, ref_iidx)
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(S, attr), getattr(ref, attr))
+        ref = constrain_matrix(stacked(lv, params), dofs)
+        keep = np.arange(ref.shape[0])
+        if order == 1:
+            dv = lv.spaces.velocity
+            bubbles = dv.cell_dofs[:, 3]
+            keep = np.setdiff1d(keep, [bubbles, bubbles + dv.ndof])
+            ref = sp.csr_matrix(dense_condensation(ref, np.setdiff1d(
+                np.arange(ref.shape[0]), keep)))
+        sparse.DirectFactor(ref, grid_points(*lv.spaces)[keep])
+        (K, S, factor), (_, ref_S, ref_factor) = factor_inputs[0], \
+            factor_inputs[-1]
+        assert np.count_nonzero(K.data == 0) > 0
+        assert np.count_nonzero(S.data == 0) == 0
+        assert np.array_equal(factor._iidx, ref_factor._iidx)
+        if order == 2:
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(S, attr), getattr(ref_S, attr))
+        else:
+            S, ref_S = S.toarray(), ref_S.toarray()
+            assert np.abs(S - ref_S).max() <= 1e-14 * np.abs(ref_S).max()
 
 
-def test_condensed_blocks_hold_no_explicit_zero(params, mms, monkeypatch):
-    """The first Picard iterate refills its pattern with a zero convection
-    operator; the bubble blocks that every condensed solve multiplies by
-    keep none of those zeros."""
-    slices = []
-    orig_condense = sparse.DirectFactor._condense
+@pytest.fixture
+def factor_inputs(monkeypatch):
+    """(matrix given to DirectFactor, matrix given to SuperLU, the factor)
+    of every direct factorization."""
+    found = []
+    orig_init, orig_splu = sparse.DirectFactor.__init__, sparse.spla.splu
 
-    def condense(self, A, local):
-        S = orig_condense(self, A, local)
-        slices.append((A, self._A_IL, self._A_LI))
-        return S
+    def init(self, A, points):
+        found.append([A])
+        orig_init(self, A, points)
+        found[-1].append(self)
 
-    monkeypatch.setattr(sparse.DirectFactor, "_condense", condense)
+    def splu(A, *args, **kwargs):
+        found[-1].append(A)
+        return orig_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.DirectFactor, "__init__", init)
+    monkeypatch.setattr(sparse.spla, "splu", splu)
+    return found
+
+
+def test_condensed_blocks_hold_no_explicit_zero(params, mms, factor_inputs):
+    """The first Picard iterate refills its pattern with the fluid block
+    condensed about a zero velocity; the condensed matrix that SuperLU
+    factors keeps none of the pattern's zeros."""
     solve_coupled(level(16, 1, params, mms))
-    (A, A_IL, A_LI), = slices
-    assert np.count_nonzero(A.data == 0) > 0
-    for block in (A_IL, A_LI):
-        assert block.nnz > 0 and np.count_nonzero(block.data == 0) == 0
+    (K, S, _), = factor_inputs
+    assert np.count_nonzero(K.data == 0) > 0
+    assert S.nnz > 0 and np.count_nonzero(S.data == 0) == 0
 
 
 SITES = {"picard": ("velocity", "pressure", "head"),

@@ -247,8 +247,8 @@ class TestSubproblemKernels:
 @pytest.fixture
 def assembled(monkeypatch):
     """(weak references to the matrices that the block assembly functions
-    and sp.bmat return, how many of them are alive at each SuperLU
-    call)."""
+    and sp.bmat return, to the convection blocks and to the condensed fluid
+    blocks, how many of them are alive at each SuperLU call)."""
     made, alive = [], []
     orig_splu = sparse.spla.splu
 
@@ -267,8 +267,10 @@ def assembled(monkeypatch):
         return orig_splu(A, *args, **kwargs)
 
     for name in ("assemble_ap", "assemble_af", "assemble_b",
-                 "assemble_interface_coupling", "assemble_convection"):
+                 "assemble_interface_coupling", "assemble_convection",
+                 "convection_blocks"):
         track(forms, name)
+    track(forms.MiniSaddle, "condense")
     track(sp, "bmat")
     monkeypatch.setattr(sparse.spla, "splu", splu)
     return made, alive
@@ -287,13 +289,15 @@ class TestStoredLift:
         alive_at_splu.clear()
         DarcyStep(lv)
         NSStep(lv, state.velocity)
-        assert len(made) == 5 and alive_at_splu == [0, 0]
+        # a_p; the Newton blocks and the NS matrix condensed from them
+        assert len(made) == 3 and alive_at_splu == [0, 0]
 
     def test_ns_blocks_are_freed_before_the_elimination(
             self, assembled, params, mms, monkeypatch):
-        """While the Dirichlet elimination copies the stacked NS matrix,
-        the blocks it was stacked from are gone (at n=128 keeping them
-        raised the peak RSS of Algorithm A by up to 40 MB)."""
+        """While the Dirichlet elimination copies the condensed NS matrix,
+        the Newton blocks it was condensed from are gone (at n=128 keeping
+        the blocks of the stacked matrix raised the peak RSS of Algorithm A
+        by up to 40 MB)."""
         lv = level(4, 1, params, mms)
         state, _ = solve_coupled(lv)
         made, _ = assembled
@@ -307,7 +311,7 @@ class TestStoredLift:
         monkeypatch.setattr(sparse, "constrain_matrix", constrain_matrix)
         made.clear()
         NSStep(lv, state.velocity)
-        assert len(made) == 4 and alive == [1]
+        assert len(made) == 2 and alive == [1]
 
     def test_picard_keeps_only_its_stacked_blocks(self, assembled, params,
                                                   mms):
@@ -472,18 +476,25 @@ def superlu_inputs(monkeypatch):
 class TestBubbleCondensation:
     def test_mini_factors_exclude_the_bubbles(self, superlu_inputs, solves,
                                               params, mms):
+        """Picard's first iterate and the NS step are posed without the
+        bubbles: LinearSolver gets them condensed, and SuperLU that matrix,
+        less its explicit zeros."""
         lv = level(8, 1, params, mms)
         state, _ = solve_coupled(lv)
         ns = NSStep(lv, state.velocity)
         bubbles = 2 * lv.mesh.fluid.num_cells
+        dv, dq, dphi = lv.spaces
+        sizes = (grid_points(dv, dq, dphi), grid_points(dv, dq))
         assert len(superlu_inputs) == 2   # Picard's first iterate, NS step
-        for K, A, _, _ in superlu_inputs:
-            assert A.shape[0] == K.shape[0] - bubbles
-        assert ns.linear.factor._lu.shape[0] == ns.linear.K.shape[0] - bubbles
+        for (K, A, points, _), full in zip(superlu_inputs, sizes):
+            assert A.shape == K.shape == (len(full) - bubbles,) * 2
+            assert len(points) == K.shape[0]
+        assert ns.linear.factor._lu.shape == ns.linear.K.shape
         solves.clear()
         u, _, rep = ns.solve_newton(state.head)
         (K, b, x, _), = solves
         assert K.shape == ns.linear.K.shape and x.shape == b.shape
+        assert u.coefficients.shape == (2 * dv.ndof,)
         assert_true_residuals([rep], solves)
 
     def test_taylor_hood_and_darcy_factor_the_given_matrix(

@@ -11,7 +11,8 @@ from layout import monolithic_trace
 from nsdarcy import coupled, forms, sparse
 from nsdarcy.coupled import SolveOptions, build_level, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
-from nsdarcy.fem import P1, build_dofmap, cell_bubbles, grid_points, interpolate
+from nsdarcy.fem import (P1, DiscreteField, build_dofmap, grid_points,
+                         interpolate)
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                             DirectFactor, LinearSolver, NotSymmetric,
@@ -557,76 +558,80 @@ class TestConstrainMatrix:
         assert constrain_matrix(A, np.array([0, 2])).nnz == 6
 
 
-def local_group_system(rng, n=40, groups=8, k=2):
-    """Random nonsymmetric system whose `local` unknowns couple with each
-    other only inside their own group, as the Mini bubbles of one cell do."""
-    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
-    M += n * np.eye(n)
-    local = rng.permutation(n)[:groups * k].reshape(groups, k)
-    group = np.full(n, -1)
-    group[local.ravel()] = np.repeat(np.arange(groups), k)
-    M[(group[:, None] >= 0) & (group[None, :] >= 0)
-      & (group[:, None] != group[None, :])] = 0.0
-    return M, local
-
-
 class TestCondensedFactor:
-    def test_matches_uncondensed_solve(self, rng):
-        M, local = local_group_system(rng)
-        A = sp.csr_matrix(M)
-        b = rng.standard_normal(M.shape[0])
-        f = DirectFactor(A, chain(M.shape[0]), local)
-        assert f.shape == A.shape
-        assert f._lu.shape == (M.shape[0] - local.size,) * 2
-        x = f.solve(b)
+    """A direct Mini system is posed without its bubbles; the factor gets
+    the condensed matrix as it is."""
+
+    def test_matches_uncondensed_solve(self, params, mms, rng):
+        """The condensed NS matrix about a random velocity, factored, and the
+        bubbles recovered: the full system's solution."""
+        lv = build_level(build_coupled_mesh(4), 1, params, mms)
+        dv, dq, _ = lv.spaces
+        state = forms.quad_state(
+            DiscreteField(dv, rng.standard_normal(dv.num_coefficients)),
+            forms.cell_rule(dv))
+        blocks, _ = forms.convection_blocks(state, forms.ConvectionMode.NEWTON,
+                                            params)
+        S, bubbles = forms.mini_saddle(dv, dq, params).condense(blocks)
+        N, _ = forms.assemble_convection(state, forms.ConvectionMode.NEWTON,
+                                         params)
+        B = forms.assemble_b(dv, dq)
+        A = sp.bmat([[forms.assemble_af(dv, params) + N, B.T], [B, None]],
+                    format="csr")
+        assert S.shape == (A.shape[0] - bubbles.ids.size,) * 2
+        b = rng.standard_normal(A.shape[0])
+        keep = np.setdiff1d(np.arange(A.shape[0]), bubbles.ids)
+        f = DirectFactor(S, grid_points(dv, dq)[keep])
+        assert f.shape == S.shape == f._lu.shape
+        b_i = bubbles.load(b[keep], b[bubbles.ids])
+        x = np.empty_like(b)
+        x[keep] = f.solve(b_i)
+        x[bubbles.ids] = bubbles.recover(x[keep], b[bubbles.ids])
         ref = spla.spsolve(A.tocsc(), b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.abs(f.apply(b) - x).max() == 0.0
+        assert np.abs(f.apply(b_i) - x[keep]).max() == 0.0
 
-    @pytest.mark.parametrize("defect", ["cross_group", "listed_twice"])
-    def test_rejects_local_unknowns_that_are_not_local(self, rng, defect):
-        M, local = local_group_system(rng)
-        if defect == "cross_group":
-            M[local[0, 0], local[1, 1]] = 1.0
-        else:
-            local[1, 0] = local[0, 0]
-        with pytest.raises(ValueError):
-            DirectFactor(sp.csr_matrix(M), chain(M.shape[0]), local)
-
-    def test_singular_local_block_raises(self, rng):
-        M, local = local_group_system(rng)
-        M[np.ix_(local[2], local[2])] = 1.0
-        with pytest.raises(Singular, match="local block"):
-            DirectFactor(sp.csr_matrix(M), chain(M.shape[0]), local)
+    def test_singular_local_block_raises(self, params, mms):
+        """A convection block that cancels one cell's bubble diagonal."""
+        lv = build_level(build_coupled_mesh(2), 1, params, mms)
+        dv, dq, _ = lv.spaces
+        saddle = forms.mini_saddle(dv, dq, params)
+        plain = np.zeros((dv.mesh.num_cells, 4, 4))
+        plain[2, 3, 3] = -saddle.static[forms._LL[0], saddle.shape[2]]
+        with pytest.raises(Singular, match="bubble block"):
+            saddle.condense(plain)
 
     def test_mini_coupled_system_factors_without_bubbles(self, params, mms):
+        lv = build_level(build_coupled_mesh(4), 1, params, mms)
         K, rhs, *_ = coupled_system(4, params, mms)
-        dv, dq, dphi = build_level(build_coupled_mesh(4), 1, params,
-                                   mms).spaces
-        linear = LinearSolver(K, "direct", local=cell_bubbles(dv),
-                              points=grid_points(dv, dq, dphi))
-        assert linear.factor._lu.shape[0] == K.shape[0] - 2 * dv.mesh.num_cells
-        x, rep = linear.solve(rhs)
-        assert x.shape == rhs.shape
+        system, _ = coupled.picard_system(lv)
+        loads = (lv.fluid_load, None, lv.porous_load)
+        linear = system.solver(SolveOptions())
+        assert linear.factor._lu.shape[0] == system.K.shape[0] == \
+            K.shape[0] - 2 * lv.mesh.fluid.num_cells
+        b = system.rhs(*loads)
+        x, rep = linear.solve(b)
+        assert x.shape == b.shape
         assert rep.final_residual == pytest.approx(
-            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+            recomputed_residual(system.K, b, x), rel=1e-12, abs=0.0)
+        x = np.concatenate([f.coefficients for f in system.split(x, *loads)])
         x_full = spla.spsolve(K.tocsc(), rhs)
         assert np.abs(x - x_full).max() <= 1e-10 * np.abs(x).max()
 
 
 def direct_system(kind, order, n, params, mms):
-    """(K, local, points) of one direct solve site on an n mesh: the first
-    Picard iterate, an NS step about the interpolated exact velocity, or a
-    Darcy step."""
+    """(K, points) of one direct solve site on an n mesh: the first Picard
+    iterate, an NS step about the interpolated exact velocity, or a Darcy
+    step; a Mini K is posed without its bubbles."""
     lv = build_level(build_coupled_mesh(n), order, params, mms)
     dv, dq, dphi = lv.spaces
     if kind == "picard":
-        K = coupled_system(n, params, mms, order)[0]
-        return K, cell_bubbles(dv), grid_points(dv, dq, dphi)
+        system, _ = coupled.picard_system(lv)
+        return system.K, grid_points(dv, dq, dphi)[system.kept]
     if kind == "ns":
         ns = NSStep(lv, interpolate(mms.velocity, dv))
-        return ns.linear.K, cell_bubbles(dv), grid_points(dv, dq)
-    return DarcyStep(lv).linear.K, cell_bubbles(dphi), grid_points(dphi)
+        return ns.linear.K, grid_points(dv, dq)[ns.system.kept]
+    return DarcyStep(lv).linear.K, grid_points(dphi)
 
 
 def last_separator(g, perm):
@@ -689,15 +694,15 @@ class TestNestedDissection:
         the velocities of their leaf or separator, so SuperLU swaps no
         rows; the Mini pressures are not moved, since their condensed
         diagonal is nonzero."""
-        K, local, points = direct_system(kind, order, n, params, mms)
-        lu = DirectFactor(K, points, local)._lu
+        K, points = direct_system(kind, order, n, params, mms)
+        lu = DirectFactor(K, points)._lu
         assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
     @pytest.mark.parametrize("kind,order", DIRECT_SITES)
     def test_first_split_decouples_its_halves(self, kind, order, params,
                                               mms):
-        K, local, points = direct_system(kind, order, 16, params, mms)
-        perm = DirectFactor(K, points, local)._iidx
+        K, points = direct_system(kind, order, 16, params, mms)
+        perm = DirectFactor(K, points)._iidx
         split = last_separator(points, perm)
         assert split is not None
         axis, line = split
@@ -710,9 +715,9 @@ class TestNestedDissection:
     @pytest.mark.parametrize("kind,order", DIRECT_SITES)
     def test_ordered_solve_matches_unordered(self, kind, order, params, mms,
                                              rng):
-        K, local, points = direct_system(kind, order, 16, params, mms)
+        K, points = direct_system(kind, order, 16, params, mms)
         b = rng.standard_normal(K.shape[0])
-        x = DirectFactor(K, points, local).solve(b)
+        x = DirectFactor(K, points).solve(b)
         ref = spla.spsolve(K.tocsc(), b)
         assert true_residual(K, b, x) <= 1e-12
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -720,11 +725,12 @@ class TestNestedDissection:
     @pytest.mark.parametrize("kind,order", [(k, o) for k, o in DIRECT_SITES
                                             if k != "darcy"])
     def test_less_fill_than_colamd(self, kind, order, params, mms):
-        """Against SciPy's own COLAMD factor of the matrix SuperLU gets:
-        the Mini bubbles condensed, Taylor-Hood whole."""
-        K, local, points = direct_system(kind, order, 32, params, mms)
-        ordered = DirectFactor(K, points, local)
-        S = ordered._condense(sparse.as_csr(K), local)
+        """Against SciPy's own COLAMD factor of the matrix SuperLU gets: K
+        without its explicit zeros, the Mini bubbles condensed."""
+        K, points = direct_system(kind, order, 32, params, mms)
+        ordered = DirectFactor(K, points)
+        S = sparse.as_csr(K).copy()
+        S.eliminate_zeros()
 
         def fill(lu):
             return lu.L.nnz + lu.U.nnz

@@ -8,6 +8,17 @@ the record measured, such as `parent` or `change`. The output, written to
 BENCH_<LABEL>.json in the current directory, lists one entry per record in
 argument order: workload, seed, trace flag, side, metrics, `correct` and
 the environment block. Exit code 2 means a bad argument or record.
+
+With exactly two sides, it also prints, and stores as `summary`, each
+workload's and trace flag's metrics side by side: the median and
+quartiles of each side, and how many pairs the change won, where the base
+side is `parent` if one is so named, else the first side given, and the
+k-th record of one side pairs with the k-th of the other. A tie counts for
+neither side; whether lower or higher is better comes from BENCHMARK.json
+next to this tool, and a metric it does not name is not counted. `gain`
+says whether the rule for claiming a gain holds: at least ten pairs, the
+change winning at least nine in ten, and the medians apart, in the better
+direction, by more than the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -15,12 +26,15 @@ from __future__ import annotations
 import json
 import os
 import re
+import statistics
 import sys
 
 RECORD_NAME = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)"
                          r"-trace(?P<trace>[01])\.json")
 LABEL = re.compile(r"[\w.-]+")
 USAGE = "usage: bench_record.py LABEL SIDE=RECORD [SIDE=RECORD ...]"
+SPEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "BENCHMARK.json")
 
 
 class BadInput(Exception):
@@ -46,6 +60,75 @@ def read_record(side: str, path: str) -> dict:
         raise BadInput(f"{path}: no field {exc}") from exc
 
 
+def better_of(spec_path: str = SPEC) -> dict:
+    """Metric name -> "lower" or "higher", from the benchmark spec."""
+    try:
+        with open(spec_path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    return {m["name"]: m["better"]
+            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def quartiles(xs: list) -> tuple:
+    """(first quartile, median, third quartile) of xs, inclusive."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def summarize(records: list, better: dict) -> list:
+    """Per workload, trace flag and metric: both sides' quartiles, the
+    pairs the change won and whether a gain may be claimed; [] unless
+    there are exactly two sides."""
+    sides = list(dict.fromkeys(r["side"] for r in records))
+    if len(sides) != 2:
+        return []
+    base, change = sides if "parent" not in sides else (
+        "parent", sides[1 - sides.index("parent")])
+    groups: dict = {}
+    for r in records:
+        groups.setdefault((r["workload"], r["trace"]), {}).setdefault(
+            r["side"], []).append(r["metrics"])
+    out = []
+    for (workload, trace), by_side in groups.items():
+        runs_a, runs_b = by_side.get(base, []), by_side.get(change, [])
+        for name in dict.fromkeys(k for m in runs_a + runs_b for k in m):
+            a = [m[name] for m in runs_a if name in m]
+            b = [m[name] for m in runs_b if name in m]
+            if not a or not b:
+                continue
+            entry = {"workload": workload, "trace": trace, "metric": name,
+                     "base": base, "change": change,
+                     "base_quartiles": quartiles(a),
+                     "change_quartiles": quartiles(b)}
+            sign = {"lower": -1, "higher": 1}.get(better.get(name))
+            if sign is not None:
+                q1, median, q3 = entry["base_quartiles"]
+                won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+                pairs = min(len(a), len(b))
+                entry.update(pairs=pairs, won=won, gain=(
+                    pairs >= 10 and won >= 0.9 * pairs and sign * (
+                        entry["change_quartiles"][1] - median) > q3 - q1))
+            out.append(entry)
+    return out
+
+
+def summary_lines(summary: list) -> list:
+    lines = []
+    for e in summary:
+        text = "  ".join(f"{e[side]} {q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+                         for side, q in (("base", e["base_quartiles"]),
+                                         ("change", e["change_quartiles"])))
+        if "won" in e:
+            text += (f"  {e['change']} won {e['won']}/{e['pairs']}; gain "
+                     f"{'holds' if e['gain'] else 'not shown'}")
+        lines.append(f"{e['workload']} trace{e['trace']} {e['metric']}: "
+                     f"{text}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     try:
         if len(argv) < 2 or not LABEL.fullmatch(argv[0]):
@@ -59,10 +142,13 @@ def main(argv: list[str]) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    summary = summarize(records, better_of())
     out = f"BENCH_{argv[0]}.json"
     with open(out, "w") as fh:
-        json.dump({"label": argv[0], "records": records}, fh, indent=1)
+        json.dump({"label": argv[0], "records": records,
+                   "summary": summary}, fh, indent=1)
         fh.write("\n")
+    print("\n".join(summary_lines(summary)))
     print(f"wrote {out} ({len(records)} records)")
     return 0
 
