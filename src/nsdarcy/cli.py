@@ -188,6 +188,8 @@ def parse_config(path: str | None = None,
         raise ValidationError(f"solver: {cfg.solver!r} not in {SOLVERS}")
     for name in ("picard_tol", "linear_tol", "ichol_droptol"):
         _check_tolerance(name, getattr(cfg, name))
+    if not cfg.out or os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
+        raise ValidationError(f"out: must name a directory, got {cfg.out!r}")
     _schedules(cfg)  # validates, result rebuilt at run time
     return cfg
 

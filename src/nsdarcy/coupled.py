@@ -8,11 +8,11 @@ Each iteration assembles the block system
 
 with N1 the fixed-point convection operator, eliminates the outer Dirichlet
 dofs symmetrically, and solves. The blocks that do not change are stacked
-and eliminated once; each iteration adds N1 to them on one fixed CSR
-pattern (`System.refill`). A direct solve with a Mini velocity is posed
-without the bubbles: the refill then writes the fluid block condensed
-about N1 cell by cell (forms.MiniSaddle), on the P1 pattern tiled 3 x 3,
-and GMRES on the frozen factor runs on the condensed operator. The
+by one CSR rule and eliminated once; each iteration adds the fluid block
+about the last velocity on one fixed CSR pattern (`System.refill`): N1,
+or, for a direct Mini solve, posed without the bubbles, the fluid block
+condensed about N1 cell by cell (forms.MiniSaddle alone knows its
+layout), the operator GMRES on the frozen factor then runs on. The
 iteration starts from zero and stops when the l2 norm of the full
 coefficient update (velocity with its recovered bubbles, pressure, and
 head together) drops below picard_tol.
@@ -54,10 +54,13 @@ class CoupledState:
 
 @dataclass
 class PicardReport:
-    iterations: int
     update_norms: list = field(default_factory=list)
     solver_reports: list = field(default_factory=list)
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.update_norms)
 
 
 class PicardDiverged(Exception):
@@ -148,9 +151,7 @@ class System:
         self.dofmaps = [getattr(level.spaces, f) for f in fields]
         self.sizes = [d.num_coefficients for d in self.dofmaps]
         self.bubbles = bubbles
-        self.kept = np.arange(sum(self.sizes))
-        if bubbles is not None:
-            self.kept = np.delete(self.kept, bubbles.ids.ravel())
+        self.kept = _kept(sum(self.sizes), bubbles)
         n = len(self.kept)
         if K.shape != (n, n):
             raise DimensionMismatch(f"K is {K.shape}, {fields} stack {n}")
@@ -201,15 +202,12 @@ class System:
         self.lift[self.dofs] = self.values
         self.bubbles = bubbles
 
-    def _stack(self, loads) -> np.ndarray:
-        return np.concatenate([np.zeros(size) if load is None else load
-                               for size, load in zip(self.sizes, loads)])
-
     def rhs(self, *loads) -> np.ndarray:
         """constrain_rhs(K, b, ...) of the block loads b, one per field
         (None for a zero block), as b + lift: that is b - K x0 bitwise.
         With bubbles, b is the condensed load b_I - A_IL D^{-1} b_L."""
-        b = self._stack(loads)
+        b = np.concatenate([np.zeros(size) if load is None else load
+                            for size, load in zip(self.sizes, loads)])
         if self.bubbles is not None:
             b = self.bubbles.load(b[self.kept], b[self.bubbles.ids])
         b += self.lift
@@ -235,13 +233,13 @@ class System:
 
     def split(self, x: np.ndarray, *loads) -> list[DiscreteField]:
         """The solution x of K cut into one field per stacked space; the
-        bubbles, if K has none, are recovered cell by cell from the loads
-        that `rhs` was given."""
+        bubbles, if K has none, are recovered cell by cell from the first
+        load that `rhs` was given, the velocity's."""
         if self.bubbles is not None:
             full = np.empty(sum(self.sizes))
             full[self.kept] = x
             full[self.bubbles.ids] = self.bubbles.recover(
-                x, self._stack(loads)[self.bubbles.ids])
+                x, loads[0][self.bubbles.ids])
             x = full
         return [DiscreteField(d, part.copy()) for d, part in
                 zip(self.dofmaps, np.split(x, np.cumsum(self.sizes)[:-1]))]
@@ -254,21 +252,27 @@ def condensed(level: Level, opts: SolveOptions) -> bool:
             and level.spaces.velocity.family == MINI_VELOCITY)
 
 
+def _kept(n: int, bubbles: forms.Bubbles | None) -> np.ndarray:
+    """The ids of n stacked coefficients less the bubbles, if any."""
+    return np.delete(np.arange(n), [] if bubbles is None
+                     else bubbles.ids.ravel())
+
+
+def _stacked(rows: list) -> sp.csr_matrix:
+    """Rows of CSR blocks stacked into one, without a COO copy of it."""
+    return sp.vstack([sp.hstack(r, format="csr") for r in rows], format="csr")
+
+
 FIELDS = ("velocity", "pressure", "head")   # Picard's stacked spaces
 
 
 def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
-    """Picard's System about a zero velocity, and the arguments of its
-    `refill` about a given velocity. The blocks that do not change are
-    stacked and eliminated once; each iterate refills them with N1 about
-    the last velocity, on a_f's cell pattern, or with the fluid block
-    condensed about N1 and its bubbles."""
-    dv, dq, dphi = level.spaces
-    params = level.params
+    """Picard's System about a zero velocity, and `fluid`, the (block,
+    bubbles) that `refill` takes about a velocity. K = [[F, C_vphi],
+    [C_phiu, A_p]], F = [a_f, B^T; B, 0] or zeros on the condensed fluid
+    block's pattern; the coupling pair keeps the coefficients F keeps."""
+    (dv, dq, dphi), params = level.spaces, level.params
     rule = forms.cell_rule(dv)
-    C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
-                                                       params)
-    A_p = forms.assemble_ap(dphi, params)
     if condensed(level, opts):
         saddle = forms.mini_saddle(dv, dq, params)
 
@@ -276,48 +280,48 @@ def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
             return saddle.condense(forms.convection_blocks(
                 forms.quad_state(velocity, rule, grads=False),
                 forms.ConvectionMode.PLAIN, params)[0])
-        vertex = np.concatenate([np.arange(dq.ndof),
-                                 dv.ndof + np.arange(dq.ndof)])
-        zero = sp.csr_matrix((dq.ndof, dphi.ndof))
-        # CSR blocks stacked row by row, without a COO copy of the whole
-        indptr, indices, _ = saddle.tiled
-        K = sp.vstack([
-            sp.hstack([sp.csr_matrix((np.zeros(len(indices)), indices, indptr),
-                                     shape=(len(indptr) - 1,) * 2),
-                       sp.vstack([C_vphi[vertex], zero])], format="csr"),
-            sp.hstack([C_phiu[:, vertex], zero.T, A_p], format="csr")],
-            format="csr")
     else:
         pattern = forms.cell_pattern(dv)
 
         def fluid(velocity):
             return forms.assemble_convection(
                 forms.quad_state(velocity, rule, grads=False),
-                forms.ConvectionMode.PLAIN, params, pattern)[:1]
+                forms.ConvectionMode.PLAIN, params, pattern)
+    N, bubbles = fluid(DiscreteField(dv, np.zeros(dv.num_coefficients)))
+    if bubbles is None:
         B = forms.assemble_b(dv, dq)
-        K = sp.bmat([[forms.assemble_af(dv, params, pattern), B.T, C_vphi],
-                     [B, None, None],
-                     [C_phiu, None, A_p]], format="csr")
+        F = _stacked([[forms.assemble_af(dv, params, pattern), B.T.tocsr()],
+                      [B, sp.csr_matrix((dq.ndof, dq.ndof))]])
         del B
-    del C_vphi, C_phiu, A_p
-    step = fluid(DiscreteField(dv, np.zeros(dv.num_coefficients)))
-    system = System(level, FIELDS, K, *step[1:])
+    else:
+        F = sp.csr_matrix((np.zeros(N.nnz), N.indices, N.indptr),
+                          shape=N.shape)
+    n = dv.num_coefficients + dq.ndof
+    C_vphi, C_phiu = forms.assemble_interface_coupling(level.mesh, dv, dphi,
+                                                       params)
+    C_vphi.resize(n, dphi.ndof)   # zero pressure rows and columns
+    C_phiu.resize(dphi.ndof, n)
+    kept = _kept(n, bubbles)
+    K = _stacked([[F, C_vphi[kept]],
+                  [C_phiu[:, kept], forms.assemble_ap(dphi, params)]])
+    del F, C_vphi, C_phiu
+    system = System(level, FIELDS, K, bubbles)
     del K
-    system.refill(*step)
+    system.refill(N, bubbles)
     return system, fluid
 
 
 def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     """Returns (CoupledState, PicardReport); raises PicardDiverged when the
-    update norm grows three times in a row or PICARD_MAXIT iterations pass
-    without convergence."""
+    last four update norms strictly increase or PICARD_MAXIT iterations
+    pass without convergence."""
     system, fluid = picard_system(level, opts)
     loads = (level.fluid_load, None, level.porous_load)
-    report = PicardReport(iterations=0)
+    report = PicardReport()
+    norms = report.update_norms
     x_prev = np.zeros(sum(system.sizes))
-    growth = 0
     frozen = None
-    for m in range(1, PICARD_MAXIT + 1):
+    for _ in range(PICARD_MAXIT):
         rhs = system.rhs(*loads)
         if frozen is not None:
             # one factor or preconditioner serves the whole iteration: later
@@ -338,22 +342,15 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
         x = np.concatenate([f.coefficients for f in fields])
 
         delta = float(np.linalg.norm(x - x_prev))
-        report.iterations = m
-        report.update_norms.append(delta)
+        norms.append(delta)
         if delta < opts.picard_tol:
             report.converged = True
             return CoupledState(*fields), report
-        if m > 1 and delta > report.update_norms[-2]:
-            growth += 1
-            if growth >= 3:
-                raise PicardDiverged(
-                    f"update norm grew 3 consecutive iterations "
-                    f"(last {delta:.3e})", report)
-        else:
-            growth = 0
+        if len(norms) > 3 and norms[-4] < norms[-3] < norms[-2] < delta:
+            raise PicardDiverged(f"update norm grew 3 consecutive iterations "
+                                 f"(last {delta:.3e})", report)
         x_prev = x
         system.bubbles = None   # freed before the next ones are made
         system.refill(*fluid(fields[0]))
     raise PicardDiverged(f"no convergence in {PICARD_MAXIT} iterations "
-                         f"(last update {report.update_norms[-1]:.3e})",
-                         report)
+                         f"(last update {norms[-1]:.3e})", report)

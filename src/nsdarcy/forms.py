@@ -548,13 +548,12 @@ class MiniSaddle:
     8, 1974). A bubble vanishes on every edge, so it couples only with the
     unknowns of its own cell, and S = A_II - A_IL D^{-1} A_LI is a sum of
     cell blocks. It holds what does not change, with the cells along the
-    last axis: each shape's local block of [a_f, B^T; B, 0] (121, ns), the
-    slip blocks (16, ne) of the interface cells, the P1 pattern's positions
-    (9, nc), and the pattern of S, the P1 pattern tiled 3 x 3 (`tiled`)."""
+    last axis: local blocks of [a_f, B^T; B, 0] (121, ns + ne), one per
+    shape and one per interface cell, its slip added, each cell's block
+    (nc,), the P1 pattern's positions (9, nc), and the pattern of S, the
+    P1 pattern tiled 3 x 3 (`tiled`)."""
     static: np.ndarray
-    slip: np.ndarray
-    slip_cells: np.ndarray
-    shape: np.ndarray
+    block: np.ndarray
     positions: np.ndarray
     tiled: tuple
     ids: np.ndarray
@@ -564,21 +563,19 @@ class MiniSaddle:
         """S about the given `convection_blocks`, PLAIN or NEWTON, summed
         into the pattern, and its `Bubbles`. Raises sparse.Singular when a
         bubble block D is singular."""
-        nc = len(self.shape)
+        nc = len(self.block)
         indptr, indices, where = self.tiled
         blocks = np.zeros(where.shape)   # the data of S's 3 x 3 P1 blocks
         dinv, e, f = (np.empty((2, 2, nc)), np.empty((9, 2, nc)),
                       np.empty((2, 9, nc)))
         for lo in range(0, nc, CONDENSE_CELLS):
             cells = slice(lo, lo + CONDENSE_CELLS)
-            K = self.static[:, self.shape[cells]]
+            K = self.static[:, self.block[cells]]
             m = K.shape[1]
-            slip = (self.slip_cells >= lo) & (self.slip_cells < lo + m)
-            K[:16, self.slip_cells[slip] - lo] += self.slip[:, slip]
             if convection.ndim == 3:   # PLAIN: on both components
-                block = convection[cells].reshape(m, 16).T
-                K[:16] += block
-                K[48:64] += block
+                plain = convection[cells].reshape(m, 16).T
+                K[:16] += plain
+                K[48:64] += plain
             else:
                 K[:64].reshape(2, 2, 16, m)[...] += convection[
                     :, :, cells].reshape(2, 2, m, 16).transpose(0, 1, 3, 2)
@@ -630,13 +627,17 @@ def mini_saddle(dofmap_v: DofMap, dofmap_q: DofMap,
         static[:, 4 * d:4 * d + 4, 4 * d:4 * d + 4] = viscous
         static[:, 8:, 4 * d:4 * d + 4] = divergence[..., d]
         static[:, 4 * d:4 * d + 4, 8:] = divergence[..., d].transpose(0, 2, 1)
+    static = static.reshape(-1, 121)[:, _ORDER]
     edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    slipped = static[rule.shape[edges.cells]]   # slip on component 0
+    slipped[:, :16] += _slip(edges, params).reshape(-1, 16)
+    block = rule.shape.copy()
+    block[edges.cells] = len(static) + np.arange(len(edges.cells))
     pattern = cell_pattern(dofmap_q)
     nc = len(rule.shape)
     bubble = dofmap_v.cell_dofs[:, 3]
     return MiniSaddle(
-        np.ascontiguousarray(static.reshape(-1, 121)[:, _ORDER].T),
-        _slip(edges, params).reshape(-1, 16).T, edges.cells, rule.shape,
+        np.concatenate([static, slipped]).T.copy(), block,
         np.ascontiguousarray(pattern.positions.reshape(nc, 9).T),
         pattern.tiled(3), np.stack([bubble, bubble + ndof]),
         (dofmap_q.cell_dofs.T + nv * np.arange(3)[:, None, None]).reshape(

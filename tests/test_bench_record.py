@@ -109,6 +109,35 @@ def test_gain_not_shown(change, pairs, won):
                                                              False)
 
 
+TIGHT = [1.0, 1.01, 0.99, 1.0]
+
+
+# SPREAD: median 2.025, so a margin of 0.2025 at a bound of 0.1, and an
+# interquartile range of 0.2125
+@pytest.mark.parametrize("parent,change,expected", [
+    (SPREAD, [2.3] * 10, "worse"),          # the median 0.275 worse
+    (SPREAD, [2.1] * 10, "unresolved"),     # the parent's spread
+    (SPREAD, [1.85] * 10, "within bound"),  # beats every parent record
+    (TIGHT, [1.05, 1.08, 1.06, 1.07], "within bound")])
+def test_verdict_against_the_bound(parent, change, expected):
+    (entry,) = bench_record.summarize(
+        records("parent", parent) + records("change", change), BETTER,
+        {"wall_s": 0.1})
+    assert entry["verdict"] == expected
+    assert bench_record.summary_lines([entry])[0].endswith(f"; {expected}")
+
+
+def test_verdict_only_for_bounded_metrics():
+    ok = records("parent", TIGHT, "ok_frac") + records("change", [0.9] * 4,
+                                                       "ok_frac")
+    (entry,) = bench_record.summarize(ok, BETTER, {"wall_s": 0.1})
+    assert "verdict" not in entry
+    (entry,) = bench_record.summarize(ok, BETTER, {"ok_frac": 0.05})
+    assert entry["verdict"] == "worse"
+    assert bench_record.bounds_of()["wall_s"] == 0.24
+    assert "mesh.build_s" not in bench_record.bounds_of()
+
+
 def test_ties_count_for_neither_and_direction_comes_from_the_spec():
     (entry,) = bench_record.summarize(
         records("a", [1.0, 1.0, 0.9], "ok_frac")

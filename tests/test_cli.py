@@ -675,6 +675,33 @@ class TestMain:
                      "--out", cfg.out]) == 2
 
     @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
+    @pytest.mark.parametrize("out", ["", "file"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unusable_out_exits_two_before_any_solve(self, tmp_path, capsys,
+                                                     monkeypatch, flags, out,
+                                                     source):
+        """An empty `out`, or one naming a file, fails before any mesh is
+        built instead of after the study."""
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        for module in (mesh, decoupled):
+            monkeypatch.setattr(module, "build_coupled_mesh", no_mesh)
+        monkeypatch.setattr(mesh, "build_tri_mesh", no_mesh)
+        monkeypatch.setattr(cli, "solve_coupled", no_mesh)
+        if out:
+            out = tmp_path / out
+            out.write_text("not a directory\n")
+        if source == "flag":
+            args = ["--out", str(out)]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"out = {out}\n")
+            args = ["--config", str(cfg)]
+        assert main(["run", "--schedule", "pairs:2:3"] + args + flags) == 2
+        assert capsys.readouterr().err.startswith("error: out: ")
+
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
     def test_non_ascii_config_exits_two(self, tmp_path, capsys, flags):
         cfg = tmp_path / "exp.cfg"
         cfg.write_bytes("order = 1\nalgorithm = A # caf\u00e9\n".encode())

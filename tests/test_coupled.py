@@ -5,12 +5,12 @@ import scipy.sparse as sp
 from layout import monolithic_trace
 from test_condensation import dense_condensation
 
-from nsdarcy import coupled, forms, sparse
+from nsdarcy import ModelParams, coupled, forms, sparse
 from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
                              build_level,
                              solve_coupled)
 from nsdarcy.mesh import build_coupled_mesh
-from nsdarcy.mms import error_norms
+from nsdarcy.mms import error_norms, manufactured_problem
 from nsdarcy.fem import DiscreteField, grid_points, interpolate
 from nsdarcy.sparse import (DimensionMismatch, constrain_dirichlet,
                             constrain_matrix, constrain_rhs)
@@ -84,6 +84,19 @@ class TestPicard:
         assert report.converged and report.iterations >= 3
         assert len(calls) == 2
         assert all(rep.converged for rep in report.solver_reports)
+
+    def test_growing_update_norm_raises(self):
+        """At nu = 1e-3 the n = 4 Mini iteration runs away: its update norm
+        grows at each of the iterates 2-4, and the fourth raises."""
+        params = ModelParams(nu=1e-3)
+        with pytest.raises(PicardDiverged,
+                           match="update norm grew 3 consecutive") as err:
+            solve_coupled(level(4, 1, params, manufactured_problem(params)))
+        report = err.value.report
+        norms = report.update_norms
+        assert report.iterations == len(norms) == 4
+        assert norms[0] < norms[1] < norms[2] < norms[3]
+        assert not report.converged
 
     def test_exhausted_budget_raises(self, params, mms, monkeypatch):
         monkeypatch.setattr(coupled, "PICARD_MAXIT", 1)

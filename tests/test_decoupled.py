@@ -12,7 +12,7 @@ from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
 from nsdarcy.fem import DiscreteField, grid_points, interpolate
 from nsdarcy.mesh import TriMesh, build_coupled_mesh
-from nsdarcy.mms import error_norms
+from nsdarcy.mms import error_norms, manufactured_problem
 from nsdarcy.sparse import LinearSolver
 
 ALL_ALGORITHMS = ("A", "B", "C", "D")
@@ -449,6 +449,46 @@ class TestTrueResiduals:
             # the first iterate factors, the later ones reuse that factor
             assert report.solver_reports[0].method == "direct"
             assert {r.method for r in report.solver_reports[1:]} == {"gmres"}
+        assert_true_residuals(report.solver_reports, solves)
+
+
+@pytest.fixture
+def linear_solvers(monkeypatch):
+    """Every LinearSolver built, in order."""
+    built, orig = [], LinearSolver.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearSolver, "__init__", init)
+    return built
+
+
+class TestFrozenSolverRebuild:
+    """At these viscosities GMRES on the first iterate's factor or
+    preconditioner fails its budget of 100 iterations at the second
+    iterate, and Picard builds a second one, which serves to the end."""
+
+    @pytest.mark.parametrize("solver,nu,iterations,first", [
+        ("direct", 3e-3, 18, "direct"), ("iterative", 1e-2, 14, "gmres")])
+    def test_second_iterate_rebuilds(self, solver, nu, iterations, first,
+                                     solves, linear_solvers):
+        params = forms.ModelParams(nu=nu)
+        _, report = solve_coupled(
+            level(8, 1, params, manufactured_problem(params)),
+            SolveOptions(solver=solver))
+        assert report.converged and report.iterations == iterations
+        assert len(linear_solvers) == 2
+        assert [r.method for r in report.solver_reports] == \
+            [first] * 2 + ["gmres"] * (iterations - 2)
+        assert all(r.converged for r in report.solver_reports)
+        # the fresh solve, the failed frozen one, the rebuilt solver's
+        (_, _, _, fresh), (_, _, _, failed), (_, _, _, rebuilt) = solves[:3]
+        assert (failed.method, failed.converged, failed.iterations) == \
+            ("gmres", False, 100)
+        assert report.solver_reports[0] is fresh
+        assert report.solver_reports[1] is rebuilt
         assert_true_residuals(report.solver_reports, solves)
 
 

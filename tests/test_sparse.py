@@ -592,14 +592,16 @@ class TestCondensedFactor:
         assert np.abs(f.apply(b_i) - x[keep]).max() == 0.0
 
     def test_singular_local_block_raises(self, params, mms):
-        """A convection block that cancels one cell's bubble diagonal."""
+        """A convection block that cancels one cell's bubble diagonal: a
+        bubble lives on one cell and vanishes on the interface, so its
+        diagonal entry of a_f is that cell's."""
         lv = build_level(build_coupled_mesh(2), 1, params, mms)
         dv, dq, _ = lv.spaces
-        saddle = forms.mini_saddle(dv, dq, params)
+        bubble = dv.cell_dofs[2, 3]
         plain = np.zeros((dv.mesh.num_cells, 4, 4))
-        plain[2, 3, 3] = -saddle.static[forms._LL[0], saddle.shape[2]]
+        plain[2, 3, 3] = -forms.assemble_af(dv, params)[bubble, bubble]
         with pytest.raises(Singular, match="bubble block"):
-            saddle.condense(plain)
+            forms.mini_saddle(dv, dq, params).condense(plain)
 
     def test_mini_coupled_system_factors_without_bubbles(self, params, mms):
         lv = build_level(build_coupled_mesh(4), 1, params, mms)

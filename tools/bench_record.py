@@ -18,7 +18,12 @@ neither side; whether lower or higher is better comes from BENCHMARK.json
 next to this tool, and a metric it does not name is not counted. `gain`
 says whether the rule for claiming a gain holds: at least ten pairs, the
 change winning at least nine in ten, and the medians apart, in the better
-direction, by more than the base's interquartile range.
+direction, by more than the base's interquartile range. Each end-to-end
+metric with a `bound` in BENCHMARK.json also gets a `verdict`: "worse"
+when the change's median is worse than the base's by more than bound
+times the base median; else "unresolved" when the larger of the two
+sides' interquartile ranges exceeds that margin, unless every change
+record beats every base record; else "within bound".
 """
 
 from __future__ import annotations
@@ -60,15 +65,26 @@ def read_record(side: str, path: str) -> dict:
         raise BadInput(f"{path}: no field {exc}") from exc
 
 
-def better_of(spec_path: str = SPEC) -> dict:
-    """Metric name -> "lower" or "higher", from the benchmark spec."""
+def _spec(spec_path: str) -> dict:
     try:
         with open(spec_path) as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError):
         return {}
+
+
+def better_of(spec_path: str = SPEC) -> dict:
+    """Metric name -> "lower" or "higher", from the benchmark spec."""
+    spec = _spec(spec_path)
     return {m["name"]: m["better"]
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def bounds_of(spec_path: str = SPEC) -> dict:
+    """End-to-end metric name -> its relative bound, from the benchmark
+    spec; metrics without a bound are left out."""
+    return {m["name"]: m["bound"] for m in _spec(spec_path).get(
+        "end_to_end", []) if "bound" in m}
 
 
 def quartiles(xs: list) -> tuple:
@@ -78,10 +94,26 @@ def quartiles(xs: list) -> tuple:
     return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
-def summarize(records: list, better: dict) -> list:
+def verdict(a: list, b: list, sign: int, bound: float) -> str:
+    """"worse", "unresolved" or "within bound": the change records b
+    against the base records a of a metric whose better direction is
+    sign (1 higher, -1 lower), given its relative bound."""
+    (a1, median, a3), (b1, b_median, b3) = quartiles(a), quartiles(b)
+    margin = bound * abs(median)
+    if sign * (b_median - median) < -margin:
+        return "worse"
+    if max(a3 - a1, b3 - b1) > margin and not all(
+            sign * (y - x) > 0 for x in a for y in b):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(records: list, better: dict, bounds: dict | None = None
+              ) -> list:
     """Per workload, trace flag and metric: both sides' quartiles, the
-    pairs the change won and whether a gain may be claimed; [] unless
-    there are exactly two sides."""
+    pairs the change won, whether a gain may be claimed and, for a metric
+    with a bound in `bounds`, the `verdict`; [] unless there are exactly
+    two sides."""
     sides = list(dict.fromkeys(r["side"] for r in records))
     if len(sides) != 2:
         return []
@@ -111,6 +143,8 @@ def summarize(records: list, better: dict) -> list:
                 entry.update(pairs=pairs, won=won, gain=(
                     pairs >= 10 and won >= 0.9 * pairs and sign * (
                         entry["change_quartiles"][1] - median) > q3 - q1))
+                if name in (bounds or {}):
+                    entry["verdict"] = verdict(a, b, sign, bounds[name])
             out.append(entry)
     return out
 
@@ -124,6 +158,8 @@ def summary_lines(summary: list) -> list:
         if "won" in e:
             text += (f"  {e['change']} won {e['won']}/{e['pairs']}; gain "
                      f"{'holds' if e['gain'] else 'not shown'}")
+        if "verdict" in e:
+            text += f"; {e['verdict']}"
         lines.append(f"{e['workload']} trace{e['trace']} {e['metric']}: "
                      f"{text}")
     return lines
@@ -142,7 +178,7 @@ def main(argv: list[str]) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = summarize(records, better_of())
+    summary = summarize(records, better_of(), bounds_of())
     out = f"BENCH_{argv[0]}.json"
     with open(out, "w") as fh:
         json.dump({"label": argv[0], "records": records,
