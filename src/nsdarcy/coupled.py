@@ -12,35 +12,35 @@ by one CSR rule and eliminated once; each iteration adds the fluid block
 about the last velocity on one fixed CSR pattern (`System.refill`): N1,
 or, for a direct Mini solve, posed without the bubbles, the fluid block
 condensed about N1 cell by cell (forms.MiniSaddle alone knows its
-layout), the operator GMRES on the frozen factor then runs on. The
-iteration starts from zero and stops when the l2 norm of the full
-coefficient update (velocity with its recovered bubbles, pressure, and
-head together) drops below picard_tol.
+layout). `System.solve` then runs GMRES on the refilled K, preconditioned
+by the first iterate's solver. The iteration starts from zero and stops
+when the l2 norm of the full coefficient update (velocity with its
+recovered bubbles, pressure, and head together) drops below picard_tol.
 
 Used standalone for reference errors and as the coarse-level solve of all
 multilevel algorithms. No pressure pinning is needed: the interface coupling
 acts as a natural condition fixing the pressure level.
 
-Every solve on a mesh poses its block system as a `System` on the mesh's
-`Level`; the solver settings travel as one `SolveOptions`.
+Every solve on a mesh poses and solves its block system as a `System` on
+the mesh's `Level`; the solver settings travel as one `SolveOptions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import forms
+from . import forms, sparse
 from .fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField, DofMap,
                   build_dofmap, dirichlet_trace, grid_points)
 from .mesh import CoupledMesh
 from .sparse import (BlockTriangularPreconditioner, DimensionMismatch,
-                     LinearSolver, constrain_dirichlet, entry_rows, gmres,
-                     ichol, true_residual)
+                     DirectFactor, NotConverged, SolveReport,
+                     constrain_dirichlet, entry_rows, ichol)
 
 PICARD_MAXIT = 50   # iterations before solve_coupled gives up
 
@@ -201,6 +201,7 @@ class System:
         self.lift[:m] = lift0[:m] - N @ x0[:m]
         self.lift[self.dofs] = self.values
         self.bubbles = bubbles
+        self._refilled = True
 
     def rhs(self, *loads) -> np.ndarray:
         """constrain_rhs(K, b, ...) of the block loads b, one per field
@@ -214,22 +215,51 @@ class System:
         b[self.dofs] = self.values
         return b
 
-    def solver(self, opts: SolveOptions) -> LinearSolver:
-        """The site's LinearSolver: a direct factor on the grid points of
-        K's unknowns; PCG with ichol on the head alone, otherwise GMRES
-        with the block-triangular preconditioner."""
-        level, sizes = self.level, self.sizes
-        if len(sizes) == 1:
-            precondition = partial(ichol, droptol=opts.droptol)
+    def factor(self, opts: SolveOptions) -> None:
+        """Builds `inverse` on K as it stands: a DirectFactor on the grid
+        points of K's unknowns; with "iterative", ichol on the head alone,
+        otherwise the block-triangular preconditioner."""
+        if opts.solver == "direct":
+            self.inverse = DirectFactor(
+                self.K, grid_points(*self.dofmaps)[self.kept])
+        elif opts.solver != "iterative":
+            raise ValueError(f"unknown solver {opts.solver!r}")
+        elif len(self.sizes) == 1:
+            self.inverse = ichol(self.K, opts.droptol)
         else:
-            def precondition(K):
-                return BlockTriangularPreconditioner(
-                    K, sizes[0], sizes[1], level.pressure_mass,
-                    level.params.nu, nphi=sum(sizes[2:]),
-                    droptol=opts.droptol)
-        return LinearSolver(self.K, opts.solver, opts.linear_tol,
-                            precondition, symmetric=len(sizes) == 1,
-                            points=grid_points(*self.dofmaps)[self.kept])
+            self.inverse = BlockTriangularPreconditioner(
+                self.K, *self.sizes[:2], self.level.pressure_mass,
+                self.level.params.nu, nphi=sum(self.sizes[2:]),
+                droptol=opts.droptol)
+        self._opts, self._refilled = opts, False
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+        """x with K x = b, and its SolveReport with the true residual on K.
+        While K is the matrix `factor` was given, `inverse` solves it, or
+        preconditions PCG (the head alone) or GMRES. Once `refill` has
+        changed K, GMRES runs on K preconditioned by `inverse`, within
+        twice the iterations of the last fresh solve and at least 100; if
+        it fails, `inverse` is built again on K and solves afresh. A fresh
+        solve that does not converge raises NotConverged."""
+        tol = self._opts.linear_tol
+        if self._refilled:
+            x, rep = sparse.gmres(self.K, b, self.inverse, tol=tol,
+                                  maxit=self._maxit)
+            if not rep.converged:
+                self.factor(self._opts)
+        if not self._refilled:
+            if self._opts.solver == "direct":
+                x, rep = self.inverse.solve(b), SolveReport(1, 0.0, True,
+                                                            "direct")
+            else:
+                krylov = sparse.pcg if len(self.sizes) == 1 else sparse.gmres
+                x, rep = krylov(self.K, b, self.inverse, tol=tol)
+            self._maxit = max(100, 2 * rep.iterations)
+        rep.final_residual = sparse.true_residual(self.K, b, x)
+        if not rep.converged:
+            raise NotConverged(f"{rep.method}: {rep.iterations} iterations, "
+                               f"true residual {rep.final_residual:.3e}")
+        return x, rep
 
     def split(self, x: np.ndarray, *loads) -> list[DiscreteField]:
         """The solution x of K cut into one field per stacked space; the
@@ -314,29 +344,15 @@ def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
 def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     """Returns (CoupledState, PicardReport); raises PicardDiverged when the
     last four update norms strictly increase or PICARD_MAXIT iterations
-    pass without convergence."""
+    pass without convergence, and NotConverged from `System.solve`."""
     system, fluid = picard_system(level, opts)
     loads = (level.fluid_load, None, level.porous_load)
     report = PicardReport()
     norms = report.update_norms
     x_prev = np.zeros(sum(system.sizes))
-    frozen = None
+    system.factor(opts)
     for _ in range(PICARD_MAXIT):
-        rhs = system.rhs(*loads)
-        if frozen is not None:
-            # one factor or preconditioner serves the whole iteration: later
-            # systems differ only by the convection update, so the frozen one
-            # is an excellent Krylov preconditioner; rebuild if it degrades
-            x, rep = gmres(system.K, rhs, frozen, tol=opts.linear_tol,
-                           maxit=maxit)
-            rep.final_residual = true_residual(system.K, rhs, x)
-        if frozen is None or not rep.converged:
-            linear = system.solver(opts)
-            x, rep = linear.solve(rhs)
-            frozen = linear.factor or linear.precon
-            # twice the fresh solve's iterations; a direct solve reports 1
-            maxit = max(100, 2 * rep.iterations)
-            del linear  # later iterates need the factor, not its matrix
+        x, rep = system.solve(system.rhs(*loads))
         report.solver_reports.append(rep)
         fields = system.split(x, *loads)
         x = np.concatenate([f.coefficients for f in fields])

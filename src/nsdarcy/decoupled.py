@@ -14,13 +14,14 @@ points. Per level and algorithm, in order:
 "NS" is one Newton step about the previous level's velocity (matrix
 a_f + c(a,.,.) + c(.,a,.), load + c(a,a,.)); the correction re-solves with
 the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
-level the Darcy matrix and the NS saddle matrix each get one
-`sparse.LinearSolver` (one LU factor, or one preconditioner), shared by
-their two solves; every step returns its `SolveReport` with the true
-residual. A direct NS step with a Mini velocity condenses the Newton
-matrix cell by cell as it is assembled (forms.MiniSaddle): its factor, its
-right sides and its reported residual are those of the system without the
-bubbles, which each solve recovers.
+level the Darcy matrix and the NS saddle matrix are each a `System` that
+is factored once (one LU factor, or one preconditioner) and solves both
+of their right sides; every step returns its `SolveReport` with the true
+residual, and a solve that does not converge fails the step. A direct NS
+step with a Mini velocity condenses the Newton matrix cell by cell as it
+is assembled (forms.MiniSaddle): its factor, its right sides and its
+reported residual are those of the system without the bubbles, which each
+solve recovers.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class DarcyStep:
         self.level = level
         self.system = System(level, ("head",), forms.assemble_ap(
             level.spaces.head, level.params))
-        self.linear = self.system.solver(opts)
+        self.system.factor(opts)
 
     def solve(self, velocity_source: DiscreteField):
-        x, rep = self.linear.solve(self.system.rhs(
+        x, rep = self.system.solve(self.system.rhs(
             self.level.porous_load + forms.assemble_interface_load_darcy(
                 self.level.spaces.head, velocity_source, self.level.params)))
         return (*self.system.split(x), rep)
@@ -120,13 +121,13 @@ class NSStep:
         del N   # only the constrained matrix outlives the set-up
         self.system = System(level, ("velocity", "pressure"), K, bubbles)
         del K
-        self.linear = self.system.solver(opts)
+        self.system.factor(opts)
 
     def _solve(self, load: np.ndarray, head_source: DiscreteField):
         level = self.level
         loads = (level.fluid_load + load + forms.assemble_interface_load_ns(
             level.spaces.velocity, head_source, level.params), None)
-        x, rep = self.linear.solve(self.system.rhs(*loads))
+        x, rep = self.system.solve(self.system.rhs(*loads))
         return (*self.system.split(x, *loads), rep)
 
     def solve_newton(self, head_source: DiscreteField):

@@ -5,12 +5,12 @@ and Krylov loops live here because their behavior (drop rule, breakdown
 shift, GMRES's CGS2 orthogonalization, stopping tests, preconditioner
 structure) is part of the method.
 
-`LinearSolver` is the one place a solve site's "direct" or "iterative"
-setting is acted on: built once per matrix, it holds a SuperLU factor or a
-Krylov method with its preconditioner, and every report it returns carries
-the true relative residual ||b - K x|| / ||b|| of the K it was given. A
-direct Mini system comes already condensed (forms.MiniSaddle), so that
-residual is the condensed system's; the factor eliminates nothing itself.
+Which of these a solve site uses, and what its report says, is decided in
+one place, `coupled.System` (`factor`, then `solve`): every report carries
+the true relative residual ||b - K x|| / ||b|| of the system's K, and a
+solve that does not converge raises NotConverged. A direct Mini system comes already condensed
+(forms.MiniSaddle), so that residual is the condensed system's; the factor
+eliminates nothing itself.
 
 Saddle systems are preconditioned by a block upper-triangular operator
 
@@ -43,6 +43,10 @@ class NotSymmetric(Exception):
 
 
 class Singular(Exception):
+    pass
+
+
+class NotConverged(Exception):
     pass
 
 
@@ -450,42 +454,6 @@ def true_residual(A, b: np.ndarray, x: np.ndarray) -> float:
     bnorm = np.linalg.norm(b)
     res = np.linalg.norm(b - A @ x)
     return float(res / bnorm if bnorm > 0 else res)
-
-
-class LinearSolver:
-    """Solves K x = b for a sequence of right sides under one policy.
-
-    "direct" factors K once (SuperLU), ordered by the unknowns' grid
-    `points` (see DirectFactor); `factor` then holds the reusable LU.
-    "iterative" calls precondition(K) once and runs PCG (symmetric K) or
-    GMRES to relative tolerance tol on K, unordered. Reports carry the true
-    relative residual on K; `converged` is the Krylov method's own stopping
-    flag.
-    """
-
-    def __init__(self, K, solver: str, tol: float = 1e-9, precondition=None,
-                 symmetric: bool = False, *, points: np.ndarray):
-        self.K = K
-        self.tol = tol
-        self.symmetric = symmetric
-        self.factor = self.precon = None
-        if solver == "direct":
-            self.factor = DirectFactor(K, points)
-        elif solver == "iterative":
-            self.precon = precondition(K)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-
-    def solve(self, b: np.ndarray):
-        if self.factor is not None:
-            x = self.factor.solve(b)
-            rep = SolveReport(1, 0.0, True, "direct")
-        elif self.symmetric:
-            x, rep = pcg(self.K, b, self.precon, tol=self.tol)
-        else:
-            x, rep = gmres(self.K, b, self.precon, tol=self.tol)
-        rep.final_residual = true_residual(self.K, b, x)
-        return x, rep
 
 
 def constrain_matrix(A, dofs: np.ndarray) -> sp.csr_matrix:

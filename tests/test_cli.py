@@ -741,6 +741,17 @@ class TestMain:
                               "RuntimeError: no convergence\n")
         assert "Traceback" in err and "failing_solve" in err
 
+    def test_unconverged_solve_exits_three(self, tmp_path, capsys):
+        """No GMRES solve of the coarse Picard iteration reaches
+        linear_tol = 1e-30."""
+        config = tmp_path / "study.cfg"
+        config.write_text("linear_tol = 1e-30\n")
+        assert main(["run", "--config", str(config), "--solver", "iterative",
+                     "--schedule", "pairs:2:4",
+                     "--out", str(tmp_path / "res")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "---- failure ----\nNotConverged: gmres: 5000 iterations")
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "res"
         assert main(["run", "--schedule", "square:n0=3,levels=1",

@@ -158,7 +158,8 @@ class TestAgainstTheFullSystem:
         system, fluid = coupled.picard_system(lv)
         velocity = DiscreteField(dv, np.zeros(dv.num_coefficients))
         for _ in range(4):
-            x, _ = system.solver(SolveOptions()).solve(system.rhs(*loads))
+            system.factor(SolveOptions())
+            x, _ = system.solve(system.rhs(*loads))
             fields = system.split(x, *loads)
             full = System(lv, coupled.FIELDS,
                           picard_full_matrix(lv, params, velocity))

@@ -98,6 +98,16 @@ class TestPicard:
         assert norms[0] < norms[1] < norms[2] < norms[3]
         assert not report.converged
 
+    def test_rebuilt_solve_that_does_not_converge_raises(self, mms):
+        """At nu = 1e-2, with the manufactured problem of the default
+        parameters, GMRES on the first block-triangular preconditioner
+        fails at the second iterate, and GMRES on the one built again
+        stops at its cap of 5000 iterations: Picard stops there instead of
+        going on from that x."""
+        with pytest.raises(sparse.NotConverged, match="gmres: 5000 "):
+            solve_coupled(level(8, 1, ModelParams(nu=1e-2), mms),
+                          SolveOptions(solver="iterative"))
+
     def test_exhausted_budget_raises(self, params, mms, monkeypatch):
         monkeypatch.setattr(coupled, "PICARD_MAXIT", 1)
         with pytest.raises(PicardDiverged) as err:

@@ -6,14 +6,13 @@ import scipy.sparse as sp
 from run_comparison import MeshMismatch, compare_runs
 
 from nsdarcy import coupled, decoupled, fem, forms, sparse
-from nsdarcy.coupled import (CoupledState, SolveOptions, build_level,
-                             solve_coupled)
+from nsdarcy.coupled import (CoupledState, SolveOptions, System,
+                             build_level, solve_coupled)
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
 from nsdarcy.fem import DiscreteField, grid_points, interpolate
 from nsdarcy.mesh import TriMesh, build_coupled_mesh
 from nsdarcy.mms import error_norms, manufactured_problem
-from nsdarcy.sparse import LinearSolver
 
 ALL_ALGORITHMS = ("A", "B", "C", "D")
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
@@ -160,6 +159,29 @@ class TestAlgorithmStructure:
         assert isinstance(err.value.__cause__, RuntimeError)
 
 
+class TestUnconvergedSolves:
+    """No Krylov solve reaches linear_tol = 1e-30: the step raises rather
+    than return the solution."""
+    OPTS = SolveOptions(solver="iterative", linear_tol=1e-30)
+
+    def test_ns_step_raises(self, params, mms):
+        lv = level(4, 1, params, mms)
+        ns = NSStep(lv, interpolate(mms.velocity, lv.spaces.velocity),
+                    self.OPTS)
+        with pytest.raises(sparse.NotConverged, match="gmres: 5000 "):
+            ns.solve_newton(interpolate(mms.head, lv.spaces.head))
+
+    def test_multilevel_step_fails(self, params, mms):
+        coarse = level(2, 1, params, mms)
+        spaces = coarse.spaces
+        prev = CoupledState(*(interpolate(exact, dm) for exact, dm in zip(
+            (mms.velocity, mms.pressure, mms.head), spaces)))
+        with pytest.raises(MultilevelStepFailed,
+                           match="level 1, step ns_newton: gmres") as err:
+            advance_level("C", prev, level(4, 1, params, mms), self.OPTS)
+        assert isinstance(err.value.__cause__, sparse.NotConverged)
+
+
 class TestAccuracy:
     def test_two_level_tracks_coupled(self, params, mms):
         run = run_multilevel("A", [2, 8], 1, params, mms)
@@ -232,7 +254,7 @@ class TestSubproblemKernels:
         src = interpolate(mms.velocity, lv.spaces.velocity)
         step.solve(src)
         step.solve(src)
-        assert direct_solves == [step.linear.factor] * 2
+        assert direct_solves == [step.system.inverse] * 2
 
     def test_correction_with_own_state_matches_newton(self, params, mms):
         lv = level(4, 1, params, mms)
@@ -393,14 +415,16 @@ class TestSaddlePreconditioner:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(K, b, x, report) of every LinearSolver solve and of every GMRES
-    solve the Picard loop runs on its frozen factor."""
+    """(K, b, x, report) of every solve, once each: every GMRES solve,
+    such as one on a refilled K that fails and is not reported, and every
+    System.solve whose report is not the last one recorded."""
     calls = []
-    orig_solve, orig_gmres = LinearSolver.solve, coupled.gmres
+    orig_solve, orig_gmres = System.solve, sparse.gmres
 
     def solve(self, b):
         x, rep = orig_solve(self, b)
-        calls.append((self.K, b, x, rep))
+        if not calls or calls[-1][3] is not rep:
+            calls.append((self.K, b, x, rep))
         return x, rep
 
     def gmres(A, b, *args, **kwargs):
@@ -408,8 +432,8 @@ def solves(monkeypatch):
         calls.append((A, b, x, rep))
         return x, rep
 
-    monkeypatch.setattr(LinearSolver, "solve", solve)
-    monkeypatch.setattr(coupled, "gmres", gmres)
+    monkeypatch.setattr(System, "solve", solve)
+    monkeypatch.setattr(sparse, "gmres", gmres)
     return calls
 
 
@@ -454,14 +478,14 @@ class TestTrueResiduals:
 
 @pytest.fixture
 def linear_solvers(monkeypatch):
-    """Every LinearSolver built, in order."""
-    built, orig = [], LinearSolver.__init__
+    """Every solver a System.factor call built, in order."""
+    built, orig = [], System.factor
 
-    def init(self, *args, **kwargs):
-        built.append(self)
+    def factor(self, *args, **kwargs):
         orig(self, *args, **kwargs)
+        built.append(self.inverse)
 
-    monkeypatch.setattr(LinearSolver, "__init__", init)
+    monkeypatch.setattr(System, "factor", factor)
     return built
 
 
@@ -494,21 +518,22 @@ class TestFrozenSolverRebuild:
 
 @pytest.fixture
 def superlu_inputs(monkeypatch):
-    """(matrix given to LinearSolver, matrix given to SuperLU, points given
-    to LinearSolver, the DirectFactor) of every direct factorization."""
+    """(K that System.factor gives its DirectFactor, matrix given to
+    SuperLU, points given to the DirectFactor, the DirectFactor) of every
+    direct factorization."""
     found, given = [], []
-    orig_init, orig_splu = LinearSolver.__init__, sparse.spla.splu
+    orig_init, orig_splu = sparse.DirectFactor.__init__, sparse.spla.splu
 
-    def init(self, K, *args, **kwargs):
-        given.append((K, kwargs.get("points")))
-        orig_init(self, K, *args, **kwargs)
-        found[-1] += (self.factor,)
+    def init(self, K, points):
+        given.append((K, points))
+        orig_init(self, K, points)
+        found[-1] += (self,)
 
     def splu(A, *args, **kwargs):
         found.append((given[-1][0], A, given[-1][1]))
         return orig_splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(LinearSolver, "__init__", init)
+    monkeypatch.setattr(sparse.DirectFactor, "__init__", init)
     monkeypatch.setattr(sparse.spla, "splu", splu)
     return found
 
@@ -517,7 +542,7 @@ class TestBubbleCondensation:
     def test_mini_factors_exclude_the_bubbles(self, superlu_inputs, solves,
                                               params, mms):
         """Picard's first iterate and the NS step are posed without the
-        bubbles: LinearSolver gets them condensed, and SuperLU that matrix,
+        bubbles: System.factor gets them condensed, and SuperLU that matrix,
         less its explicit zeros."""
         lv = level(8, 1, params, mms)
         state, _ = solve_coupled(lv)
@@ -529,11 +554,11 @@ class TestBubbleCondensation:
         for (K, A, points, _), full in zip(superlu_inputs, sizes):
             assert A.shape == K.shape == (len(full) - bubbles,) * 2
             assert len(points) == K.shape[0]
-        assert ns.linear.factor._lu.shape == ns.linear.K.shape
+        assert ns.system.inverse._lu.shape == ns.system.K.shape
         solves.clear()
         u, _, rep = ns.solve_newton(state.head)
         (K, b, x, _), = solves
-        assert K.shape == ns.linear.K.shape and x.shape == b.shape
+        assert K.shape == ns.system.K.shape and x.shape == b.shape
         assert u.coefficients.shape == (2 * dv.ndof,)
         assert_true_residuals([rep], solves)
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from nsdarcy import coupled, sparse
+from nsdarcy import sparse
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "tools", "fingerprint.py")
@@ -22,11 +22,11 @@ def test_default_configurations():
 
 def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
-    solvers = (sparse.gmres, sparse.pcg)
+    wrapped = (sparse.gmres, sparse.pcg, sparse.true_residual)
     for path in (one, two):
         assert fingerprint.main(["write", path] + CONFIGS) == 0
-    # the counting wrappers are taken out again
-    assert (sparse.gmres, sparse.pcg, coupled.gmres) == solvers + solvers[:1]
+    # the counting and recording wrappers are taken out again
+    assert (sparse.gmres, sparse.pcg, sparse.true_residual) == wrapped
     with open(one) as fh:
         first = fh.read()
     with open(two) as fh:
@@ -42,9 +42,14 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     fill = direct["superlu_fill"]
     assert len(fill) == 2 and all(isinstance(k, int) for k in fill)
     assert 0 < fill[0] < fill[1]
-    # Picard's GMRES on its frozen factor, through coupled's own binding
+    # Picard's GMRES on its refilled K, preconditioned by the first factor
     assert direct["krylov"] and {m for m, _ in direct["krylov"]} == {"gmres"}
-    # LinearSolver's Krylov solves: PCG on the head, GMRES on the rest
+    # one true residual per solve: the first iterate's direct one, then
+    # one per GMRES
+    residuals = [float.fromhex(r) for r in direct["residuals"]]
+    assert len(residuals) == len(direct["krylov"]) + 2
+    assert all(0.0 < r < 1e-8 for r in residuals)
+    # the Krylov solves of A: PCG on the head, GMRES on the rest
     iterative = data[CONFIGS[1]]["krylov"]
     assert {m for m, _ in iterative} == {"gmres", "pcg"}
     assert all(isinstance(k, int) and k > 0 for _, k in iterative)
@@ -57,15 +62,17 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     assert fingerprint.main(["compare", one, str(edited)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{CONFIGS[0]}: max rel error diff 9.99")
-    assert lines[0].endswith("SuperLU inputs same, Krylov counts same")
+    assert lines[0].endswith("SuperLU inputs same, Krylov counts same, "
+                             "residuals same")
     assert lines[1].startswith("  0,1/2,")
     assert lines[-1] == "1 of 2 configurations identical"
 
 
-def hand_built(path, errors, digest, krylov=None, fill=None):
+def hand_built(path, errors, digest, krylov=None, fill=None,
+               residuals=None):
     """A one-configuration fingerprint file with the given errors of u
-    in L2 on n = 2 and 4, and Krylov counts and SuperLU fill when
-    given."""
+    in L2 on n = 2 and 4, and Krylov counts, SuperLU fill and true
+    residuals when given."""
     rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
             in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
     fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}
@@ -73,6 +80,8 @@ def hand_built(path, errors, digest, krylov=None, fill=None):
         fp["krylov"] = krylov
     if fill is not None:
         fp["superlu_fill"] = fill
+    if residuals is not None:
+        fp["residuals"] = [float(r).hex() for r in residuals]
     path.write_text(json.dumps({CONFIGS[0]: fp}))
     return str(path)
 
@@ -108,7 +117,7 @@ def test_krylov_counts_that_differ_are_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
              f"same, Krylov counts differ (2 against 2 solves; solve 1: "
-             f"gmres 7 against gmres 8)")
+             f"gmres 7 against gmres 8), residuals unknown")
     assert out[0] == named and out[2] == named + ", within rtol 1e-12"
     assert out[-1] == "1 of 1 configurations identical or within rtol 1e-12"
 
@@ -127,8 +136,8 @@ def test_fill_is_shown_where_the_inputs_differ(tmp_path, capsys, fill_b,
     assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs differ "
-        f"(2 against 2 inputs, {shown}), Krylov counts unknown, within "
-        f"rtol 0")
+        f"(2 against 2 inputs, {shown}), Krylov counts unknown, residuals "
+        f"unknown, within rtol 0")
 
 
 def test_fill_that_differs_on_the_same_inputs_is_named(tmp_path, capsys):
@@ -140,7 +149,7 @@ def test_fill_that_differs_on_the_same_inputs_is_named(tmp_path, capsys):
     assert fingerprint.main(["compare", a, b]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
-        f"fill +50.000%, Krylov counts unknown",
+        f"fill +50.000%, Krylov counts unknown, residuals unknown",
         "0 of 1 configurations identical"]
     assert fingerprint.main(["compare", a, a]) == 0
     assert fingerprint.main(["compare", old, b]) == 0
@@ -154,7 +163,39 @@ def test_a_file_without_krylov_counts_compares_as_unknown(tmp_path, capsys):
     assert fingerprint.main(["compare", old, new]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
-        f"Krylov counts unknown",
+        f"Krylov counts unknown, residuals unknown",
+        "1 of 1 configurations identical"]
+
+
+def test_a_moved_residual_is_named(tmp_path, capsys):
+    """Even with the same errors, inputs and counts; under --rtol it does
+    not decide."""
+    krylov = [["gmres", 7], ["pcg", 3]]
+    a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa", krylov,
+                   residuals=[1e-15, 2e-10, 3e-11])
+    b = hand_built(tmp_path / "b.json", (1e-3, 2.5e-4), "aa", krylov,
+                   residuals=[1e-15, 2.5e-10, 3e-11])
+    assert fingerprint.main(["compare", a, a]) == 0
+    assert fingerprint.main(["compare", a, b]) == 1
+    assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
+             f"same, Krylov counts same, residuals differ (solve 2: 2e-10 "
+             f"against 2.5e-10)")
+    assert out[1:] == [named, "0 of 1 configurations identical",
+                       named + ", within rtol 0",
+                       "1 of 1 configurations identical or within rtol 0"]
+
+
+def test_a_file_without_residuals_compares_as_unknown(tmp_path, capsys):
+    krylov = [["gmres", 7]]
+    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa", krylov)
+    new = hand_built(tmp_path / "new.json", (1e-3, 2.5e-4), "aa", krylov,
+                     residuals=[2e-10])
+    assert fingerprint.main(["compare", old, new]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
+        f"Krylov counts same, residuals unknown",
         "1 of 1 configurations identical"]
 
 

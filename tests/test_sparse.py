@@ -9,13 +9,13 @@ from ichol_reference import ichol_reference
 from layout import monolithic_trace
 
 from nsdarcy import coupled, forms, sparse
-from nsdarcy.coupled import SolveOptions, build_level, solve_coupled
+from nsdarcy.coupled import SolveOptions, System, build_level, solve_coupled
 from nsdarcy.decoupled import DarcyStep, NSStep
 from nsdarcy.fem import (P1, DiscreteField, build_dofmap, grid_points,
                          interpolate)
 from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 from nsdarcy.sparse import (BlockTriangularPreconditioner, DimensionMismatch,
-                            DirectFactor, LinearSolver, NotSymmetric,
+                            DirectFactor, NotSymmetric,
                             Preconditioner, Singular, constrain_dirichlet,
                             constrain_matrix, gmres, ichol, nested_dissection, pcg,
                             true_residual)
@@ -268,8 +268,8 @@ class TestPcg:
 
 def recorded_gmres(run):
     """Runs run() and returns (A, b, P, kwargs) of every GMRES solve it
-    makes, through LinearSolver or on Picard's frozen factor. A and b are
-    copies: Picard refills its matrix in place."""
+    makes through `System.solve`. A and b are copies: Picard refills its
+    matrix in place."""
     calls = []
 
     def record(A, b, P=None, **kwargs):
@@ -278,7 +278,6 @@ def recorded_gmres(run):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparse, "gmres", record)
-        mp.setattr(coupled, "gmres", record)
         run()
     return calls
 
@@ -469,55 +468,67 @@ def recomputed_residual(K, b, x):
     return np.linalg.norm(b - K @ x) / np.linalg.norm(b)
 
 
+def head_system(n, params, mms):
+    """The Darcy step's System on an n mesh, and its right side."""
+    lv = build_level(build_coupled_mesh(n), 1, params, mms)
+    system = System(lv, ("head",), forms.assemble_ap(lv.spaces.head, params))
+    return system, system.rhs(lv.porous_load)
+
+
 class TestLinearSolver:
+    """What `System.factor` builds and `System.solve` runs, on small
+    levels."""
+
     @pytest.mark.parametrize("solver,method", [("direct", "direct"),
                                                ("iterative", "pcg")])
     def test_spd_reports_true_residual(self, solver, method, params, mms):
-        K, rhs = porous_head_system(8, params, mms)
-        linear = LinearSolver(K, solver, 1e-9, lambda A: ichol(A, 1e-3),
-                              symmetric=True, points=chain(K.shape[0]))
-        x, rep = linear.solve(rhs)
+        system, rhs = head_system(8, params, mms)
+        system.factor(SolveOptions(solver=solver))
+        x, rep = system.solve(rhs)
         assert rep.method == method and rep.converged
         assert rep.final_residual == pytest.approx(
-            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+            recomputed_residual(system.K, rhs, x), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("solver,method", [("direct", "direct"),
                                                ("iterative", "gmres")])
     def test_saddle_reports_true_residual(self, solver, method, params, mms):
-        K, rhs, (nu_, nq_, nphi), mdiag = coupled_system(4, params, mms)
-        linear = LinearSolver(
-            K, solver, 1e-9, lambda A: BlockTriangularPreconditioner(
-                A, nu_, nq_, mdiag, params.nu, nphi=nphi),
-            points=chain(K.shape[0]))
-        x, rep = linear.solve(rhs)
+        """Picard's first iterate: velocity, pressure and head."""
+        lv = build_level(build_coupled_mesh(4), 1, params, mms)
+        opts = SolveOptions(solver=solver)
+        system, _ = coupled.picard_system(lv, opts)
+        system.factor(opts)
+        rhs = system.rhs(lv.fluid_load, None, lv.porous_load)
+        x, rep = system.solve(rhs)
         assert rep.method == method and rep.converged
         assert rep.final_residual == pytest.approx(
-            recomputed_residual(K, rhs, x), rel=1e-12, abs=0.0)
+            recomputed_residual(system.K, rhs, x), rel=1e-12, abs=0.0)
         # measured, not assumed: an LU solve leaves a rounding residual
         assert rep.final_residual > 0.0
 
-    def test_direct_factors_once(self, rng, direct_solves):
-        A = random_spd(10, rng)
-        linear = LinearSolver(A, "direct", points=chain(10))
+    def test_direct_factors_once(self, rng, direct_solves, params, mms):
+        system, _ = head_system(4, params, mms)
+        system.factor(SolveOptions())
         for _ in range(2):
-            linear.solve(rng.standard_normal(10))
-        assert direct_solves == [linear.factor] * 2
+            system.solve(rng.standard_normal(system.K.shape[0]))
+        assert direct_solves == [system.inverse] * 2
 
-    def test_iterative_builds_preconditioner_once(self, rng):
-        A = random_spd(10, rng)
+    def test_iterative_builds_preconditioner_once(self, rng, params, mms,
+                                                  monkeypatch):
+        system, _ = head_system(4, params, mms)
         built = []
-        linear = LinearSolver(A, "iterative", 1e-12,
-                              lambda K: built.append(K) or ichol(K, 1e-3),
-                              symmetric=True, points=chain(10))
+        monkeypatch.setattr(coupled, "ichol",
+                            lambda K, droptol: built.append(K)
+                            or ichol(K, droptol))
+        system.factor(SolveOptions(solver="iterative", linear_tol=1e-12))
         for _ in range(2):
-            linear.solve(rng.standard_normal(10))
-        assert len(built) == 1 and built[0] is A
-        assert linear.factor is None
+            system.solve(rng.standard_normal(system.K.shape[0]))
+        assert len(built) == 1 and built[0] is system.K
+        assert not isinstance(system.inverse, DirectFactor)
 
-    def test_unknown_solver_rejected(self):
+    def test_unknown_solver_rejected(self, params, mms):
+        system, _ = head_system(2, params, mms)
         with pytest.raises(ValueError, match="unknown solver"):
-            LinearSolver(sp.eye(3, format="csr"), "multigrid",
-                         points=chain(3))
+            system.factor(SolveOptions(solver="multigrid"))
 
     def test_zero_rhs_residual_is_absolute(self):
         A = sp.eye(3, format="csr")
@@ -608,11 +619,11 @@ class TestCondensedFactor:
         K, rhs, *_ = coupled_system(4, params, mms)
         system, _ = coupled.picard_system(lv)
         loads = (lv.fluid_load, None, lv.porous_load)
-        linear = system.solver(SolveOptions())
-        assert linear.factor._lu.shape[0] == system.K.shape[0] == \
+        system.factor(SolveOptions())
+        assert system.inverse._lu.shape[0] == system.K.shape[0] == \
             K.shape[0] - 2 * lv.mesh.fluid.num_cells
         b = system.rhs(*loads)
-        x, rep = linear.solve(b)
+        x, rep = system.solve(b)
         assert x.shape == b.shape
         assert rep.final_residual == pytest.approx(
             recomputed_residual(system.K, b, x), rel=1e-12, abs=0.0)
@@ -632,8 +643,8 @@ def direct_system(kind, order, n, params, mms):
         return system.K, grid_points(dv, dq, dphi)[system.kept]
     if kind == "ns":
         ns = NSStep(lv, interpolate(mms.velocity, dv))
-        return ns.linear.K, grid_points(dv, dq)[ns.system.kept]
-    return DarcyStep(lv).linear.K, grid_points(dphi)
+        return ns.system.K, grid_points(dv, dq)[ns.system.kept]
+    return DarcyStep(lv).system.K, grid_points(dphi)
 
 
 def last_separator(g, perm):

@@ -16,27 +16,29 @@ error and rate as `float.hex`, one SHA-256 over the `indptr`, `indices`
 and `data` of every matrix handed to SuperLU, with the number of those
 matrices, the fill of every factor SuperLU returns in call order
 (`superlu_fill`, its `nnz`: L and U with supernodal padding, read without
-copying either factor), and the iteration count of every GMRES and PCG
-solve in call order (`krylov`, as [method, iterations] pairs). The Krylov
-solvers are rebound wherever the package bound them by name, as
-`perfbench/tracing.py` does, so Picard's GMRES on its frozen factor is
-counted too.
+copying either factor), the iteration count of every GMRES and PCG solve
+in call order (`krylov`, as [method, iterations] pairs), and the true
+residual of every solve in call order (`residuals`, the `float.hex` of
+each `sparse.true_residual`). `sparse.gmres`, `sparse.pcg` and
+`sparse.true_residual` are rebound wherever the package holds them, as
+`perfbench/tracing.py` does.
 
 `compare` lists the configurations that differ. For each it gives the
-largest relative error difference (against B), whether the SuperLU inputs
-and the Krylov counts match, and every row whose printed `errors.csv`
-body changes, formatted by the `nsdarcy.cli` in the `src` next to this
-tool. Where the SuperLU inputs or their fill differ it adds the relative
-change of the summed fill from A to B ("fill same" if only the inputs
-differ). A file written before the fill or the counts were recorded
-gives "fill unknown" or "Krylov counts unknown", which does not decide.
-Exit code 0 means every configuration is identical, 1 that some differ,
-2 a bad argument or file; a fill that differs on the same SuperLU inputs,
-as under another pivot threshold, differs too. With `--rtol R`, for
-refactors that are not bitwise, a configuration that differs passes too
-when no printed `errors.csv` body changes and every unrounded error lies
-within R relative of B's; its SuperLU inputs, fill and Krylov counts are
-then reported but do not decide.
+largest relative error difference (against B), whether the SuperLU inputs,
+the Krylov counts and the true residuals match, and every row whose
+printed `errors.csv` body changes, formatted by the `nsdarcy.cli` in the
+`src` next to this tool. Where the SuperLU inputs or their fill differ it
+adds the relative change of the summed fill from A to B ("fill same" if
+only the inputs differ). A file written before the fill, the counts or
+the residuals were recorded gives "fill unknown", "Krylov counts unknown"
+or "residuals unknown", which does not decide. Exit code 0 means every
+configuration is identical, 1 that some differ, 2 a bad argument or
+file; a fill that differs on the same SuperLU inputs, as under another
+pivot threshold, differs too. With `--rtol R`, for refactors that are not
+bitwise, a configuration that differs passes too when no printed
+`errors.csv` body changes and every unrounded error lies within R
+relative of B's; its SuperLU inputs, fill, Krylov counts and residuals
+are then reported but do not decide.
 """
 
 from __future__ import annotations
@@ -90,17 +92,29 @@ def _counting(orig, method, krylov):
     return solve
 
 
+def _recording(orig, residuals):
+    """orig (true_residual), appending the float.hex of each result."""
+    def true_residual(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        residuals.append(_hex(res))
+        return res
+    return true_residual
+
+
 def fingerprint(configs) -> dict:
     """{config: {"rows", "superlu_sha256", "superlu_inputs", "superlu_fill",
-    "krylov"}} of the studies run on the `nsdarcy` that imports first."""
+    "krylov", "residuals"}} of the studies run on the `nsdarcy` that
+    imports first."""
     from nsdarcy import cli, sparse
 
     orig_splu = sparse.spla.splu
     solvers = {method: getattr(sparse, method) for method in ("gmres", "pcg")}
+    orig_residual = sparse.true_residual
     out = {}
     for config in configs:
         algorithm, order, solver, schedule = config.split(":", 3)
         digest, count, fill, krylov = hashlib.sha256(), 0, [], []
+        residuals = []
 
         def splu(A, *args, **kwargs):
             nonlocal count
@@ -113,9 +127,11 @@ def fingerprint(configs) -> dict:
 
         counting = {method: _counting(orig, method, krylov)
                     for method, orig in solvers.items()}
+        recording = _recording(orig_residual, residuals)
         sparse.spla.splu = splu
         for method, orig in solvers.items():
             _rebind(orig, counting[method])
+        _rebind(orig_residual, recording)
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 artifact = cli.run_experiment(cli.ExperimentConfig(
@@ -125,13 +141,15 @@ def fingerprint(configs) -> dict:
             sparse.spla.splu = orig_splu
             for method, orig in solvers.items():
                 _rebind(counting[method], orig)
+            _rebind(recording, orig_residual)
         out[config] = {
             "rows": [[r.level, r.h, r.variable, r.norm, _hex(r.error),
                       _hex(r.rate)] for r in artifact.rows],
             "superlu_sha256": digest.hexdigest(),
             "superlu_inputs": count,
             "superlu_fill": fill,
-            "krylov": krylov}
+            "krylov": krylov,
+            "residuals": residuals}
     return out
 
 
@@ -162,6 +180,23 @@ def _krylov(fa: dict, fb: dict) -> str:
             f"{solve(ka)} against {solve(kb)})")
 
 
+def _residuals(fa: dict, fb: dict) -> str:
+    """"same", "unknown" (a file without residuals) or the first solve
+    whose true residuals differ."""
+    ra, rb = fa.get("residuals"), fb.get("residuals")
+    if ra is None or rb is None:
+        return "unknown"
+    if ra == rb:
+        return "same"
+    i = next((i for i, (x, y) in enumerate(zip(ra, rb)) if x != y),
+             min(len(ra), len(rb)))
+
+    def solve(r):
+        return repr(_unhex(r[i])) if i < len(r) else "none"
+
+    return f"differ (solve {i + 1}: {solve(ra)} against {solve(rb)})"
+
+
 def _fill(fa: dict, fb: dict) -> str:
     """"same", "unknown" (a file without fill) or the relative change of
     the summed SuperLU fill from A to B."""
@@ -184,11 +219,12 @@ def compare(a: dict, b: dict, rtol: float | None = None
             continue
         fa, fb = a[config], b[config]
         krylov, fill = _krylov(fa, fb), _fill(fa, fb)
+        residuals = _residuals(fa, fb)
         moved = fill not in ("same", "unknown")
         identical = not moved and all(fa[k] == fb[k] for k in
                                       ("rows", "superlu_sha256",
                                        "superlu_inputs"))
-        if identical and krylov == "same":
+        if identical and krylov == residuals == "same":
             same += 1
             continue
         ra, rb = fa["rows"], fb["rows"]
@@ -209,9 +245,11 @@ def compare(a: dict, b: dict, rtol: float | None = None
         changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
                    if _body(x) != _body(y)]
         within = rtol is not None and not changed and worst <= rtol
-        same += within or (identical and krylov == "unknown")
+        same += within or (identical and {krylov, residuals}
+                           <= {"same", "unknown"})
         lines.append(f"{config}: max rel error diff {worst:.3e}, "
-                     f"SuperLU inputs {superlu}, Krylov counts {krylov}"
+                     f"SuperLU inputs {superlu}, Krylov counts {krylov}, "
+                     f"residuals {residuals}"
                      + (f", within rtol {rtol:g}" if within else ""))
         lines += changed
     passed = "identical" if rtol is None else \
