@@ -13,7 +13,9 @@ about the last velocity on one fixed CSR pattern (`System.refill`): N1,
 or, for a direct Mini solve, posed without the bubbles, the fluid block
 condensed about N1 cell by cell (forms.MiniSaddle alone knows its
 layout). `System.solve` then runs GMRES on the refilled K, preconditioned
-by the first iterate's solver. The iteration starts from zero and stops
+by the first iterate's solver, which is therefore a float64 LU factor
+when direct; a K that is never refilled gets a float32 factor refined in
+float64 (sparse.DirectFactor). The iteration starts from zero and stops
 when the l2 norm of the full coefficient update (velocity with its
 recovered bubbles, pressure, and head together) drops below picard_tol.
 
@@ -217,11 +219,14 @@ class System:
 
     def factor(self, opts: SolveOptions) -> None:
         """Builds `inverse` on K as it stands: a DirectFactor on the grid
-        points of K's unknowns; with "iterative", ichol on the head alone,
-        otherwise the block-triangular preconditioner."""
+        points of K's unknowns, in float32 and refined in float64, unless
+        `refill` changes K: that factor preconditions GMRES on matrices it
+        was not built on, and stays float64; with "iterative", ichol on the
+        head alone, otherwise the block-triangular preconditioner."""
         if opts.solver == "direct":
             self.inverse = DirectFactor(
-                self.K, grid_points(*self.dofmaps)[self.kept])
+                self.K, grid_points(*self.dofmaps)[self.kept],
+                single=self._static is None)
         elif opts.solver != "iterative":
             raise ValueError(f"unknown solver {opts.solver!r}")
         elif len(self.sizes) == 1:
@@ -235,7 +240,8 @@ class System:
 
     def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """x with K x = b, and its SolveReport with the true residual on K.
-        While K is the matrix `factor` was given, `inverse` solves it, or
+        While K is the matrix `factor` was given, `inverse` solves it (a
+        direct report counts its triangular solves as iterations), or
         preconditions PCG (the head alone) or GMRES. Once `refill` has
         changed K, GMRES runs on K preconditioned by `inverse`, within
         twice the iterations of the last fresh solve and at least 100; if
@@ -249,8 +255,8 @@ class System:
                 self.factor(self._opts)
         if not self._refilled:
             if self._opts.solver == "direct":
-                x, rep = self.inverse.solve(b), SolveReport(1, 0.0, True,
-                                                            "direct")
+                x = self.inverse.solve(b)
+                rep = SolveReport(self.inverse.steps, 0.0, True, "direct")
             else:
                 krylov = sparse.pcg if len(self.sizes) == 1 else sparse.gmres
                 x, rep = krylov(self.K, b, self.inverse, tol=tol)

@@ -15,8 +15,8 @@ points. Per level and algorithm, in order:
 a_f + c(a,.,.) + c(.,a,.), load + c(a,a,.)); the correction re-solves with
 the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
 level the Darcy matrix and the NS saddle matrix are each a `System` that
-is factored once (one LU factor, or one preconditioner) and solves both
-of their right sides; every step returns its `SolveReport` with the true
+is factored once (one float32 LU factor, each solve refined in float64,
+or one preconditioner) and solves both of their right sides; every step returns its `SolveReport` with the true
 residual, and a solve that does not converge fails the step. A direct NS
 step with a Mini velocity condenses the Newton matrix cell by cell as it
 is assembled (forms.MiniSaddle): its factor, its right sides and its

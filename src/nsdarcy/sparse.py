@@ -12,6 +12,14 @@ solve that does not converge raises NotConverged. A direct Mini system comes alr
 (forms.MiniSaddle), so that residual is the condensed system's; the factor
 eliminates nothing itself.
 
+A DirectFactor is float64, or, with `single`, float32 refined in float64
+against its matrix until the true residual stops halving, and factored
+again in float64 if that refinement stops short of float64's residual
+floor. `System.factor` asks for float32 unless `refill` changes K (Picard,
+whose float64 factor preconditions GMRES on later iterates). A direct
+report's `iterations` counts the triangular solves: 1 for a float64
+factor, those of the refinement (and of the fallback) for a float32 one.
+
 Saddle systems are preconditioned by a block upper-triangular operator
 
     [ Ahat  B^T  C  ]
@@ -412,14 +420,34 @@ class DirectFactor:
     constrain_matrix) couples with no other unknown, so it causes no fill
     wherever the dissection puts it. `_iidx` lists the unknowns in factor
     order; SuperLU gets A in that order, less its explicit zeros.
+
+    With `single`, SuperLU gets A in float32, and `solve` refines in
+    float64 against A (Moler 1967; Carson & Higham 2018):
+    x <- x + LU^{-1}(b - A x) from x = 0 while the true residual halves,
+    each right side scaled by a power of two into float32's range before
+    the cast. A refinement that stops short of float64's residual floor
+    (cond(A) u_32 near 1; see `_floor`) factors A once more in float64,
+    which then solves this and every later right side. Otherwise the
+    factor is float64, keeps no reference to A, and `solve` is one
+    triangular solve, as for a preconditioner of matrices near A.
+    `steps` counts the triangular solves of the last `solve`.
     """
 
-    def __init__(self, A, points: np.ndarray):
+    def __init__(self, A, points: np.ndarray, single: bool = False):
         A = as_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"direct solve needs square, got {A.shape}")
         self.shape = A.shape
         self._iidx = nested_dissection(points, A.diagonal() == 0)
+        self._A = A if single else None
+        if single:
+            # LAPACK dsgesv's test of a refined x: |b - A x| at most
+            # sqrt(n) eps |A| |x| in the max norm (Buttari et al. 2008)
+            self._floor = (math.sqrt(A.shape[0]) * np.finfo(float).eps
+                           * abs(A).sum(axis=1).max())
+        self._lu = self._factor(A, np.float32 if single else np.float64)
+
+    def _factor(self, A: sp.csr_matrix, dtype) -> spla.SuperLU:
         where = np.empty(A.shape[0], dtype=A.indices.dtype)
         where[self._iidx] = np.arange(A.shape[0])
         S = A[self._iidx]   # rows in factor order; then the columns, unsorted
@@ -427,19 +455,54 @@ class DirectFactor:
         S.has_sorted_indices = False
         S.eliminate_zeros()
         S = S.tocsc()   # sorted, and the ordered CSR is freed before SuperLU
+        S = sp.csc_matrix((S.data.astype(dtype, copy=False), S.indices,
+                           S.indptr), shape=S.shape)
         try:
-            self._lu = spla.splu(S, permc_spec="NATURAL",
-                                 diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                                 options={"SymmetricMode": True})
+            return spla.splu(S, permc_spec="NATURAL",
+                             diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                             options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise Singular(str(exc)) from exc
+
+    def _triangular(self, r: np.ndarray) -> np.ndarray:
+        """LU^{-1} r: one pair of triangular solves in factor order."""
+        x = np.empty_like(r)
+        if self._A is None:
+            x[self._iidx] = self._lu.solve(r[self._iidx])
+            return x
+        # exact scaling: the largest |r_i| goes into [0.5, 1)
+        _, e = np.frexp(np.abs(r).max())
+        x[self._iidx] = self._lu.solve(
+            np.ldexp(r[self._iidx], -e).astype(np.float32))
+        return np.ldexp(x, e, out=x)
+
+    def _refine(self, b: np.ndarray) -> np.ndarray:
+        x, r, res = np.zeros_like(b), b, np.linalg.norm(b)
+        self.steps = 0
+        while res > 0:
+            y = x + self._triangular(r)
+            self.steps += 1
+            r_y = b - self._A @ y
+            res_y = np.linalg.norm(r_y)
+            if not res_y <= res / 2:   # a NaN residual does not halve
+                break
+            x, r, res = y, r_y, res_y
+        if np.abs(r).max() > self._floor * np.abs(x).max():
+            self._lu = None   # the float32 factor goes first
+            self._lu = self._factor(self._A, np.float64)
+            self._A = None
+            x = self._triangular(b)
+            self.steps += 1
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
-        x = np.empty_like(b)
-        x[self._iidx] = self._lu.solve(b[self._iidx])
+        if self._A is None:
+            x, self.steps = self._triangular(b), 1
+        else:
+            x = self._refine(b)
         if not np.all(np.isfinite(x)):
             raise Singular("non-finite solution from LU solve")
         return x

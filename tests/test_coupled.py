@@ -365,9 +365,9 @@ def factor_inputs(monkeypatch):
     found = []
     orig_init, orig_splu = sparse.DirectFactor.__init__, sparse.spla.splu
 
-    def init(self, A, points):
+    def init(self, A, points, **kwargs):
         found.append([A])
-        orig_init(self, A, points)
+        orig_init(self, A, points, **kwargs)
         found[-1].append(self)
 
     def splu(A, *args, **kwargs):

@@ -61,17 +61,34 @@ class TestSubspaceConsistency:
 
 
 class TestAlgorithmStructure:
-    def test_solve_log_steps_and_counts(self, params, mms):
+    def test_solve_log_steps_and_counts(self, params, mms, monkeypatch):
+        # the triangular solves of every DirectFactor.solve, in call order
+        counts = []
+        orig_solve = sparse.DirectFactor.solve
+        orig_triangular = sparse.DirectFactor._triangular
+
+        def solve(self, b):
+            counts.append(0)
+            return orig_solve(self, b)
+
+        def triangular(self, r):
+            counts[-1] += 1
+            return orig_triangular(self, r)
+        monkeypatch.setattr(sparse.DirectFactor, "solve", solve)
+        monkeypatch.setattr(sparse.DirectFactor, "_triangular", triangular)
         for alg, steps in STEP_SEQUENCES.items():
+            counts.clear()
             run = run_multilevel(alg, [2, 4], 1, params, mms)
             assert run.solve_log[0][:2] == (0, "coupled")
             fine = run.solve_log[1:]
             assert [entry[1] for entry in fine] == steps
-            # each fine-level subproblem is linear: one factored solve, done
-            for level, _, method, its in fine:
+            # each fine-level subproblem is linear: one factored solve,
+            # refined; its count is the triangular solves it took
+            for (level, _, method, its), solves in zip(
+                    fine, counts[-len(fine):]):
                 assert level == 1
                 assert method == "direct"
-                assert its == 1
+                assert its == solves
 
     def test_intermediate_states(self, params, mms):
         for alg in ALL_ALGORITHMS:
@@ -524,9 +541,9 @@ def superlu_inputs(monkeypatch):
     found, given = [], []
     orig_init, orig_splu = sparse.DirectFactor.__init__, sparse.spla.splu
 
-    def init(self, K, points):
+    def init(self, K, points, **kwargs):
         given.append((K, points))
-        orig_init(self, K, points)
+        orig_init(self, K, points, **kwargs)
         found[-1] += (self,)
 
     def splu(A, *args, **kwargs):
@@ -567,7 +584,8 @@ class TestBubbleCondensation:
         """Not condensed: SuperLU gets K itself, less the explicit zeros of
         Picard's fixed pattern, in the nested-dissection order of the dof
         maps' grid points in stacking order, with the zero diagonals of the
-        Taylor-Hood pressure last in each leaf and separator."""
+        Taylor-Hood pressure last in each leaf and separator; Picard's in
+        float64, the NS and Darcy steps' cast to float32."""
         th, mini = level(4, 2, params, mms), level(4, 1, params, mms)
         state, _ = solve_coupled(th)
         dv, dq, dphi = th.spaces
@@ -576,13 +594,16 @@ class TestBubbleCondensation:
         sites = [grid_points(dv, dq, dphi), grid_points(dv, dq),
                  grid_points(mini.spaces.head)]
         assert len(superlu_inputs) == 3
-        for (K, A, points, factor), expect in zip(superlu_inputs, sites):
+        dtypes = (np.float64, np.float32, np.float32)
+        for (K, A, points, factor), expect, dtype in zip(superlu_inputs,
+                                                          sites, dtypes):
             assert np.array_equal(points, expect)
             p = factor._iidx
             assert np.array_equal(p, sparse.nested_dissection(
                 points, K.diagonal() == 0))
             K = K[p][:, p].tocsc()
             K.eliminate_zeros()
-            assert A.shape == K.shape
+            assert A.shape == K.shape and A.dtype == dtype
+            K.data = K.data.astype(dtype)
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(A, attr), getattr(K, attr))

@@ -69,10 +69,10 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
 
 
 def hand_built(path, errors, digest, krylov=None, fill=None,
-               residuals=None):
+               residuals=None, direct=None, dtypes=None):
     """A one-configuration fingerprint file with the given errors of u
-    in L2 on n = 2 and 4, and Krylov counts, SuperLU fill and true
-    residuals when given."""
+    in L2 on n = 2 and 4, and Krylov counts, SuperLU fill, true
+    residuals, direct counts and SuperLU dtypes when given."""
     rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
             in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
     fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}
@@ -82,6 +82,10 @@ def hand_built(path, errors, digest, krylov=None, fill=None,
         fp["superlu_fill"] = fill
     if residuals is not None:
         fp["residuals"] = [float(r).hex() for r in residuals]
+    if direct is not None:
+        fp["direct"] = direct
+    if dtypes is not None:
+        fp["superlu_dtypes"] = dtypes
     path.write_text(json.dumps({CONFIGS[0]: fp}))
     return str(path)
 
@@ -197,6 +201,45 @@ def test_a_file_without_residuals_compares_as_unknown(tmp_path, capsys):
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
         f"Krylov counts same, residuals unknown",
         "1 of 1 configurations identical"]
+
+
+def test_direct_counts_and_dtypes_are_recorded(tmp_path):
+    """Algorithm A: Picard's float64 factor on n = 2 solves its first
+    iterate in one triangular solve; the Darcy and NS steps on n = 4 factor
+    in float32 and refine each of their two solves."""
+    path = tmp_path / "a.json"
+    config = "A:1:direct:pairs:2:4"
+    assert fingerprint.main(["write", str(path), config]) == 0
+    fp = json.loads(path.read_text())[config]
+    assert fp["superlu_dtypes"] == ["float64", "float32", "float32"]
+    assert fp["superlu_inputs"] == 3
+    direct = fp["direct"]
+    assert len(direct) == 5 and direct[0] == 1
+    assert all(isinstance(k, int) and k >= 2 for k in direct[1:])
+
+
+def test_direct_counts_and_dtypes_that_differ_are_named(tmp_path, capsys):
+    """Direct counts that move make a configuration differ, and under
+    --rtol do not decide; a file without them does not decide either."""
+    errors = (1e-3, 2.5e-4)
+    a = hand_built(tmp_path / "a.json", errors, "aa", [["gmres", 7]],
+                   direct=[1, 1, 1], dtypes=["float64"] * 3)
+    b = hand_built(tmp_path / "b.json", errors, "bb", [["gmres", 7]],
+                   direct=[1, 4, 3], dtypes=["float64", "float32", "float32"])
+    old = hand_built(tmp_path / "old.json", errors, "bb", [["gmres", 7]])
+    assert fingerprint.main(["compare", a, b]) == 1
+    assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
+             f"differ (2 against 2 inputs, fill unknown, dtypes differ "
+             f"(input 2: float64 against float32)), Krylov counts same, "
+             f"direct counts differ (3 against 3 solves; solve 2: 1 "
+             f"against 4), residuals unknown")
+    assert out == [named, "0 of 1 configurations identical",
+                   named + ", within rtol 0",
+                   "1 of 1 configurations identical or within rtol 0"]
+    assert fingerprint.main(["compare", old, b]) == 0
+    assert "direct counts" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

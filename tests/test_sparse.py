@@ -762,3 +762,113 @@ class TestNestedDissection:
         b = rng.standard_normal(m * m)
         x = DirectFactor(K, points).solve(b)
         assert true_residual(K, b, x) <= 1e-12
+
+
+def ill_conditioned(n, rng, cond):
+    """Q diag(s) Q^T as CSR, Q a random orthogonal matrix and s falling
+    geometrically from 1 to 1/cond."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return sp.csr_matrix(Q * np.geomspace(1.0, 1.0 / cond, n) @ Q.T)
+
+
+class TestMixedPrecision:
+    """A `single` DirectFactor: SuperLU factors in float32, and each solve
+    refines in float64 against the given matrix."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """The dtype of every matrix given to SuperLU, in call order."""
+        dtypes, orig = [], sparse.spla.splu
+
+        def splu(A, *args, **kwargs):
+            dtypes.append(A.dtype)
+            return orig(A, *args, **kwargs)
+        monkeypatch.setattr(sparse.spla, "splu", splu)
+        return dtypes
+
+    @pytest.mark.parametrize("rhs", ["random", "range", "huge"])
+    def test_a_matrix_float32_cannot_refine_is_factored_again(
+            self, rhs, factored, rng):
+        """cond(A) u_32 = 60: the refinement stalls, A is factored once
+        more in float64, and that factor's solve is the answer, then and
+        for every later right side. A right side A x for a random x has
+        little in the small singular directions, so the first float32
+        solve halves its residual and only the refinement stalls."""
+        n = 40
+        A, points = ill_conditioned(n, rng, 1e9), chain(n)
+        b = {"random": rng.standard_normal(n),
+             "range": A @ rng.standard_normal(n),
+             "huge": 1e39 * rng.standard_normal(n)}[rhs]
+        f = DirectFactor(A, points, single=True)
+        x = f.solve(b)
+        assert factored == [np.float32, np.float64]
+        assert f._A is None and f.steps >= 2
+        double = DirectFactor(A, points)
+        assert np.array_equal(x, double.solve(b))
+        b = rng.standard_normal(n)
+        assert np.array_equal(f.solve(b), double.solve(b)) and f.steps == 1
+
+    @pytest.mark.parametrize("scale", [1e39, 1e-39])
+    def test_right_side_beyond_float32_range(self, scale, factored, rng):
+        """Above float32's largest number or below its smallest normal
+        one: each right side is scaled into range before the cast."""
+        n = 30
+        A, points = random_spd(n, rng), chain(n)
+        b = scale * rng.standard_normal(n)
+        f = DirectFactor(A, points, single=True)
+        x = f.solve(b)
+        assert factored == [np.float32] and f._A is not None
+        assert f.steps >= 2 and np.all(np.isfinite(x))
+        assert true_residual(A, b, x) <= 1e-15
+
+    def test_zero_right_side_takes_no_solve(self, rng):
+        f = DirectFactor(random_spd(10, rng), chain(10), single=True)
+        assert np.array_equal(f.solve(np.zeros(10)), np.zeros(10))
+        assert f.steps == 0
+
+
+class TestPrecisionRule:
+    """`System.factor` gives a K that `refill` changes a float64 factor,
+    and every other K a refined float32 one."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_picard_factor_is_float64(self, order, params, mms):
+        lv = build_level(build_coupled_mesh(4), order, params, mms)
+        system, _ = coupled.picard_system(lv)
+        system.factor(SolveOptions())
+        assert system.inverse._A is None
+        assert system.inverse._lu.L.dtype == np.float64
+        _, rep = system.solve(system.rhs(lv.fluid_load, None,
+                                         lv.porous_load))
+        assert (rep.method, rep.iterations) == ("direct", 1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["darcy", "ns"])
+    def test_steps_refine_a_float32_factor(self, kind, order, params, mms):
+        """To at most twice the residual of a float64 factor of K."""
+        lv = build_level(build_coupled_mesh(8), order, params, mms)
+        if kind == "darcy":
+            step, loads = DarcyStep(lv), (lv.porous_load,)
+        else:
+            step = NSStep(lv, interpolate(mms.velocity, lv.spaces.velocity))
+            loads = (lv.fluid_load, None)
+        system = step.system
+        assert system.inverse._lu.L.dtype == np.float32
+        b = system.rhs(*loads)
+        x, rep = system.solve(b)
+        assert system.inverse._A is not None
+        assert rep.iterations == system.inverse.steps >= 2
+        double = DirectFactor(system.K,
+                              grid_points(*system.dofmaps)[system.kept])
+        assert rep.final_residual <= 2 * true_residual(system.K, b,
+                                                       double.solve(b))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kind,order", [(k, o) for k, o in DIRECT_SITES
+                                            if k != "picard"])
+    def test_float32_factor_keeps_every_pivot_on_the_diagonal(
+            self, kind, order, n, params, mms):
+        K, points = direct_system(kind, order, n, params, mms)
+        lu = DirectFactor(K, points, single=True)._lu
+        assert lu.L.dtype == np.float32
+        assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))

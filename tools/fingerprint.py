@@ -14,31 +14,37 @@ coarse cells; `pairs:2:4,3:6` holds two schedules, so its study takes the
 finest level of each. For each configuration it records every unrounded
 error and rate as `float.hex`, one SHA-256 over the `indptr`, `indices`
 and `data` of every matrix handed to SuperLU, with the number of those
-matrices, the fill of every factor SuperLU returns in call order
-(`superlu_fill`, its `nnz`: L and U with supernodal padding, read without
-copying either factor), the iteration count of every GMRES and PCG solve
-in call order (`krylov`, as [method, iterations] pairs), and the true
-residual of every solve in call order (`residuals`, the `float.hex` of
-each `sparse.true_residual`). `sparse.gmres`, `sparse.pcg` and
+matrices and the dtype of each in call order (`superlu_dtypes`), the fill
+of every factor SuperLU returns in call order (`superlu_fill`, its `nnz`:
+L and U with supernodal padding, read without copying either factor), the
+iteration count of every GMRES and PCG solve in call order (`krylov`, as
+[method, iterations] pairs), the triangular solves of every direct solve
+in call order (`direct`, the `iterations` of each direct `SolveReport`
+that `coupled.System.solve` returns: 1 for a float64 factor, the
+refinement's count for a float32 one), and the true residual of every
+solve in call order (`residuals`, the `float.hex` of each
+`sparse.true_residual`). `sparse.gmres`, `sparse.pcg` and
 `sparse.true_residual` are rebound wherever the package holds them, as
 `perfbench/tracing.py` does.
 
 `compare` lists the configurations that differ. For each it gives the
 largest relative error difference (against B), whether the SuperLU inputs,
-the Krylov counts and the true residuals match, and every row whose
-printed `errors.csv` body changes, formatted by the `nsdarcy.cli` in the
-`src` next to this tool. Where the SuperLU inputs or their fill differ it
-adds the relative change of the summed fill from A to B ("fill same" if
-only the inputs differ). A file written before the fill, the counts or
-the residuals were recorded gives "fill unknown", "Krylov counts unknown"
-or "residuals unknown", which does not decide. Exit code 0 means every
+the Krylov counts, the direct counts and the true residuals match, and
+every row whose printed `errors.csv` body changes, formatted by the
+`nsdarcy.cli` in the `src` next to this tool. Where the SuperLU inputs or
+their fill differ it adds the relative change of the summed fill from A
+to B ("fill same" if only the inputs differ), and the first input whose
+dtype differs; direct counts are named only where they differ. A file
+written before the fill, the counts or the residuals were recorded gives
+"fill unknown", "Krylov counts unknown" or "residuals unknown", which does
+not decide, and no direct counts or dtypes. Exit code 0 means every
 configuration is identical, 1 that some differ, 2 a bad argument or
 file; a fill that differs on the same SuperLU inputs, as under another
 pivot threshold, differs too. With `--rtol R`, for refactors that are not
 bitwise, a configuration that differs passes too when no printed
 `errors.csv` body changes and every unrounded error lies within R
-relative of B's; its SuperLU inputs, fill, Krylov counts and residuals
-are then reported but do not decide.
+relative of B's; its SuperLU inputs, fill, Krylov counts, direct counts
+and residuals are then reported but do not decide.
 """
 
 from __future__ import annotations
@@ -102,33 +108,40 @@ def _recording(orig, residuals):
 
 
 def fingerprint(configs) -> dict:
-    """{config: {"rows", "superlu_sha256", "superlu_inputs", "superlu_fill",
-    "krylov", "residuals"}} of the studies run on the `nsdarcy` that
-    imports first."""
-    from nsdarcy import cli, sparse
+    """{config: {"rows", "superlu_sha256", "superlu_inputs",
+    "superlu_dtypes", "superlu_fill", "krylov", "direct", "residuals"}} of
+    the studies run on the `nsdarcy` that imports first."""
+    from nsdarcy import cli, coupled, sparse
 
     orig_splu = sparse.spla.splu
     solvers = {method: getattr(sparse, method) for method in ("gmres", "pcg")}
     orig_residual = sparse.true_residual
+    orig_system_solve = coupled.System.solve
     out = {}
     for config in configs:
         algorithm, order, solver, schedule = config.split(":", 3)
-        digest, count, fill, krylov = hashlib.sha256(), 0, [], []
-        residuals = []
+        digest, dtypes, fill, krylov = hashlib.sha256(), [], [], []
+        direct, residuals = [], []
 
         def splu(A, *args, **kwargs):
-            nonlocal count
-            count += 1
+            dtypes.append(A.dtype.name)
             for a in (A.indptr, A.indices, A.data):
                 digest.update(a.tobytes())
             lu = orig_splu(A, *args, **kwargs)
             fill.append(lu.nnz)
             return lu
 
+        def system_solve(self, b):
+            x, rep = orig_system_solve(self, b)
+            if rep.method == "direct":
+                direct.append(rep.iterations)
+            return x, rep
+
         counting = {method: _counting(orig, method, krylov)
                     for method, orig in solvers.items()}
         recording = _recording(orig_residual, residuals)
         sparse.spla.splu = splu
+        coupled.System.solve = system_solve
         for method, orig in solvers.items():
             _rebind(orig, counting[method])
         _rebind(orig_residual, recording)
@@ -139,6 +152,7 @@ def fingerprint(configs) -> dict:
                     schedule=schedule, out=tmp))
         finally:
             sparse.spla.splu = orig_splu
+            coupled.System.solve = orig_system_solve
             for method, orig in solvers.items():
                 _rebind(counting[method], orig)
             _rebind(recording, orig_residual)
@@ -146,9 +160,11 @@ def fingerprint(configs) -> dict:
             "rows": [[r.level, r.h, r.variable, r.norm, _hex(r.error),
                       _hex(r.rate)] for r in artifact.rows],
             "superlu_sha256": digest.hexdigest(),
-            "superlu_inputs": count,
+            "superlu_inputs": len(dtypes),
+            "superlu_dtypes": dtypes,
             "superlu_fill": fill,
             "krylov": krylov,
+            "direct": direct,
             "residuals": residuals}
     return out
 
@@ -162,19 +178,27 @@ def _body(row) -> str:
             f"{format_rate(_unhex(rate))}")
 
 
-def _krylov(fa: dict, fb: dict) -> str:
-    """"same", "unknown" (a file without counts) or where the counts of
-    two configurations first differ."""
-    ka, kb = fa.get("krylov"), fb.get("krylov")
+def _first_difference(a: list, b: list) -> int:
+    """The first index where two lists differ, or the shorter length."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def _counts(fa: dict, fb: dict, key: str = "krylov") -> str:
+    """"same", "unknown" (a file without them) or where the iteration
+    counts under `key` of two configurations first differ."""
+    ka, kb = fa.get(key), fb.get(key)
     if ka is None or kb is None:
         return "unknown"
     if ka == kb:
         return "same"
-    i = next((i for i, (x, y) in enumerate(zip(ka, kb)) if x != y),
-             min(len(ka), len(kb)))
+    i = _first_difference(ka, kb)
 
     def solve(k):
-        return " ".join(map(str, k[i])) if i < len(k) else "none"
+        if i >= len(k):
+            return "none"
+        return " ".join(map(str, k[i])) if isinstance(k[i], list) \
+            else str(k[i])
 
     return (f"differ ({len(ka)} against {len(kb)} solves; solve {i + 1}: "
             f"{solve(ka)} against {solve(kb)})")
@@ -188,13 +212,26 @@ def _residuals(fa: dict, fb: dict) -> str:
         return "unknown"
     if ra == rb:
         return "same"
-    i = next((i for i, (x, y) in enumerate(zip(ra, rb)) if x != y),
-             min(len(ra), len(rb)))
+    i = _first_difference(ra, rb)
 
     def solve(r):
         return repr(_unhex(r[i])) if i < len(r) else "none"
 
     return f"differ (solve {i + 1}: {solve(ra)} against {solve(rb)})"
+
+
+def _dtypes(fa: dict, fb: dict) -> str:
+    """", dtypes differ (...)" at the first SuperLU input whose dtype
+    differs; empty if none does or a file has no dtypes."""
+    da, db = fa.get("superlu_dtypes"), fb.get("superlu_dtypes")
+    if da is None or db is None or da == db:
+        return ""
+    i = _first_difference(da, db)
+
+    def dtype(d):
+        return d[i] if i < len(d) else "none"
+
+    return f", dtypes differ (input {i + 1}: {dtype(da)} against {dtype(db)})"
 
 
 def _fill(fa: dict, fb: dict) -> str:
@@ -218,13 +255,14 @@ def compare(a: dict, b: dict, rtol: float | None = None
             lines.append(f"{config}: only in {'A' if config in a else 'B'}")
             continue
         fa, fb = a[config], b[config]
-        krylov, fill = _krylov(fa, fb), _fill(fa, fb)
-        residuals = _residuals(fa, fb)
+        krylov, fill = _counts(fa, fb), _fill(fa, fb)
+        direct, residuals = _counts(fa, fb, "direct"), _residuals(fa, fb)
         moved = fill not in ("same", "unknown")
         identical = not moved and all(fa[k] == fb[k] for k in
                                       ("rows", "superlu_sha256",
                                        "superlu_inputs"))
-        if identical and krylov == residuals == "same":
+        if identical and krylov == residuals == "same" and \
+                direct in ("same", "unknown"):
             same += 1
             continue
         ra, rb = fa["rows"], fb["rows"]
@@ -241,15 +279,18 @@ def compare(a: dict, b: dict, rtol: float | None = None
             superlu = f"same, fill {fill}" if moved else "same"
         else:
             superlu = (f"differ ({fa['superlu_inputs']} against "
-                       f"{fb['superlu_inputs']} inputs, fill {fill})")
+                       f"{fb['superlu_inputs']} inputs, fill {fill}"
+                       f"{_dtypes(fa, fb)})")
         changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
                    if _body(x) != _body(y)]
         within = rtol is not None and not changed and worst <= rtol
-        same += within or (identical and {krylov, residuals}
+        same += within or (identical and {krylov, direct, residuals}
                            <= {"same", "unknown"})
         lines.append(f"{config}: max rel error diff {worst:.3e}, "
                      f"SuperLU inputs {superlu}, Krylov counts {krylov}, "
-                     f"residuals {residuals}"
+                     + ("" if direct in ("same", "unknown")
+                        else f"direct counts {direct}, ")
+                     + f"residuals {residuals}"
                      + (f", within rtol {rtol:g}" if within else ""))
         lines += changed
     passed = "identical" if rtol is None else \
