@@ -9,12 +9,12 @@ Each iteration assembles the block system
 with N1 the fixed-point convection operator, eliminates the outer Dirichlet
 dofs symmetrically, and solves. The blocks that do not change are stacked
 by one CSR rule and eliminated once; each iteration adds the fluid block
-about the last velocity on one fixed CSR pattern (`System.refill`): N1,
-or, for a direct Mini solve, posed without the bubbles, the fluid block
-condensed about N1 cell by cell (forms.MiniSaddle alone knows its
-layout). `System.solve` then runs GMRES on the refilled K, preconditioned
-by the first iterate's solver, which is therefore a float64 LU factor
-when direct; a K that is never refilled gets a float32 factor refined in
+about the last velocity on one fixed CSR pattern (`System.refill`), posed
+as `fluid_saddle` poses it for Picard and the NS step alike: N1, or, for
+a direct Mini solve, the fluid saddle condensed about N1 cell by cell.
+`System.solve` then runs GMRES on the refilled K, preconditioned by the
+first iterate's solver, which is therefore a float64 LU factor when
+direct; a K that is never refilled gets a float32 factor refined in
 float64 (sparse.DirectFactor). The iteration starts from zero and stops
 when the l2 norm of the full coefficient update (velocity with its
 recovered bubbles, pressure, and head together) drops below picard_tol.
@@ -281,13 +281,6 @@ class System:
                 zip(self.dofmaps, np.split(x, np.cumsum(self.sizes)[:-1]))]
 
 
-def condensed(level: Level, opts: SolveOptions) -> bool:
-    """Whether the level's solves are posed without the Mini bubbles: every
-    direct one. The Krylov path keeps them."""
-    return (opts.solver == "direct"
-            and level.spaces.velocity.family == MINI_VELOCITY)
-
-
 def _kept(n: int, bubbles: forms.Bubbles | None) -> np.ndarray:
     """The ids of n stacked coefficients less the bubbles, if any."""
     return np.delete(np.arange(n), [] if bubbles is None
@@ -299,37 +292,53 @@ def _stacked(rows: list) -> sp.csr_matrix:
     return sp.vstack([sp.hstack(r, format="csr") for r in rows], format="csr")
 
 
+def fluid_saddle(level: Level, opts: SolveOptions) -> tuple:
+    """The level's fluid saddle [a_f + N, B^T; B, 0] as (F, about): about a
+    forms.QuadState it is F + N, `about(state, mode)` returning (N, bubbles,
+    load), N linearized by the ConvectionMode and load its NEWTON load. A
+    direct Mini saddle is condensed cell by cell (forms.MiniSaddle): N is
+    the whole saddle, with its Bubbles, and F is None. Any other stacks a_f
+    and B into F on the velocity's cell pattern, and N is the convection
+    operator on that pattern, its top-left block."""
+    (dv, dq, _), params = level.spaces, level.params
+    if opts.solver == "direct" and dv.family == MINI_VELOCITY:
+        saddle = forms.mini_saddle(dv, dq, params)
+
+        def about(state, mode):
+            N, load = forms.convection_blocks(state, mode, params)
+            return (*saddle.condense(N), load)
+        return None, about
+    pattern = forms.cell_pattern(dv)
+    B = forms.assemble_b(dv, dq)
+    F = _stacked([[forms.assemble_af(dv, params, pattern), B.T.tocsr()],
+                  [B, sp.csr_matrix((dq.ndof, dq.ndof))]])
+    shape = F.shape
+
+    def about(state, mode):
+        N, load = forms.assemble_convection(state, mode, params, pattern)
+        N.resize(shape)   # zero pressure rows and columns
+        return N, None, load
+    return F, about
+
+
 FIELDS = ("velocity", "pressure", "head")   # Picard's stacked spaces
 
 
 def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
     """Picard's System about a zero velocity, and `fluid`, the (block,
-    bubbles) that `refill` takes about a velocity. K = [[F, C_vphi],
-    [C_phiu, A_p]], F = [a_f, B^T; B, 0] or zeros on the condensed fluid
-    block's pattern; the coupling pair keeps the coefficients F keeps."""
+    bubbles) that `refill` takes about a velocity: the fluid_saddle's N,
+    fixed-point about it. K = [[F, C_vphi], [C_phiu, A_p]], with F the
+    saddle's, or zeros on N's pattern when it is condensed; the coupling
+    pair keeps the coefficients F keeps."""
     (dv, dq, dphi), params = level.spaces, level.params
+    F, about = fluid_saddle(level, opts)
     rule = forms.cell_rule(dv)
-    if condensed(level, opts):
-        saddle = forms.mini_saddle(dv, dq, params)
 
-        def fluid(velocity):
-            return saddle.condense(forms.convection_blocks(
-                forms.quad_state(velocity, rule, grads=False),
-                forms.ConvectionMode.PLAIN, params)[0])
-    else:
-        pattern = forms.cell_pattern(dv)
-
-        def fluid(velocity):
-            return forms.assemble_convection(
-                forms.quad_state(velocity, rule, grads=False),
-                forms.ConvectionMode.PLAIN, params, pattern)
+    def fluid(velocity):
+        return about(forms.quad_state(velocity, rule, grads=False),
+                     forms.ConvectionMode.PLAIN)[:2]
     N, bubbles = fluid(DiscreteField(dv, np.zeros(dv.num_coefficients)))
-    if bubbles is None:
-        B = forms.assemble_b(dv, dq)
-        F = _stacked([[forms.assemble_af(dv, params, pattern), B.T.tocsr()],
-                      [B, sp.csr_matrix((dq.ndof, dq.ndof))]])
-        del B
-    else:
+    if F is None:
         F = sp.csr_matrix((np.zeros(N.nnz), N.indices, N.indptr),
                           shape=N.shape)
     n = dv.num_coefficients + dq.ndof

@@ -16,12 +16,12 @@ a_f + c(a,.,.) + c(.,a,.), load + c(a,a,.)); the correction re-solves with
 the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
 level the Darcy matrix and the NS saddle matrix are each a `System` that
 is factored once (one float32 LU factor, each solve refined in float64,
-or one preconditioner) and solves both of their right sides; every step returns its `SolveReport` with the true
-residual, and a solve that does not converge fails the step. A direct NS
-step with a Mini velocity condenses the Newton matrix cell by cell as it
-is assembled (forms.MiniSaddle): its factor, its right sides and its
-reported residual are those of the system without the bubbles, which each
-solve recovers.
+or one preconditioner) and solves both of their right sides; every step
+returns its `SolveReport` with the true residual, and a solve that does
+not converge fails the step. `coupled.fluid_saddle` poses the NS saddle
+as it poses Picard's: a direct Mini step condenses it cell by cell as it
+is assembled, so its factor, right sides and reported residual are those
+of the system without the bubbles, which each solve recovers.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import forms
 from .coupled import (CoupledState, Level, SolveOptions, System, build_level,
-                      condensed, solve_coupled)
+                      fluid_saddle, solve_coupled)
 from .fem import DiscreteField
 from .mesh import build_coupled_mesh
 
@@ -93,32 +92,22 @@ class DarcyStep:
 
 class NSStep:
     """Linearized free-flow subproblem about a fixed state a: the saddle
-    matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0] gets one solver; the two
-    right sides differ in the convection load and the interface head. The
-    state a is evaluated once, at the fine quadrature points, and serves
-    both the Newton matrix and the correction load."""
+    matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0], the fluid_saddle about a
+    by Newton, gets one solver; the two right sides differ in the
+    convection load and the interface head. The state a is evaluated once,
+    at the fine quadrature points, and serves both the Newton matrix and
+    the correction load."""
 
     def __init__(self, level: Level, linearization_state: DiscreteField,
                  opts: SolveOptions = SolveOptions()):
         self.level = level
-        dv, dq, _ = level.spaces
-        params = level.params
-        self.a = forms.quad_state(linearization_state, forms.cell_rule(dv))
-
-        if condensed(level, opts):
-            N, self.newton_load = forms.convection_blocks(
-                self.a, forms.ConvectionMode.NEWTON, params)
-            K, bubbles = forms.mini_saddle(dv, dq, params).condense(N)
-        else:
-            pattern = forms.cell_pattern(dv)
-            N, self.newton_load = forms.assemble_convection(
-                self.a, forms.ConvectionMode.NEWTON, params, pattern)
-            B = forms.assemble_b(dv, dq)
-            K = sp.bmat([[forms.assemble_af(dv, params, pattern) + N, B.T],
-                         [B, None]], format="csr")
-            bubbles = None
-            del B, pattern
-        del N   # only the constrained matrix outlives the set-up
+        self.a = forms.quad_state(linearization_state,
+                                  forms.cell_rule(level.spaces.velocity))
+        F, about = fluid_saddle(level, opts)
+        N, bubbles, self.newton_load = about(self.a,
+                                             forms.ConvectionMode.NEWTON)
+        K = N if F is None else F + N
+        del F, N, about   # only the constrained matrix outlives the set-up
         self.system = System(level, ("velocity", "pressure"), K, bubbles)
         del K
         self.system.factor(opts)

@@ -489,3 +489,66 @@ class TestSystem:
         other = "darcy" if site != "darcy" else "ns"
         with pytest.raises(DimensionMismatch):
             System(lv, SITES[site], site_matrix(other, lv, params, mms))
+
+
+@pytest.mark.parametrize("mode", list(forms.ConvectionMode))
+@pytest.mark.parametrize("solver", ["direct", "iterative"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fluid_saddle_is_the_stacked_saddle(order, solver, mode, params, mms,
+                                            rng):
+    """About a state, the fluid saddle F + N is [[A_f + N, B^T], [B, 0]]
+    stacked by hand: bit for bit where it is assembled, and within 1e-14
+    of its largest entry condensed densely where it is condensed (every
+    direct Mini solve)."""
+    lv = level(4, order, params, mms)
+    dv, dq, _ = lv.spaces
+    state = forms.quad_state(random_velocity(dv, rng), forms.cell_rule(dv))
+    F, about = coupled.fluid_saddle(lv, SolveOptions(solver=solver))
+    N, bubbles, load = about(state, mode)
+    N_ref, load_ref = forms.assemble_convection(state, mode, params)
+    B = forms.assemble_b(dv, dq)
+    ref = sp.bmat([[forms.assemble_af(dv, params) + N_ref, B.T], [B, None]],
+                  format="csr")
+    if load_ref is None:
+        assert load is None
+    else:
+        assert np.array_equal(load, load_ref)
+    if order == 1 and solver == "direct":
+        assert F is None
+        S = dense_condensation(ref, bubbles.ids.ravel())
+        assert np.abs(N.toarray() - S).max() <= 1e-14 * np.abs(S).max()
+        return
+    assert bubbles is None
+    K = F + N
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, attr), getattr(ref, attr))
+
+
+def test_picard_and_the_ns_step_pose_their_saddle_by_one_rule(
+        params, mms, monkeypatch):
+    """Picard's system and the NS step's both come from fluid_saddle:
+    Picard's about each velocity by fixed point, the NS step's about its
+    state by Newton."""
+    from nsdarcy import decoupled
+
+    modes = []
+    orig = coupled.fluid_saddle
+
+    def fluid_saddle(level, opts):
+        F, about = orig(level, opts)
+        modes.append([])
+
+        def spied(state, mode):
+            modes[-1].append(mode)
+            return about(state, mode)
+        return F, spied
+
+    for module in (coupled, decoupled):
+        monkeypatch.setattr(module, "fluid_saddle", fluid_saddle)
+    lv = level(4, 1, params, mms)
+    state, report = solve_coupled(lv)
+    decoupled.NSStep(lv, state.velocity)
+    picard, ns = modes
+    # about zero, then about each iterate but the last
+    assert picard == [forms.ConvectionMode.PLAIN] * report.iterations
+    assert ns == [forms.ConvectionMode.NEWTON]

@@ -363,6 +363,34 @@ class TestStoredLift:
         assert len(made) > 5 and alive_at_splu == [0]
 
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_ns_saddle_set_up_is_freed_before_factoring(
+            self, order, params, mms, monkeypatch):
+        """No MiniSaddle and no CellPattern made to pose the NS saddle is
+        alive when its factor is built, which sets the step's peak memory:
+        fluid_saddle's `about` holds them, and goes before the System."""
+        lv = level(4, order, params, mms)
+        state, _ = solve_coupled(lv)
+        made, alive = [], []
+        orig_splu = sparse.spla.splu
+        for name in ("mini_saddle", "cell_pattern"):
+            build = getattr(forms, name)
+
+            def tracked(*args, build=build, **kwargs):
+                out = build(*args, **kwargs)
+                made.append(weakref.ref(out))
+                return out
+            monkeypatch.setattr(forms, name, tracked)
+
+        def splu(A, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            return orig_splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.spla, "splu", splu)
+        NSStep(lv, state.velocity)
+        assert made and alive == [0]
+
+
 class TestCoarseStateEvaluation:
     def test_one_level_evaluates_its_coarse_state_once(self, params, mms,
                                                        monkeypatch):
