@@ -8,14 +8,15 @@ structure) is part of the method.
 Which of these a solve site uses, and what its report says, is decided in
 one place, `coupled.System` (`factor`, then `solve`): every report carries
 the true relative residual ||b - K x|| / ||b|| of the system's K, and a
-solve that does not converge raises NotConverged. A direct Mini system comes already condensed
-(forms.MiniSaddle), so that residual is the condensed system's; the factor
-eliminates nothing itself.
+solve that does not converge raises NotConverged. A direct Mini system
+comes already condensed (forms.MiniSaddle), so that residual is the
+condensed system's; the factor eliminates nothing itself.
 
 A DirectFactor is float64, or, with `single`, float32 refined in float64
-against its matrix until the true residual stops halving, and factored
-again in float64 if that refinement stops short of float64's residual
-floor. `System.factor` asks for float32 unless `refill` changes K (Picard,
+against its matrix until the true residual is at float64's floor, LAPACK
+dsgesv's test ||r||_inf <= sqrt(n) eps ||A||_inf ||x||_inf; a step that
+does not halve the residual factors the matrix again in float64.
+`System.factor` asks for float32 unless `refill` changes K (Picard,
 whose float64 factor preconditions GMRES on later iterates). A direct
 report's `iterations` counts the triangular solves: 1 for a float64
 factor, those of the refinement (and of the fallback) for a float32 one.
@@ -423,11 +424,12 @@ class DirectFactor:
 
     With `single`, SuperLU gets A in float32, and `solve` refines in
     float64 against A (Moler 1967; Carson & Higham 2018):
-    x <- x + LU^{-1}(b - A x) from x = 0 while the true residual halves,
-    each right side scaled by a power of two into float32's range before
-    the cast. A refinement that stops short of float64's residual floor
-    (cond(A) u_32 near 1; see `_floor`) factors A once more in float64,
-    which then solves this and every later right side. Otherwise the
+    x <- x + LU^{-1}(b - A x) from x = 0 until the true residual is at
+    float64's floor (LAPACK's test; see `_floor`), each right side scaled
+    by a power of two into float32's range before the cast. A step that
+    does not halve the residual (cond(A) u_32 near 1) factors A once more
+    in float64, which then solves this and every later right side, so
+    every other step is part of the x returned. Otherwise the
     factor is float64, keeps no reference to A, and `solve` is one
     triangular solve, as for a preconditioner of matrices near A.
     `steps` counts the triangular solves of the last `solve`.
@@ -479,20 +481,18 @@ class DirectFactor:
     def _refine(self, b: np.ndarray) -> np.ndarray:
         x, r, res = np.zeros_like(b), b, np.linalg.norm(b)
         self.steps = 0
-        while res > 0:
+        while np.abs(r).max() > self._floor * np.abs(x).max():
             y = x + self._triangular(r)
             self.steps += 1
             r_y = b - self._A @ y
             res_y = np.linalg.norm(r_y)
             if not res_y <= res / 2:   # a NaN residual does not halve
-                break
+                self._lu = None   # the float32 factor goes first
+                self._lu = self._factor(self._A, np.float64)
+                self._A = None
+                self.steps += 1
+                return self._triangular(b)
             x, r, res = y, r_y, res_y
-        if np.abs(r).max() > self._floor * np.abs(x).max():
-            self._lu = None   # the float32 factor goes first
-            self._lu = self._factor(self._A, np.float64)
-            self._A = None
-            x = self._triangular(b)
-            self.steps += 1
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:

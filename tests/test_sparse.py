@@ -863,6 +863,34 @@ class TestPrecisionRule:
         assert rep.final_residual <= 2 * true_residual(system.K, b,
                                                        double.solve(b))
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["darcy", "ns"])
+    def test_every_triangular_solve_is_part_of_x(self, kind, order, params,
+                                                 mms, monkeypatch):
+        """The refinement stops once the residual meets LAPACK's test, so
+        no step is computed and then thrown away: x is the sum, in order,
+        of every correction its triangular solves gave."""
+        lv = build_level(build_coupled_mesh(8), order, params, mms)
+        if kind == "darcy":
+            step, loads = DarcyStep(lv), (lv.porous_load,)
+        else:
+            step = NSStep(lv, interpolate(mms.velocity, lv.spaces.velocity))
+            loads = (lv.fluid_load, None)
+        corrections, orig = [], DirectFactor._triangular
+
+        def triangular(self, r):
+            corrections.append(orig(self, r))
+            return corrections[-1]
+
+        monkeypatch.setattr(DirectFactor, "_triangular", triangular)
+        x, rep = step.system.solve(step.system.rhs(*loads))
+        assert step.system.inverse._A is not None
+        assert len(corrections) == rep.iterations >= 2
+        total = np.zeros_like(x)
+        for correction in corrections:
+            total = total + correction
+        assert np.array_equal(total, x)
+
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("kind,order", [(k, o) for k, o in DIRECT_SITES
                                             if k != "picard"])
