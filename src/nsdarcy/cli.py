@@ -350,19 +350,18 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
                         droptol=config.ichol_droptol,
                         picard_tol=config.picard_tol)
 
-    def levels(subs):
+    def levels(solved):
         if config.algorithm == "coupled":   # lazily: one state held at a time
             return (LevelSolution(lv, n, None, solve_coupled(build_level(
                         build_coupled_mesh(n), config.order, params, mms),
-                        opts)[0])
-                    for lv, n in enumerate(subs[-1:] if pair_mode else subs))
-        run = run_multilevel(config.algorithm, subs, config.order, params,
-                             mms, opts)
+                        opts)[0]) for lv, n in solved)
+        run = run_multilevel(config.algorithm, [n for _, n in solved],
+                             config.order, params, mms, opts)
         return run.levels[-1:] if pair_mode else run.levels
 
     finals, stars = [], []
-    for i, subs in enumerate(schedules):
-        for lv in levels(subs):
+    for i, solved in enumerate(_solved_levels(config, schedules)):
+        for lv in levels(solved):
             level = i if pair_mode else lv.level
             # the intermediate state shares the final one's spaces
             final, *star = error_norms(
@@ -391,17 +390,22 @@ def _metadata(config: ExperimentConfig) -> dict:
     return meta
 
 
+def _solved_levels(config: ExperimentConfig, schedules: list) -> list:
+    """Per schedule, the (level, n) that the study solves: every level,
+    but a coupled pair study solves only each schedule's finest mesh."""
+    first = -1 if config.algorithm == "coupled" and len(schedules) > 1 else 0
+    return [list(enumerate(sched))[first:] for sched in schedules]
+
+
 def _dry_run_text(config: ExperimentConfig, schedules: list) -> str:
-    """Schedule and dof counts of the levels the study solves (a coupled
-    pair study only each finest), from closed forms: no mesh is built."""
+    """Schedule and dof counts of the levels the study solves
+    (`_solved_levels`), from closed forms: no mesh is built."""
     vfam, qfam, hfam = FAMILIES[config.order]
     lines = [f"algorithm={config.algorithm} order={config.order} "
              f"solver={config.solver}"]
-    finest_only = config.algorithm == "coupled" and len(schedules) > 1
-    for i, sched in enumerate(schedules):
-        lines.append(f"schedule {i}: subdivisions {list(sched)}")
-        first = len(sched) - 1 if finest_only else 0
-        for level, n in enumerate(sched[first:], first):
+    for i, solved in enumerate(_solved_levels(config, schedules)):
+        lines.append(f"schedule {i}: subdivisions {list(schedules[i])}")
+        for level, n in solved:
             lines.append(
                 f"  level {level}: n={n} h=1/{n} "
                 f"velocity={vfam.components * dof_count(vfam, n)} "

@@ -294,12 +294,11 @@ def _stacked(rows: list) -> sp.csr_matrix:
 
 def fluid_saddle(level: Level, opts: SolveOptions) -> tuple:
     """The level's fluid saddle [a_f + N, B^T; B, 0] as (F, about): about a
-    forms.QuadState it is F + N, `about(state, mode)` returning (N, bubbles,
-    load), N linearized by the ConvectionMode and load its NEWTON load. A
-    direct Mini saddle is condensed cell by cell (forms.MiniSaddle): N is
-    the whole saddle, with its Bubbles, and F is None. Any other stacks a_f
-    and B into F on the velocity's cell pattern, and N is the convection
-    operator on that pattern, its top-left block."""
+    forms.QuadState it is F + N, `about(state, mode)` giving (N, bubbles,
+    load), N linearized by `mode` and load its NEWTON load. A direct Mini
+    saddle is condensed cell by cell (forms.MiniSaddle): N is all of it,
+    with its Bubbles, and F is None. Any other stacks a_f and B into F on
+    the velocity's cell pattern, and N is the convection operator on it."""
     (dv, dq, _), params = level.spaces, level.params
     if opts.solver == "direct" and dv.family == MINI_VELOCITY:
         saddle = forms.mini_saddle(dv, dq, params)
@@ -326,10 +325,9 @@ FIELDS = ("velocity", "pressure", "head")   # Picard's stacked spaces
 
 def picard_system(level: Level, opts: SolveOptions = SolveOptions()):
     """Picard's System about a zero velocity, and `fluid`, the (block,
-    bubbles) that `refill` takes about a velocity: the fluid_saddle's N,
-    fixed-point about it. K = [[F, C_vphi], [C_phiu, A_p]], with F the
-    saddle's, or zeros on N's pattern when it is condensed; the coupling
-    pair keeps the coefficients F keeps."""
+    bubbles) that `refill` takes about a velocity: fluid_saddle's N, PLAIN.
+    K = [[F, C_vphi], [C_phiu, A_p]], F the saddle's or, condensed, zeros
+    on N's pattern; the coupling pair keeps the coefficients F keeps."""
     (dv, dq, dphi), params = level.spaces, level.params
     F, about = fluid_saddle(level, opts)
     rule = forms.cell_rule(dv)

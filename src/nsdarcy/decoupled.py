@@ -92,11 +92,10 @@ class DarcyStep:
 
 class NSStep:
     """Linearized free-flow subproblem about a fixed state a: the saddle
-    matrix [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0], the fluid_saddle about a
-    by Newton, gets one solver; the two right sides differ in the
-    convection load and the interface head. The state a is evaluated once,
-    at the fine quadrature points, and serves both the Newton matrix and
-    the correction load."""
+    [a_f + c(a,.,.) + c(.,a,.), B^T; B, 0], fluid_saddle's by Newton, gets
+    one solver; the two right sides differ in the convection load and the
+    interface head. The state a is evaluated once, at the fine quadrature
+    points, and serves both the Newton matrix and the correction load."""
 
     def __init__(self, level: Level, linearization_state: DiscreteField,
                  opts: SolveOptions = SolveOptions()):

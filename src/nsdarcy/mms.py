@@ -93,9 +93,16 @@ class ErrorReport:
         return self.errors[(var, norm)]
 
 
-# (variable, norm) keys reported; pressure has no H1 entry
-REPORTED_KEYS = (("u", "L2"), ("u", "H1"), ("v", "L2"), ("v", "H1"),
-                 ("p", "L2"), ("phi", "L2"), ("phi", "H1"))
+# per field of a state: its variables and the ManufacturedProblem method
+# of each norm, which gives one array or pair of arrays per variable
+_EXACT = (("velocity", ("u", "v"), {"L2": "velocity", "H1": "velocity_grad"}),
+          ("pressure", ("p",), {"L2": "pressure"}),
+          ("head", ("phi",), {"L2": "head", "H1": "head_grad"}))
+
+# (variable, norm) keys reported: per field, each variable in each of its
+# norms; pressure has no H1 entry
+REPORTED_KEYS = tuple((name, norm) for _, names, exact in _EXACT
+                      for name in names for norm in exact)
 
 
 def _l2_error(rule: CellRule, coeffs, exact) -> float:
@@ -123,13 +130,6 @@ def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
         total += det * (np.square(diff, out=diff) @ np.tile(rule.weights, 2)
                         ).sum()
     return float(np.sqrt(total))
-
-
-# per field of a state: its variables and the ManufacturedProblem method
-# of each norm, which gives one array or pair of arrays per variable
-_EXACT = (("velocity", ("u", "v"), {"L2": "velocity", "H1": "velocity_grad"}),
-          ("pressure", ("p",), {"L2": "pressure"}),
-          ("head", ("phi",), {"L2": "head", "H1": "head_grad"}))
 
 
 def error_norms(states, mms: ManufacturedProblem,

@@ -473,6 +473,35 @@ class TestRunExperiment:
                             capsys.readouterr().out, re.MULTILINE)
         assert list(map(int, listed)) == solved
 
+    @pytest.mark.parametrize("schedule", ["pairs:2:64,3:8",
+                                          "square:n0=2,levels=2"])
+    @pytest.mark.parametrize("algorithm", ["coupled", "A"])
+    def test_a_run_solves_the_levels_the_dry_run_lists(
+            self, algorithm, schedule, capsys, tmp_path, monkeypatch):
+        cfg = parse_config(overrides={"algorithm": algorithm,
+                                      "schedule": schedule,
+                                      "out": str(tmp_path / "res")})
+        cfg.dry_run = True
+        run_experiment(cfg)
+        listed = re.findall(r"^  level \d+: n=(\d+) ",
+                            capsys.readouterr().out, re.MULTILINE)
+        solved = []
+        orig_coupled, orig_multilevel = cli.solve_coupled, cli.run_multilevel
+
+        def solve_coupled(level, *args):
+            solved.append(level.mesh.n)
+            return orig_coupled(level, *args)
+
+        def run_multilevel(algorithm, schedule, *args):
+            solved.extend(schedule)
+            return orig_multilevel(algorithm, schedule, *args)
+
+        monkeypatch.setattr(cli, "solve_coupled", solve_coupled)
+        monkeypatch.setattr(cli, "run_multilevel", run_multilevel)
+        cfg.dry_run = False
+        assert run_experiment(cfg).rows
+        assert solved == list(map(int, listed))
+
     def test_a_level_evaluates_the_exact_fields_once(self, tmp_path,
                                                      monkeypatch):
         """The final and intermediate states of a level share one error
