@@ -428,8 +428,8 @@ class DirectFactor:
     float64's floor (LAPACK's test; see `_floor`), each right side scaled
     by a power of two into float32's range before the cast. A step that
     does not halve the residual (cond(A) u_32 near 1) factors A once more
-    in float64, which then solves this and every later right side, so
-    every other step is part of the x returned. Otherwise the
+    in float64, which then solves this and every later right side; only
+    this fallback throws a triangular solve away. Otherwise the
     factor is float64, keeps no reference to A, and `solve` is one
     triangular solve, as for a preconditioner of matrices near A.
     `steps` counts the triangular solves of the last `solve`.
