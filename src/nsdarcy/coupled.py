@@ -30,7 +30,7 @@ the mesh's `Level`; the solver settings travel as one `SolveOptions`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -301,11 +301,12 @@ def fluid_saddle(level: Level, opts: SolveOptions) -> tuple:
     the velocity's cell pattern, and N is the convection operator on it."""
     (dv, dq, _), params = level.spaces, level.params
     if opts.solver == "direct" and dv.family == MINI_VELOCITY:
-        saddle = forms.mini_saddle(dv, dq, params)
+        # made after the first blocks, which lowers Algorithm A's peak memory
+        saddle = cache(lambda: forms.mini_saddle(dv, dq, params))
 
         def about(state, mode):
             N, load = forms.convection_blocks(state, mode, params)
-            return (*saddle.condense(N), load)
+            return (*saddle().condense(N), load)
         return None, about
     pattern = forms.cell_pattern(dv)
     B = forms.assemble_b(dv, dq)

@@ -99,8 +99,7 @@ _EXACT = (("velocity", ("u", "v"), {"L2": "velocity", "H1": "velocity_grad"}),
           ("pressure", ("p",), {"L2": "pressure"}),
           ("head", ("phi",), {"L2": "head", "H1": "head_grad"}))
 
-# (variable, norm) keys reported: per field, each variable in each of its
-# norms; pressure has no H1 entry
+# (variable, norm) keys reported; pressure has no H1 entry
 REPORTED_KEYS = tuple((name, norm) for _, names, exact in _EXACT
                       for name in names for norm in exact)
 

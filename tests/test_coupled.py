@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from layout import monolithic_trace
 from test_condensation import dense_condensation
 
-from nsdarcy import ModelParams, coupled, forms, sparse
+from nsdarcy import ModelParams, coupled, decoupled, forms, sparse
 from nsdarcy.coupled import (PicardDiverged, SolveOptions, System,
                              build_level,
                              solve_coupled)
@@ -529,8 +529,6 @@ def test_picard_and_the_ns_step_pose_their_saddle_by_one_rule(
     """Picard's system and the NS step's both come from fluid_saddle:
     Picard's about each velocity by fixed point, the NS step's about its
     state by Newton."""
-    from nsdarcy import decoupled
-
     modes = []
     orig = coupled.fluid_saddle
 
@@ -552,3 +550,23 @@ def test_picard_and_the_ns_step_pose_their_saddle_by_one_rule(
     # about zero, then about each iterate but the last
     assert picard == [forms.ConvectionMode.PLAIN] * report.iterations
     assert ns == [forms.ConvectionMode.NEWTON]
+
+
+def test_the_condensed_saddle_is_made_once_after_the_first_blocks(
+        params, mms, monkeypatch):
+    """A direct Mini site makes its MiniSaddle once, after the convection
+    blocks of its first `about`: allocated in that order, Algorithm A's
+    peak RSS at n=128 does not rise after the NS factor."""
+    calls = []
+    for name in ("convection_blocks", "mini_saddle"):
+        def spied(*args, _orig=getattr(forms, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(forms, name, spied)
+    lv = level(4, 1, params, mms)
+    state, report = solve_coupled(lv)
+    assert calls == (["convection_blocks", "mini_saddle"]
+                     + ["convection_blocks"] * (report.iterations - 1))
+    calls.clear()
+    decoupled.NSStep(lv, state.velocity)
+    assert calls == ["convection_blocks", "mini_saddle"]

@@ -362,7 +362,6 @@ class TestStoredLift:
         made, alive_at_splu = assembled
         assert len(made) > 5 and alive_at_splu == [0]
 
-
     @pytest.mark.parametrize("order", [1, 2])
     def test_ns_saddle_set_up_is_freed_before_factoring(
             self, order, params, mms, monkeypatch):
