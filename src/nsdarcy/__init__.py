@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .coupled import (CoupledState, Level, PicardDiverged, SolveOptions,
                       build_level, solve_coupled)
-from .decoupled import AlgorithmId, MultilevelRun, run_multilevel
+from .decoupled import AlgorithmId, run_multilevel
 from .forms import ModelParams
 from .mesh import build_coupled_mesh
 from .mms import ErrorReport, error_norms, manufactured_problem, rate_table
@@ -18,7 +18,6 @@ __all__ = [
     "ErrorReport",
     "Level",
     "ModelParams",
-    "MultilevelRun",
     "PicardDiverged",
     "SolveOptions",
     "build_coupled_mesh",

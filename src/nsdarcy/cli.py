@@ -357,7 +357,7 @@ def run_experiment(config: ExperimentConfig) -> TableArtifact:
                         opts)[0]) for lv, n in solved)
         run = run_multilevel(config.algorithm, [n for _, n in solved],
                              config.order, params, mms, opts)
-        return run.levels[-1:] if pair_mode else run.levels
+        return run[-1:] if pair_mode else run
 
     finals, stars = [], []
     for i, solved in enumerate(_solved_levels(config, schedules)):

@@ -57,7 +57,6 @@ class CoupledState:
 @dataclass
 class PicardReport:
     update_norms: list = field(default_factory=list)
-    solver_reports: list = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -366,8 +365,7 @@ def solve_coupled(level: Level, opts: SolveOptions = SolveOptions()):
     x_prev = np.zeros(sum(system.sizes))
     system.factor(opts)
     for _ in range(PICARD_MAXIT):
-        x, rep = system.solve(system.rhs(*loads))
-        report.solver_reports.append(rep)
+        x, _ = system.solve(system.rhs(*loads))
         fields = system.split(x, *loads)
         x = np.concatenate([f.coefficients for f in fields])
 

@@ -17,8 +17,8 @@ the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
 level the Darcy matrix and the NS saddle matrix are each a `System` that
 is factored once (one float32 LU factor, each solve refined in float64,
 or one preconditioner) and solves both of their right sides; every step
-returns its `SolveReport` with the true residual, and a solve that does
-not converge fails the step. `coupled.fluid_saddle` poses the NS saddle
+returns its fields alone, and a solve that does not converge
+(`System.solve`, which checks the true residual) fails the step. `coupled.fluid_saddle` poses the NS saddle
 as it poses Picard's: a direct Mini step condenses it cell by cell as it
 is assembled, so its factor, right sides and reported residual are those
 of the system without the bubbles, which each solve recovers.
@@ -27,8 +27,7 @@ of the system without the bubbles, which each solve recovers.
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +60,6 @@ class LevelSolution:
     final: CoupledState
 
 
-@dataclass(eq=False)
-class MultilevelRun:
-    algorithm: AlgorithmId
-    schedule: list
-    order: int
-    levels: list = field(default_factory=list)
-    solve_log: list = field(default_factory=list)   # (level, step, method, its)
-    timings: list = field(default_factory=list)     # seconds per level
-
-
 class DarcyStep:
     """Porous subproblem a_p(phi, psi) = rho g (f_p, psi)
     + rho g (psi, u_src . n_f)_Gamma with outer Dirichlet data; the matrix is
@@ -84,10 +73,10 @@ class DarcyStep:
         self.system.factor(opts)
 
     def solve(self, velocity_source: DiscreteField):
-        x, rep = self.system.solve(self.system.rhs(
+        x, _ = self.system.solve(self.system.rhs(
             self.level.porous_load + forms.assemble_interface_load_darcy(
                 self.level.spaces.head, velocity_source, self.level.params)))
-        return (*self.system.split(x), rep)
+        return self.system.split(x)
 
 
 class NSStep:
@@ -115,8 +104,8 @@ class NSStep:
         level = self.level
         loads = (level.fluid_load + load + forms.assemble_interface_load_ns(
             level.spaces.velocity, head_source, level.params), None)
-        x, rep = self.system.solve(self.system.rhs(*loads))
-        return (*self.system.split(x, *loads), rep)
+        x, _ = self.system.solve(self.system.rhs(*loads))
+        return self.system.split(x, *loads)
 
     def solve_newton(self, head_source: DiscreteField):
         return self._solve(self.newton_load, head_source)
@@ -128,20 +117,17 @@ class NSStep:
 
 
 def advance_level(algorithm: AlgorithmId, prev: CoupledState, level: Level,
-                  opts: SolveOptions = SolveOptions(), index: int = 1,
-                  log: list | None = None) -> LevelSolution:
+                  opts: SolveOptions = SolveOptions(),
+                  index: int = 1) -> LevelSolution:
     """Level number `index` of the chosen algorithm, from the previous
     level's final state; the single-level kernel behind run_multilevel."""
     algorithm = AlgorithmId(algorithm)
-    log = log if log is not None else []
 
     def run(step_name, fn, *args):
         try:
-            *fields, rep = fn(*args)
+            return fn(*args)
         except Exception as exc:
             raise MultilevelStepFailed(index, step_name, exc) from exc
-        log.append((index, step_name, rep.method, rep.iterations))
-        return fields
 
     darcy = DarcyStep(level, opts)
     ns = NSStep(level, prev.velocity, opts)
@@ -179,31 +165,22 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState, level: Level,
 
 def run_multilevel(algorithm, schedule, order: int,
                    params: forms.ModelParams, mms,
-                   opts: SolveOptions = SolveOptions()) -> MultilevelRun:
-    """Coarse coupled solve on the first schedule entry, then one decoupled
-    pass of the chosen algorithm per finer level."""
+                   opts: SolveOptions = SolveOptions()) -> list:
+    """The LevelSolution of each schedule entry: a coarse coupled solve on
+    the first, then one decoupled pass of the chosen algorithm per finer
+    level."""
     algorithm = AlgorithmId(algorithm)
     subs = list(schedule)
     if len(subs) < 2:
         raise ValueError("schedule needs a coarse level and at least one "
                          "fine level")
-    run = MultilevelRun(algorithm=algorithm, schedule=subs, order=order)
 
     def level(n):
         return build_level(build_coupled_mesh(n), order, params, mms)
 
-    t0 = time.perf_counter()
-    state, rep = solve_coupled(level(subs[0]), opts)
-    run.levels.append(LevelSolution(0, subs[0], None, state))
-    run.solve_log.append((0, "coupled", "picard", rep.iterations))
-    run.timings.append(time.perf_counter() - t0)
-
-    prev = state
+    state, _ = solve_coupled(level(subs[0]), opts)
+    levels = [LevelSolution(0, subs[0], None, state)]
     for index, n in enumerate(subs[1:], start=1):
-        t0 = time.perf_counter()
-        sol = advance_level(algorithm, prev, level(n), opts, index,
-                            run.solve_log)
-        run.levels.append(sol)
-        run.timings.append(time.perf_counter() - t0)
-        prev = sol.final
-    return run
+        levels.append(advance_level(algorithm, levels[-1].final, level(n),
+                                    opts, index))
+    return levels

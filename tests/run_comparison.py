@@ -13,11 +13,11 @@ def compare_runs(run, reference: list, mms, quad_degree: int = 8) -> list:
     """Per-level error ratios (multilevel final / coupled reference) for each
     reported variable and norm; reference states must sit on the same meshes
     in schedule order."""
-    if len(reference) != len(run.levels):
-        raise MeshMismatch(f"{len(run.levels)} levels vs "
+    if len(reference) != len(run):
+        raise MeshMismatch(f"{len(run)} levels vs "
                            f"{len(reference)} reference states")
     out = []
-    for lv, ref in zip(run.levels, reference):
+    for lv, ref in zip(run, reference):
         ref_n = ref.velocity.dofmap.mesh.n
         if ref_n != lv.n:
             raise MeshMismatch(f"level {lv.level}: n={lv.n} vs "

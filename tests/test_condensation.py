@@ -139,11 +139,11 @@ class TestAgainstTheFullSystem:
         full = System(lv, NS_FIELDS, ns_full_matrix(lv, params, ns.a))
         head = interpolate(mms.head, dphi)
         interface = forms.assemble_interface_load_ns(dv, head, params)
-        u_star, p, _ = ns.solve_newton(head)
+        u_star, p = ns.solve_newton(head)
         x = np.concatenate([u_star.coefficients, p.coefficients])
         assert_matches_full(x, full.K, full.rhs(
             lv.fluid_load + ns.newton_load + interface, None))
-        u, p, _ = ns.solve_correction(u_star, head)
+        u, p = ns.solve_correction(u_star, head)
         x = np.concatenate([u.coefficients, p.coefficients])
         assert_matches_full(x, full.K, full.rhs(
             lv.fluid_load + interface

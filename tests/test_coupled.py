@@ -71,19 +71,27 @@ class TestPicard:
         """The first iterate's block-triangular preconditioner, an ichol
         factor of the velocity block and one of the head block,
         preconditions GMRES at every later iterate."""
-        calls = []
-        orig_ichol = sparse.ichol
+        calls, reports = [], []
+        orig_ichol, orig_gmres = sparse.ichol, sparse.gmres
 
         def ichol(*args, **kwargs):
             calls.append(args[0].shape)
             return orig_ichol(*args, **kwargs)
 
+        def gmres(*args, **kwargs):
+            x, rep = orig_gmres(*args, **kwargs)
+            reports.append(rep)
+            return x, rep
+
         monkeypatch.setattr(sparse, "ichol", ichol)
+        monkeypatch.setattr(sparse, "gmres", gmres)
         _, report = solve_coupled(level(8, 1, params, mms),
                                   SolveOptions(solver="iterative"))
         assert report.converged and report.iterations >= 3
         assert len(calls) == 2
-        assert all(rep.converged for rep in report.solver_reports)
+        # one GMRES solve per iterate, none of them failed
+        assert len(reports) == report.iterations
+        assert all(rep.converged for rep in reports)
 
     def test_growing_update_norm_raises(self):
         """At nu = 1e-3 the n = 4 Mini iteration runs away: its update norm
