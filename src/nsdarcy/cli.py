@@ -188,10 +188,18 @@ def parse_config(path: str | None = None,
         raise ValidationError(f"solver: {cfg.solver!r} not in {SOLVERS}")
     for name in ("picard_tol", "linear_tol", "ichol_droptol"):
         _check_tolerance(name, getattr(cfg, name))
-    if not cfg.out or os.path.exists(cfg.out) and not os.path.isdir(cfg.out):
+    if not cfg.out or not _below_a_directory(cfg.out):
         raise ValidationError(f"out: must name a directory, got {cfg.out!r}")
     _schedules(cfg)  # validates, result rebuilt at run time
     return cfg
+
+
+def _below_a_directory(path: str) -> bool:
+    """Whether path, or else its nearest ancestor that exists, is a
+    directory, so that os.makedirs can make or find it."""
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path or ".")
 
 
 def _check_tolerance(name: str, value: float) -> float:

@@ -704,13 +704,13 @@ class TestMain:
                      "--out", cfg.out]) == 2
 
     @pytest.mark.parametrize("flags", [[], ["--dry-run"]])
-    @pytest.mark.parametrize("out", ["", "file"])
+    @pytest.mark.parametrize("out", ["", "file", "file/sub"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unusable_out_exits_two_before_any_solve(self, tmp_path, capsys,
                                                      monkeypatch, flags, out,
                                                      source):
-        """An empty `out`, or one naming a file, fails before any mesh is
-        built instead of after the study."""
+        """An empty `out`, or one naming a file or lying below one, fails
+        before any mesh is built instead of after the study."""
         def no_mesh(*args, **kwargs):
             raise AssertionError("a mesh was built")
 
@@ -719,8 +719,8 @@ class TestMain:
         monkeypatch.setattr(mesh, "build_tri_mesh", no_mesh)
         monkeypatch.setattr(cli, "solve_coupled", no_mesh)
         if out:
+            (tmp_path / "file").write_text("not a directory\n")
             out = tmp_path / out
-            out.write_text("not a directory\n")
         if source == "flag":
             args = ["--out", str(out)]
         else:
