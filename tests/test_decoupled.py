@@ -185,6 +185,34 @@ class TestAlgorithmStructure:
         with pytest.raises(ValueError):
             run_multilevel("A", [4], 1, params, mms)
 
+    @pytest.mark.parametrize("alg,k", [
+        (alg, k) for alg, names in STEP_SEQUENCES.items()
+        for k in range(len(names))])
+    def test_every_step_failure_is_named(self, alg, k, params, mms,
+                                         monkeypatch):
+        """When the k-th step of a level raises, the failure names that
+        step and the level, and keeps the step's exception as its
+        cause."""
+        calls, boom = [], RuntimeError("boom")
+
+        def failing(orig):
+            def step(*args):
+                calls.append(orig)
+                if len(calls) > k:
+                    raise boom
+                return orig(*args)
+            return step
+
+        for owner, name in set(STEP_METHODS.values()):
+            monkeypatch.setattr(owner, name, failing(getattr(owner, name)))
+        state, _ = solve_coupled(level(2, 1, params, mms))
+        with pytest.raises(MultilevelStepFailed) as err:
+            advance_level(alg, state, level(4, 1, params, mms), index=3)
+        assert len(calls) == k + 1
+        assert err.value.step == STEP_SEQUENCES[alg][k]
+        assert err.value.level == 3
+        assert err.value.__cause__ is boom
+
     def test_step_failure_is_attributed(self, params, mms):
         state, _ = solve_coupled(level(2, 1, params, mms))
         broken = CoupledState(state.velocity, state.pressure, BrokenField())
