@@ -25,6 +25,8 @@ acts as a natural condition fixing the pressure level.
 
 Every solve on a mesh poses and solves its block system as a `System` on
 the mesh's `Level`; the solver settings travel as one `SolveOptions`.
+`System.solve` alone returns a `SolveReport`; Picard's own report keeps
+the update norms that decide when it stops or diverges.
 """
 
 from __future__ import annotations

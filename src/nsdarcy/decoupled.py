@@ -17,11 +17,11 @@ the load c(a,s,.) + c(s,a-s,.) built from the intermediate s. Within one
 level the Darcy matrix and the NS saddle matrix are each a `System` that
 is factored once (one float32 LU factor, each solve refined in float64,
 or one preconditioner) and solves both of their right sides; every step
-returns its fields alone, and a solve that does not converge
-(`System.solve`, which checks the true residual) fails the step. `coupled.fluid_saddle` poses the NS saddle
-as it poses Picard's: a direct Mini step condenses it cell by cell as it
-is assembled, so its factor, right sides and reported residual are those
-of the system without the bubbles, which each solve recovers.
+returns its fields alone, and a solve that does not converge fails the
+step. `coupled.fluid_saddle` poses the NS saddle as it poses Picard's: a
+direct Mini step condenses it cell by cell as it is assembled, so its
+factor, right sides and reported residual are those of the system
+without the bubbles, which each solve recovers.
 """
 
 from __future__ import annotations
