@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .mesh import BoundaryTag, TriMesh
+from .mesh import Subdomain, TriMesh
 
 
 class UnsupportedDegree(Exception):
@@ -224,15 +224,13 @@ def build_dofmap(mesh: TriMesh, family: ElementFamily) -> DofMap:
     else:
         raise ValueError(f"unknown element family {tag}")
 
-    # The dofs of the outer boundary edges; the interface endpoints lie on
-    # outer edges too, so they stay Dirichlet: conforming test functions
-    # vanish on the closed outer boundary.
-    outer = mesh.edge_tags != int(BoundaryTag.INTERFACE)
-    dofs = [mesh.edge_vertices[outer].ravel()]
-    if tag == "P2":
-        dofs.append(cell_dofs[mesh.edge_cells[outer],
-                              3 + mesh.edge_local[outer]])
-    dirichlet = np.unique(np.concatenate(dofs))
+    # The dofs on x = 0, x = 1 and the side away from the interface, read on
+    # the half grid (no bubble lies on it); the interface ends stay Dirichlet:
+    # conforming test functions vanish on the closed outer boundary.
+    half = np.rint(2 * mesh.n * (coords - mesh.origin))
+    far = 2 * mesh.n if mesh.subdomain is Subdomain.FLUID else 0
+    dirichlet = np.flatnonzero((half[:, 0] == 0) | (half[:, 0] == 2 * mesh.n)
+                               | (half[:, 1] == far))
 
     for a in (cell_dofs, coords, dirichlet):
         a.setflags(write=False)

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from .fem import (DiscreteField, DofMap, QuadratureRule, basis_at, edge_bary,
                   quad_rule_edge, quad_rule_tri, ref_basis_many, sum_in_order)
-from .mesh import BoundaryTag, CoupledMesh, TriMesh
+from .mesh import CoupledMesh
 from .sparse import Singular, entry_rows
 
 EDGE_QUAD_POINTS = 5
@@ -244,7 +244,7 @@ def cell_rule(dofmap: DofMap, degree: int | None = None) -> CellRule:
 
 @dataclass(frozen=True, eq=False)
 class EdgeRule:
-    """Gauss rule on a list of boundary edges: adjacent cells (ne,), the
+    """Gauss rule on the interface edges: adjacent cells (ne,), the
     cell basis values (ne, nloc, nq), weights (nq,) and edge lengths (ne,),
     whose product is the line measure, and physical points (ne, nq, 2)."""
     cells: np.ndarray
@@ -254,27 +254,24 @@ class EdgeRule:
     points: np.ndarray
 
 
-def edge_rule(dofmap: DofMap, edges: np.ndarray, t=None) -> EdgeRule:
-    """EDGE_QUAD_POINTS-point Gauss rule on the given boundary edges of
-    dofmap's mesh. Given per-edge parameters t (ne, nq) in [0, 1] along each
-    edge's stored orientation, basis values and points are taken there
+def edge_rule(dofmap: DofMap, t=None) -> EdgeRule:
+    """EDGE_QUAD_POINTS-point Gauss rule on the interface edges of dofmap's
+    mesh. Given per-edge parameters t (ne, nq) in [0, 1] along each edge's
+    counterclockwise orientation, basis values and points are taken there
     instead of at the Gauss points; the weights stay the Gauss weights."""
     mesh = dofmap.mesh
+    cells, local, ends = mesh.interface
     erule = quad_rule_edge(EDGE_QUAD_POINTS)
     t = erule.points if t is None else t
-    verts = mesh.vertices[mesh.edge_vertices[edges]]          # (ne, 2, 2)
+    verts = mesh.vertices[ends]                               # (ne, 2, 2)
     v0, d = verts[:, 0], verts[:, 1] - verts[:, 0]
-    bary = edge_bary(mesh.edge_local[edges], t)               # (ne, nq, 3)
+    bary = edge_bary(local, t)                                # (ne, nq, 3)
     vals, _ = ref_basis_many(dofmap.family, bary.reshape(-1, 3))
     return EdgeRule(
-        cells=mesh.edge_cells[edges],
+        cells=cells,
         vals=vals.reshape(vals.shape[:1] + bary.shape[:2]).transpose(1, 0, 2),
         weights=erule.weights, length=np.linalg.norm(d, axis=1),
         points=v0[:, None] + np.asarray(t)[..., None] * d[:, None])
-
-
-def _interface_edges(mesh: TriMesh) -> np.ndarray:
-    return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
 
 
 def _load(n: int, dofs: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -333,7 +330,7 @@ def assemble_af(dofmap_v: DofMap, params: ModelParams,
     rule = cell_rule(dofmap_v)
     pattern = pattern or cell_pattern(dofmap_v)
     loc = (params.nu * rule.stiffness())[rule.shape]
-    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    edges = edge_rule(dofmap_v)
     normal = pattern.data(loc)
     tangential = normal + pattern.data(_slip(edges, params), edges.cells)
     return _symmetric_form(pattern, tangential, normal)
@@ -628,7 +625,7 @@ def mini_saddle(dofmap_v: DofMap, dofmap_q: DofMap,
         static[:, 8:, 4 * d:4 * d + 4] = divergence[..., d]
         static[:, 4 * d:4 * d + 4, 8:] = divergence[..., d].transpose(0, 2, 1)
     static = static.reshape(-1, 121)[:, _ORDER]
-    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    edges = edge_rule(dofmap_v)
     slipped = static[rule.shape[edges.cells]]   # slip on component 0
     slipped[:, :16] += _slip(edges, params).reshape(-1, 16)
     block = rule.shape.copy()
@@ -664,13 +661,12 @@ def assemble_interface_coupling(coupled_mesh: CoupledMesh, dofmap_v: DofMap,
     and C_phiu = -C_vphi^T (entrywise, so the quadratic form cancels
     exactly), without exact zeros. With n_f = (0, -1) only vertical
     velocity dofs appear."""
-    ef, ep = coupled_mesh.interface_pairs.T
-    fluid = edge_rule(dofmap_v, ef)
+    fluid = edge_rule(dofmap_v)
     # the porous edges run the other way: take their parameter from x
     porous = coupled_mesh.porous
-    pv = porous.vertices[porous.edge_vertices[ep], 0]             # (ne, 2)
+    pv = porous.vertices[porous.interface[2], 0]                  # (ne, 2)
     s = (fluid.points[..., 0] - pv[:, :1]) / (pv[:, 1:] - pv[:, :1])
-    head = edge_rule(dofmap_phi, ep, s)
+    head = edge_rule(dofmap_phi, s)
     # v . n_f = -v_y
     loc = (-params.rho * params.gravity * fluid.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", fluid.weights, fluid.vals, head.vals)
@@ -689,7 +685,7 @@ def _interface_load(dofmap: DofMap, source: DiscreteField,
     """Entries rho g (value(source), basis_i)_Gamma on the interface edges
     of dofmap's mesh, at offset plus each dof of a vector of offset + ndof
     entries; the source, on any mesh, is evaluated at the edge points."""
-    edges = edge_rule(dofmap, _interface_edges(dofmap.mesh))
+    edges = edge_rule(dofmap)
     f = value(source.eval_many(edges.points.reshape(-1, 2))) \
         .reshape(edges.points.shape[:2])
     le = (params.rho * params.gravity * edges.length)[:, None] \

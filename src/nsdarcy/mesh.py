@@ -3,22 +3,16 @@
 The free-flow region is (0,1)x(1,2), the porous region (0,1)x(0,1); they share
 the horizontal interface y = 1. Each subdomain is meshed by an n x n grid of
 squares split along the lower-left to upper-right diagonal, so both meshes
-carry matching edges on the interface.
+carry matching edges on the interface, which `TriMesh.interface` lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
-
-
-class BoundaryTag(IntEnum):
-    OUTER_FLUID = 0
-    OUTER_POROUS = 1
-    INTERFACE = 2
 
 
 class Subdomain(Enum):
@@ -52,10 +46,6 @@ class TriMesh:
     origin: tuple[float, float]
     vertices: np.ndarray       # (nv, 2) float
     cells: np.ndarray          # (nc, 3) int, CCW
-    edge_vertices: np.ndarray  # (ne, 2) int, boundary edges in cell orientation
-    edge_tags: np.ndarray      # (ne,) BoundaryTag values
-    edge_cells: np.ndarray     # (ne,) adjacent cell id
-    edge_local: np.ndarray     # (ne,) local edge index 0:(0,1) 1:(1,2) 2:(2,0)
 
     @property
     def num_vertices(self) -> int:
@@ -107,6 +97,22 @@ class TriMesh:
         return cells, bary
 
     @cached_property
+    def interface(self) -> tuple:
+        """(cells (n,), local edges (n,), ends (n, 2)): the n edges on
+        y = 1 from left to right, read-only, each pair of ends in its cell's
+        counterclockwise order. The fluid's are the bottom row of lower
+        triangles, local edge 0 (a, b); the porous mesh's are the top row
+        of upper triangles, local edge 1 (c, d), which runs right to left."""
+        n, k = self.n, np.arange(self.n)
+        if self.subdomain is Subdomain.FLUID:
+            cells, local, ends = 2 * k, 0, np.column_stack([k, k + 1])
+        else:
+            top = n * (n + 1) + k
+            cells, local, ends = (2 * ((n - 1) * n + k) + 1, 1,
+                                  np.column_stack([top + 1, top]))
+        return tuple(map(_freeze, (cells, np.full(n, local), ends)))
+
+    @cached_property
     def shapes(self) -> tuple:
         """(index, det, jinv_t): the cells grouped by shape, on first use.
         Cells share a shape when their edge vectors (v1 - v0, v2 - v0) are
@@ -128,11 +134,10 @@ class TriMesh:
 
 @dataclass(frozen=True, eq=False)
 class CoupledMesh:
-    """The two subdomain meshes plus the pairing of coincident interface edges."""
+    """The two subdomain meshes; interface edge k of each lies on square k."""
 
     fluid: TriMesh
     porous: TriMesh
-    interface_pairs: np.ndarray  # (n, 2) int64: fluid edge, porous edge
 
     @property
     def n(self) -> int:
@@ -165,52 +170,17 @@ def build_tri_mesh(n: int, subdomain: Subdomain, origin: tuple[float, float]) ->
     cells = np.empty((2 * n * n, 3), dtype=np.int64)
     cells[0::2] = np.column_stack([a, b, c])
     cells[1::2] = np.column_stack([a, c, d])
-
-    # Boundary walk: bottom, right, top, left. Each edge is stored in its
-    # adjacent cell's counterclockwise orientation together with that cell id
-    # and the local edge index, which boundary quadrature relies on.
-    k = np.arange(n)
-    bottom_v = np.column_stack([k, k + 1])
-    bottom_cell = 2 * k
-    right_v = np.column_stack([k * (n + 1) + n, (k + 1) * (n + 1) + n])
-    right_cell = 2 * (k * n + n - 1)
-    top_v = np.column_stack([n * (n + 1) + k + 1, n * (n + 1) + k])
-    top_cell = 2 * ((n - 1) * n + k) + 1
-    left_v = np.column_stack([(k + 1) * (n + 1), k * (n + 1)])
-    left_cell = 2 * (k * n) + 1
-
-    edge_vertices = np.vstack([bottom_v, right_v, top_v, left_v])
-    edge_cells = np.concatenate([bottom_cell, right_cell, top_cell, left_cell])
-    edge_local = np.concatenate([
-        np.full(n, 0), np.full(n, 1), np.full(n, 1), np.full(n, 2),
-    ]).astype(np.int64)
-
-    outer = (BoundaryTag.OUTER_FLUID if subdomain is Subdomain.FLUID
-             else BoundaryTag.OUTER_POROUS)
-    edge_tags = np.full(4 * n, int(outer), dtype=np.int64)
-    if subdomain is Subdomain.FLUID:
-        edge_tags[:n] = int(BoundaryTag.INTERFACE)           # bottom at y=1
-    else:
-        edge_tags[2 * n:3 * n] = int(BoundaryTag.INTERFACE)  # top at y=1
-
-    return TriMesh(
-        n=n, subdomain=subdomain, origin=origin,
-        vertices=_freeze(verts), cells=_freeze(cells),
-        edge_vertices=_freeze(edge_vertices), edge_tags=_freeze(edge_tags),
-        edge_cells=_freeze(edge_cells), edge_local=_freeze(edge_local),
-    )
+    return TriMesh(n=n, subdomain=subdomain, origin=origin,
+                   vertices=_freeze(verts), cells=_freeze(cells))
 
 
 def build_coupled_mesh(n: int) -> CoupledMesh:
     """Matching fluid (above) and porous (below) meshes sharing y = 1."""
     fluid = build_tri_mesh(n, Subdomain.FLUID, (0.0, 1.0))
     porous = build_tri_mesh(n, Subdomain.POROUS, (0.0, 0.0))
-    # fluid bottom edges come first; porous top edges follow bottom and right
-    pairs = _freeze(np.column_stack([np.arange(n), 2 * n + np.arange(n)]))
-    fv = fluid.vertices[fluid.edge_vertices[pairs[:, 0]]]
-    pv = porous.vertices[porous.edge_vertices[pairs[:, 1]]]
+    fv = fluid.vertices[fluid.interface[2]]
+    pv = porous.vertices[porous.interface[2]]
     # orientations oppose: both edges run counterclockwise in their own cell
     if not np.allclose(fv, pv[:, ::-1], atol=GEOM_TOL, rtol=0.0):
         raise AssertionError("interface edges do not coincide")
-    return CoupledMesh(fluid=fluid, porous=porous, interface_pairs=pairs)
-
+    return CoupledMesh(fluid=fluid, porous=porous)

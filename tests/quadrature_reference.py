@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from nsdarcy.fem import DiscreteField, ref_basis_many
-from nsdarcy.forms import (CellRule, ConvectionMode, ModelParams,
-                           _interface_edges, _load, cell_rule, edge_rule)
+from nsdarcy.forms import (CellRule, ConvectionMode, ModelParams, _load,
+                           cell_rule, edge_rule)
 from nsdarcy.mms import ErrorReport
 
 
@@ -141,7 +141,7 @@ def assemble_af(dofmap_v, params: ModelParams):
     g = grads(rule)
     loc = params.nu * np.einsum("q,c,ciqd,cjqd->cij", rule.weights,
                                 cell_maps(rule)[0], g, g)
-    edges = edge_rule(dofmap_v, _interface_edges(dofmap_v.mesh))
+    edges = edge_rule(dofmap_v)
     slip = (params.bjs_coefficient * edges.length)[:, None, None] \
         * np.einsum("q,eiq,ejq->eij", edges.weights, edges.vals, edges.vals)
     cd, nd = dofmap_v.cell_dofs, dofmap_v.ndof

@@ -11,8 +11,7 @@ from nsdarcy.fem import (MINI_VELOCITY, P1, P2, P2_VELOCITY, DiscreteField,
                          quad_rule_tri, ref_basis_many)
 from nsdarcy.forms import (EDGE_QUAD_POINTS, ConvectionMode, ModelParams,
                            edge_rule)
-from nsdarcy.mesh import (BoundaryTag, Subdomain, build_coupled_mesh,
-                          build_tri_mesh)
+from nsdarcy.mesh import Subdomain, build_coupled_mesh, build_tri_mesh
 
 
 def porous_dofmap(n, family=P1):
@@ -309,15 +308,11 @@ class TestInterfaceCoupling:
         assert np.allclose(dphi.dof_coords[cols, 1], 1.0)
 
 
-def interface_edges(mesh):
-    return np.nonzero(mesh.edge_tags == int(BoundaryTag.INTERFACE))[0]
-
-
 class TestEdgeRule:
     @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY])
     def test_interface_measure(self, family):
         dm = fluid_dofmap(3, family)
-        rule = edge_rule(dm, interface_edges(dm.mesh))
+        rule = edge_rule(dm)
         measure = rule.weights[None, :] * rule.length[:, None]
         assert abs(measure.sum() - 1.0) <= 1e-15
         x = rule.points[..., 0]
@@ -326,22 +321,23 @@ class TestEdgeRule:
 
     @pytest.mark.parametrize("family", [P1, P2, MINI_VELOCITY])
     def test_values_are_the_reference_basis_per_edge(self, family, rng):
-        dm = porous_dofmap(3, family)
-        mesh = dm.mesh
-        edges = np.arange(mesh.edge_vertices.shape[0])   # every side
+        """On the interface of both meshes: local edges 0 (fluid, left to
+        right) and 1 (porous, right to left)."""
         gauss = quad_rule_edge(EDGE_QUAD_POINTS).points
-        t = rng.random((edges.size, gauss.size))
-        for params_t, rule in ((np.broadcast_to(gauss, t.shape),
-                                edge_rule(dm, edges)),
-                               (t, edge_rule(dm, edges, t))):
-            for k, e in enumerate(edges):
-                vals, _ = ref_basis_many(
-                    dm.family, edge_bary(mesh.edge_local[e], params_t[k]))
-                assert np.array_equal(rule.vals[k], vals)
-                v0, v1 = mesh.vertices[mesh.edge_vertices[e]]
-                assert np.array_equal(rule.points[k],
-                                      v0 + params_t[k][:, None] * (v1 - v0))
-            assert np.array_equal(rule.cells, mesh.edge_cells[edges])
+        for dm in (fluid_dofmap(3, family), porous_dofmap(3, family)):
+            mesh = dm.mesh
+            cells, local, ends = mesh.interface
+            t = rng.random((len(cells), gauss.size))
+            for params_t, rule in ((np.broadcast_to(gauss, t.shape),
+                                    edge_rule(dm)), (t, edge_rule(dm, t))):
+                for k in range(len(cells)):
+                    vals, _ = ref_basis_many(
+                        dm.family, edge_bary(local[k], params_t[k]))
+                    assert np.array_equal(rule.vals[k], vals)
+                    v0, v1 = mesh.vertices[ends[k]]
+                    assert np.array_equal(
+                        rule.points[k], v0 + params_t[k][:, None] * (v1 - v0))
+                assert np.array_equal(rule.cells, cells)
 
     @pytest.mark.parametrize("fam_v,fam_p", [(MINI_VELOCITY, P1),
                                              (P2_VELOCITY, P2)])
@@ -355,20 +351,21 @@ class TestEdgeRule:
         erule = quad_rule_edge(EDGE_QUAD_POINTS)
         rho_g = params.rho * params.gravity
         rows, cols, data = [], [], []
-        for ef, ep in cm.interface_pairs:
-            fv = fluid.vertices[fluid.edge_vertices[ef]]
-            pv = porous.vertices[porous.edge_vertices[ep]]
+        (fc, fl, fe), (pc, pl, pe) = fluid.interface, porous.interface
+        for k in range(cm.n):   # edge k of each mesh lies on square k
+            fv = fluid.vertices[fe[k]]
+            pv = porous.vertices[pe[k]]
             length = np.linalg.norm(fv[1] - fv[0])
             x_q = fv[0, 0] + erule.points * (fv[1, 0] - fv[0, 0])
             s_q = (x_q - pv[0, 0]) / (pv[1, 0] - pv[0, 0])
             v_vals, _ = ref_basis_many(
-                fam_v, edge_bary(fluid.edge_local[ef], erule.points))
+                fam_v, edge_bary(fl[k], erule.points))
             phi_vals, _ = ref_basis_many(
-                fam_p, edge_bary(porous.edge_local[ep], s_q))
+                fam_p, edge_bary(pl[k], s_q))
             mloc = -rho_g * length * np.einsum("q,iq,jq->ij", erule.weights,
                                                v_vals, phi_vals)
-            vd = dv.cell_dofs[fluid.edge_cells[ef]] + dv.ndof
-            pd = dphi.cell_dofs[porous.edge_cells[ep]]
+            vd = dv.cell_dofs[fc[k]] + dv.ndof
+            pd = dphi.cell_dofs[pc[k]]
             rows.append(np.repeat(vd, pd.size))
             cols.append(np.tile(pd, vd.size))
             data.append(mloc.ravel())

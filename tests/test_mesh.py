@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nsdarcy.cli import parse_schedule_spec
-from nsdarcy.mesh import (BoundaryTag, OutOfDomain, Subdomain,
-                          build_coupled_mesh, build_tri_mesh)
+from nsdarcy.mesh import (OutOfDomain, Subdomain, build_coupled_mesh,
+                          build_tri_mesh)
 
 
 def tri_area(verts):
@@ -16,15 +16,14 @@ class TestBuild:
         cm = build_coupled_mesh(1)
         assert cm.fluid.num_vertices == 4
         assert cm.fluid.num_cells == 2
-        assert cm.fluid.edge_vertices.shape[0] == 4
-        assert len(cm.interface_pairs) == 1
+        assert len(cm.fluid.interface[0]) == len(cm.porous.interface[0]) == 1
 
     def test_n2_counts(self):
         cm = build_coupled_mesh(2)
         assert cm.fluid.num_vertices == 9
         assert cm.fluid.num_cells == 8
         assert cm.porous.num_vertices == 9
-        assert len(cm.interface_pairs) == 2
+        assert len(cm.fluid.interface[0]) == len(cm.porous.interface[0]) == 2
 
     def test_cells_counterclockwise(self):
         mesh = build_tri_mesh(3, Subdomain.POROUS, (0.0, 0.0))
@@ -45,8 +44,8 @@ class TestBuild:
         b = build_tri_mesh(4, Subdomain.POROUS, (0.0, 0.0))
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.cells, b.cells)
-        assert np.array_equal(a.edge_vertices, b.edge_vertices)
-        assert np.array_equal(a.edge_tags, b.edge_tags)
+        for x, y in zip(a.interface, b.interface):
+            assert np.array_equal(x, y)
 
     def test_arrays_are_immutable(self):
         mesh = build_tri_mesh(2, Subdomain.POROUS, (0.0, 0.0))
@@ -55,47 +54,46 @@ class TestBuild:
 
 
 class TestBoundary:
-    def test_fluid_edges_tagged_by_side(self):
-        mesh = build_tri_mesh(3, Subdomain.FLUID, (0.0, 1.0))
-        for e in range(mesh.edge_vertices.shape[0]):
-            verts = mesh.vertices[mesh.edge_vertices[e]]
-            on_interface = np.allclose(verts[:, 1], 1.0)
-            tag = BoundaryTag(mesh.edge_tags[e])
-            if on_interface:
-                assert tag is BoundaryTag.INTERFACE
-            else:
-                assert tag is BoundaryTag.OUTER_FLUID
-
     def test_porous_interface_is_top(self):
         mesh = build_tri_mesh(3, Subdomain.POROUS, (0.0, 0.0))
-        iface = mesh.edge_tags == int(BoundaryTag.INTERFACE)
-        assert iface.sum() == 3
-        for e in np.nonzero(iface)[0]:
-            assert np.allclose(mesh.vertices[mesh.edge_vertices[e]][:, 1], 1.0)
+        cells, local, ends = mesh.interface
+        assert len(cells) == len(local) == len(ends) == 3
+        assert np.allclose(mesh.vertices[ends][..., 1], 1.0)
 
     def test_interface_pairs_coincide(self):
         cm = build_coupled_mesh(4)
-        for ef, ep in cm.interface_pairs:
-            fv = cm.fluid.vertices[cm.fluid.edge_vertices[ef]]
-            pv = cm.porous.vertices[cm.porous.edge_vertices[ep]]
+        for fe, pe in zip(cm.fluid.interface[2], cm.porous.interface[2]):
+            fv = cm.fluid.vertices[fe]
+            pv = cm.porous.vertices[pe]
             assert (np.allclose(fv, pv, atol=1e-14)
                     or np.allclose(fv, pv[::-1], atol=1e-14))
 
-
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_interface_pairs_array_runs_opposite(self, n):
-        """(n, 2) int64 rows (fluid edge, porous edge), read only; the
-        porous edge walks the fluid edge's vertices in reverse."""
+        """Each mesh's interface: (n,) cells and local edges and (n, 2)
+        ends, int64 and read only, the ends being the cell's local edge in
+        counterclockwise order, left to right on y = 1; the porous edge
+        walks the fluid edge's vertices in reverse."""
         cm = build_coupled_mesh(n)
-        pairs = cm.interface_pairs
-        assert pairs.shape == (n, 2) and pairs.dtype == np.int64
-        assert not pairs.flags.writeable
-        fluid, porous = cm.fluid, cm.porous
-        assert (fluid.edge_tags[pairs[:, 0]] == BoundaryTag.INTERFACE).all()
-        assert (porous.edge_tags[pairs[:, 1]] == BoundaryTag.INTERFACE).all()
-        fv = fluid.vertices[fluid.edge_vertices[pairs[:, 0]]]
-        pv = porous.vertices[porous.edge_vertices[pairs[:, 1]]]
+        for mesh, local_edge in ((cm.fluid, 0), (cm.porous, 1)):
+            cells, local, ends = mesh.interface
+            assert cells.shape == local.shape == (n,)
+            assert ends.shape == (n, 2)
+            for a in mesh.interface:
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert (local == local_edge).all()
+            tri = mesh.cells[cells]
+            assert np.array_equal(ends, np.stack(
+                [tri[:, local_edge], tri[:, (local_edge + 1) % 3]], axis=1))
+            verts = mesh.vertices[ends]
+            assert np.allclose(verts[..., 1], 1.0, atol=1e-14, rtol=0.0)
+            assert np.allclose(np.sort(verts[..., 0], axis=1),
+                               np.arange(n)[:, None] / n + [0, 1 / n],
+                               atol=1e-14, rtol=0.0)
+        fv = cm.fluid.vertices[cm.fluid.interface[2]]
+        pv = cm.porous.vertices[cm.porous.interface[2]]
         assert np.allclose(fv, pv[:, ::-1], atol=1e-14, rtol=0.0)
+
 
 class TestLocate:
     def test_centroid_of_first_cell(self):
