@@ -82,8 +82,12 @@ def parse_schedule_spec(spec: str) -> list[tuple[int, ...]]:
             schedules = [tuple(int(v) for v in tok.split(":"))
                          for tok in rest.split(",")]
         elif kind in ("square", "cube_then_square"):
-            kw = {k.strip(): int(v) for k, _, v in (
-                tok.partition("=") for tok in rest.split(",") if tok.strip())}
+            kw: dict = {}
+            for tok in filter(str.strip, rest.split(",")):
+                key, _, value = tok.partition("=")
+                if key.strip() in kw:
+                    raise ValueError(f"key {key.strip()!r} given twice")
+                kw[key.strip()] = int(value)
             if kw.keys() != {"n0", "levels"}:
                 raise ValueError(f"need keys n0 and levels, got {sorted(kw)}")
             if kw["n0"] < 2 or kw["levels"] < 1:
@@ -153,8 +157,9 @@ def _ascii_lines(path: str) -> list[str]:
 
 def parse_config(path: str | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
-    """key=value config file plus flag overrides; unknown keys and
-    out-of-range values are rejected with the offending field named."""
+    """key=value config file plus flag overrides; unknown keys, keys set
+    twice in the file and out-of-range values are rejected with the
+    offending field named."""
     raw: dict = {}
     if path is not None:
         for lineno, line in enumerate(_ascii_lines(path), start=1):
@@ -165,6 +170,9 @@ def parse_config(path: str | None = None,
                 raise ParseError(f"{path}:{lineno}: expected key=value, "
                                  f"got {line.strip()!r}")
             key, _, value = body.partition("=")
+            if key.strip() in raw:
+                raise ValidationError(f"{path}:{lineno}: key {key.strip()!r} "
+                                      f"set twice")
             raw[key.strip()] = value.strip()
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -430,6 +438,8 @@ def parse_tol_spec(spec: str) -> dict:
             continue
         key, _, value = tok.rpartition("=")
         key = key.strip() or "default"
+        if key in out:
+            raise ValidationError(f"tol {key}: given twice in {spec!r}")
         try:
             out[key] = _check_tolerance(f"tol {key}", float(value))
         except ValueError as exc:

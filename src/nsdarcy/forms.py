@@ -16,6 +16,7 @@ c(a, s, w) + c(s, a - s, w) instead.
 
 Linearization states may live on a coarser mesh: they are evaluated at the
 target mesh's quadrature points, never projected into the fine space first.
+The Gamma terms run over each mesh's `TriMesh.interface` edges.
 
 Every local kernel adds in the order of the numpy.einsum expression it
 replaced and is pinned to it bit for bit: mass, stiffness, loads, the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,8 +59,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("nu", "rho", "gravity", "porosity", "conductivity",
                      "alpha_bjs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # NaN compares false with everything, so `value <= 0` lets it by
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
 
     @property
     def bjs_coefficient(self) -> float:

@@ -499,6 +499,10 @@ class DirectFactor:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(f"factor {self.shape} vs rhs {b.shape}")
+        # before any triangular solve: refinement would take NaN for
+        # converged, and inf would throw the float32 factor away
+        if not np.all(np.isfinite(b)):
+            raise Singular("non-finite right side of an LU solve")
         if self._A is None:
             x, self.steps = self._triangular(b), 1
         else:

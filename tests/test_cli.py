@@ -253,7 +253,9 @@ class TestScheduleSpec:
                                              [5, 56]]
 
     @pytest.mark.parametrize("spec", ["pairs:", "pairs:6:2", "square:",
-                                      "square:n0=two,levels=1"])
+                                      "square:n0=two,levels=1",
+                                      "square:n0=2,levels=3,levels=1",
+                                      "cube_then_square:n0=2,n0=3,levels=1"])
     def test_bad_specs(self, spec):
         with pytest.raises(ValidationError):
             parse_schedule_spec(spec)
@@ -648,7 +650,8 @@ class TestMain:
         assert main(["diff", str(bad), str(bad), "--tol", "0.01"]) == 2
 
     @pytest.mark.parametrize("tol", ["u:H1=abc", "abc", "H1=", "-0.02",
-                                     "u:H1=-0.1", "nan", "H1=inf"])
+                                     "u:H1=-0.1", "nan", "H1=inf",
+                                     "0.02,0.5", "u:H1=0.1, u:H1=0.2"])
     def test_bad_tolerance_exits_two(self, tmp_path, capsys, tol):
         path = tmp_path / "a.csv"
         small_artifact().write_csv(str(path))
@@ -671,6 +674,16 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--schedule",
                      "square:n0=2,levels=1", "--out", str(out)]) == 2
         assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_set_twice_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("order = 1\n# comment\norder = 2\n")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--schedule",
+                     "square:n0=2,levels=1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: key 'order' set twice" in err
         assert not out.exists()
 
     def test_oversized_schedule_exits_two(self, tmp_path, capsys):

@@ -177,7 +177,8 @@ class TestDofMap:
         """The dofs on the closed outer boundary x = 0, x = 1 and y = 2
         (fluid) or y = 0 (porous), ascending; the interface y = 1 is free
         except at its endpoints."""
-        for n in range(1, 9):
+        # at n = 49, 81 some vertex coordinates round: 49 * (1/49) < 1
+        for n in [*range(1, 9), 49, 81]:
             for mesh, y_outer in ((fluid_mesh(n), 2.0), (porous_mesh(n), 0.0)):
                 dm = build_dofmap(mesh, family)
                 x, y = dm.dof_coords.T

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -64,6 +66,14 @@ def test_static_forms_are_exactly_symmetric(order, n, params):
     for A in (forms.assemble_af(dv, params), forms.assemble_ap(dphi, params),
               forms.assemble_mass(dq), forms.assemble_mass(dphi)):
         assert (A != A.T).nnz == 0
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
+    def test_rejects_a_value_not_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ModelParams(**{name: value})
 
 
 class TestDarcyStiffness:

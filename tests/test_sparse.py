@@ -821,6 +821,33 @@ class TestMixedPrecision:
         assert f.steps >= 2 and np.all(np.isfinite(x))
         assert true_residual(A, b, x) <= 1e-15
 
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_side_is_rejected(self, single, bad, factored,
+                                               rng, monkeypatch):
+        """In either precision, before any triangular solve: refinement
+        took a NaN residual for converged and solved it as zero, and an
+        inf one factored A again in float64. The factor is kept."""
+        n = 10
+        A, points = random_spd(n, rng), chain(n)
+        f = DirectFactor(A, points, single=single)
+        solved, orig = [], DirectFactor._triangular
+
+        def triangular(self, r):
+            solved.append(r)
+            return orig(self, r)
+        monkeypatch.setattr(DirectFactor, "_triangular", triangular)
+        b = rng.standard_normal(n)
+        b[1] = bad
+        with pytest.raises(Singular, match="non-finite right side"):
+            f.solve(b)
+        assert solved == []
+        b = rng.standard_normal(n)
+        fresh = DirectFactor(A, points, single=single)
+        assert np.array_equal(f.solve(b), fresh.solve(b))
+        assert f.steps == fresh.steps
+        assert factored == [np.float32 if single else np.float64] * 2
+
     def test_zero_right_side_takes_no_solve(self, rng):
         f = DirectFactor(random_spd(10, rng), chain(10), single=True)
         assert np.array_equal(f.solve(np.zeros(10)), np.zeros(10))
