@@ -108,19 +108,16 @@ class CellRule:
     det: np.ndarray
     jinv_t: np.ndarray
 
-    def axes(self, product: bool = False) -> tuple:
+    def axes(self) -> tuple:
         """x (1, n, 2, nq) and y (n, 1, 2, nq) of the points of a structured
         mesh, which broadcast to its cell grid (n, n, 2): cell 2(j n + i) + s
         has the x of [0, i, s] and the y of [j, 0, s]. Each is vertices
-        times barycentrics, summed in order or, given `product`, a matrix
-        product: bitwise what that gives on every cell."""
+        times barycentrics, summed in order: bitwise what that gives on
+        every cell."""
         mesh, bary = self.dofmap.mesh, self.quad.points
         n, cells = mesh.n, mesh.cells.reshape(mesh.n, 2 * mesh.n, 3)
         xy = (mesh.vertices[cells[:1], 0].reshape(1, n, 2, 3),
               mesh.vertices[cells[:, :2], 1].reshape(n, 1, 2, 3))
-        if product:
-            return tuple((v.reshape(-1, 3) @ bary.T).reshape(
-                v.shape[:3] + (-1,)) for v in xy)
         return tuple(sum_in_order(v[..., k, None] * bary[:, k]
                                   for k in range(3)) for v in xy)
 

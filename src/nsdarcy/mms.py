@@ -147,7 +147,7 @@ def error_norms(states, mms: ManufacturedProblem,
     errs = [{} for _ in states]
     for field, names, exact in _EXACT:
         rule = cell_rule(getattr(states[0], field).dofmap, quad_degree)
-        xy = rule.axes(product=True)
+        xy = rule.axes()
         parts = [np.split(getattr(s, field).coefficients, len(names))
                  for s in states]
         for norm, method in exact.items():

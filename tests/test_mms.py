@@ -218,9 +218,10 @@ class Recording:
 class TestSeparableExactFields:
     """error_norms and assemble_volume_load hand the manufactured fields x
     (1, n, 2, nq) and y (n, 1, 2, nq) of the cell grid, not (nc, nq)
-    arrays. Their entries are bitwise those points' coordinates, each as
-    its caller rounds them, and every method gives bitwise the values of
-    the full arrays: the same ufunc on the same input rounds alike."""
+    arrays. Their entries are bitwise those points' coordinates, rounded
+    alike for both callers (vertices times barycentrics, summed in order
+    per cell), and every method gives bitwise the values of the full
+    arrays: the same ufunc on the same input rounds alike."""
 
     @pytest.mark.parametrize("n", [3, 58, 256])
     def test_bitwise_those_of_full_arrays(self, n, mms):
@@ -240,20 +241,13 @@ class TestSeparableExactFields:
                 dofmap = spaces.head if name in ("head", "head_grad",
                                                  "f_porous") \
                     else spaces.velocity
-                mesh = dofmap.mesh
-                if k < norms:   # error_norms: vertices times barycentrics
-                    rule = cell_rule(dofmap, 8)
-                    verts = mesh.vertices[mesh.cells]
-                    full = [verts[:, :, d] @ rule.quad.points.T
-                            for d in range(2)]
-                else:           # the load: summed in order, per cell
-                    rule = cell_rule(dofmap)
-                    full = list(ref.points(rule).transpose(2, 0, 1))
+                rule = cell_rule(dofmap, 8 if k < norms else None)
+                full = list(ref.points(rule).transpose(2, 0, 1))
                 nq = len(rule.weights)
                 assert x.shape == (1, n, 2, nq) and y.shape == (n, 1, 2, nq)
                 for sep, whole in zip((x, y), full):
                     assert bitwise_equal(rule.on_cells(sep), whole), name
-                key = (mesh.subdomain, nq, k < norms)
+                key = (dofmap.mesh.subdomain, nq)
                 if key in done:
                     continue
                 done.add(key)
