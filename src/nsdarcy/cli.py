@@ -340,7 +340,7 @@ def _rows_for_stage(reports: list, suffix: str = "") -> list:
         for var, norm in REPORTED_KEYS:
             rows.append(Row(level=level, h=f"1/{rep.n}",
                             variable=var + suffix, norm=norm,
-                            error=rep.errors[(var, norm)],
+                            error=rep.get(var, norm),
                             rate=rates[(var, norm)][idx] if rates else None))
     return rows
 
@@ -470,13 +470,12 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def diff_tables(a: TableArtifact, b: TableArtifact, tol: dict | float,
+def diff_tables(a: TableArtifact, b: TableArtifact, tol: dict,
                 strict: bool = False) -> DiffReport:
     """Relative differences (against b) per shared row key; tolerance
-    resolution: exact "var:norm" entry, then norm, then default. Rows with
-    no applicable tolerance are reported, not checked."""
-    if isinstance(tol, float):
-        tol = {"default": tol}
+    resolution (tol as parse_tol_spec gives it): exact "var:norm" entry,
+    then norm, then default. Rows with no applicable tolerance are
+    reported, not checked."""
     amap = {r.key: r for r in a.rows}
     bmap = {r.key: r for r in b.rows}
     shared = sorted(set(amap) & set(bmap))

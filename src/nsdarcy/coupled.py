@@ -165,8 +165,7 @@ class System:
         # a bubble is never on the boundary
         self.dofs = np.searchsorted(self.kept, np.concatenate(ids))
         self.values = np.concatenate(values)
-        self.K, self.lift = constrain_dirichlet(K, np.zeros(n), self.dofs,
-                                                self.values)
+        self.K, self.lift = constrain_dirichlet(K, self.dofs, self.values)
         self._static = None
 
     def refill(self, N: sp.csr_matrix,

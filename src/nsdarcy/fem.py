@@ -15,6 +15,7 @@ two-component field are stacked [component 0 dofs..., component 1 dofs...].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -91,16 +92,17 @@ def _perm6(a, b, c):
     return sorted(set(permutations((a, b, c))))
 
 
-# Symmetric triangle rules with positive weights; weights here are normalized
-# to unit sum and scaled by the reference area 1/2 on construction.
+# Symmetric triangle rules with positive weights, by the degree each is
+# exact to; weights here are normalized to unit sum and scaled by the
+# reference area 1/2 on construction.
 _TRI_RULES = {
-    7: (
+    5: (
         [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
         + _perm3(0.059715871789770, 0.470142064105115)
         + _perm3(0.797426985353087, 0.101286507323456),
         [0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3,
     ),
-    12: (
+    6: (
         _perm3(0.873821971016996, 0.063089014491502)
         + _perm3(0.501426509658179, 0.249286745170910)
         + _perm6(0.053145049844817, 0.310352451033784, 0.636502499121399),
@@ -109,42 +111,38 @@ _TRI_RULES = {
     ),
 }
 
-_DEGREE_TO_NPTS = {5: 7, 6: 12}
-
 _MAX_TRI_DEGREE = 12
-_CONICAL_CACHE: dict[int, QuadratureRule] = {}
 
 
+@cache
 def _conical_rule(degree: int) -> QuadratureRule:
     """Gauss-Legendre x Gauss-Jacobi product rule on the collapsed square
     x = xi (1 - eta), y = eta; exact to total degree 2m - 1 with machine
     precision nodes (the symmetric rules are tabulated for the assembly
     degrees 5 and 6 only)."""
-    if degree not in _CONICAL_CACHE:
-        from scipy.special import roots_jacobi
+    from scipy.special import roots_jacobi
 
-        m = (degree + 2) // 2
-        xi, a = np.polynomial.legendre.leggauss(m)
-        xi = 0.5 * (xi + 1.0)
-        a = 0.5 * a
-        t, b = roots_jacobi(m, 1.0, 0.0)   # weight (1 - t) on [-1, 1]
-        eta = 0.5 * (t + 1.0)
-        b = 0.25 * b
-        x = np.outer(xi, 1.0 - eta).ravel()
-        y = np.broadcast_to(eta, (m, m)).ravel()
-        w = np.outer(a, b).ravel()
-        pts = np.column_stack([1.0 - x - y, x, y])
-        _CONICAL_CACHE[degree] = QuadratureRule(points=pts, weights=w)
-    return _CONICAL_CACHE[degree]
+    m = (degree + 2) // 2
+    xi, a = np.polynomial.legendre.leggauss(m)
+    xi = 0.5 * (xi + 1.0)
+    a = 0.5 * a
+    t, b = roots_jacobi(m, 1.0, 0.0)   # weight (1 - t) on [-1, 1]
+    eta = 0.5 * (t + 1.0)
+    b = 0.25 * b
+    x = np.outer(xi, 1.0 - eta).ravel()
+    y = np.broadcast_to(eta, (m, m)).ravel()
+    w = np.outer(a, b).ravel()
+    pts = np.column_stack([1.0 - x - y, x, y])
+    return QuadratureRule(points=pts, weights=w)
 
 
 def quad_rule_tri(degree: int) -> QuadratureRule:
     if not 2 <= degree <= _MAX_TRI_DEGREE:
         raise UnsupportedDegree(f"triangle degree {degree} not in "
                                 f"2..{_MAX_TRI_DEGREE}")
-    if degree not in _DEGREE_TO_NPTS:
+    if degree not in _TRI_RULES:
         return _conical_rule(degree)
-    pts, w = _TRI_RULES[_DEGREE_TO_NPTS[degree]]
+    pts, w = _TRI_RULES[degree]
     return QuadratureRule(
         points=np.array(pts, dtype=float),
         weights=0.5 * np.array(w, dtype=float),

@@ -384,9 +384,7 @@ def quad_state(field: DiscreteField, rule: CellRule,
     Both are computed component by component, so vals and grads are
     views of arrays (2, nc, nq) and (2, 2, nc, nq)."""
     dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh
-    if dm.family == rule.dofmap.family and (fm is mesh or (
-            fm.n == mesh.n and fm.subdomain is mesh.subdomain
-            and fm.origin == mesh.origin)):
+    if dm.family == rule.dofmap.family and fm is mesh:
         at, vals = np.arange(len(dm.cell_dofs))[:, None], rule.vals
         basis = (b[rule.shape].transpose(2, 0, 1) for b in
                  rule.grads().transpose(1, 0, 2, 3))

@@ -27,6 +27,7 @@ import numpy as np
 from .forms import CellRule, ModelParams, cell_rule
 
 PI = np.pi
+ERROR_DEGREE = 8   # degree of the rule error_norms integrates with
 
 
 class InsufficientData(Exception):
@@ -131,22 +132,22 @@ def _h1_error(rule: CellRule, coeffs, exact_grad) -> float:
     return float(np.sqrt(total))
 
 
-def error_norms(states, mms: ManufacturedProblem,
-                quad_degree: int = 8) -> list:
+def error_norms(states, mms: ManufacturedProblem) -> list:
     """Componentwise L2/H1-seminorm errors of coupled states that share
     their spaces (velocity components u, v; pressure p, L2 only; head phi),
     one ErrorReport per state. The exact fields are evaluated once, at one
-    rule per space, on x (1, n, 2, nq) and y (n, 1, 2, nq) that broadcast
-    to its points; the two velocity components share theirs. Exact values
-    are dropped before the exact gradient is evaluated, to keep the peak
-    memory of one field."""
+    rule of degree ERROR_DEGREE per space, on x (1, n, 2, nq) and y
+    (n, 1, 2, nq) that broadcast to its points (CellRule.axes, as the
+    loads take them); the two velocity components share theirs. Exact
+    values are dropped before the exact gradient is evaluated, to keep the
+    peak memory of one field."""
     spaces = [(s.velocity.dofmap, s.pressure.dofmap, s.head.dofmap)
               for s in states]
     if any(other != spaces[0] for other in spaces):
         raise ValueError("error_norms needs states on the same spaces")
     errs = [{} for _ in states]
     for field, names, exact in _EXACT:
-        rule = cell_rule(getattr(states[0], field).dofmap, quad_degree)
+        rule = cell_rule(getattr(states[0], field).dofmap, ERROR_DEGREE)
         xy = rule.axes()
         parts = [np.split(getattr(s, field).coefficients, len(names))
                  for s in states]

@@ -76,12 +76,7 @@ class SolveReport:
     method: str = ""
 
 
-class Preconditioner:
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r
-
-
-class IncompleteCholesky(Preconditioner):
+class IncompleteCholesky:
     """Lower-triangular incomplete factor; apply solves L L^T z = r."""
 
     def __init__(self, L: sp.csr_matrix, shifts: int):
@@ -211,7 +206,7 @@ def ichol(A, droptol: float = 1e-3) -> IncompleteCholesky:
     return IncompleteCholesky(L, shifts)
 
 
-class BlockTriangularPreconditioner(Preconditioner):
+class BlockTriangularPreconditioner:
     """Upper block-triangular preconditioner for (extended) saddle systems.
 
     Blocks are taken from the constrained monolithic matrix: velocity block
@@ -250,17 +245,15 @@ class BlockTriangularPreconditioner(Preconditioner):
         return z
 
 
-def pcg(A, b, M: Preconditioner | None = None, tol: float = 1e-9,
-        maxit: int | None = None):
-    """Preconditioned conjugate gradients; stops on ||b-Ax||/||b|| <= tol
-    (absolute when b = 0). Non-convergence is reported, not raised."""
+def pcg(A, b, M, tol: float = 1e-9):
+    """Conjugate gradients preconditioned by M (M.apply(r) ~ A^{-1} r);
+    stops on ||b-Ax||/||b|| <= tol (absolute when b = 0) or after 10 n
+    iterations. Non-convergence is reported, not raised."""
     A = as_csr(A)
     b = np.asarray(b, dtype=float)
     if A.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matrix {A.shape} vs rhs {b.shape}")
-    M = M or Preconditioner()
     n = b.shape[0]
-    maxit = maxit or 10 * n
     bnorm = np.linalg.norm(b)
     ref = bnorm if bnorm > 0 else 1.0
 
@@ -272,7 +265,7 @@ def pcg(A, b, M: Preconditioner | None = None, tol: float = 1e-9,
     z = M.apply(r)
     p = z.copy()
     rz = r @ z
-    for it in range(1, maxit + 1):
+    for it in range(1, 10 * n + 1):
         Ap = A @ p
         alpha = rz / (p @ Ap)
         x += alpha * p
@@ -284,12 +277,15 @@ def pcg(A, b, M: Preconditioner | None = None, tol: float = 1e-9,
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveReport(maxit, res / ref, False, "pcg")
+    return x, SolveReport(it, res / ref, False, "pcg")
 
 
-def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
-          restart: int = 50, maxit: int = 5000):
-    """Left-preconditioned restarted GMRES (Saad & Schultz 1986).
+RESTART = 50   # GMRES iterations per cycle
+
+
+def gmres(A, b, P, tol: float = 1e-9, maxit: int = 5000):
+    """GMRES left-preconditioned by P (P.apply(r) ~ A^{-1} r), restarted
+    every RESTART iterations (Saad & Schultz 1986).
 
     Each new Krylov vector is orthogonalized by classical Gram-Schmidt run
     twice (CGS2: two matrix-vector products per pass against the rows of
@@ -301,7 +297,6 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
     b = np.asarray(b, dtype=float)
     if A.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matrix {A.shape} vs rhs {b.shape}")
-    P = P or Preconditioner()
     n = b.shape[0]
     x = np.zeros(n)
     r = P.apply(b)   # the preconditioned residual at x = 0
@@ -310,12 +305,12 @@ def gmres(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         return x, SolveReport(0, 0.0, True, "gmres")
 
     total, exhausted = 0, False
-    V = np.empty((min(restart, maxit, n) + 1, n))   # every cycle's basis
+    V = np.empty((min(RESTART, maxit, n) + 1, n))   # every cycle's basis
     while True:
         rel = np.linalg.norm(r) / beta0
         if rel <= tol or total >= maxit or exhausted:
             return x, SolveReport(total, rel, rel <= tol, "gmres")
-        m = min(restart, maxit - total, n)
+        m = min(RESTART, maxit - total, n)
         V[0] = r / (rel * beta0)
         H = np.zeros((m + 1, m))
         cs = np.empty(m)
@@ -553,6 +548,7 @@ def constrain_rhs(A, b: np.ndarray, dofs: np.ndarray,
     return out
 
 
-def constrain_dirichlet(A, b, dofs, values):
-    """With b = 0 the right side is the lift -A x0 (see coupled.System)."""
-    return constrain_matrix(A, dofs), constrain_rhs(A, b, dofs, values)
+def constrain_dirichlet(A, dofs, values):
+    """constrain_matrix of A and the lift of a zero load (coupled.System)."""
+    return constrain_matrix(A, dofs), constrain_rhs(
+        A, np.zeros(A.shape[0]), dofs, values)

@@ -29,13 +29,12 @@ from quadrature_reference import _scatter
 from nsdarcy.coupled import build_spaces
 from nsdarcy.fem import dirichlet_trace
 from nsdarcy.forms import _load, assemble_mass, cell_rule
-from nsdarcy.mms import REPORTED_KEYS, error_norms
+from nsdarcy.mms import ERROR_DEGREE, REPORTED_KEYS, error_norms
 
 ENERGY_KEYS = (("u", "H1"), ("v", "H1"), ("phi", "H1"), ("p", "L2"))
 H1_KEYS = tuple(key for key in ENERGY_KEYS if key[1] == "H1")
 # quasi-optimality band: the lower edge is the minimum itself, less roundoff
 BAND = (1.0 - 1e-9, 1.3)
-QUAD_DEGREE = 8   # error_norms' default rule
 
 
 def _project(dofmap, exact, exact_grad, x, fixed):
@@ -43,11 +42,11 @@ def _project(dofmap, exact, exact_grad, x, fixed):
     minimizer of the L2 error (exact_grad None) or the H1-seminorm error
     against the analytic field; entries where fixed is True stay as given."""
     n, cd = dofmap.ndof, dofmap.cell_dofs
-    rule = cell_rule(dofmap, QUAD_DEGREE)
+    rule = cell_rule(dofmap, ERROR_DEGREE)
     px, py = map(rule.on_cells, rule.axes())
     wdet = np.einsum("q,c->cq", rule.weights, rule.det[rule.shape])
     if exact_grad is None:
-        G = assemble_mass(dofmap, QUAD_DEGREE)
+        G = assemble_mass(dofmap, ERROR_DEGREE)
         load = np.einsum("cq,iq,cq->ci", wdet, rule.vals, exact(px, py))
     else:
         grads = rule.grads()[rule.shape]
@@ -101,7 +100,7 @@ def best_errors(coupled_mesh, order, mms):
     reports = {}
     for norm in ("H1", "L2"):
         state = best_approximation(coupled_mesh, order, mms, norm)
-        reports[norm] = error_norms([state], mms, QUAD_DEGREE)[0]
+        reports[norm] = error_norms([state], mms)[0]
     return {key: reports[key[1]].get(*key) for key in REPORTED_KEYS}
 
 

@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from nsdarcy.sparse import (DimensionMismatch, Preconditioner, SolveReport,
-                            as_csr)
+from nsdarcy import sparse
+from nsdarcy.sparse import DimensionMismatch, SolveReport, as_csr
 
 
-def gmres_reference(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
-                    restart: int = 50, maxit: int = 5000):
-    """Left-preconditioned restarted GMRES with modified Gram-Schmidt.
+class Identity:
+    """The preconditioner that leaves a residual as it is."""
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        return r
+
+
+def gmres_reference(A, b, P, tol: float = 1e-9, maxit: int = 5000):
+    """Left-preconditioned GMRES with modified Gram-Schmidt, restarted
+    every `sparse.RESTART` iterations as `sparse.gmres` is.
 
     Stops when the preconditioned residual drops below tol relative to the
     initial preconditioned residual."""
@@ -27,7 +34,6 @@ def gmres_reference(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
     b = np.asarray(b, dtype=float)
     if A.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matrix {A.shape} vs rhs {b.shape}")
-    P = P or Preconditioner()
     n = b.shape[0]
     x = np.zeros(n)
     r = P.apply(b)   # the preconditioned residual at x = 0
@@ -40,7 +46,7 @@ def gmres_reference(A, b, P: Preconditioner | None = None, tol: float = 1e-9,
         rel = np.linalg.norm(r) / beta0
         if rel <= tol or total >= maxit or exhausted:
             return x, SolveReport(total, rel, rel <= tol, "gmres")
-        m = min(restart, maxit - total, n)
+        m = min(sparse.RESTART, maxit - total, n)
         V = np.empty((m + 1, n))
         V[0] = r / (rel * beta0)
         H = np.zeros((m + 1, m))

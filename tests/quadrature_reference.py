@@ -164,9 +164,7 @@ def assemble_b(dofmap_v, dofmap_q):
 
 def state_on_quad(field: DiscreteField, rule: CellRule, want_grad: bool):
     dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh
-    if dm.family == rule.dofmap.family and (fm is mesh or (
-            fm.n == mesh.n and fm.subdomain is mesh.subdomain
-            and fm.origin == mesh.origin)):
+    if dm.family == rule.dofmap.family and fm is mesh:
         gathered = field.coefficients.reshape(2, -1)[:, dm.cell_dofs]
         v = np.einsum("dcl,lq->cqd", gathered, rule.vals)
         if not want_grad:

@@ -9,7 +9,7 @@ class MeshMismatch(Exception):
     pass
 
 
-def compare_runs(run, reference: list, mms, quad_degree: int = 8) -> list:
+def compare_runs(run, reference: list, mms) -> list:
     """Per-level error ratios (multilevel final / coupled reference) for each
     reported variable and norm; reference states must sit on the same meshes
     in schedule order."""
@@ -24,8 +24,8 @@ def compare_runs(run, reference: list, mms, quad_degree: int = 8) -> list:
                                f"reference n={ref_n}")
         if ref.velocity.dofmap.family.tag != lv.final.velocity.dofmap.family.tag:
             raise MeshMismatch(f"level {lv.level}: element families differ")
-        e_run = error_norms([lv.final], mms, quad_degree)[0]
-        e_ref = error_norms([ref], mms, quad_degree)[0]
+        e_run = error_norms([lv.final], mms)[0]
+        e_ref = error_norms([ref], mms)[0]
         out.append({k: e_run.errors[k] / e_ref.errors[k]
                     for k in e_run.errors})
     return out

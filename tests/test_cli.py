@@ -583,7 +583,8 @@ class TestDiff:
             parse_tol_spec(f"{key}={value}")
 
     def test_exact_match_passes(self):
-        report = diff_tables(small_artifact(), small_artifact(), 1e-12)
+        report = diff_tables(small_artifact(), small_artifact(),
+                             {"default": 1e-12})
         assert report.passed
         assert all(ok for *_, ok in report.checked)
         assert report.unchecked == [] and report.missing == []
@@ -608,16 +609,16 @@ class TestDiff:
     def test_missing_rows(self):
         a, b = small_artifact(), small_artifact()
         b.rows = b.rows[:2]
-        report = diff_tables(a, b, 0.01)
+        report = diff_tables(a, b, {"default": 0.01})
         assert len(report.missing) == 2
         with pytest.raises(KeyMismatch):
-            diff_tables(a, b, 0.01, strict=True)
+            diff_tables(a, b, {"default": 0.01}, strict=True)
 
     def test_disjoint_tables_raise(self):
         a = small_artifact()
         b = TableArtifact(rows=[Row(5, "1/64", "v", "L2", 1.0, None)])
         with pytest.raises(KeyMismatch):
-            diff_tables(a, b, 0.01)
+            diff_tables(a, b, {"default": 0.01})
 
 
 class TestMain:

@@ -8,8 +8,8 @@ from nsdarcy.coupled import CoupledState, build_spaces
 from nsdarcy.fem import DiscreteField, interpolate
 from nsdarcy.forms import assemble_volume_load, cell_rule
 from nsdarcy.mesh import build_coupled_mesh
-from nsdarcy.mms import (REPORTED_KEYS, ErrorReport, InsufficientData,
-                         error_norms, rate_table)
+from nsdarcy.mms import (ERROR_DEGREE, REPORTED_KEYS, ErrorReport,
+                         InsufficientData, error_norms, rate_table)
 
 # reference error magnitudes from an independent implementation of the same
 # problem, used for rate arithmetic (first-order head H1 across n in
@@ -177,10 +177,11 @@ class TestErrorNorms:
         for key in REPORTED_KEYS:
             assert fine.get(*key) < coarse.get(*key)
 
-    def test_quadrature_degree_invariance(self, mms):
+    def test_quadrature_degree_invariance(self, mms, monkeypatch):
         state = interpolant_state(8, 1, mms)
-        r8 = error_norms([state], mms, quad_degree=8)[0]
-        r10 = error_norms([state], mms, quad_degree=10)[0]
+        r8 = error_norms([state], mms)[0]
+        monkeypatch.setattr("nsdarcy.mms.ERROR_DEGREE", 10)
+        r10 = error_norms([state], mms)[0]
         for key in REPORTED_KEYS:
             a, b = r8.get(*key), r10.get(*key)
             assert abs(a - b) <= 1e-3 * a
@@ -241,7 +242,7 @@ class TestSeparableExactFields:
                 dofmap = spaces.head if name in ("head", "head_grad",
                                                  "f_porous") \
                     else spaces.velocity
-                rule = cell_rule(dofmap, 8 if k < norms else None)
+                rule = cell_rule(dofmap, ERROR_DEGREE if k < norms else None)
                 full = list(ref.points(rule).transpose(2, 0, 1))
                 nq = len(rule.weights)
                 assert x.shape == (1, n, 2, nq) and y.shape == (n, 1, 2, nq)

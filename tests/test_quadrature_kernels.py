@@ -149,10 +149,11 @@ class TestForms:
     @pytest.mark.parametrize("coarse_n", [3, 8])
     @pytest.mark.parametrize("order", [1, 2])
     def test_convection_and_correction(self, order, coarse_n, params, rng):
-        """States of the target space (coarse_n = 8) and of a coarser mesh
-        (coarse_n = 3, evaluated through point location)."""
+        """States of the target space itself (coarse_n = 8) and of a
+        coarser mesh (coarse_n = 3, evaluated through point location)."""
         dv = build_spaces(build_coupled_mesh(8), order).velocity
-        coarse = build_spaces(build_coupled_mesh(coarse_n), order).velocity
+        coarse = dv if coarse_n == 8 else build_spaces(
+            build_coupled_mesh(coarse_n), order).velocity
         a, s = random_field(coarse, rng), random_field(dv, rng)
         for mode in ConvectionMode:
             state = quad_state(a, cell_rule(dv),
