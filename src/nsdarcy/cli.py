@@ -28,10 +28,11 @@ import traceback
 from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .coupled import FAMILIES, SolveOptions, build_level, solve_coupled
+from .coupled import (FAMILIES, SOLVERS, SolveOptions, build_level,
+                      solve_coupled)
 from .decoupled import LevelSolution, run_multilevel
 from .fem import dof_count
-from .forms import ModelParams
+from .forms import ModelParams, finite_positive
 from .mms import (REPORTED_KEYS, error_norms, manufactured_problem,
                   rate_table)
 
@@ -49,7 +50,6 @@ class KeyMismatch(Exception):
 
 
 ALGORITHMS = ("coupled", "A", "B", "C", "D")
-SOLVERS = ("direct", "iterative")
 CSV_HEADER = "level,h,variable,norm,error,rate"
 MAX_SUBDIVISIONS = 1024   # finer schedules are refused before any mesh
 _SOLVE_DEFAULTS = SolveOptions()
@@ -211,11 +211,10 @@ def _below_a_directory(path: str) -> bool:
 
 
 def _check_tolerance(name: str, value: float) -> float:
-    # NaN compares false with everything, so `value <= 0` alone lets it by
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name}: must be finite and positive, "
-                              f"got {value}")
-    return value
+    try:
+        return finite_positive(name, value)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 @dataclass
@@ -308,8 +307,12 @@ def read_table(path: str) -> TableArtifact:
             raise ParseError(f"{path}: line {i}: expected 6 fields")
         level, h, var, norm, err, rate = parts
         try:
-            rows.append(Row(int(level), h, var, norm, float(err),
-                            None if rate == "-" else float(rate)))
+            row = Row(int(level), h, var, norm, float(err),
+                      None if rate == "-" else float(rate))
+            if not (0 <= row.error < math.inf and math.isfinite(row.rate or 0)):
+                raise ValueError(f"need a finite error >= 0 and a finite "
+                                 f"rate or -, got {err}, {rate}")
+            rows.append(row)
         except ValueError as exc:
             raise ParseError(f"{path}: line {i}: {exc}") from exc
     return TableArtifact(rows=rows, metadata=metadata)

@@ -47,6 +47,7 @@ from .sparse import (BlockTriangularPreconditioner, DimensionMismatch,
                      constrain_dirichlet, entry_rows, ichol)
 
 PICARD_MAXIT = 50   # iterations before solve_coupled gives up
+SOLVERS = ("direct", "iterative")
 
 
 @dataclass(eq=False)
@@ -81,6 +82,12 @@ class SolveOptions:
     linear_tol: float = 1e-9
     droptol: float = 1e-3
     picard_tol: float = 1e-7
+
+    def __post_init__(self):
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        for name in ("linear_tol", "droptol", "picard_tol"):
+            forms.finite_positive(name, getattr(self, name))
 
 
 class Spaces(NamedTuple):
@@ -227,8 +234,6 @@ class System:
             self.inverse = DirectFactor(
                 self.K, grid_points(*self.dofmaps)[self.kept],
                 single=self._static is None)
-        elif opts.solver != "iterative":
-            raise ValueError(f"unknown solver {opts.solver!r}")
         elif len(self.sizes) == 1:
             self.inverse = ichol(self.K, opts.droptol)
         else:

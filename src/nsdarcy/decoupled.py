@@ -129,8 +129,8 @@ def advance_level(algorithm: AlgorithmId, prev: CoupledState, level: Level,
         except Exception as exc:
             raise MultilevelStepFailed(index, step_name, exc) from exc
 
-    darcy = DarcyStep(level, opts)
-    ns = NSStep(level, prev.velocity, opts)
+    darcy = run("darcy_setup", DarcyStep, level, opts)
+    ns = run("ns_setup", NSStep, level, prev.velocity, opts)
 
     if algorithm is AlgorithmId.A:
         phi_star, = run("darcy", darcy.solve, prev.velocity)

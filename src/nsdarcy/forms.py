@@ -32,9 +32,9 @@ saddle blocks cell by cell before they are summed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from math import gcd, isfinite
+from math import gcd, inf
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,13 @@ from .sparse import Singular, entry_rows
 EDGE_QUAD_POINTS = 5
 
 
+def finite_positive(name: str, value: float) -> float:
+    """value if 0 < value < inf, which NaN is not; else a ValueError."""
+    if not 0 < value < inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     nu: float = 1.0
@@ -57,13 +64,8 @@ class ModelParams:
     alpha_bjs: float = 1.0
 
     def __post_init__(self):
-        for name in ("nu", "rho", "gravity", "porosity", "conductivity",
-                     "alpha_bjs"):
-            value = getattr(self, name)
-            # NaN compares false with everything, so `value <= 0` lets it by
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {value}")
+        for f in fields(self):
+            finite_positive(f.name, getattr(self, f.name))
 
     @property
     def bjs_coefficient(self) -> float:

@@ -357,8 +357,11 @@ class TestTableIO:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(2, 1024),
                               st.sampled_from(VARIABLES),
-                              st.sampled_from(NORMS), st.floats(),
-                              st.one_of(st.none(), st.floats())),
+                              st.sampled_from(NORMS),
+                              # "%.3E" of a larger float reads back as inf
+                              st.floats(0.0, 1.797e308),
+                              st.one_of(st.none(), st.floats(
+                                  allow_nan=False, allow_infinity=False))),
                     max_size=12))
     def test_roundtrip_property(self, tmp_path_factory, cells):
         art = TableArtifact(
@@ -658,6 +661,21 @@ class TestMain:
         small_artifact().write_csv(str(path))
         assert main(["diff", str(path), str(path), "--tol", tol]) == 2
         assert "error: tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,1/2,u,H1,nan,-",
+                                     "0,1/2,u,H1,inf,-",
+                                     "0,1/2,u,H1,-1.000E-02,-",
+                                     "1,1/4,u,H1,5.000E-01,inf",
+                                     "1,1/4,u,H1,5.000E-01,nan"])
+    def test_error_or_rate_out_of_range_exits_two(self, tmp_path, capsys,
+                                                  row):
+        """run writes no such value, and a NaN error would otherwise
+        read as a tolerance failure (exit 1)."""
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        small_artifact().write_csv(str(good))
+        bad.write_text(CSV_HEADER + "\n" + row + "\n")
+        assert main(["diff", str(good), str(bad), "--tol", "0.5"]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_non_numeric_error_field_exits_two(self, tmp_path, capsys):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"

@@ -224,6 +224,23 @@ def assert_eliminated_close(K, lift, ref, ref_lift, dofs):
     assert np.array_equal(K[:, dofs], unit.T)
 
 
+class TestSolveOptions:
+    """Options that no solve can honour fail where they are made, not
+    after 50 Picard iterations or an assembled saddle."""
+
+    @pytest.mark.parametrize("name", ["linear_tol", "droptol", "picard_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive"):
+            SolveOptions(**{name: value})
+
+    @pytest.mark.parametrize("solver", ["Direct", "cg", ""])
+    def test_unknown_solver(self, solver):
+        with pytest.raises(ValueError, match="unknown solver"):
+            SolveOptions(solver=solver)
+
+
 class TestStaticBlocks:
     @pytest.mark.parametrize("order", [1, 2])
     def test_constrained_matrix_equals_stacked_reference(self, order, params,

@@ -11,6 +11,7 @@ from nsdarcy.coupled import (CoupledState, SolveOptions, System,
 from nsdarcy.decoupled import (AlgorithmId, DarcyStep, MultilevelStepFailed,
                                NSStep, advance_level, run_multilevel)
 from nsdarcy.fem import DiscreteField, grid_points, interpolate
+from nsdarcy.forms import ModelParams
 from nsdarcy.mesh import TriMesh, build_coupled_mesh
 from nsdarcy.mms import error_norms, manufactured_problem
 
@@ -221,6 +222,31 @@ class TestAlgorithmStructure:
         assert err.value.level == 1
         assert err.value.step == "ns_newton"
         assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_ns_setup_failure_is_attributed(self):
+        """At nu = 0.03 the symmetrized Newton velocity block of n = 8 is
+        indefinite, and its incomplete factor overflows."""
+        params = ModelParams(nu=0.03)
+        mms = manufactured_problem(params)
+        state, _ = solve_coupled(level(2, 1, params, mms))
+        with pytest.raises(MultilevelStepFailed) as err:
+            advance_level("A", state, level(8, 1, params, mms),
+                          SolveOptions(solver="iterative"))
+        assert (err.value.level, err.value.step) == (1, "ns_setup")
+        assert isinstance(err.value.__cause__, sparse.Singular)
+
+    def test_darcy_setup_failure_is_attributed(self, params, mms,
+                                               monkeypatch):
+        state, _ = solve_coupled(level(2, 1, params, mms))
+        boom = sparse.Singular("planted")
+
+        def planted(*args):
+            raise boom
+        monkeypatch.setattr(forms, "assemble_ap", planted)
+        with pytest.raises(MultilevelStepFailed) as err:
+            advance_level("C", state, level(4, 1, params, mms), index=2)
+        assert (err.value.level, err.value.step) == (2, "darcy_setup")
+        assert err.value.__cause__ is boom
 
 
 class TestUnconvergedSolves:
