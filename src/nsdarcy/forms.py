@@ -381,8 +381,9 @@ def quad_state(field: DiscreteField, rule: CellRule,
                grads: bool = True) -> QuadState:
     """The velocity `field` at the rule's points: each value (gradient)
     sums, in local order, the field's coefficients on the point's cell
-    times its basis values (gradients) there. A field of the rule's own
-    space takes the rule's basis, one on another mesh `_period_tables`.
+    times its basis values (gradients) there. A field of the rule's family
+    on the rule's own mesh object takes the rule's basis, any other
+    `_period_tables`.
     Both are computed component by component, so vals and grads are
     views of arrays (2, nc, nq) and (2, 2, nc, nq)."""
     dm, fm, mesh = field.dofmap, field.dofmap.mesh, rule.dofmap.mesh

@@ -3,7 +3,9 @@
 Matrix storage and products go through scipy.sparse CSR; the factorization
 and Krylov loops live here because their behavior (drop rule, breakdown
 shift, GMRES's CGS2 orthogonalization, stopping tests, preconditioner
-structure) is part of the method.
+structure) is part of the method. `pcg` and `gmres` require their
+preconditioner (any object with `apply(r)`); GMRES restarts every RESTART
+iterations, and PCG gives up after 10 n.
 
 Which of these a solve site uses, and what its report says, is decided in
 one place, `coupled.System` (`factor`, then `solve`): every report carries
