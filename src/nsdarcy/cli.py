@@ -309,7 +309,8 @@ def read_table(path: str) -> TableArtifact:
         try:
             row = Row(int(level), h, var, norm, float(err),
                       None if rate == "-" else float(rate))
-            if not (0 <= row.error < math.inf and math.isfinite(row.rate or 0)):
+            if not (0 <= row.error < math.inf
+                    and math.isfinite(row.rate or 0)):
                 raise ValueError(f"need a finite error >= 0 and a finite "
                                  f"rate or -, got {err}, {rate}")
             rows.append(row)

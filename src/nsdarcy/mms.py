@@ -14,8 +14,7 @@ derivative vanish there.
 
 The forcing below is the analytically derived
 f_f = -nu Lap(u) + grad p + rho (u.grad)u and f_p = -(K/n) Lap(phi);
-a finite-difference crosscheck lives in the test suite. Error norms
-integrate with the triangle rule of degree ERROR_DEGREE.
+a finite-difference crosscheck lives in the test suite.
 """
 
 from __future__ import annotations
