@@ -523,20 +523,13 @@ class Bubbles:
 # cells condensed at a time: every temporary stays small, so the heap does
 # not keep a whole mesh's worth of them
 CONDENSE_CELLS = 2048
-# A Mini cell's local saddle block is 11 x 11: velocity component i and
-# basis r at 4 i + r (r = 3: the bubble), pressure basis p at 8 + p. Its
-# entries are stored with the velocity blocks first, by (i, j, r, c) as the
-# convection blocks run, then the others row by row (_ORDER); _II, _IL,
-# _LI and _LL are where its blocks of I (the vertex velocities and the
-# pressures) and L (the bubbles) are stored.
-_i, _j, _r, _c = np.indices((2, 2, 4, 4)).reshape(4, -1)
-_VELOCITY = (4 * _i + _r) * 11 + 4 * _j + _c
-_ORDER = np.concatenate([_VELOCITY,
-                         np.setdiff1d(np.arange(121), _VELOCITY)])
+# A Mini cell's local saddle block is the 11 x 11 matrix, stored row by
+# row: velocity component i and basis r at 4 i + r (r = 3: the bubble),
+# pressure basis p at 8 + p. _II, _IL, _LI and _LL index its blocks of I
+# (the vertex velocities and the pressures) and L (the bubbles).
 _I, _L = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10]), np.array([3, 7])
-_II, _IL, _LI, _LL = (np.argsort(_ORDER)[np.ravel_multi_index(
-    np.ix_(r, c), (11, 11)).ravel()]
-    for r, c in ((_I, _I), (_I, _L), (_L, _I), (_L, _L)))
+_II, _IL, _LI, _LL = (np.ix_(r, c) for r, c in ((_I, _I), (_I, _L),
+                                                (_L, _I), (_L, _L)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,10 +540,11 @@ class MiniSaddle:
     8, 1974). A bubble vanishes on every edge, so it couples only with the
     unknowns of its own cell, and S = A_II - A_IL D^{-1} A_LI is a sum of
     cell blocks. It holds what does not change, with the cells along the
-    last axis: local blocks of [a_f, B^T; B, 0] (121, ns + ne), one per
-    shape and one per interface cell, its slip added, each cell's block
-    (nc,), the P1 pattern's positions (9, nc), and the pattern of S, the
-    P1 pattern tiled 3 x 3 (`tiled`)."""
+    last axis: local blocks of [a_f, B^T; B, 0] (11, 11, ns + ne), rows
+    and columns in the order above, one per shape and one per interface
+    cell, its slip added, each cell's block (nc,), the P1 pattern's
+    positions (9, nc), and the pattern of S, the P1 pattern tiled 3 x 3
+    (`tiled`)."""
     static: np.ndarray
     block: np.ndarray
     positions: np.ndarray
@@ -569,17 +563,17 @@ class MiniSaddle:
                       np.empty((2, 9, nc)))
         for lo in range(0, nc, CONDENSE_CELLS):
             cells = slice(lo, lo + CONDENSE_CELLS)
-            K = self.static[:, self.block[cells]]
-            m = K.shape[1]
+            K = self.static.take(self.block[cells], axis=2)
             if convection.ndim == 3:   # PLAIN: on both components
-                plain = convection[cells].reshape(m, 16).T
-                K[:16] += plain
-                K[48:64] += plain
-            else:
-                K[:64].reshape(2, 2, 16, m)[...] += convection[
-                    :, :, cells].reshape(2, 2, m, 16).transpose(0, 1, 3, 2)
+                plain = convection[cells].transpose(1, 2, 0)
+                K[:4, :4] += plain
+                K[4:8, 4:8] += plain
+            else:   # NEWTON: block (i, j) on velocity block (i, j)
+                for i, j in np.ndindex(2, 2):
+                    K[4 * i:4 * i + 4, 4 * j:4 * j + 4] += convection[
+                        i, j, cells].transpose(1, 2, 0)
             S = _condense_cells(K, dinv[:, :, cells], e[:, :, cells],
-                                f[:, :, cells]).reshape(3, 3, 3, 3, m)
+                                f[:, :, cells]).reshape(3, 3, 3, 3, -1)
             at = self.positions[:, cells].ravel()
             for a in range(3):
                 for b in range(3):
@@ -594,11 +588,10 @@ class MiniSaddle:
 def _condense_cells(K: np.ndarray, dinv: np.ndarray, e: np.ndarray,
                     f: np.ndarray) -> np.ndarray:
     """S = A_II - A_IL D^{-1} A_LI (9, 9, m) of m Mini cells from their
-    local saddle blocks K (121, m); D^{-1}, A_IL D^{-1} and D^{-1} A_LI are
-    written to dinv, e and f."""
-    m = K.shape[1]
-    A_IL, A_LI = K[_IL].reshape(9, 2, m), K[_LI].reshape(2, 9, m)
-    (a, b), (c, d) = K[_LL].reshape(2, 2, m)
+    local saddle blocks K (11, 11, m); D^{-1}, A_IL D^{-1} and D^{-1} A_LI
+    are written to dinv, e and f."""
+    A_IL, A_LI = K[_IL], K[_LI]
+    (a, b), (c, d) = K[_LL]
     det = a * d - b * c
     if not np.all(np.isfinite(det) & (det != 0)):
         raise Singular("singular bubble block")
@@ -607,7 +600,7 @@ def _condense_cells(K: np.ndarray, dinv: np.ndarray, e: np.ndarray,
         np.divide(v, det, out=dinv[k, l])
     e[...] = A_IL[:, :1] * dinv[0] + A_IL[:, 1:] * dinv[1]
     f[...] = dinv[:, :1] * A_LI[0] + dinv[:, 1:] * A_LI[1]
-    S = K[_II].reshape(9, 9, m)
+    S = K[_II]
     S -= e[:, :1] * A_LI[0]
     S -= e[:, 1:] * A_LI[1]
     return S
@@ -626,17 +619,16 @@ def mini_saddle(dofmap_v: DofMap, dofmap_q: DofMap,
         static[:, 4 * d:4 * d + 4, 4 * d:4 * d + 4] = viscous
         static[:, 8:, 4 * d:4 * d + 4] = divergence[..., d]
         static[:, 4 * d:4 * d + 4, 8:] = divergence[..., d].transpose(0, 2, 1)
-    static = static.reshape(-1, 121)[:, _ORDER]
     edges = edge_rule(dofmap_v)
     slipped = static[rule.shape[edges.cells]]   # slip on component 0
-    slipped[:, :16] += _slip(edges, params).reshape(-1, 16)
+    slipped[:, :4, :4] += _slip(edges, params)
     block = rule.shape.copy()
     block[edges.cells] = len(static) + np.arange(len(edges.cells))
     pattern = cell_pattern(dofmap_q)
     nc = len(rule.shape)
     bubble = dofmap_v.cell_dofs[:, 3]
     return MiniSaddle(
-        np.concatenate([static, slipped]).T.copy(), block,
+        np.concatenate([static, slipped]).transpose(1, 2, 0).copy(), block,
         np.ascontiguousarray(pattern.positions.reshape(nc, 9).T),
         pattern.tiled(3), np.stack([bubble, bubble + ndof]),
         (dofmap_q.cell_dofs.T + nv * np.arange(3)[:, None, None]).reshape(

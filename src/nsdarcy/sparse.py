@@ -447,11 +447,7 @@ class DirectFactor:
         self._lu = self._factor(A, np.float32 if single else np.float64)
 
     def _factor(self, A: sp.csr_matrix, dtype) -> spla.SuperLU:
-        where = np.empty(A.shape[0], dtype=A.indices.dtype)
-        where[self._iidx] = np.arange(A.shape[0])
-        S = A[self._iidx]   # rows in factor order; then the columns, unsorted
-        S.indices = where[S.indices]
-        S.has_sorted_indices = False
+        S = A[self._iidx][:, self._iidx]   # in factor order
         S.eliminate_zeros()
         S = S.tocsc()   # sorted, and the ordered CSR is freed before SuperLU
         S = sp.csc_matrix((S.data.astype(dtype, copy=False), S.indices,

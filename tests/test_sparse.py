@@ -874,6 +874,33 @@ class TestPrecisionRule:
                                          lv.porous_load))
         assert (rep.method, rep.iterations) == ("direct", 1)
 
+    @pytest.mark.parametrize("kind,order", DIRECT_SITES)
+    def test_superlu_gets_k_in_factor_order(self, kind, order, params, mms,
+                                            monkeypatch):
+        """K[p][:, p] for the factor's order p: CSC with sorted indices, no
+        stored zero, float64 for Picard and float32 for the steps."""
+        inputs, splu = [], spla.splu
+        monkeypatch.setattr(sparse.spla, "splu", lambda A, *args, **kw:
+                            inputs.append(A) or splu(A, *args, **kw))
+        lv = build_level(build_coupled_mesh(4), order, params, mms)
+        if kind == "picard":
+            system, _ = coupled.picard_system(lv)
+            system.factor(SolveOptions())
+        elif kind == "ns":
+            system = NSStep(lv, interpolate(mms.velocity,
+                                            lv.spaces.velocity)).system
+        else:
+            system = DarcyStep(lv).system
+        [S] = inputs
+        p = system.inverse._iidx
+        assert S.format == "csc"
+        assert S.dtype == (np.float64 if kind == "picard" else np.float32)
+        column = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))
+        assert np.all((np.diff(S.indices) > 0) | (np.diff(column) > 0))
+        assert np.all(S.data != 0)
+        assert np.array_equal(S.toarray(), system.K.toarray()[np.ix_(p, p)]
+                              .astype(S.dtype))
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("kind", ["darcy", "ns"])
     def test_steps_refine_a_float32_factor(self, kind, order, params, mms):
