@@ -292,6 +292,7 @@ class TableArtifact:
 def read_table(path: str) -> TableArtifact:
     metadata: dict = {}
     rows: list = []
+    lines: dict = {}   # row key -> file line number
     body = []   # (file line number, line)
     for lineno, ln in enumerate(_ascii_lines(path), start=1):
         if ln.startswith("#"):
@@ -313,9 +314,13 @@ def read_table(path: str) -> TableArtifact:
                     and math.isfinite(row.rate or 0)):
                 raise ValueError(f"need a finite error >= 0 and a finite "
                                  f"rate or -, got {err}, {rate}")
-            rows.append(row)
         except ValueError as exc:
             raise ParseError(f"{path}: line {i}: {exc}") from exc
+        if row.key in lines:
+            raise ParseError(f"{path}: lines {lines[row.key]} and {i}: "
+                             f"one row key {'/'.join(map(str, row.key))}")
+        lines[row.key] = i
+        rows.append(row)
     return TableArtifact(rows=rows, metadata=metadata)
 
 
@@ -479,7 +484,8 @@ def diff_tables(a: TableArtifact, b: TableArtifact, tol: dict,
     """Relative differences (against b) per shared row key; tolerance
     resolution (tol as parse_tol_spec gives it): exact "var:norm" entry,
     then norm, then default. Rows with no applicable tolerance are
-    reported, not checked."""
+    reported, not checked. A tolerance key other than default that names
+    no shared row's norm or var:norm raises ValidationError."""
     amap = {r.key: r for r in a.rows}
     bmap = {r.key: r for r in b.rows}
     shared = sorted(set(amap) & set(bmap))
@@ -487,6 +493,11 @@ def diff_tables(a: TableArtifact, b: TableArtifact, tol: dict,
     if not shared or (strict and missing):
         raise KeyMismatch(f"{len(shared)} shared row keys, "
                           f"{len(missing)} unmatched")
+    unknown = set(tol) - {"default"} - {f"{v}:{n}" for *_, v, n in shared} \
+        - {n for *_, n in shared}
+    if unknown:
+        raise ValidationError(f"tol {', '.join(sorted(unknown))}: names "
+                              f"no compared row")
     checked, unchecked = [], []
     for key in shared:
         _, _, var, norm = key

@@ -354,6 +354,16 @@ class TestTableIO:
         with pytest.raises(ParseError, match="line 4: expected 6 fields"):
             read_table(str(bad))
 
+    def test_two_rows_with_one_key_rejected(self, tmp_path):
+        """run never writes one key twice; reading both would keep only
+        the last for diff."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(CSV_HEADER + "\n0,1/2,u,L2,1.000E-01,-\n"
+                       "0,1/2,u,H1,2.000E-01,-\n0,1/2,u,L2,9.000E-01,-\n")
+        with pytest.raises(ParseError, match=f"{bad}: lines 2 and 4: one "
+                                             f"row key 0/1/2/u/L2"):
+            read_table(str(bad))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(2, 1024),
                               st.sampled_from(VARIABLES),
@@ -362,7 +372,7 @@ class TestTableIO:
                               st.floats(0.0, 1.797e308),
                               st.one_of(st.none(), st.floats(
                                   allow_nan=False, allow_infinity=False))),
-                    max_size=12))
+                    max_size=12, unique_by=lambda cell: cell[:4]))
     def test_roundtrip_property(self, tmp_path_factory, cells):
         art = TableArtifact(
             rows=[Row(lv, f"1/{n}", var, norm, err, rate)
@@ -661,6 +671,34 @@ class TestMain:
         small_artifact().write_csv(str(path))
         assert main(["diff", str(path), str(path), "--tol", tol]) == 2
         assert "error: tol" in capsys.readouterr().err
+
+    def test_row_key_given_twice_exits_two(self, tmp_path, capsys):
+        """Against a table that holds only the second of the two rows."""
+        twice, once = tmp_path / "twice.csv", tmp_path / "once.csv"
+        twice.write_text(CSV_HEADER + "\n0,1/2,u,L2,1.000E-01,-\n"
+                         "0,1/2,u,L2,9.000E-01,-\n")
+        once.write_text(CSV_HEADER + "\n0,1/2,u,L2,9.000E-01,-\n")
+        assert main(["diff", str(twice), str(once), "--tol", "0.01"]) == 2
+        assert f"{twice}: lines 2 and 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0.5,h1=1e-3", "0.5,u:H2=1e-3",
+                                     "0.5,w:H1=1e-3", "h1=1e-3",
+                                     "0.5,p:H1=1e-3"])
+    def test_tolerance_key_naming_no_row_exits_two(self, tmp_path, capsys,
+                                                   tol):
+        """A key that names no compared row's norm or variable:norm is
+        bad configuration, not a pass or a tolerance failure."""
+        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+        pa.write_text(CSV_HEADER + "\n0,1/2,u,L2,1.000E-01,-\n"
+                      "0,1/2,u,H1,2.000E-01,-\n0,1/2,p,L2,3.000E-01,-\n")
+        pb.write_text(CSV_HEADER + "\n0,1/2,u,L2,1.000E-01,-\n"
+                      "0,1/2,u,H1,2.020E-01,-\n0,1/2,p,L2,3.000E-01,-\n")
+        assert main(["diff", str(pa), str(pb), "--tol", "0.5,H1=1e-3"]) == 1
+        capsys.readouterr()
+        assert main(["diff", str(pa), str(pb), "--tol", tol]) == 2
+        key = tol.split(",")[-1].partition("=")[0]
+        assert capsys.readouterr().err == (f"error: tol {key}: names no "
+                                           f"compared row\n")
 
     @pytest.mark.parametrize("row", ["0,1/2,u,H1,nan,-",
                                      "0,1/2,u,H1,inf,-",
