@@ -37,6 +37,8 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
         "2 of 2 configurations identical"]
 
     data = json.loads(first)
+    assert all(sorted(fp) == sorted(fingerprint.FIELDS)
+               for fp in data.values())
     direct = data[CONFIGS[0]]
     assert direct["superlu_inputs"] == 2   # one factor per mesh, n = 2, 4
     fill = direct["superlu_fill"]
@@ -68,24 +70,17 @@ def test_reruns_match_and_an_edit_is_reported(tmp_path, capsys):
     assert lines[-1] == "1 of 2 configurations identical"
 
 
-def hand_built(path, errors, digest, krylov=None, fill=None,
-               residuals=None, direct=None, dtypes=None):
+def hand_built(path, errors, digest, krylov=(), fill=(100, 300),
+               residuals=(), direct=(), dtypes=("float64", "float64")):
     """A one-configuration fingerprint file with the given errors of u
-    in L2 on n = 2 and 4, and Krylov counts, SuperLU fill, true
-    residuals, direct counts and SuperLU dtypes when given."""
+    in L2 on n = 2 and 4, Krylov counts, SuperLU fill, true residuals,
+    direct counts and SuperLU dtypes."""
     rows = [[level, h, "u", "L2", float(e).hex(), rate] for level, h, e, rate
             in zip((0, 1), ("1/2", "1/4"), errors, (None, (2.0).hex()))]
-    fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2}
-    if krylov is not None:
-        fp["krylov"] = krylov
-    if fill is not None:
-        fp["superlu_fill"] = fill
-    if residuals is not None:
-        fp["residuals"] = [float(r).hex() for r in residuals]
-    if direct is not None:
-        fp["direct"] = direct
-    if dtypes is not None:
-        fp["superlu_dtypes"] = dtypes
+    fp = {"rows": rows, "superlu_sha256": digest, "superlu_inputs": 2,
+          "krylov": list(krylov), "superlu_fill": list(fill),
+          "residuals": [float(r).hex() for r in residuals],
+          "direct": list(direct), "superlu_dtypes": list(dtypes)}
     path.write_text(json.dumps({CONFIGS[0]: fp}))
     return str(path)
 
@@ -103,7 +98,7 @@ def test_compare_within_rtol(tmp_path, capsys, scale, rtol, code):
     capsys.readouterr()
     assert fingerprint.main(["compare", a, b, "--rtol", rtol]) == code
     lines = capsys.readouterr().out.splitlines()
-    assert "SuperLU inputs differ (2 against 2 inputs, fill unknown)" \
+    assert "SuperLU inputs differ (2 against 2 inputs, fill same)" \
         in lines[0]
     assert lines[0].endswith(f"within rtol {float(rtol):g}") == (code == 0)
     assert lines[-1] == (f"{1 - code} of 1 configurations identical or "
@@ -121,7 +116,7 @@ def test_krylov_counts_that_differ_are_named(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
              f"same, Krylov counts differ (2 against 2 solves; solve 1: "
-             f"gmres 7 against gmres 8), residuals unknown")
+             f"gmres 7 against gmres 8), residuals same")
     assert out[0] == named and out[2] == named + ", within rtol 1e-12"
     assert out[-1] == "1 of 1 configurations identical or within rtol 1e-12"
 
@@ -130,7 +125,6 @@ def test_krylov_counts_that_differ_are_named(tmp_path, capsys):
     ([100, 300], "fill same"),
     ([100, 302], "fill +0.500%"),
     ([90, 300], "fill -2.500%"),
-    (None, "fill unknown"),
 ])
 def test_fill_is_shown_where_the_inputs_differ(tmp_path, capsys, fill_b,
                                                shown):
@@ -140,35 +134,38 @@ def test_fill_is_shown_where_the_inputs_differ(tmp_path, capsys, fill_b,
     assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs differ "
-        f"(2 against 2 inputs, {shown}), Krylov counts unknown, residuals "
-        f"unknown, within rtol 0")
+        f"(2 against 2 inputs, {shown}), Krylov counts same, residuals "
+        f"same, within rtol 0")
 
 
 def test_fill_that_differs_on_the_same_inputs_is_named(tmp_path, capsys):
-    """Such as the same matrices factored under another pivot threshold;
-    a file without fill does not decide."""
+    """Such as the same matrices factored under another pivot
+    threshold."""
     a = hand_built(tmp_path / "a.json", (1e-3, 2.5e-4), "aa", fill=[100, 300])
     b = hand_built(tmp_path / "b.json", (1e-3, 2.5e-4), "aa", fill=[100, 500])
-    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa")
     assert fingerprint.main(["compare", a, b]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
-        f"fill +50.000%, Krylov counts unknown, residuals unknown",
+        f"fill +50.000%, Krylov counts same, residuals same",
         "0 of 1 configurations identical"]
     assert fingerprint.main(["compare", a, a]) == 0
-    assert fingerprint.main(["compare", old, b]) == 0
-    assert "fill" not in capsys.readouterr().out
 
 
-def test_a_file_without_krylov_counts_compares_as_unknown(tmp_path, capsys):
-    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa")
-    new = hand_built(tmp_path / "new.json", (1e-3, 2.5e-4), "aa",
-                     [["gmres", 7]])
-    assert fingerprint.main(["compare", old, new]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
-        f"Krylov counts unknown, residuals unknown",
-        "1 of 1 configurations identical"]
+@pytest.mark.parametrize("field", fingerprint.FIELDS)
+def test_a_file_without_a_field_exits_two(tmp_path, capsys, field):
+    """Both files are written by the current tool, so a file that lacks a
+    field is refused on either side, the field named."""
+    full = hand_built(tmp_path / "full.json", (1e-3, 2.5e-4), "aa")
+    data = json.loads((tmp_path / "full.json").read_text())
+    del data[CONFIGS[0]][field]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    for args in ([full, str(old)], [str(old), full]):
+        assert fingerprint.main(["compare"] + args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {old}: {CONFIGS[0]} has no {field!r}; write "
+                       f"the file again with this tool\n")
 
 
 def test_a_moved_residual_is_named(tmp_path, capsys):
@@ -191,18 +188,6 @@ def test_a_moved_residual_is_named(tmp_path, capsys):
                        "1 of 1 configurations identical or within rtol 0"]
 
 
-def test_a_file_without_residuals_compares_as_unknown(tmp_path, capsys):
-    krylov = [["gmres", 7]]
-    old = hand_built(tmp_path / "old.json", (1e-3, 2.5e-4), "aa", krylov)
-    new = hand_built(tmp_path / "new.json", (1e-3, 2.5e-4), "aa", krylov,
-                     residuals=[2e-10])
-    assert fingerprint.main(["compare", old, new]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs same, "
-        f"Krylov counts same, residuals unknown",
-        "1 of 1 configurations identical"]
-
-
 def test_direct_counts_and_dtypes_are_recorded(tmp_path):
     """Algorithm A: Picard's float64 factor on n = 2 solves its first
     iterate in one triangular solve; the Darcy and NS steps on n = 4 factor
@@ -220,26 +205,23 @@ def test_direct_counts_and_dtypes_are_recorded(tmp_path):
 
 def test_direct_counts_and_dtypes_that_differ_are_named(tmp_path, capsys):
     """Direct counts that move make a configuration differ, and under
-    --rtol do not decide; a file without them does not decide either."""
+    --rtol do not decide."""
     errors = (1e-3, 2.5e-4)
     a = hand_built(tmp_path / "a.json", errors, "aa", [["gmres", 7]],
                    direct=[1, 1, 1], dtypes=["float64"] * 3)
     b = hand_built(tmp_path / "b.json", errors, "bb", [["gmres", 7]],
                    direct=[1, 4, 3], dtypes=["float64", "float32", "float32"])
-    old = hand_built(tmp_path / "old.json", errors, "bb", [["gmres", 7]])
     assert fingerprint.main(["compare", a, b]) == 1
     assert fingerprint.main(["compare", a, b, "--rtol", "0"]) == 0
     out = capsys.readouterr().out.splitlines()
     named = (f"{CONFIGS[0]}: max rel error diff 0.000e+00, SuperLU inputs "
-             f"differ (2 against 2 inputs, fill unknown, dtypes differ "
+             f"differ (2 against 2 inputs, fill same, dtypes differ "
              f"(input 2: float64 against float32)), Krylov counts same, "
              f"direct counts differ (3 against 3 solves; solve 2: 1 "
-             f"against 4), residuals unknown")
+             f"against 4), residuals same")
     assert out == [named, "0 of 1 configurations identical",
                    named + ", within rtol 0",
                    "1 of 1 configurations identical or within rtol 0"]
-    assert fingerprint.main(["compare", old, b]) == 0
-    assert "direct counts" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

@@ -34,13 +34,12 @@ every row whose printed `errors.csv` body changes, formatted by the
 `nsdarcy.cli` in the `src` next to this tool. Where the SuperLU inputs or
 their fill differ it adds the relative change of the summed fill from A
 to B ("fill same" if only the inputs differ), and the first input whose
-dtype differs; direct counts are named only where they differ. A file
-written before the fill, the counts or the residuals were recorded gives
-"fill unknown", "Krylov counts unknown" or "residuals unknown", which does
-not decide, and no direct counts or dtypes. Exit code 0 means every
-configuration is identical, 1 that some differ, 2 a bad argument or
-file; a fill that differs on the same SuperLU inputs, as under another
-pivot threshold, differs too. With `--rtol R`, for refactors that are not
+dtype differs; direct counts are named only where they differ. Both
+files are written by this tool (the parent's with `--src`), so a
+configuration that lacks one of the fields above is a bad file: write it
+again. Exit code 0 means every configuration is identical, 1 that some
+differ, 2 a bad argument or file; a fill that differs on the same
+SuperLU inputs, as under another pivot threshold, differs too. With `--rtol R`, for refactors that are not
 bitwise, a configuration that differs passes too when no printed
 `errors.csv` body changes and every unrounded error lies within R
 relative of B's; its SuperLU inputs, fill, Krylov counts, direct counts
@@ -64,6 +63,8 @@ CONFIGS = tuple(f"{alg}:{order}:{solver}:{schedule}" for alg, order, solver,
                                               SCHEDULES))
 DEFAULT_SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
+FIELDS = ("rows", "superlu_sha256", "superlu_inputs", "superlu_dtypes",
+          "superlu_fill", "krylov", "direct", "residuals")
 USAGE = ("usage: fingerprint.py write OUT.json [--src SRC] [CONFIG ...]\n"
          "       fingerprint.py compare A.json B.json [--rtol R]")
 
@@ -185,11 +186,9 @@ def _first_difference(a: list, b: list) -> int:
 
 
 def _counts(fa: dict, fb: dict, key: str = "krylov") -> str:
-    """"same", "unknown" (a file without them) or where the iteration
-    counts under `key` of two configurations first differ."""
-    ka, kb = fa.get(key), fb.get(key)
-    if ka is None or kb is None:
-        return "unknown"
+    """"same" or where the iteration counts under `key` of two
+    configurations first differ."""
+    ka, kb = fa[key], fb[key]
     if ka == kb:
         return "same"
     i = _first_difference(ka, kb)
@@ -205,11 +204,8 @@ def _counts(fa: dict, fb: dict, key: str = "krylov") -> str:
 
 
 def _residuals(fa: dict, fb: dict) -> str:
-    """"same", "unknown" (a file without residuals) or the first solve
-    whose true residuals differ."""
-    ra, rb = fa.get("residuals"), fb.get("residuals")
-    if ra is None or rb is None:
-        return "unknown"
+    """"same" or the first solve whose true residuals differ."""
+    ra, rb = fa["residuals"], fb["residuals"]
     if ra == rb:
         return "same"
     i = _first_difference(ra, rb)
@@ -222,9 +218,9 @@ def _residuals(fa: dict, fb: dict) -> str:
 
 def _dtypes(fa: dict, fb: dict) -> str:
     """", dtypes differ (...)" at the first SuperLU input whose dtype
-    differs; empty if none does or a file has no dtypes."""
-    da, db = fa.get("superlu_dtypes"), fb.get("superlu_dtypes")
-    if da is None or db is None or da == db:
+    differs; empty if none does."""
+    da, db = fa["superlu_dtypes"], fb["superlu_dtypes"]
+    if da == db:
         return ""
     i = _first_difference(da, db)
 
@@ -235,10 +231,8 @@ def _dtypes(fa: dict, fb: dict) -> str:
 
 
 def _fill(fa: dict, fb: dict) -> str:
-    """"same", "unknown" (a file without fill) or the relative change of
-    the summed SuperLU fill from A to B."""
-    if "superlu_fill" not in fa or "superlu_fill" not in fb:
-        return "unknown"
+    """"same" or the relative change of the summed SuperLU fill from A
+    to B."""
     if fa["superlu_fill"] == fb["superlu_fill"]:
         return "same"
     sa, sb = sum(fa["superlu_fill"]), sum(fb["superlu_fill"])
@@ -257,12 +251,11 @@ def compare(a: dict, b: dict, rtol: float | None = None
         fa, fb = a[config], b[config]
         krylov, fill = _counts(fa, fb), _fill(fa, fb)
         direct, residuals = _counts(fa, fb, "direct"), _residuals(fa, fb)
-        moved = fill not in ("same", "unknown")
+        moved = fill != "same"
         identical = not moved and all(fa[k] == fb[k] for k in
                                       ("rows", "superlu_sha256",
                                        "superlu_inputs"))
-        if identical and krylov == residuals == "same" and \
-                direct in ("same", "unknown"):
+        if identical and krylov == direct == residuals == "same":
             same += 1
             continue
         ra, rb = fa["rows"], fb["rows"]
@@ -284,11 +277,10 @@ def compare(a: dict, b: dict, rtol: float | None = None
         changed = [f"  {_body(x)}  ->  {_body(y)}" for x, y in zip(ra, rb)
                    if _body(x) != _body(y)]
         within = rtol is not None and not changed and worst <= rtol
-        same += within or (identical and {krylov, direct, residuals}
-                           <= {"same", "unknown"})
+        same += within
         lines.append(f"{config}: max rel error diff {worst:.3e}, "
                      f"SuperLU inputs {superlu}, Krylov counts {krylov}, "
-                     + ("" if direct in ("same", "unknown")
+                     + ("" if direct == "same"
                         else f"direct counts {direct}, ")
                      + f"residuals {residuals}"
                      + (f", within rtol {rtol:g}" if within else ""))
@@ -312,9 +304,15 @@ def _rtol(text: str) -> float:
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise BadInput(f"{path}: {exc}") from exc
+    for config, fp in data.items():
+        missing = [field for field in FIELDS if field not in fp]
+        if missing:
+            raise BadInput(f"{path}: {config} has no {missing[0]!r}; write "
+                           f"the file again with this tool")
+    return data
 
 
 def main(argv: list[str]) -> int:
