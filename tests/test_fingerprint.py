@@ -224,6 +224,16 @@ def test_direct_counts_and_dtypes_that_differ_are_named(tmp_path, capsys):
                    "1 of 1 configurations identical or within rtol 0"]
 
 
+@pytest.mark.parametrize("text", ["[]", '{"A:1:direct:pairs:2:4": 1}'])
+def test_a_file_that_is_no_fingerprint_exits_two(tmp_path, capsys, text):
+    good = hand_built(tmp_path / "good.json", (1e-3, 2.5e-4), "aa")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert fingerprint.main(["compare", good, str(bad)]) == 2
+    assert capsys.readouterr().err == (f"error: {bad}: not a fingerprint "
+                                       f"file\n")
+
+
 @pytest.mark.parametrize("args", [
     ["compare", "a.json", "b.json", "--rtol", "x"],
     ["compare", "a.json", "b.json", "--rtol", "-1"],

@@ -39,11 +39,12 @@ files are written by this tool (the parent's with `--src`), so a
 configuration that lacks one of the fields above is a bad file: write it
 again. Exit code 0 means every configuration is identical, 1 that some
 differ, 2 a bad argument or file; a fill that differs on the same
-SuperLU inputs, as under another pivot threshold, differs too. With `--rtol R`, for refactors that are not
-bitwise, a configuration that differs passes too when no printed
-`errors.csv` body changes and every unrounded error lies within R
-relative of B's; its SuperLU inputs, fill, Krylov counts, direct counts
-and residuals are then reported but do not decide.
+SuperLU inputs, as under another pivot threshold, differs too. With
+`--rtol R`, for refactors that are not bitwise, a configuration that
+differs passes too when no printed `errors.csv` body changes and every
+unrounded error lies within R relative of B's; its SuperLU inputs, fill,
+Krylov counts, direct counts and residuals are then reported but do not
+decide.
 """
 
 from __future__ import annotations
@@ -307,6 +308,9 @@ def _load(path: str) -> dict:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise BadInput(f"{path}: {exc}") from exc
+    if not (isinstance(data, dict)
+            and all(isinstance(fp, dict) for fp in data.values())):
+        raise BadInput(f"{path}: not a fingerprint file")
     for config, fp in data.items():
         missing = [field for field in FIELDS if field not in fp]
         if missing:
