@@ -417,7 +417,7 @@ class DirectFactor:
     diagonal pivots (DIAG_PIVOT_THRESH). A Dirichlet identity row (see
     constrain_matrix) couples with no other unknown, so it causes no fill
     wherever the dissection puts it. `_iidx` lists the unknowns in factor
-    order; SuperLU gets A in that order, less its explicit zeros.
+    order p; SuperLU gets A[p][:, p], less its explicit zeros.
 
     With `single`, SuperLU gets A in float32, and `solve` refines in
     float64 against A (Moler 1967; Carson & Higham 2018):
